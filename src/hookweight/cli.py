@@ -87,9 +87,9 @@ class InputError(ValueError):
 
 
 def _parse_perm(text: str) -> Permutation:
-    parts = [p for chunk in text.split(",") for p in chunk.split()] \
-        if not text.strip().startswith("[") else json.loads(text)
     try:
+        parts = [p for chunk in text.split(",") for p in chunk.split()] \
+            if not text.strip().startswith("[") else json.loads(text)
         return Permutation(int(p) for p in parts)
     except (TypeError, ValueError) as exc:
         raise InputError(f"malformed permutation {text!r}: {exc}") from None

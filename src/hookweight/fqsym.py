@@ -428,25 +428,26 @@ def _gamma_weighted_sum(terms: Mapping[tuple[int, ...], int | Fraction]) -> _FRF
 
 def _all_vars_to_q(f: RatFunc) -> UniRatFunc:
     """Substitute every x_i -> q (monomials collapse to their degree)."""
-    frf = f._as_frf()
-    if frf is not None and not frf.is_zero():
-        num = UniPoly.constant(frf.c.numerator)
-        den = UniPoly.constant(frf.c.denominator)
-        num = num * _uni_from_dict_all_q(frf.num)
-        for atom, e in frf.fac.items():
-            if atom[0] == "F":
-                a = UniPoly({1: atom[2]})  # the m summands each become q
+    frf = f._frf
+    if frf.is_zero():
+        return UniRatFunc(UniPoly())
+    num = UniPoly.constant(frf.c.numerator)
+    den = UniPoly.constant(frf.c.denominator)
+    num = num * _uni_from_dict_all_q(frf.num)
+    for atom, e in frf.fac.items():
+        if atom[0] == "F":
+            a = UniPoly({1: atom[2]})  # the m summands each become q
+        elif atom[0] == "P":
+            a = _uni_from_dict_all_q(dict(atom[1]))
+        else:
+            deg = sum(exp for _v, exp in atom[1])
+            a = UniPoly({0: 1, deg: -1})
+        for _ in range(abs(e)):
+            if e > 0:
+                num = num * a
             else:
-                deg = sum(exp for _v, exp in atom[1])
-                a = UniPoly({0: 1, deg: -1})
-            for _ in range(abs(e)):
-                if e > 0:
-                    num = num * a
-                else:
-                    den = den * a
-        return UniRatFunc(num, den)
-    f._materialize()
-    return UniRatFunc(_uni_from_dict_all_q(f._num), _uni_from_dict_all_q(f._den))
+                den = den * a
+    return UniRatFunc(num, den)
 
 
 def _uni_from_dict_all_q(d: dict) -> UniPoly:

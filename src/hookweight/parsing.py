@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 
-from .ratfunc import Polynomial, RatFunc
+from .ratfunc import _FRF, _MASK, Polynomial, RatFunc
 
 __all__ = ["parse_ratfunc", "parse_polynomial", "ParseError"]
 
@@ -33,6 +33,13 @@ def _tokenize(text: str) -> list[str]:
         tokens.append(m.group(1))
         pos = m.end()
     return tokens
+
+
+def _int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() converts
+        raise ParseError(f"integer with {len(digits)} digits is too long") from None
 
 
 class _Parser:
@@ -82,10 +89,16 @@ class _Parser:
             exp_tok = self.take()
             if not exp_tok.isdigit():
                 raise ParseError(f"expected integer exponent, got {exp_tok!r}")
-            exp = int(exp_tok)
+            exp = _int(exp_tok)
+            if exp > _MASK:
+                raise ParseError(f"exponent {exp} exceeds {_MASK}")
             out = RatFunc.from_const(1)
-            for _ in range(exp):
-                out = out * value
+            while exp:  # square and multiply
+                if exp & 1:
+                    out = out * value
+                exp >>= 1
+                if exp:
+                    value = value * value
             value = out
         return value if sign == 1 else RatFunc.from_const(-1) * value
 
@@ -97,9 +110,12 @@ class _Parser:
                 raise ParseError("missing closing parenthesis")
             return value
         if tok.isdigit():
-            return RatFunc.from_const(int(tok))
+            return RatFunc.from_const(_int(tok))
         if tok.startswith("x"):
-            return RatFunc(Polynomial.variable(int(tok[1:])))
+            var = _int(tok[1:])
+            if var < 1:
+                raise ParseError(f"variable index must be positive, got {tok!r}")
+            return RatFunc._from_frf(_FRF.from_atoms({("F", var - 1, 1): 1}))
         raise ParseError(f"unexpected token {tok!r}")
 
 

@@ -7,21 +7,22 @@ behind every twisted factorial and hook product in this package.
 Representation notes
 --------------------
 A monomial is packed into a single int, 16 bits of exponent per variable
-(variable i occupies bits [16*(i-1), 16*i)).  Monomial multiplication is then
-integer addition, which keeps the exhaustive verification sweeps fast in pure
-Python.  Coefficients are ints, promoted to fractions.Fraction only when a
-value is genuinely non-integral.
+(variable i occupies bits [16*(i-1), 16*i)), so an exponent is at most 65535.
+Monomial multiplication is then integer addition, which keeps the exhaustive
+verification sweeps fast in pure Python.  Coefficients are ints, promoted to
+fractions.Fraction only when a value is genuinely non-integral.
 
-A ``RatFunc`` is a normalized pair of polynomials.  Normalization removes the
-joint integer content and any common monomial factor and makes the leading
-denominator coefficient positive; it never performs polynomial GCD, so
-semantic equality is always decided by cross multiplication (``rf_equal``).
+A ``RatFunc`` has one representation, the factored form c * num * prod(a^e):
+a rational constant c, a primitive polynomial num and integer powers of
+atoms.  The atoms are the "bracket" linear forms x_{a+1}+...+x_{a+m}, the
+binomials 1 - x^m used by partition generating functions, and an opaque
+polynomial atom that carries any denominator factor that is neither.
+Expanded input is factored once, when it is constructed.  Equality is
+decided by cross multiplication of the atoms the two sides do not share,
+never by polynomial GCD, so it is always exact.
 
-Internally, values that arise as products of the "bracket" linear forms
-x_{a+1}+...+x_{a+m} (and of the binomials 1 - x_S used by partition
-generating functions) keep a factored form alongside the expanded dicts.
-That factored bookkeeping is a pure optimization: dropping it changes
-nothing semantically, only speed.
+The expanded numerator and denominator exist only for printing and for the
+``num``/``den`` properties; they are built on demand and cached.
 """
 
 from __future__ import annotations
@@ -69,6 +70,8 @@ def _mono_pack(exponents: Mapping[int, int]) -> int:
             raise ValueError(f"variable index must be positive, got {var}")
         if exp < 0:
             raise ValueError(f"exponent must be nonnegative, got {exp}")
+        if exp > _MASK:
+            raise ValueError(f"exponent {exp} of x{var} exceeds {_MASK}")
         if exp:
             key += exp << (_SHIFT * (var - 1))
     return key
@@ -249,7 +252,7 @@ def _dp_div_form(p: dict, off: int, m: int) -> Optional[dict]:
                 return None
             out[k - unit] = v
         return out
-    g = _atom_dict(("F", off + 1, m - 1))
+    g = _named_atom_dict(("F", off + 1, m - 1))
     buckets: dict[int, dict] = {}
     maxd = 0
     for k, v in p.items():
@@ -332,12 +335,21 @@ def _dp_div_binom(p: dict, pairs: tuple[tuple[int, int], ...]) -> Optional[dict]
 #
 # ("F", off, m):  the linear form x_{off+1} + ... + x_{off+m}       (m >= 1)
 # ("B", pairs):   the binomial 1 - x^pairs, pairs = ((var, exp), ...) sorted
+# ("P", items):   an opaque polynomial, items = sorted (key, coeff) pairs of
+#                 a primitive dict that has positive leading coefficient and
+#                 no monomial content; it holds what F and B atoms do not
 
 Atom = tuple
 
 
-@lru_cache(maxsize=None)
 def _atom_dict(atom: Atom) -> dict:
+    if atom[0] == "P":
+        return dict(atom[1])  # not cached: P atoms are mostly one-offs
+    return _named_atom_dict(atom)
+
+
+@lru_cache(maxsize=None)
+def _named_atom_dict(atom: Atom) -> dict:
     kind = atom[0]
     if kind == "F":
         _, off, m = atom
@@ -353,6 +365,9 @@ def _atom_shift(atom: Atom, k: int) -> Atom:
         return atom
     if atom[0] == "F":
         return ("F", atom[1] + k, atom[2])
+    if atom[0] == "P":
+        shift = _SHIFT * k
+        return ("P", tuple((key << shift, v) for key, v in atom[1]))
     return ("B", tuple((v + k, e) for v, e in atom[1]))
 
 
@@ -395,7 +410,9 @@ def _dp_as_binom(p: dict) -> Optional[tuple[int, Atom]]:
 def _try_divide_atom(p: dict, atom: Atom) -> Optional[dict]:
     if atom[0] == "F":
         return _dp_div_form(p, atom[1], atom[2])
-    return _dp_div_binom(p, atom[1])
+    if atom[0] == "B":
+        return _dp_div_binom(p, atom[1])
+    return None  # hints are optional; P atoms are never trial-divided
 
 
 def _dp_max_var(d: dict) -> int:
@@ -454,34 +471,6 @@ def _factor_forms(d: dict) -> tuple[dict, dict]:
     return d, fac
 
 
-_RECONSTRUCT_LIMIT = 60000
-
-
-def _reconstruct_frf(rf: "RatFunc") -> Optional[_FRF]:
-    """Try to rebuild a factored form from materialized num/den dicts."""
-    rf._materialize()
-    num, den = rf._num, rf._den
-    if not num:
-        return _FRF_ZERO
-    if len(num) + len(den) > _RECONSTRUCT_LIMIT:
-        return None
-    num_res, num_fac = _factor_forms(num)
-    if den == _DP_ONE:
-        den_fac: dict = {}
-    else:
-        den_res, den_fac = _factor_forms(den)
-        if den_res != _DP_ONE:
-            return None
-    fac = dict(num_fac)
-    for a, e in den_fac.items():
-        ne = fac.get(a, 0) - e
-        if ne:
-            fac[a] = ne
-        else:
-            fac.pop(a, None)
-    return _FRF._normalized(Fraction(1), num_res, fac)
-
-
 # ---------------------------------------------------------------------------
 # FRF: internal factored rational function
 # ---------------------------------------------------------------------------
@@ -518,10 +507,12 @@ class _FRF:
 
     @staticmethod
     def from_dict(d: dict) -> "_FRF":
+        """Factor an expanded polynomial into bracket forms once."""
         if not d:
             return _FRF_ZERO
         (ints,), scale = _coeff_clear([d])
-        return _FRF._normalized(scale, ints, {})
+        residual, fac = _factor_forms(ints)
+        return _FRF._normalized(scale, residual, fac)
 
     @staticmethod
     def _normalized(c: Fraction, num: dict, fac: dict,
@@ -607,11 +598,14 @@ class _FRF:
 
     def inv(self) -> "_FRF":
         if self.c == 0:
-            raise DivisionByZeroError("inverse of zero")
+            raise DivisionByZeroError("inverse of the zero rational function")
+        fac = {a: -e for a, e in self.fac.items()}
         if self.num != _DP_ONE:
-            raise ValueError("cannot invert a non-factored numerator")
-        return _FRF(1 / self.c, dict(_DP_ONE),
-                    {a: -e for a, e in self.fac.items()})
+            atom = ("P", tuple(sorted(self.num.items())))
+            e = fac.pop(atom, 0) - 1
+            if e:
+                fac[atom] = e
+        return _FRF(1 / self.c, dict(_DP_ONE), fac)
 
     def frobenius(self, k: int) -> "_FRF":
         if k == 0 or self.c == 0:
@@ -696,6 +690,8 @@ class _FRF:
         rhs = other.num
         for a in set(self.fac) | set(other.fac):
             delta = self.fac.get(a, 0) - other.fac.get(a, 0)
+            if not delta:
+                continue
             d = _atom_dict(a)
             for _ in range(delta, 0, -1):
                 lhs = _dp_mul(lhs, d)
@@ -965,9 +961,14 @@ def _poly_str(d: dict) -> str:
 # ---------------------------------------------------------------------------
 
 class RatFunc:
-    """Formal fraction of two polynomials, normalized but never GCD-reduced.
+    """Exact rational function, held factored as c * num * prod(atom^e).
 
-    Equality (``==``, ``rf_equal``) is semantic, by cross multiplication.
+    The atoms are bracket forms, binomials 1 - x^m and opaque polynomials
+    (see the module notes).  ``RatFunc(num, den)`` factors its expanded
+    arguments once, so bracket and binomial factors that ``num`` and ``den``
+    share cancel.  No polynomial GCD is ever taken: equality (``==``,
+    ``rf_equal``) is semantic, by cross multiplication.  The expanded
+    ``num``/``den`` pair is built only when asked for or printed.
     """
 
     __slots__ = ("_num", "_den", "_frf")
@@ -978,8 +979,10 @@ class RatFunc:
             return
         num = Polynomial.zero() if num is None else _as_poly(num)
         den = _as_poly(den)
-        self._num, self._den = _rf_normalize(num._d, den._d)
-        self._frf = None
+        if not den._d:
+            raise DivisionByZeroError("zero denominator")
+        self._num = self._den = None
+        self._frf = _FRF.from_dict(num._d).mul(_FRF.from_dict(den._d).inv())
 
     @classmethod
     def _from_frf(cls, f: _FRF) -> "RatFunc":
@@ -994,6 +997,7 @@ class RatFunc:
         return cls._from_frf(_FRF.from_const(c))
 
     def _materialize(self) -> None:
+        """Cache the expanded, normalized num/den pair (for printing)."""
         if self._num is None:
             num, den = self._frf.num_den_dicts()
             self._num, self._den = _rf_normalize(num, den)
@@ -1008,13 +1012,8 @@ class RatFunc:
         self._materialize()
         return Polynomial._from_dict(dict(self._den))
 
-    def _as_frf(self) -> Optional[_FRF]:
-        return self._frf
-
     def is_zero(self) -> bool:
-        if self._frf is not None:
-            return self._frf.is_zero()
-        return not self._num
+        return self._frf.is_zero()
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -1071,8 +1070,6 @@ def _as_rf(v) -> RatFunc:
 
 
 def _rf_normalize(num: dict, den: dict) -> tuple[dict, dict]:
-    if not den:
-        raise DivisionByZeroError("zero denominator")
     if not num:
         return {}, dict(_DP_ONE)
     (num, den), _scale = _coeff_clear([num, den])
@@ -1086,65 +1083,16 @@ def _rf_normalize(num: dict, den: dict) -> tuple[dict, dict]:
     return num, den
 
 
-def _frf_pair(a: RatFunc, b: RatFunc) -> tuple[Optional[_FRF], Optional[_FRF]]:
-    """Factored forms of both operands, upgrading one generic side if cheap."""
-    fa, fb = a._frf, b._frf
-    if fa is not None and fb is None:
-        fb = _reconstruct_frf(b)
-        if fb is not None:
-            b._frf = fb
-    elif fb is not None and fa is None:
-        fa = _reconstruct_frf(a)
-        if fa is not None:
-            a._frf = fa
-    return fa, fb
-
-
 def rf_add(a: RatFunc, b: RatFunc) -> RatFunc:
-    a, b = _as_rf(a), _as_rf(b)
-    fa, fb = _frf_pair(a, b)
-    if fa is not None and fb is not None:
-        return RatFunc._from_frf(fa.add(fb))
-    a._materialize()
-    b._materialize()
-    num = _dp_add(_dp_mul(a._num, b._den), _dp_mul(b._num, a._den))
-    den = _dp_mul(a._den, b._den)
-    out = object.__new__(RatFunc)
-    out._num, out._den = _rf_normalize(num, den)
-    out._frf = None
-    return out
+    return RatFunc._from_frf(_as_rf(a)._frf.add(_as_rf(b)._frf))
 
 
 def rf_mul(a: RatFunc, b: RatFunc) -> RatFunc:
-    a, b = _as_rf(a), _as_rf(b)
-    fa, fb = _frf_pair(a, b)
-    if fa is not None and fb is not None:
-        return RatFunc._from_frf(fa.mul(fb))
-    a._materialize()
-    b._materialize()
-    out = object.__new__(RatFunc)
-    out._num, out._den = _rf_normalize(_dp_mul(a._num, b._num),
-                                       _dp_mul(a._den, b._den))
-    out._frf = None
-    return out
+    return RatFunc._from_frf(_as_rf(a)._frf.mul(_as_rf(b)._frf))
 
 
 def rf_inv(a: RatFunc) -> RatFunc:
-    a = _as_rf(a)
-    if a.is_zero():
-        raise DivisionByZeroError("inverse of the zero rational function")
-    fa = a._frf
-    if fa is None:
-        fa = _reconstruct_frf(a)
-        if fa is not None:
-            a._frf = fa
-    if fa is not None and fa.num == _DP_ONE:
-        return RatFunc._from_frf(fa.inv())
-    a._materialize()
-    out = object.__new__(RatFunc)
-    out._num, out._den = _rf_normalize(dict(a._den), dict(a._num))
-    out._frf = None
-    return out
+    return RatFunc._from_frf(_as_rf(a)._frf.inv())
 
 
 def rf_div(a: RatFunc, b: RatFunc) -> RatFunc:
@@ -1154,27 +1102,12 @@ def rf_div(a: RatFunc, b: RatFunc) -> RatFunc:
 def rf_frobenius(a: RatFunc, k: int) -> RatFunc:
     if k < 0:
         raise ValueError("frobenius shift must be nonnegative")
-    a = _as_rf(a)
-    fa = a._as_frf()
-    if fa is not None:
-        return RatFunc._from_frf(fa.frobenius(k))
-    a._materialize()
-    out = object.__new__(RatFunc)
-    out._num = _dp_frobenius(a._num, k)
-    out._den = _dp_frobenius(a._den, k)
-    out._frf = None
-    return out
+    return RatFunc._from_frf(_as_rf(a)._frf.frobenius(k))
 
 
 def rf_equal(a: RatFunc, b: RatFunc) -> bool:
     """True iff a.num * b.den == b.num * a.den exactly."""
-    a, b = _as_rf(a), _as_rf(b)
-    fa, fb = _frf_pair(a, b)
-    if fa is not None and fb is not None:
-        return fa.equals(fb)
-    a._materialize()
-    b._materialize()
-    return _dp_mul(a._num, b._den) == _dp_mul(b._num, a._den)
+    return _as_rf(a)._frf.equals(_as_rf(b)._frf)
 
 
 def rf_to_canonical_string(a: RatFunc) -> str:

@@ -442,21 +442,18 @@ def _one_minus_q_power(deg: int) -> UniPoly:
 
 def spec_q(f: RatFunc) -> UniRatFunc:
     """Substitute x_i -> q^{i-1} - q^i and reduce."""
-    frf = f._as_frf()
-    if frf is not None and not frf.is_zero():
-        num = _spec_q_dict(frf.num).scale(frf.c.numerator)
-        den = UniPoly.constant(frf.c.denominator)
-        for atom, e in frf.fac.items():
-            a = _spec_q_atom(atom)
-            for _ in range(abs(e)):
-                if e > 0:
-                    num = num * a
-                else:
-                    den = den * a
-        return UniRatFunc(num, den)
-    f._materialize()
-    num = _spec_q_dict(f._num)
-    den = _spec_q_dict(f._den)
+    frf = f._frf
+    if frf.is_zero():
+        return UniRatFunc(UniPoly())
+    num = _spec_q_dict(frf.num).scale(frf.c.numerator)
+    den = UniPoly.constant(frf.c.denominator)
+    for atom, e in frf.fac.items():
+        a = _spec_q_atom(atom)
+        for _ in range(abs(e)):
+            if e > 0:
+                num = num * a
+            else:
+                den = den * a
     return UniRatFunc(num, den)
 
 
@@ -464,6 +461,8 @@ def _spec_q_atom(atom) -> UniPoly:
     if atom[0] == "F":
         _, off, m = atom
         return UniPoly({off: 1, off + m: -1})  # q^a - q^{a+m}
+    if atom[0] == "P":
+        return _spec_q_dict(dict(atom[1]))
     _, pairs = atom  # 1 - x^m with x_i -> q^{i-1}(1-q)
     qpow = sum((v - 1) * e for v, e in pairs)
     deg = sum(e for _v, e in pairs)
@@ -483,21 +482,18 @@ def spec_qt(f: RatFunc, q: int, bound: int = DEFAULT_QT_BOUND) -> UniRatFunc:
     """Substitute x_i -> t^{q^{i-1}} - t^{q^i} for a fixed integer q >= 2."""
     if q < 2:
         raise ValueError("spec_qt requires an integer q >= 2")
-    frf = f._as_frf()
-    if frf is not None and not frf.is_zero():
-        num = _spec_qt_dict(frf.num, q, bound).scale(frf.c.numerator)
-        den = UniPoly.constant(frf.c.denominator)
-        for atom, e in frf.fac.items():
-            a = _spec_qt_atom(atom, q, bound)
-            for _ in range(abs(e)):
-                if e > 0:
-                    num = num * a
-                else:
-                    den = den * a
-        return UniRatFunc(num, den)
-    f._materialize()
-    num = _spec_qt_dict(f._num, q, bound)
-    den = _spec_qt_dict(f._den, q, bound)
+    frf = f._frf
+    if frf.is_zero():
+        return UniRatFunc(UniPoly())
+    num = _spec_qt_dict(frf.num, q, bound).scale(frf.c.numerator)
+    den = UniPoly.constant(frf.c.denominator)
+    for atom, e in frf.fac.items():
+        a = _spec_qt_atom(atom, q, bound)
+        for _ in range(abs(e)):
+            if e > 0:
+                num = num * a
+            else:
+                den = den * a
     return UniRatFunc(num, den)
 
 
@@ -509,6 +505,8 @@ def _spec_qt_atom(atom, q: int, bound: int) -> UniPoly:
             raise ExponentBoundError(
                 f"exponent q^{off + m} = {hi} exceeds the bound {bound}")
         return UniPoly({q ** off: 1, hi: -1})
+    if atom[0] == "P":
+        return _spec_qt_dict(dict(atom[1]), q, bound)
     _, pairs = atom
     mono = UniPoly.constant(1)
     for var, exp in pairs:

@@ -34,6 +34,7 @@ from .combinat import (
     subtree_data,
     tree_pair_stats,
 )
+from .qanalog import _factorial_atoms
 from .ratfunc import RatFunc, _FRF
 
 __all__ = [
@@ -58,10 +59,6 @@ def _require_recursively_labelled(p: ForestPoset) -> None:
         raise NotRecursivelyLabelledError(
             f"subtree at element {i} has label set {sorted(sub)}, "
             f"which is not an integer interval")
-
-
-def _factorial_atoms(k: int, sign: int = 1, shift: int = 0) -> dict:
-    return {("F", shift + i, k - i): sign for i in range(k)}
 
 
 def _hook_candidates(n: int) -> tuple:

@@ -1,9 +1,14 @@
 """End-to-end CLI behavior: output formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hookweight
 from hookweight.cli import main
 
 VEE = {"n": 3, "covers": [[1, 2], [3, 2]]}
@@ -188,3 +193,33 @@ class TestVerify:
         monkeypatch.setenv("HOOKWEIGHT_THREADS", "lots")
         code, _, err = run(capsys, "verify", "--suite", "pascal", "--nmax", "3")
         assert code == 2
+
+
+def run_process(*argv):
+    """Run the CLI in a fresh interpreter, as a user would."""
+    env = dict(os.environ)
+    src = str(Path(hookweight.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "hookweight.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=20)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestMalformedInput:
+    def test_truncated_json_permutation(self):
+        code, _, err = run_process("weight-perm", "[1,")
+        assert code == 2 and "malformed" in err
+        assert "Traceback" not in err
+
+    def test_variable_index_zero(self):
+        code, _, err = run_process("specialize", "--map", "q", "--expr", "x0")
+        assert code == 2 and "x0" in err
+        assert "Traceback" not in err
+
+    def test_huge_exponent_is_rejected_promptly(self):
+        # the 20 s subprocess timeout bounds "promptly"
+        code, _, err = run_process("specialize", "--map", "q",
+                                   "--expr", "x1^99999999")
+        assert code == 2 and "exceeds" in err
+        assert "Traceback" not in err

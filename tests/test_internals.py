@@ -191,9 +191,9 @@ class TestFRF:
             assert cross_equal(frf_value(f.frobenius(k)), expected)
 
 
-class TestReconstruction:
-    def test_upgrade_preserves_value(self, rng):
-        from hookweight.ratfunc import Polynomial, RatFunc, _reconstruct_frf
+class TestFactoredConstruction:
+    def test_value_preserved(self, rng):
+        from hookweight.ratfunc import Polynomial, RatFunc
         for _ in range(120):
             num = dict_poly(rng, max_terms=3) or {0: 1}
             den = {0: 1}
@@ -203,10 +203,71 @@ class TestReconstruction:
                 den = _dp_mul(den, _atom_dict(random_form(rng)))
             rf = RatFunc(Polynomial._from_dict(dict(num)),
                          Polynomial._from_dict(dict(den)))
-            frf = _reconstruct_frf(rf)
-            assert frf is not None  # pure form denominators always lift
-            got = frf.num_den_dicts()
-            assert cross_equal(got, (rf._num, rf._den))
+            # pure form denominators always factor into F atoms
+            assert all(atom[0] == "F" for atom, e in rf._frf.fac.items()
+                       if e < 0)
+            assert cross_equal(rf._frf.num_den_dicts(), (num, den))
+            assert cross_equal((rf.num._d, rf.den._d), (num, den))
+
+
+class TestSingleRepresentation:
+    def test_every_constructor_is_factored(self):
+        from hookweight.combinat import DualForestPoset, ForestPoset
+        from hookweight.fqsym import (
+            FQSymElem,
+            dual_forest_prereqs,
+            gamma_dual_forest,
+            gamma_extension_sum,
+            gamma_perm,
+            phi_inv,
+            phi_maj,
+        )
+        from hookweight.parsing import parse_ratfunc
+        from hookweight.qanalog import binomial, divided_power
+        from hookweight.ratfunc import (
+            Polynomial,
+            RatFunc,
+            rf_add,
+            rf_div,
+            rf_frobenius,
+            rf_inv,
+            rf_mul,
+        )
+        from hookweight.weights import (
+            H_of_forest,
+            L_of_forest,
+            wt_perm_recursive,
+            wt_perm_tree,
+            wt_subset,
+        )
+        x1, x2 = Polynomial.variable(1), Polynomial.variable(2)
+        vee = ForestPoset.from_covers(3, [[1, 2], [3, 2]])
+        dual = DualForestPoset.from_covered_by(3, [[1, 3], [2, 3]])
+        elem = FQSymElem.basis([2, 1, 3])
+        a = RatFunc(x1 + x2 ** 2, x1 * x2 + Polynomial.one())
+        values = [
+            RatFunc(), RatFunc(x1), RatFunc(x1 + x2, x2), a, RatFunc(a),
+            RatFunc.from_const(3), parse_ratfunc("(x2+x3^2)/(1+x1x3)"),
+            rf_add(a, a), rf_mul(a, a), rf_inv(a), rf_div(a, a),
+            rf_frobenius(a, 2), -a, a - 1, 1 / a,
+            wt_subset([3, 1]), wt_subset([3, 1], method="recursive"),
+            wt_perm_recursive([3, 1, 2]), wt_perm_tree([3, 1, 2]),
+            L_of_forest(vee), L_of_forest(vee, method="direct"),
+            H_of_forest(vee), binomial(4, 2), gamma_perm([2, 1, 3]),
+            gamma_dual_forest(dual),
+            gamma_extension_sum(dual_forest_prereqs(dual)),
+        ]
+        for skew in (phi_inv(elem), phi_maj(elem), divided_power(3)):
+            values.extend(skew.coeffs.values())
+        for value in values:
+            assert isinstance(value._frf, _FRF), value
+
+    def test_opaque_atoms_are_not_cached(self):
+        from hookweight.ratfunc import _named_atom_dict
+        before = _named_atom_dict.cache_info().currsize
+        atom = ("P", tuple(sorted(dict_poly(random.Random(7)).items())))
+        assert _atom_dict(atom) == dict(atom[1])
+        assert _named_atom_dict.cache_info().currsize == before
 
 
 def fraction_gcd_oracle(a, b):

@@ -71,6 +71,9 @@ class TestPolynomial:
         with pytest.raises(ValueError):
             Monomial({0: 1})
         with pytest.raises(ValueError):
+            Monomial({1: 65536})  # would wrap into x2
+        assert Monomial({1: 65535}).degree == 65535
+        with pytest.raises(ValueError):
             Polynomial.variable(0)
 
     @given(polys(), polys(), polys())
@@ -133,6 +136,23 @@ class TestRatFunc:
     def test_denominator_sign_is_positive(self):
         r = RatFunc(x2, -x1 + Polynomial.zero())
         assert rf_to_canonical_string(r) == "(-x2)/(x1)"
+
+    def test_shared_factors_cancel_on_construction(self):
+        assert rf_to_canonical_string(RatFunc(x1 + x2, x1 + x2)) == "1"
+        r = RatFunc((x1 + x2) * (x2 + x3), (x1 + x2) * x4)
+        assert rf_to_canonical_string(r) == "(x2+x3)/(x4)"
+        one = Polynomial.one()
+        r = RatFunc((one - x1 * x2) * x3, (one - x1 * x2) * x4 ** 2)
+        assert rf_to_canonical_string(r) == "(x3)/(x4^2)"
+        # a factor that is no bracket or binomial stays, but the value is 1
+        assert rf_equal(RatFunc(x1 + x2 ** 2, x1 + x2 ** 2),
+                        RatFunc.from_const(1))
+
+    def test_inverse_of_non_factored_value(self):
+        r = RatFunc(x1 * x3 + Polynomial.one(), x2)
+        assert rf_to_canonical_string(rf_inv(r)) == "(x2)/(x1x3+1)"
+        assert rf_equal(rf_inv(rf_inv(r)), r)
+        assert rf_equal(rf_mul(r, rf_inv(r)), RatFunc.from_const(1))
 
     def test_normalization_idempotent(self):
         r = RatFunc((x2 + x3) * x3, (x1 + x2) * x1)
@@ -202,6 +222,23 @@ class TestParser:
             parse_ratfunc("y1")
         with pytest.raises(ParseError):
             parse_polynomial("x1/x2")
+
+    def test_exponent_bound(self):
+        assert rf_to_canonical_string(parse_ratfunc("x1^65535")) == "x1^65535"
+        with pytest.raises(ParseError):
+            parse_ratfunc("x1^65536")
+        with pytest.raises(ParseError):
+            parse_ratfunc("x1^" + "9" * 5000)
+
+    def test_powers_by_squaring(self):
+        assert parse_polynomial("(x1+x3)^5") == (x1 + x3) ** 5
+        assert parse_polynomial("(x1+x3)^0") == Polynomial.one()
+        assert rf_equal(parse_ratfunc("(x2/(x1+x3))^3"),
+                        RatFunc(x2 ** 3, (x1 + x3) ** 3))
+
+    def test_variable_index_must_be_positive(self):
+        with pytest.raises(ParseError):
+            parse_ratfunc("x0")
 
     def test_fraction_coefficients_survive(self):
         r = parse_ratfunc("x1/2")

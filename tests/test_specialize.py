@@ -15,6 +15,7 @@ from hookweight.parsing import parse_ratfunc
 from hookweight.qanalog import bracket
 from hookweight.ratfunc import Polynomial, RatFunc, rf_add, rf_mul
 from hookweight.specialize import (
+    DEFAULT_QT_BOUND,
     ExponentBoundError,
     SpecializationError,
     UniPoly,
@@ -24,6 +25,8 @@ from hookweight.specialize import (
     spec_q,
     spec_qt,
     verify_bw_inv,
+    _spec_q_dict,
+    _spec_qt_dict,
 )
 from hookweight.weights import H_of_forest, L_of_forest, wt_perm_recursive, wt_subset
 
@@ -154,10 +157,12 @@ class TestSpecQT:
         for n in range(0, 5):
             for p in enumerate_rl_forests(n):
                 value = H_of_forest(p)
-                plain = RatFunc(value.num, value.den)
-                assert plain._as_frf() is None
-                assert spec_qt(value, 2) == spec_qt(plain, 2), p
-                assert spec_q(value) == spec_q(plain), p
+                num, den = value.num._d, value.den._d
+                plain_qt = UniRatFunc(_spec_qt_dict(num, 2, DEFAULT_QT_BOUND),
+                                      _spec_qt_dict(den, 2, DEFAULT_QT_BOUND))
+                plain_q = UniRatFunc(_spec_q_dict(num), _spec_q_dict(den))
+                assert spec_qt(value, 2) == plain_qt, p
+                assert spec_q(value) == plain_q, p
 
 
 class TestBWInvFormula:
