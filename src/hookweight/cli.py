@@ -86,13 +86,25 @@ class InputError(ValueError):
     pass
 
 
+def _is_int(v) -> bool:
+    """A JSON integer: bool is a subclass of int but not a number here."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _parse_perm(text: str) -> Permutation:
     try:
-        parts = [p for chunk in text.split(",") for p in chunk.split()] \
-            if not text.strip().startswith("[") else json.loads(text)
-        return Permutation(int(p) for p in parts)
+        if text.strip().startswith("["):
+            parts = json.loads(text)
+            if not isinstance(parts, list) or not all(map(_is_int, parts)):
+                raise ValueError("entries must be integers")
+        else:
+            parts = [int(p) for p in text.replace(",", " ").split()]
+        return Permutation(parts)
     except (TypeError, ValueError) as exc:
         raise InputError(f"malformed permutation {text!r}: {exc}") from None
+
+
+_FOREST_KEYS = ("n", "covers", "covered_by")
 
 
 def _load_forest_file(path: str):
@@ -103,12 +115,29 @@ def _load_forest_file(path: str):
         raise InputError(f"cannot read forest file {path}: {exc}") from None
     if not isinstance(data, dict) or "n" not in data:
         raise InputError(f"forest file {path} must be a JSON object with 'n'")
+    for key in data:
+        if key not in _FOREST_KEYS:
+            raise InputError(f"forest file {path}: unknown key {key!r}; "
+                             f"expected 'n' and 'covers' or 'covered_by'")
+    if "covers" in data and "covered_by" in data:
+        raise InputError(f"forest file {path}: give 'covers' or "
+                         f"'covered_by', not both")
     n = data["n"]
+    if not _is_int(n) or n < 0:
+        raise InputError(f"forest file {path}: 'n' must be a non-negative "
+                         f"integer, got {n!r}")
+    key = "covered_by" if "covered_by" in data else "covers"
+    pairs = data.get(key, [])
+    if not isinstance(pairs, list) or not all(
+            isinstance(pair, list) and len(pair) == 2
+            and all(map(_is_int, pair)) for pair in pairs):
+        raise InputError(f"forest file {path}: {key!r} must be a list of "
+                         f"[i, j] integer pairs")
     try:
-        if "covered_by" in data:
-            return DualForestPoset.from_covered_by(n, data["covered_by"])
-        return ForestPoset.from_covers(n, data.get("covers", []))
-    except (TypeError, ValueError) as exc:
+        if key == "covered_by":
+            return DualForestPoset.from_covered_by(n, pairs)
+        return ForestPoset.from_covers(n, pairs)
+    except ValueError as exc:
         raise InputError(f"invalid forest in {path}: {exc}") from None
 
 

@@ -227,18 +227,29 @@ class IncBinTree:
 
 
 def increasing_binary_tree(word: Sequence[int]) -> Optional[IncBinTree]:
-    """Smallest letter at the root, flanking factors recursively below it."""
+    """Smallest letter at the root, flanking factors recursively below it.
+
+    Built in one left-to-right pass (the Cartesian-tree construction): the
+    stack holds the rightmost path, letters increasing upwards, each with its
+    finished left subtree.
+    """
     word = tuple(word)
     if len(set(word)) != len(word):
         raise ValueError("word must have distinct letters")
+    stack: list[tuple[int, Optional[IncBinTree]]] = []
 
-    def build(lo: int, hi: int) -> Optional[IncBinTree]:
-        if lo >= hi:
-            return None
-        m = min(range(lo, hi), key=word.__getitem__)
-        return IncBinTree(word[m], build(lo, m), build(m + 1, hi))
+    def close(above: Optional[int]) -> Optional[IncBinTree]:
+        # pop the letters above ``above`` (all if None); each popped
+        # subtree becomes the right child of the letter below it
+        sub = None
+        while stack and (above is None or stack[-1][0] > above):
+            letter, left = stack.pop()
+            sub = IncBinTree(letter, left, sub)
+        return sub
 
-    return build(0, len(word))
+    for a in word:
+        stack.append((a, close(a)))
+    return close(None)
 
 
 class TreePairStat(NamedTuple):

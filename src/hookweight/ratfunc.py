@@ -19,7 +19,16 @@ binomials 1 - x^m used by partition generating functions, and an opaque
 polynomial atom that carries any denominator factor that is neither.
 Expanded input is factored once, when it is constructed.  Equality is
 decided by cross multiplication of the atoms the two sides do not share,
-never by polynomial GCD, so it is always exact.
+never by polynomial GCD, so it is always exact.  The sign of num is fixed
+by its coefficient at the largest packed key, which needs no term order.
+
+Sums are kept small by trial division of num by the atoms of the shared
+denominator.  Division by a binomial 1 - x^u first maps num by a ring map
+that sends 1 - x^u to 0: the variables of u go to powers of t in
+Z[t]/(t^u - 1), and a nonzero image rejects the divisor.  This map refines
+both the projection x_i -> 1 on the variables of u and the residue map
+k -> t^(k % u) on packed keys.  A rejection is a proof; acceptance always
+comes from a long division that leaves no remainder.
 
 The expanded numerator and denominator exist only for printing and for the
 ``num``/``den`` properties; they are built on demand and cached.
@@ -173,8 +182,10 @@ def _dp_frobenius(a: dict, k: int) -> dict:
     return {key << shift: v for key, v in a.items()}
 
 
-def _dp_min_monomial(dicts: Iterable[dict]) -> int:
+def _dp_min_monomial(dicts: list[dict]) -> int:
     """Packed per-variable minimum exponent over all keys of all dicts."""
+    if any(0 in d for d in dicts):
+        return 0  # a constant term: the content is 1
     mins: Optional[dict[int, int]] = None
     for d in dicts:
         for key in d:
@@ -283,50 +294,59 @@ def _dp_div_form(p: dict, off: int, m: int) -> Optional[dict]:
 
 
 def _dp_div_binom(p: dict, pairs: tuple[tuple[int, int], ...]) -> Optional[dict]:
-    """Exact quotient of p by 1 - x^pairs, or None."""
+    """Exact quotient of p by 1 - x^pairs, or None.
+
+    A ring map that sends 1 - x^u to 0 rejects almost every non-multiple in
+    one pass: each variable x_i of u goes to t^(2^(16(i-1))) in
+    Z[t]/(t^u - 1), so the u-part of a packed key k goes to t^((k & mask) % u),
+    and the other variables stay.  It refines both the projection x_i -> 1
+    and the map k -> t^(k % u).  A nonzero image proves that the division
+    fails; only a long division with zero remainder accepts.
+    """
     if not p:
         return {}
-    # divisibility forces p to vanish under x_i = 1 for i in the factor
     mask = 0
     for v, _e in pairs:
         mask |= _MASK << (_SHIFT * (v - 1))
-    projected: dict = {}
-    for k, v in p.items():
-        kk = k & ~mask
-        nv = projected.get(kk, 0) + v
-        if nv:
-            projected[kk] = nv
-        else:
-            del projected[kk]
-    if projected:
-        return None
+    keep = ~mask
     u = _mono_pack(dict(pairs))
-    udeg = _mono_degree(u)
-    buckets: dict[int, dict] = {}
-    maxdeg = 0
+    width = u.bit_length()
+    image: dict = {}
+    get = image.get
     for k, v in p.items():
-        d = _mono_degree(k)
+        kk = (k & keep) << width | (k & mask) % u
+        image[kk] = get(kk, 0) + v
+    if any(image.values()):
+        return None
+    # long division graded by the exponent of the first variable of u,
+    # which is positive on x^u, from the lowest grade up
+    shift = _SHIFT * (pairs[0][0] - 1)
+    ustep = pairs[0][1]
+    buckets: dict[int, dict] = {}
+    maxgrade = 0
+    for k, v in p.items():
+        d = (k >> shift) & _MASK
         buckets.setdefault(d, {})[k] = v
-        if d > maxdeg:
-            maxdeg = d
-    qbound = maxdeg - udeg
+        if d > maxgrade:
+            maxgrade = d
+    qbound = maxgrade - ustep
     out: dict = {}
-    for d in range(0, maxdeg + 1):
+    for d in range(0, maxgrade + 1):
         cur = buckets.get(d)
         if not cur:
             continue
         if d > qbound:
             return None
-        nxt = buckets.setdefault(d + udeg, {})
+        nxt = buckets.setdefault(d + ustep, {})
         for k, v in cur.items():
-            out[k] = out.get(k, 0) + v
+            out[k] = v
             kk = k + u
             nv = nxt.get(kk, 0) + v
             if nv:
                 nxt[kk] = nv
             else:
                 del nxt[kk]
-    return {k: v for k, v in out.items() if v}
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +356,9 @@ def _dp_div_binom(p: dict, pairs: tuple[tuple[int, int], ...]) -> Optional[dict]
 # ("F", off, m):  the linear form x_{off+1} + ... + x_{off+m}       (m >= 1)
 # ("B", pairs):   the binomial 1 - x^pairs, pairs = ((var, exp), ...) sorted
 # ("P", items):   an opaque polynomial, items = sorted (key, coeff) pairs of
-#                 a primitive dict that has positive leading coefficient and
-#                 no monomial content; it holds what F and B atoms do not
+#                 a primitive dict with a positive coefficient at its largest
+#                 packed key and no monomial content; it holds what F and B
+#                 atoms do not
 
 Atom = tuple
 
@@ -475,11 +496,19 @@ def _factor_forms(d: dict) -> tuple[dict, dict]:
 # FRF: internal factored rational function
 # ---------------------------------------------------------------------------
 
+def _positive_top(c: Fraction, num: dict) -> tuple[Fraction, dict]:
+    """(c, num) up to a joint sign, with num positive at its largest key."""
+    if num[max(num)] < 0:
+        return -c, _dp_neg(num)
+    return c, num
+
+
 class _FRF:
     """c * num * prod(atom^e); den-side atoms carry negative exponents.
 
-    ``num`` is a primitive int dict with positive canonical-leading
-    coefficient; ``c`` absorbs scale and sign.  Zero is c == 0.
+    ``num`` is a primitive int dict whose coefficient at its largest packed
+    key is positive (so a P atom made from it is canonical); ``c`` absorbs
+    scale and sign.  Zero is c == 0.
     """
 
     __slots__ = ("c", "num", "fac")
@@ -523,10 +552,7 @@ class _FRF:
         fac = {a: e for a, e in fac.items() if e}
         if num == _DP_ONE:
             return _FRF(c, num, fac)
-        lead = num[_dp_leading_key(num)]
-        if lead < 0:
-            c = -c
-            num = _dp_neg(num)
+        c, num = _positive_top(c, num)
         g = 0
         for v in num.values():
             g = gcd(g, v)
@@ -552,6 +578,7 @@ class _FRF:
                     break
                 fac[atom] = fac.get(atom, 0) + 1
                 num = q
+        c, num = _positive_top(c, num)  # a binomial quotient flips it
         # recognize what remains
         while num != _DP_ONE:
             form = _dp_as_form(num)

@@ -470,12 +470,21 @@ def _spec_q_atom(atom) -> UniPoly:
                                   * UniPoly.monomial(qpow))
 
 
+def _qt_power(i: int, q: int, bound: int) -> int:
+    """q**i for q >= 2, or ExponentBoundError when it exceeds ``bound``.
+
+    2**i > bound already settles a large i, so no huge power is built.
+    """
+    if i < bound.bit_length():
+        hi = q ** i
+        if hi <= bound:
+            return hi
+    raise ExponentBoundError(f"exponent q^{i} exceeds the bound {bound}")
+
+
 def _qt_var(i: int, q: int, bound: int) -> UniPoly:
-    hi = q ** i
-    if hi > bound:
-        raise ExponentBoundError(
-            f"exponent q^{i} = {hi} exceeds the bound {bound}")
-    return UniPoly({q ** (i - 1): 1, hi: -1})
+    hi = _qt_power(i, q, bound)
+    return UniPoly({hi // q: 1, hi: -1})
 
 
 def spec_qt(f: RatFunc, q: int, bound: int = DEFAULT_QT_BOUND) -> UniRatFunc:
@@ -500,11 +509,7 @@ def spec_qt(f: RatFunc, q: int, bound: int = DEFAULT_QT_BOUND) -> UniRatFunc:
 def _spec_qt_atom(atom, q: int, bound: int) -> UniPoly:
     if atom[0] == "F":
         _, off, m = atom  # the shifted bracket telescopes
-        hi = q ** (off + m)
-        if hi > bound:
-            raise ExponentBoundError(
-                f"exponent q^{off + m} = {hi} exceeds the bound {bound}")
-        return UniPoly({q ** off: 1, hi: -1})
+        return UniPoly({q ** off: 1, _qt_power(off + m, q, bound): -1})
     if atom[0] == "P":
         return _spec_qt_dict(dict(atom[1]), q, bound)
     _, pairs = atom

@@ -223,3 +223,40 @@ class TestMalformedInput:
                                    "--expr", "x1^99999999")
         assert code == 2 and "exceeds" in err
         assert "Traceback" not in err
+
+    def test_qt_bound_checked_before_power(self):
+        # q**3000000 has over a million digits; it must never be built
+        code, _, err = run_process("specialize", "--map", "qt", "--qval", "3",
+                                   "--expr", "x3000000")
+        assert code == 3 and "exceeds the bound" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("perm", ["[1.5, 2]", "[true, 2]"])
+    def test_non_integer_permutation_entries(self, perm):
+        code, _, err = run_process("weight-perm", perm)
+        assert code == 2 and "malformed" in err
+        assert "Traceback" not in err
+
+
+class TestForestFileSchema:
+    @pytest.mark.parametrize("data, key", [
+        ({"n": 2, "cover": [[1, 2]]}, "'cover'"),
+        ({"n": "3", "covers": []}, "'n'"),
+        ({"n": True, "covers": []}, "'n'"),
+        ({"n": -1}, "'n'"),
+        ({"n": 3, "covers": {"1": 2}}, "'covers'"),
+        ({"n": 3, "covers": [[1, 2, 3]]}, "'covers'"),
+        ({"n": 3, "covers": [[1, "2"]]}, "'covers'"),
+        ({"n": 3, "covers": [[1.0, 2]]}, "'covers'"),
+        ({"n": 3, "covered_by": [[1, True]]}, "'covered_by'"),
+        ({"n": 3, "covers": [], "covered_by": []}, "'covered_by'"),
+    ])
+    def test_malformed_schema_names_the_key(self, capsys, forest_file,
+                                            data, key):
+        code, out, err = run(capsys, "linext", forest_file(data), "--count")
+        assert code == 2 and out == ""
+        assert key in err
+
+    def test_empty_forest_needs_no_covers(self, capsys, forest_file):
+        code, out, _ = run(capsys, "linext", forest_file({"n": 0}), "--count")
+        assert code == 0 and out == "1\n"

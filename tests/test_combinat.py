@@ -1,5 +1,6 @@
 """Permutation statistics, trees, forests, and their enumerators."""
 
+import random
 from itertools import permutations, product
 
 import pytest
@@ -160,6 +161,13 @@ class TestIncreasingBinaryTree:
     def test_repeated_letters_rejected(self):
         with pytest.raises(ValueError):
             increasing_binary_tree((1, 1))
+
+    def test_long_word_builds_without_recursion(self):
+        # a decreasing word is a left path 3000 deep; compare in-order
+        # words, not trees: the dataclass __eq__ recurses
+        for word in (tuple(range(3000, 0, -1)),
+                     tuple(random.Random(3).sample(range(1, 3001), 3000))):
+            assert increasing_binary_tree(word).in_order() == word
 
 
 class TestTreePairStats:

@@ -9,8 +9,10 @@ brute-force counterpart on randomized inputs.
 
 import random
 from fractions import Fraction
+from math import prod
 
-from hypothesis import given, strategies as st
+import pytest
+from hypothesis import example, given, strategies as st
 
 from hookweight.ratfunc import (
     _FRF,
@@ -19,6 +21,7 @@ from hookweight.ratfunc import (
     _dp_div_binom,
     _dp_div_form,
     _dp_mul,
+    _dp_neg,
     _dp_scale,
     _factor_forms,
     _mono_pack,
@@ -105,6 +108,67 @@ class TestExactDivision:
             got = _dp_div_binom(p, atom[1])
             if got is not None:
                 assert _dp_mul(got, _atom_dict(atom)) == p
+
+
+def binom_dict(pairs):
+    return _atom_dict(("B", pairs))
+
+
+def to_sympy(d, xs):
+    return sum(c * prod(xs[v - 1] ** e for v, e in _mono_unpack(k))
+               for k, c in d.items())
+
+
+PAIRS = st.lists(st.tuples(st.integers(1, 4), st.integers(1, 3)),
+                 min_size=1, max_size=3, unique_by=lambda t: t[0]
+                 ).map(lambda ps: tuple(sorted(ps)))
+INT_DICTS = st.dictionaries(
+    st.dictionaries(st.integers(1, 4), st.integers(0, 3), max_size=3
+                    ).map(_mono_pack),
+    st.integers(-5, 5).filter(bool), min_size=1, max_size=6)
+
+
+class TestBinomRejection:
+    """_dp_div_binom: a ring map rejects, only a long division accepts."""
+
+    @given(INT_DICTS, PAIRS)
+    @example({0: 1, _mono_pack({2: 1}): -3}, ((1, 2), (3, 1)))
+    @example({_mono_pack({1: 2, 3: 1}): 2, 0: -1}, ((2, 3),))
+    def test_exact_multiples_divide(self, q, pairs):
+        p = _dp_mul(q, binom_dict(pairs))
+        assert _dp_div_binom(p, pairs) == q
+
+    @given(INT_DICTS, PAIRS)
+    @example({_mono_pack({1: 2, 3: 1}): 1, 0: -1}, ((1, 2), (3, 1)))
+    def test_accepted_quotients_are_exact(self, p, pairs):
+        r = _dp_div_binom(p, pairs)
+        if r is not None:
+            assert _dp_mul(r, binom_dict(pairs)) == p
+
+    def test_rejections_agree_with_sympy(self, rng):
+        sympy = pytest.importorskip("sympy")
+        xs = sympy.symbols("x1:6")
+        for _ in range(150):
+            pairs = random_binom(rng)[1]
+            p = _dp_mul(dict_poly(rng), binom_dict(pairs))
+            if rng.random() < 0.7:  # perturb most multiples
+                p = _dp_add(p, dict_poly(rng, max_terms=2))
+            if not p:
+                continue
+            _q, rem = sympy.div(to_sympy(p, xs),
+                                to_sympy(binom_dict(pairs), xs), *xs)
+            assert (_dp_div_binom(p, pairs) is None) == (rem != 0), (p, pairs)
+
+    def test_long_division_still_rejects(self):
+        # x2^2 - x1^32768 vanishes under x1, x2 -> 1 and under both ring maps
+        # (its packed keys agree mod u = x1^32768 x2), yet 1 - x1^32768 x2
+        # does not divide it: only the long division can say so
+        pairs = ((1, 32768), (2, 1))
+        u = _mono_pack(dict(pairs))
+        p = {_mono_pack({2: 2}): 1, _mono_pack({1: 32768}): -1}
+        assert sum(p.values()) == 0
+        assert len({k % u for k in p}) == 1
+        assert _dp_div_binom(p, pairs) is None
 
 
 class TestFactorForms:
@@ -208,6 +272,21 @@ class TestFactoredConstruction:
                        if e < 0)
             assert cross_equal(rf._frf.num_den_dicts(), (num, den))
             assert cross_equal((rf.num._d, rf.den._d), (num, den))
+
+
+class TestOpaqueAtomSign:
+    def test_negated_input_inverts_to_the_same_atom(self, rng):
+        from hookweight.ratfunc import Polynomial, RatFunc
+        seen_p = 0
+        for _ in range(120):
+            p = dict_poly(rng)
+            if not p:
+                continue
+            a = RatFunc(Polynomial._from_dict(dict(p)))._frf.inv()
+            b = RatFunc(Polynomial._from_dict(_dp_neg(p)))._frf.inv()
+            assert a.fac == b.fac and a.c == -b.c
+            seen_p += any(atom[0] == "P" for atom in a.fac)
+        assert seen_p
 
 
 class TestSingleRepresentation:
