@@ -181,17 +181,10 @@ def cmd_hook(args) -> int:
 
 def cmd_linext(args) -> int:
     p = _load_forest_file(args.forest)
-    if isinstance(p, DualForestPoset):
-        exts = p.linear_extensions()
-    else:
-        exts = linear_extensions(p)
     if args.count:
-        if isinstance(p, DualForestPoset):
-            print(sum(1 for _ in exts))
-        else:
-            print(count_linear_extensions(p))
+        print(count_linear_extensions(p))
     else:
-        for w in exts:
+        for w in linear_extensions(p):
             print(",".join(map(str, w)))
     return EXIT_OK
 

@@ -14,8 +14,10 @@ label set is a contiguous interval of integers.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
+from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 __all__ = [
@@ -292,9 +294,17 @@ def tree_pair_stats(w: Sequence[int]) -> list[TreePairStat]:
 # forest posets
 # ---------------------------------------------------------------------------
 
+# All subtrees of a parent array: the subtree of i is the run
+# order[start[i]:start[i] + size[i]] of a preorder, with least label lo[i]
+# and largest label hi[i].  The lists are indexed by element.
+_Subtrees = namedtuple("_Subtrees", "order start size lo hi")
+
+
 @dataclass(frozen=True)
-class ForestPoset:
-    """Forest on {1..n}: cover[i-1] is the element i covers (0 for roots)."""
+class _ParentArray:
+    """Forest on {1..n} as one parent array: cover[i-1] is i's parent, 0 for
+    a root.  Each subclass orders parent and child one way round and lists
+    the (earlier, later) cover pairs in ``_precedences()``."""
 
     n: int
     cover: tuple[int, ...]
@@ -308,9 +318,9 @@ class ForestPoset:
         self._check_acyclic()
 
     @classmethod
-    def from_covers(cls, n: int, covers: Sequence[Sequence[int]]) -> "ForestPoset":
+    def _from_pairs(cls, n: int, pairs: Sequence[Sequence[int]]):
         arr = [0] * n
-        for i, p in covers:
+        for i, p in pairs:
             if not (1 <= i <= n and 1 <= p <= n):
                 raise ValueError(f"cover pair ({i},{p}) out of range 1..{n}")
             if arr[i - 1]:
@@ -334,10 +344,6 @@ class ForestPoset:
             for j in chain:
                 state[j] = 2
 
-    def below(self, i: int) -> int:
-        """Element covered by i, or 0 when i is minimal."""
-        return self.cover[i - 1]
-
     def roots(self) -> list[int]:
         return [i for i in range(1, self.n + 1) if not self.cover[i - 1]]
 
@@ -348,25 +354,58 @@ class ForestPoset:
                 ch[p].append(i)
         return ch
 
+    @cached_property
+    def _subtrees(self) -> _Subtrees:
+        """Computed once per poset, in one O(n) pass."""
+        n = self.n
+        ch = self.children()
+        order: list[int] = []
+        start = [0] * (n + 1)
+        stack = self.roots()
+        while stack:
+            i = stack.pop()
+            start[i] = len(order)
+            order.append(i)
+            stack.extend(ch[i])
+        size = [1] * (n + 1)
+        lo = list(range(n + 1))
+        hi = list(range(n + 1))
+        for i in reversed(order):  # every child before its parent
+            p = self.cover[i - 1]
+            if p:
+                size[p] += size[i]
+                lo[p] = min(lo[p], lo[i])
+                hi[p] = max(hi[p], hi[i])
+        return _Subtrees(order, start, size, lo, hi)
+
+    def _subtree(self, i: int) -> frozenset[int]:
+        s = self._subtrees
+        return frozenset(s.order[s.start[i]:s.start[i] + s.size[i]])
+
+
+@dataclass(frozen=True)
+class ForestPoset(_ParentArray):
+    """Forest on {1..n}: cover[i-1] is the element i covers (0 for roots)."""
+
+    @classmethod
+    def from_covers(cls, n: int, covers: Sequence[Sequence[int]]) -> "ForestPoset":
+        return cls._from_pairs(n, covers)
+
+    def below(self, i: int) -> int:
+        """Element covered by i, or 0 when i is minimal."""
+        return self.cover[i - 1]
+
     def upper_set(self, i: int) -> frozenset[int]:
         """P_{>=i}: the subtree consisting of i and everything above it."""
-        ch = self.children()
-        out = set()
-        stack = [i]
-        while stack:
-            j = stack.pop()
-            out.add(j)
-            stack.extend(ch[j])
-        return frozenset(out)
+        return self._subtree(i)
 
     def less(self, i: int, j: int) -> bool:
-        """True iff i <_P j (strictly)."""
-        k = self.cover[j - 1]
-        while k:
-            if k == i:
-                return True
-            k = self.cover[k - 1]
-        return False
+        """True iff i <_P j (strictly): j is in the subtree above i."""
+        s = self._subtrees
+        return s.start[i] < s.start[j] < s.start[i] + s.size[i]
+
+    def _precedences(self) -> list[tuple[int, int]]:
+        return [(p, i) for i, p in self.covers()]
 
 
 def validate_recursively_labelled(p: ForestPoset) -> bool:
@@ -375,17 +414,17 @@ def validate_recursively_labelled(p: ForestPoset) -> bool:
 
 
 def _rl_violation(p: ForestPoset) -> Optional[tuple[int, frozenset[int]]]:
+    s = p._subtrees
     for i in range(1, p.n + 1):
-        sub = p.upper_set(i)
-        if max(sub) - min(sub) + 1 != len(sub):
-            return i, sub
+        if s.hi[i] - s.lo[i] + 1 != s.size[i]:
+            return i, p.upper_set(i)
     return None
 
 
 def subtree_data(p: ForestPoset, i: int) -> tuple[int, int, int]:
     """(min, max, size) of the subtree P_{>=i}."""
-    sub = p.upper_set(i)
-    return min(sub), max(sub), len(sub)
+    s = p._subtrees
+    return s.lo[i], s.hi[i], s.size[i]
 
 
 def inv_poset(p: ForestPoset) -> int:
@@ -394,48 +433,58 @@ def inv_poset(p: ForestPoset) -> int:
                if p.less(j, i))
 
 
-def linear_extensions(p: ForestPoset) -> Iterator[Permutation]:
-    """All words placing covered elements first, ascending lexicographically."""
+def _extension_words(p: _ParentArray) -> Iterator[list[int]]:
+    """Every linear extension of p in ascending lex order, as one shared word.
+
+    ``ready`` is the sorted list of elements whose immediate prerequisites
+    are placed; ``pending[j]`` counts j's unplaced ones.  ``choice[d]`` is the
+    index in ``ready`` that position d's element came from.  An undo restores
+    ``ready`` exactly, so the state is O(n) and no recursion limits a chain.
+    """
     n = p.n
-    placed = [False] * (n + 1)
+    unlocks: list[list[int]] = [[] for _ in range(n + 1)]
+    pending = [0] * (n + 1)
+    for a, b in p._precedences():
+        unlocks[a].append(b)
+        pending[b] += 1
+    ready = [i for i in range(1, n + 1) if not pending[i]]
     word: list[int] = []
-
-    def ready(i: int) -> bool:
-        below = p.cover[i - 1]
-        return not below or placed[below]
-
-    def backtrack() -> Iterator[Permutation]:
+    choice: list[int] = []
+    k = 0
+    while True:
+        if k < len(ready):  # place the candidate ready[k]
+            i = ready.pop(k)
+            word.append(i)
+            choice.append(k)
+            for j in unlocks[i]:
+                pending[j] -= 1
+                if not pending[j]:
+                    insort(ready, j)
+            k = 0
+            continue
         if len(word) == n:
-            yield Permutation(word)
+            yield word
+        if not choice:
             return
-        for i in range(1, n + 1):
-            if not placed[i] and ready(i):
-                placed[i] = True
-                word.append(i)
-                yield from backtrack()
-                word.pop()
-                placed[i] = False
+        k = choice.pop()  # no candidate left here: undo the last placement
+        i = word.pop()
+        for j in unlocks[i]:
+            if not pending[j]:
+                del ready[bisect_left(ready, j)]
+            pending[j] += 1
+        ready.insert(k, i)
+        k += 1
 
-    return backtrack()
+
+def linear_extensions(p: _ParentArray) -> Iterator[Permutation]:
+    """All extensions of a forest or dual forest, ascending lexicographically."""
+    return (Permutation(w) for w in _extension_words(p))
 
 
-def count_linear_extensions(p: ForestPoset) -> int:
-    n = p.n
-    placed = [False] * (n + 1)
-
-    def count(remaining: int) -> int:
-        if remaining == 0:
-            return 1
-        total = 0
-        for i in range(1, n + 1):
-            below = p.cover[i - 1]
-            if not placed[i] and (not below or placed[below]):
-                placed[i] = True
-                total += count(remaining - 1)
-                placed[i] = False
-        return total
-
-    return count(n)
+def count_linear_extensions(p: _ParentArray) -> int:
+    """Number of linear extensions, by enumeration: the tests check it
+    against Knuth's hook-length formula, so it must not use that formula."""
+    return sum(1 for _ in _extension_words(p))
 
 
 # ---------------------------------------------------------------------------
@@ -489,79 +538,32 @@ def enumerate_rl_forests(n: int) -> Iterator[ForestPoset]:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class DualForestPoset:
+class DualForestPoset(_ParentArray):
     """Poset on {1..n}: cover[i-1] is the element covering i (0 for maximal)."""
-
-    n: int
-    cover: tuple[int, ...]
-
-    def __post_init__(self):
-        ForestPoset(self.n, self.cover)  # same structural validation
 
     @classmethod
     def from_covered_by(cls, n: int,
                         pairs: Sequence[Sequence[int]]) -> "DualForestPoset":
-        return cls(n, ForestPoset.from_covers(n, pairs).cover)
+        return cls._from_pairs(n, pairs)
 
     def covered_by(self, i: int) -> int:
         return self.cover[i - 1]
 
-    def covers(self) -> list[tuple[int, int]]:
-        return [(i, p) for i, p in enumerate(self.cover, start=1) if p]
-
-    def children_below(self) -> dict[int, list[int]]:
-        ch: dict[int, list[int]] = {i: [] for i in range(1, self.n + 1)}
-        for i, p in enumerate(self.cover, start=1):
-            if p:
-                ch[p].append(i)
-        return ch
-
     def lower_set(self, i: int) -> frozenset[int]:
         """P_{<=i}: i together with everything below it."""
-        ch = self.children_below()
-        out = set()
-        stack = [i]
-        while stack:
-            j = stack.pop()
-            out.add(j)
-            stack.extend(ch[j])
-        return frozenset(out)
+        return self._subtree(i)
 
     def less(self, i: int, j: int) -> bool:
-        """True iff i <_P j: following covered_by from i reaches j."""
-        k = self.cover[i - 1]
-        while k:
-            if k == j:
-                return True
-            k = self.cover[k - 1]
-        return False
+        """True iff i <_P j: i is in the subtree below j."""
+        s = self._subtrees
+        return s.start[j] < s.start[i] < s.start[j] + s.size[j]
+
+    def _precedences(self) -> list[tuple[int, int]]:
+        return self.covers()
 
     def linear_extensions(self) -> Iterator[Permutation]:
         """Ascending-lex words; an element waits for its whole lower subtree."""
-        n = self.n
-        placed = [False] * (n + 1)
-        children = self.children_below()
-        pending = {i: len(children[i]) for i in range(1, n + 1)}
-        word: list[int] = []
-
-        def backtrack() -> Iterator[Permutation]:
-            if len(word) == n:
-                yield Permutation(word)
-                return
-            for i in range(1, n + 1):
-                if not placed[i] and pending[i] == 0:
-                    placed[i] = True
-                    word.append(i)
-                    up = self.cover[i - 1]
-                    if up:
-                        pending[up] -= 1
-                    yield from backtrack()
-                    if up:
-                        pending[up] += 1
-                    word.pop()
-                    placed[i] = False
-
-        return backtrack()
+        return (Permutation(w) for w in _extension_words(self))
 
 
 class DualForestStats(NamedTuple):
@@ -584,22 +586,25 @@ def dual_forest_stats(p: DualForestPoset) -> DualForestStats:
 
 
 def enumerate_dual_forests(n: int) -> Iterator[DualForestPoset]:
-    """All parent-above arrays on {1..n} that form a forest (acyclic)."""
+    """All parent-above arrays on {1..n} that form a forest, in lex order.
+
+    A target for cover[i-1] whose chain of assigned covers leads back to i
+    is skipped: every cycle closes when its largest element is assigned.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    cover = [0] * n
 
-    def build(i: int, cover: list[int]) -> Iterator[DualForestPoset]:
+    def build(i: int) -> Iterator[DualForestPoset]:
         if i > n:
-            try:
-                yield DualForestPoset(n, tuple(cover))
-            except ValueError:
-                pass
+            yield DualForestPoset(n, tuple(cover))
             return
         for target in range(0, n + 1):
-            if target == i:
-                continue
-            cover[i - 1] = target
-            yield from build(i + 1, cover)
-        cover[i - 1] = 0
+            j = target
+            while 0 < j < i:
+                j = cover[j - 1]
+            if j != i:
+                cover[i - 1] = target
+                yield from build(i + 1)
 
-    yield from build(1, [0] * n)
+    yield from build(1)

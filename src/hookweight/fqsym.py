@@ -361,7 +361,7 @@ def check_phimaj_morphism(p: DualForestPoset, q: DualForestPoset) -> bool:
 
 def dual_forest_prereqs(p: DualForestPoset) -> list[frozenset[int]]:
     """prereqs[i-1] = strict lower set of i (elements forced before i)."""
-    return [frozenset(p.lower_set(i) - {i}) for i in range(1, p.n + 1)]
+    return [p.lower_set(i) - {i} for i in range(1, p.n + 1)]
 
 
 def forest_prereqs(p: ForestPoset) -> list[frozenset[int]]:
