@@ -32,7 +32,7 @@ from .fqsym import (
     verify_bw_maj,
 )
 from .parsing import ParseError, parse_ratfunc
-from .qanalog import binomial, bracket_factorial, skew_equal, skew_mul
+from .qanalog import _shift_ratio_frf, binomial, skew_equal, skew_mul
 from .ratfunc import (
     DivisionByZeroError,
     RatFunc,
@@ -106,6 +106,11 @@ def _parse_perm(text: str) -> Permutation:
 
 _FOREST_KEYS = ("n", "covers", "covered_by")
 
+# Largest n a forest file may declare.  A chain this long still lists its one
+# extension at once, any wider forest has far too many extensions to list,
+# and the limit bounds what building the poset allocates.
+MAX_FOREST_N = 10_000
+
 
 def _load_forest_file(path: str):
     try:
@@ -126,6 +131,9 @@ def _load_forest_file(path: str):
     if not _is_int(n) or n < 0:
         raise InputError(f"forest file {path}: 'n' must be a non-negative "
                          f"integer, got {n!r}")
+    if n > MAX_FOREST_N:
+        raise InputError(f"forest file {path}: 'n' is {n}, above the limit "
+                         f"of {MAX_FOREST_N}")
     key = "covered_by" if "covered_by" in data else "covers"
     pairs = data.get(key, [])
     if not isinstance(pairs, list) or not all(
@@ -301,7 +309,7 @@ def _run_case(payload: tuple) -> bool:
         if k in (0, n):
             return rf_equal(binomial(n, k), RatFunc.from_const(1))
         lhs = binomial(n, k)
-        ratio = RatFunc(bracket_factorial(k).frobenius(1), bracket_factorial(k))
+        ratio = RatFunc._from_frf(_shift_ratio_frf(k))
         rhs = rf_add(rf_frobenius(binomial(n - 1, k - 1), 1),
                      ratio * rf_frobenius(binomial(n - 1, k), 1))
         return rf_equal(lhs, rhs)

@@ -10,6 +10,13 @@ covers (roots are the minimal elements, so subtrees P_{>=i} grow upward).  A
 ``DualForestPoset`` stores the unique element covering i, so subtrees are the
 lower sets P_{<=i}.  A forest is recursively labelled when every subtree's
 label set is a contiguous interval of integers.
+
+Both classes are one parent array underneath and share one core: every
+subtree (its elements, size, least and largest label) comes from one O(n)
+preorder pass, cached per poset, and one iterative walk lists the linear
+extensions of either kind in ascending lexicographic order.
+``count_linear_extensions`` counts by running that walk; it never uses
+Knuth's hook-length formula, which the tests use as its oracle.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 
-from .ratfunc import _FRF, _MASK, Polynomial, RatFunc
+from .ratfunc import _FRF, _MASK, ExponentOverflowError, Polynomial, RatFunc
 
 __all__ = ["parse_ratfunc", "parse_polynomial", "ParseError"]
 
@@ -121,7 +121,10 @@ class _Parser:
 
 def parse_ratfunc(text: str) -> RatFunc:
     parser = _Parser(_tokenize(text))
-    value = parser.parse_expr()
+    try:
+        value = parser.parse_expr()
+    except ExponentOverflowError as exc:
+        raise ParseError(str(exc)) from None
     if parser.peek() is not None:
         raise ParseError(f"trailing input at token {parser.i}: {parser.peek()!r}")
     return value

@@ -54,6 +54,12 @@ def _factorial_atoms(n: int, shift: int = 0, sign: int = 1) -> dict:
     return {("F", shift + i, n - i): sign for i in range(n)}
 
 
+def _shift_ratio_frf(k: int) -> _FRF:
+    """F([k]!) / [k]!, the ratio in the Pascal recurrence and in wt_subset."""
+    return _FRF.from_atoms({**_factorial_atoms(k, shift=1),
+                            **_factorial_atoms(k, sign=-1)})
+
+
 @lru_cache(maxsize=None)
 def _bracket_factorial_frf(n: int) -> _FRF:
     return _FRF.from_atoms(_factorial_atoms(n))

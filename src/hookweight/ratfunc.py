@@ -7,7 +7,9 @@ behind every twisted factorial and hook product in this package.
 Representation notes
 --------------------
 A monomial is packed into a single int, 16 bits of exponent per variable
-(variable i occupies bits [16*(i-1), 16*i)), so an exponent is at most 65535.
+(variable i occupies bits [16*(i-1), 16*i)), so an exponent is at most 65535;
+a product that would pass it raises ExponentOverflowError rather than carry
+into the next variable.
 Monomial multiplication is then integer addition, which keeps the exhaustive
 verification sweeps fast in pure Python.  Coefficients are ints, promoted to
 fractions.Fraction only when a value is genuinely non-integral.
@@ -37,8 +39,9 @@ The expanded numerator and denominator exist only for printing and for the
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd
+from operator import or_
 from typing import Iterable, Mapping, Optional, Union
 
 __all__ = [
@@ -46,6 +49,7 @@ __all__ = [
     "Polynomial",
     "RatFunc",
     "DivisionByZeroError",
+    "ExponentOverflowError",
     "poly_add",
     "poly_mul",
     "frobenius",
@@ -68,6 +72,10 @@ class DivisionByZeroError(ZeroDivisionError):
     """Raised when a rational-function denominator is the zero polynomial."""
 
 
+class ExponentOverflowError(ValueError):
+    """A product has an exponent above 65535, which a packed key cannot hold."""
+
+
 # ---------------------------------------------------------------------------
 # packed monomial keys
 # ---------------------------------------------------------------------------
@@ -84,6 +92,32 @@ def _mono_pack(exponents: Mapping[int, int]) -> int:
         if exp:
             key += exp << (_SHIFT * (var - 1))
     return key
+
+
+@lru_cache(maxsize=None)
+def _field_bits(nfields: int, bit: int) -> int:
+    """Bit ``bit`` of each of the first ``nfields`` exponent fields."""
+    return sum(1 << (_SHIFT * f + bit) for f in range(nfields))
+
+
+# A carry out of an exponent field needs an exponent of at least 2^15 on one
+# side, so a product whose keys OR to nothing in these top bits (of the first
+# 64 variables) cannot overflow.
+_TOP_BITS = _field_bits(64, _SHIFT - 1)
+_TOP_SPAN = 64 * _SHIFT
+
+
+def _check_key_sums(a: Iterable[int], b: Iterable[int]) -> None:
+    """Raise ExponentOverflowError if some ka + kb carries out of a field."""
+    nfields = -(-max(max(a), max(b)).bit_length() // _SHIFT)
+    carries = _field_bits(nfields, 0) << _SHIFT
+    for ka in a:
+        for kb in b:
+            carry = ((ka + kb) ^ ka ^ kb) & carries
+            if carry:
+                var = (carry & -carry).bit_length() // _SHIFT
+                raise ExponentOverflowError(
+                    f"exponent of x{var} in a product exceeds {_MASK}")
 
 
 def _mono_unpack(key: int) -> tuple[tuple[int, int], ...]:
@@ -162,6 +196,11 @@ def _dp_mul(a: dict, b: dict) -> dict:
         return {}
     if len(a) < len(b):
         a, b = b, a
+    either = reduce(or_, a, 0)
+    for kb in b:
+        either |= kb
+    if either & _TOP_BITS or either >> _TOP_SPAN:
+        _check_key_sums(a, b)
     out: dict = {}
     get = out.get
     for kb, vb in b.items():
@@ -568,11 +607,10 @@ class _FRF:
             for var, exp in _mono_unpack(mono):
                 a = ("F", var - 1, 1)
                 fac[a] = fac.get(a, 0) + exp
-        # cancel against hinted atoms (typically the denominator's)
+        # cancel against hinted atoms (typically the denominator's) while
+        # num is not a constant; a constant here is 1 or -1
         for atom in hint_atoms:
-            if num == _DP_ONE:
-                break
-            while True:
+            while len(num) > 1 or 0 not in num:
                 q = _try_divide_atom(num, atom)
                 if q is None or not q:
                     break
@@ -580,21 +618,19 @@ class _FRF:
                 num = q
         c, num = _positive_top(c, num)  # a binomial quotient flips it
         # recognize what remains
-        while num != _DP_ONE:
+        if num != _DP_ONE:
             form = _dp_as_form(num)
             if form is not None:
                 fac[form] = fac.get(form, 0) + 1
                 num = dict(_DP_ONE)
-                break
-            rec = _dp_as_binom(num)
-            if rec is not None:
-                s, atom = rec
-                if s < 0:
-                    c = -c
-                fac[atom] = fac.get(atom, 0) + 1
-                num = dict(_DP_ONE)
-                break
-            break
+            else:
+                rec = _dp_as_binom(num)
+                if rec is not None:
+                    s, atom = rec
+                    if s < 0:
+                        c = -c
+                    fac[atom] = fac.get(atom, 0) + 1
+                    num = dict(_DP_ONE)
         fac = {a: e for a, e in fac.items() if e}
         return _FRF(c, num, fac)
 
@@ -770,6 +806,7 @@ class Monomial:
         return _mono_degree(self._key)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
+        _check_key_sums((self._key,), (other._key,))
         return Monomial._from_key(self._key + other._key)
 
     def __eq__(self, other) -> bool:

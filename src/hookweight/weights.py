@@ -34,7 +34,7 @@ from .combinat import (
     subtree_data,
     tree_pair_stats,
 )
-from .qanalog import _factorial_atoms
+from .qanalog import _factorial_atoms, _shift_ratio_frf
 from .ratfunc import RatFunc, _FRF
 
 __all__ = [
@@ -87,9 +87,7 @@ def _wt_subset_recursive_frf(s: tuple[int, ...]) -> _FRF:
         shat = tuple(i - 1 for i in s if i != 1)
         return _wt_subset_recursive_frf(shat).frobenius(1)
     shat = tuple(i - 1 for i in s)
-    ratio = _FRF.from_atoms({**_factorial_atoms(k, shift=1),
-                             **_factorial_atoms(k, sign=-1)})
-    return ratio.mul(_wt_subset_recursive_frf(shat).frobenius(1))
+    return _shift_ratio_frf(k).mul(_wt_subset_recursive_frf(shat).frobenius(1))
 
 
 def wt_subset(s: Iterable[int], k: int | None = None,

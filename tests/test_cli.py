@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import hookweight
-from hookweight.cli import main
+from hookweight.cli import MAX_FOREST_N, main
 
 VEE = {"n": 3, "covers": [[1, 2], [3, 2]]}
 CHAIN = {"n": 3, "covers": [[2, 1], [3, 2]]}
@@ -112,6 +112,18 @@ class TestLinext:
     def test_intro_count(self, capsys, forest_file):
         code, out, _ = run(capsys, "linext", forest_file(INTRO), "--count")
         assert code == 0 and out == "24192\n"
+
+    @pytest.mark.parametrize("key", ["covers", "covered_by"])
+    def test_long_chain(self, capsys, forest_file, key):
+        # far deeper than the interpreter's recursion limit
+        n = 3000
+        pairs = ([[i + 1, i] for i in range(1, n)] if key == "covers"
+                 else [[i, i + 1] for i in range(1, n)])
+        path = forest_file({"n": n, key: pairs})
+        code, out, _ = run(capsys, "linext", path, "--count")
+        assert code == 0 and out == "1\n"
+        code, out, _ = run(capsys, "linext", path, "--list")
+        assert code == 0 and out == ",".join(map(str, range(1, n + 1))) + "\n"
 
 
 class TestSpecialize:
@@ -217,6 +229,13 @@ class TestMalformedInput:
         assert code == 2 and "x0" in err
         assert "Traceback" not in err
 
+    def test_product_exponent_overflow(self):
+        # x1^65536 does not fit a packed key; it used to wrap into x2
+        code, out, err = run_process("specialize", "--map", "q",
+                                     "--expr", "x1^65535*x1 - x2")
+        assert code == 2 and out == "" and "exceeds 65535" in err
+        assert "Traceback" not in err
+
     def test_huge_exponent_is_rejected_promptly(self):
         # the 20 s subprocess timeout bounds "promptly"
         code, _, err = run_process("specialize", "--map", "q",
@@ -256,6 +275,13 @@ class TestForestFileSchema:
         code, out, err = run(capsys, "linext", forest_file(data), "--count")
         assert code == 2 and out == ""
         assert key in err
+
+    @pytest.mark.parametrize("n", [10 ** 20, MAX_FOREST_N + 1])
+    def test_n_above_the_limit(self, capsys, forest_file, n):
+        code, out, err = run(capsys, "linext", forest_file({"n": n, "covers": []}),
+                             "--count")
+        assert code == 2 and out == ""
+        assert "'n'" in err and str(MAX_FOREST_N) in err
 
     def test_empty_forest_needs_no_covers(self, capsys, forest_file):
         code, out, _ = run(capsys, "linext", forest_file({"n": 0}), "--count")

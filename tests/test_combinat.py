@@ -272,6 +272,16 @@ class TestLinearExtensions:
                     hooks *= subtree_data(p, i)[2]
                 assert count_linear_extensions(p) == math.factorial(n) // hooks
 
+    def test_count_is_length_of_listing(self):
+        for n in range(0, 7):
+            for p in enumerate_rl_forests(n):
+                assert count_linear_extensions(p) == \
+                    len(list(linear_extensions(p)))
+        for n in range(0, 6):
+            for p in enumerate_dual_forests(n):
+                assert count_linear_extensions(p) == \
+                    len(list(p.linear_extensions()))
+
 
 def all_forests(n):
     choices = [[0] + [t for t in range(1, n + 1) if t != i]
@@ -337,5 +347,20 @@ class TestDualForests:
 
     def test_enumerator_counts(self):
         # rooted labelled forests on n vertices: (n+1)^(n-1)
-        for n, expected in [(0, 1), (1, 1), (2, 3), (3, 16), (4, 125)]:
+        for n, expected in [(0, 1), (1, 1), (2, 3), (3, 16), (4, 125),
+                            (5, 1296), (6, 16807)]:
             assert sum(1 for _ in enumerate_dual_forests(n)) == expected
+
+    def test_enumerator_matches_filter_oracle(self):
+        # all_forests filters every parent array in lexicographic order
+        for n in range(0, 7):
+            assert [p.cover for p in enumerate_dual_forests(n)] == \
+                [p.cover for p in all_forests(n)]
+
+    def test_extensions_against_brute_filter(self):
+        for n in range(0, 6):
+            for p in enumerate_dual_forests(n):
+                brute = [w for w in permutations(range(1, n + 1))
+                         if all(w.index(i) < w.index(c) for i, c in p.covers())]
+                assert [tuple(w) for w in p.linear_extensions()] == brute
+                assert [tuple(w) for w in linear_extensions(p)] == brute

@@ -14,8 +14,11 @@ from math import prod
 import pytest
 from hypothesis import example, given, strategies as st
 
+from hookweight import ratfunc
 from hookweight.ratfunc import (
     _FRF,
+    ExponentOverflowError,
+    Monomial,
     _atom_dict,
     _dp_add,
     _dp_div_binom,
@@ -66,6 +69,33 @@ class TestPackedMonomials:
         for v, e in b.items():
             merged[v] = merged.get(v, 0) + e
         assert _mono_pack(a) + _mono_pack(b) == _mono_pack(merged)
+
+    @given(st.lists(st.tuples(st.integers(0, 65535), st.integers(0, 65535)),
+                    min_size=1, max_size=3),
+           st.lists(st.tuples(st.integers(0, 65535), st.integers(0, 65535)),
+                    min_size=1, max_size=3))
+    @example([(65535, 0)], [(1, 0)])
+    @example([(40000, 1)], [(0, 40000)])
+    def test_product_raises_exactly_when_an_exponent_overflows(self, a, b):
+        da = {_mono_pack({1: e1, 2: e2}): 1 for e1, e2 in a}
+        db = {_mono_pack({1: e1, 2: e2}): 1 for e1, e2 in b}
+        exps = [dict(_mono_unpack(k)) for k in da]
+        other = [dict(_mono_unpack(k)) for k in db]
+        overflow = any(x.get(v, 0) + y.get(v, 0) > 65535
+                       for x in exps for y in other for v in (1, 2))
+        if overflow:
+            with pytest.raises(ExponentOverflowError):
+                _dp_mul(da, db)
+        else:
+            product = _dp_mul(da, db)
+            for k in product:
+                assert max(dict(_mono_unpack(k)).values(), default=0) <= 65535
+
+    def test_monomial_product_overflow(self):
+        with pytest.raises(ExponentOverflowError):
+            Monomial({1: 65535}) * Monomial({1: 1})
+        assert (Monomial({1: 65535}) * Monomial({2: 65535})).exponents == \
+            {1: 65535, 2: 65535}
 
 
 class TestExactDivision:
@@ -272,6 +302,24 @@ class TestFactoredConstruction:
                        if e < 0)
             assert cross_equal(rf._frf.num_den_dicts(), (num, den))
             assert cross_equal((rf.num._d, rf.den._d), (num, den))
+
+
+class TestHintDivision:
+    def test_stops_at_a_constant(self, monkeypatch):
+        calls = []
+        divide = ratfunc._try_divide_atom
+
+        def counting(p, atom):
+            calls.append(atom)
+            return divide(p, atom)
+
+        monkeypatch.setattr(ratfunc, "_try_divide_atom", counting)
+        hints = [("B", ((v, 1),)) for v in (1, 2, 3)]
+        # (1 - x1) / (1 - x1) leaves the constant -1 after the sign fix
+        f = _FRF._normalized(Fraction(1), {0: 1, _mono_pack({1: 1}): -1}, {},
+                             hints)
+        assert calls == hints[:1]
+        assert f.c == 1 and f.num == {0: 1} and f.fac == {hints[0]: 1}
 
 
 class TestOpaqueAtomSign:

@@ -7,6 +7,7 @@ from hookweight.parsing import ParseError, parse_polynomial, parse_ratfunc
 from hookweight.qanalog import bracket, bracket_factorial
 from hookweight.ratfunc import (
     DivisionByZeroError,
+    ExponentOverflowError,
     Monomial,
     Polynomial,
     RatFunc,
@@ -229,6 +230,15 @@ class TestParser:
             parse_ratfunc("x1^65536")
         with pytest.raises(ParseError):
             parse_ratfunc("x1^" + "9" * 5000)
+
+    def test_product_exponent_overflow(self):
+        with pytest.raises(ExponentOverflowError):
+            rf_equal(parse_ratfunc("x1^65535*x1"), parse_ratfunc("x2"))
+        with pytest.raises(ParseError):
+            parse_ratfunc("x1^65535*x1 - x2")
+        value = parse_ratfunc("x1^65535*x2")
+        assert rf_to_canonical_string(value) == "x1^65535x2"
+        assert not rf_equal(value, parse_ratfunc("x2^2"))
 
     def test_powers_by_squaring(self):
         assert parse_polynomial("(x1+x3)^5") == (x1 + x3) ** 5
