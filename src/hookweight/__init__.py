@@ -74,6 +74,7 @@ from .ratfunc import (
 )
 from .specialize import (
     ExponentBoundError,
+    SizeBoundError,
     SpecializationError,
     UniPoly,
     UniRatFunc,

@@ -1,7 +1,8 @@
 """Command-line interface: weight-perm, hook, linext, specialize, verify.
 
 Exit codes: 0 success (or verified equal), 1 verification failure,
-2 input error, 3 specialization domain error.  The verify sweeps honor
+2 input error, 3 specialization error (a vanishing denominator, an
+exponent or a size beyond its bound).  The verify sweeps honor
 HOOKWEIGHT_THREADS (default: all cores) and emit case lines in a fixed
 order regardless of scheduling.
 """

@@ -36,7 +36,13 @@ from .ratfunc import (
     _mono_pack,
     _mono_degree,
 )
-from .specialize import UniPoly, UniRatFunc, q_bracket, q_factorial
+from .specialize import (
+    UniPoly,
+    UniRatFunc,
+    _all_q_var,
+    _q_hook_sides,
+    _substitute,
+)
 from .weights import _L_grouped_frf, _wt_perm_tree_frf
 
 __all__ = [
@@ -426,42 +432,6 @@ def _gamma_weighted_sum(terms: Mapping[tuple[int, ...], int | Fraction]) -> _FRF
 # the maj hook formula
 # ---------------------------------------------------------------------------
 
-def _all_vars_to_q(f: RatFunc) -> UniRatFunc:
-    """Substitute every x_i -> q (monomials collapse to their degree)."""
-    frf = f._frf
-    if frf.is_zero():
-        return UniRatFunc(UniPoly())
-    num = UniPoly.constant(frf.c.numerator)
-    den = UniPoly.constant(frf.c.denominator)
-    num = num * _uni_from_dict_all_q(frf.num)
-    for atom, e in frf.fac.items():
-        if atom[0] == "F":
-            a = UniPoly({1: atom[2]})  # the m summands each become q
-        elif atom[0] == "P":
-            a = _uni_from_dict_all_q(dict(atom[1]))
-        else:
-            deg = sum(exp for _v, exp in atom[1])
-            a = UniPoly({0: 1, deg: -1})
-        for _ in range(abs(e)):
-            if e > 0:
-                num = num * a
-            else:
-                den = den * a
-    return UniRatFunc(num, den)
-
-
-def _uni_from_dict_all_q(d: dict) -> UniPoly:
-    out: dict = {}
-    for key, coeff in d.items():
-        e = _mono_degree(key)
-        nv = out.get(e, 0) + coeff
-        if nv:
-            out[e] = nv
-        else:
-            del out[e]
-    return UniPoly(out)
-
-
 def verify_bw_maj(p: DualForestPoset) -> bool:
     """Major-index hook formula on a dual forest.
 
@@ -471,21 +441,15 @@ def verify_bw_maj(p: DualForestPoset) -> bool:
     """
     stats = dual_forest_stats(p)
     hooks = [len(stats.lower_subtrees[i]) for i in range(1, p.n + 1)]
-    substituted = _all_vars_to_q(gamma_dual_forest(p))
+    substituted = _substitute(gamma_dual_forest(p), _all_q_var)
     den = UniPoly.constant(1)
     for h in hooks:
         den = den * UniPoly({0: 1, h: -1})
     if substituted != UniRatFunc(UniPoly.monomial(stats.maj), den):
         return False
-    gen = UniPoly()
-    for w in p.linear_extensions():
-        gen = gen + UniPoly.monomial(maj(w))
-    bracket_den = UniPoly.constant(1)
-    for h in hooks:
-        bracket_den = bracket_den * q_bracket(h)
-    closed = UniRatFunc(q_factorial(p.n) * UniPoly.monomial(stats.maj),
-                        bracket_den)
-    return UniRatFunc(gen) == closed
+    gen, closed = _q_hook_sides((maj(w) for w in p.linear_extensions()),
+                                stats.maj, p.n, hooks)
+    return gen == closed
 
 
 # ---------------------------------------------------------------------------

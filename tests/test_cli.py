@@ -257,6 +257,37 @@ class TestMalformedInput:
         assert "Traceback" not in err
 
 
+class TestSpecializeSizeBound:
+    @pytest.mark.parametrize("qmap", [["q"], ["qt", "--qval", "2"]])
+    def test_oversized_product_is_rejected_promptly(self, qmap):
+        # (1-q)^65535 would have 65,536 coefficients of thousands of digits;
+        # the 20 s subprocess timeout bounds "promptly"
+        code, out, err = run_process("specialize", "--map", *qmap,
+                                     "--expr", "x1^65535*x2")
+        assert code == 3 and out == ""
+        assert "more than 2000 terms" in err
+        assert "Traceback" not in err
+
+    def test_span_at_the_limit_still_prints(self, capsys):
+        # q^999 (1-q)^1999: a degree span of 1999, so 2000 terms
+        code, out, _ = run(capsys, "specialize", "--map", "q",
+                           "--expr", "x1^1000*x2^999")
+        assert code == 0
+        assert out.startswith("-q^2998+1999q^2997-") and out.endswith("+q^999\n")
+        assert out.count("q") == 2000
+
+    def test_sparse_high_degree_still_prints(self, capsys):
+        # degree 2^21 but only three terms
+        code, out, _ = run(capsys, "specialize", "--map", "qt", "--qval", "2",
+                           "--expr", "x20^2")
+        assert code == 0 and out == "t^2097152-2t^1572864+t^1048576\n"
+
+    def test_exponent_bound_still_reported(self, capsys):
+        code, out, err = run(capsys, "specialize", "--map", "qt", "--qval", "2",
+                             "--expr", "x30")
+        assert code == 3 and out == "" and "exceeds the bound" in err
+
+
 class TestForestFileSchema:
     @pytest.mark.parametrize("data, key", [
         ({"n": 2, "cover": [[1, 2]]}, "'cover'"),

@@ -13,10 +13,12 @@ from hookweight.combinat import (
 )
 from hookweight.parsing import parse_ratfunc
 from hookweight.qanalog import bracket
-from hookweight.ratfunc import Polynomial, RatFunc, rf_add, rf_mul
+from hookweight.ratfunc import Polynomial, RatFunc, _mono_unpack, rf_add, rf_mul
 from hookweight.specialize import (
     DEFAULT_QT_BOUND,
+    MAX_SPEC_TERMS,
     ExponentBoundError,
+    SizeBoundError,
     SpecializationError,
     UniPoly,
     UniRatFunc,
@@ -25,12 +27,35 @@ from hookweight.specialize import (
     spec_q,
     spec_qt,
     verify_bw_inv,
-    _spec_q_dict,
-    _spec_qt_dict,
+    _all_q_var,
+    _substitute,
 )
 from hookweight.weights import H_of_forest, L_of_forest, wt_perm_recursive, wt_subset
 
 VEE = ForestPoset.from_covers(3, [[1, 2], [3, 2]])
+
+
+def _spec_q_dict(d):
+    """x_i -> q^{i-1}(1-q) in closed form: x^u -> q^{sum (i-1)e} (1-q)^deg."""
+    out = UniPoly()
+    for key, coeff in d.items():
+        pairs = _mono_unpack(key)
+        qpow = sum((v - 1) * e for v, e in pairs)
+        deg = sum(e for _v, e in pairs)
+        out = out + UniPoly.monomial(qpow, coeff) * UniPoly({0: 1, 1: -1}) ** deg
+    return out
+
+
+def _spec_qt_dict(d, q, bound):
+    """x_i -> t^{q^{i-1}} - t^{q^i}: x^u -> prod (t^{q^{i-1}} - t^{q^i})^e."""
+    out = UniPoly()
+    for key, coeff in d.items():
+        term = UniPoly.constant(coeff)
+        for v, e in _mono_unpack(key):
+            assert q ** v <= bound
+            term = term * UniPoly({q ** (v - 1): 1, q ** v: -1}) ** e
+        out = out + term
+    return out
 
 
 class TestUniPoly:
@@ -163,6 +188,33 @@ class TestSpecQT:
                 plain_q = UniRatFunc(_spec_q_dict(num), _spec_q_dict(den))
                 assert spec_qt(value, 2) == plain_qt, p
                 assert spec_q(value) == plain_q, p
+
+
+class TestSizeBound:
+    def test_oversized_power_under_every_map(self):
+        f = parse_ratfunc("x1^65535*x2")
+        with pytest.raises(SizeBoundError):
+            spec_q(f)
+        with pytest.raises(SizeBoundError):
+            spec_qt(f, 2)
+        # under x_i -> q the same value is one term
+        assert _substitute(f, _all_q_var).to_string() == "q^65536"
+
+    def test_binomial_atom_is_bounded_before_its_power(self):
+        with pytest.raises(SizeBoundError):
+            spec_q(parse_ratfunc("1/(1-x1^65535)"))
+        with pytest.raises(SizeBoundError):
+            spec_q(parse_ratfunc("(x1+x2^2)/(1-x1^65535)"))
+
+    def test_span_just_above_the_limit(self):
+        # (1-q)^e has e + 1 terms
+        with pytest.raises(SizeBoundError):
+            spec_q(parse_ratfunc(f"x1^{MAX_SPEC_TERMS}"))
+
+    def test_sparse_binomial_power_counts_its_terms(self):
+        # a span of 11 * 2^8 and 2^11 products of terms, but only 12 terms
+        got = spec_qt(parse_ratfunc("x9^11"), 2)
+        assert got.is_polynomial() and len(got.num.coeffs) == 12
 
 
 class TestBWInvFormula:

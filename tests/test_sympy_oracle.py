@@ -1,4 +1,4 @@
-"""Differential tests of RatFunc arithmetic and spec_q against sympy.
+"""Differential tests of RatFunc arithmetic and the specializations against sympy.
 
 sympy is an independent oracle here: values go in as sympy expressions built
 straight from the input polynomials, and agreement is decided by
@@ -23,7 +23,13 @@ from hookweight.ratfunc import (
     rf_mul,
     rf_to_canonical_string,
 )
-from hookweight.specialize import SpecializationError, spec_q
+from hookweight.specialize import (
+    SpecializationError,
+    _all_q_var,
+    _substitute,
+    spec_q,
+    spec_qt,
+)
 
 sympy = pytest.importorskip("sympy")
 
@@ -126,11 +132,21 @@ def test_frobenius(a, k):
     assert same(sym_rf(rf_frobenius(RatFunc(*a), k)), expected)
 
 
-@given(fractions)
-def test_spec_q(a):
-    sub = {X[i]: Q ** i - Q ** (i + 1) for i in range(NVARS)}
+# map name -> (the map on RatFunc, the sympy image of x_i)
+MAPS = {
+    "q": (spec_q, lambda i: Q ** (i - 1) - Q ** i),
+    "qt2": (lambda f: spec_qt(f, 2), lambda i: Q ** 2 ** (i - 1) - Q ** 2 ** i),
+    "qt3": (lambda f: spec_qt(f, 3), lambda i: Q ** 3 ** (i - 1) - Q ** 3 ** i),
+    "all-to-q": (lambda f: _substitute(f, _all_q_var), lambda i: Q),
+}
+
+
+@given(fractions, st.sampled_from(sorted(MAPS)))
+def test_spec_q(a, name):
+    specialize, image = MAPS[name]
+    sub = {X[i]: image(i + 1) for i in range(NVARS)}
     try:
-        got = spec_q(RatFunc(*a))
+        got = specialize(RatFunc(*a))
     except SpecializationError:
         # our denominator divides the input one, so that one vanishes too
         assert sympy.expand(sym_poly(a[1]).xreplace(sub)) == 0
