@@ -11,9 +11,12 @@ images.  Three maps use it:
   (``ExponentBoundError``);
 * x_i -> q, used by ``fqsym.verify_bw_maj`` for the major-index formula.
 
-Before multiplying, each product is bounded by the smaller of its degree
-span + 1 and the product of its factors' term counts; above
-``MAX_SPEC_TERMS`` it raises ``SizeBoundError``.  Both errors are
+Before multiplying, each product is bounded by the bits of coefficients it
+may hold: its term count (at most its degree span + 1, and at most the
+product of its factors' term counts) times the bits of its largest possible
+coefficient.  Above ``MAX_SPEC_BITS`` it raises ``SizeBoundError``, so a
+dense power such as (1-q)^65535 is refused while a product of many sparse
+binomials, such as [300]!_q, still expands.  Both errors are
 ``SpecializationError``s, on which the CLI exits 3.
 
 Univariate values are ``UniPoly`` (sparse dict, exponent -> coefficient) and
@@ -45,15 +48,15 @@ __all__ = [
     "q_factorial",
     "verify_bw_inv",
     "DEFAULT_QT_BOUND",
-    "MAX_SPEC_TERMS",
+    "MAX_SPEC_BITS",
 ]
 
 DEFAULT_QT_BOUND = 1 << 20
 
-# Most terms a product may have before it is multiplied out.  The largest
-# estimate over the test and verify inputs is 51; spec_q of x1^e took 0.3 s
-# at e = 1000, 1.2 s at 2000 and 6.9 s at 4000 (one 2.1 GHz Xeon core).
-MAX_SPEC_TERMS = 2000
+# Most bits of coefficients a product may hold once multiplied out (16 MiB).
+# Just below it, spec_q of x1^11584 takes about 70 s and of H(antichain 640)
+# about 40 s on one 2.1 GHz Xeon core; x1^65535 would take hours.
+MAX_SPEC_BITS = 1 << 27
 
 _GCD_DEGREE_LIMIT = 10000
 
@@ -67,7 +70,7 @@ class ExponentBoundError(SpecializationError):
 
 
 class SizeBoundError(SpecializationError):
-    """A product to multiply out may have more than MAX_SPEC_TERMS terms."""
+    """A product to multiply out may hold more than MAX_SPEC_BITS bits."""
 
 
 class UniPoly:
@@ -152,8 +155,10 @@ class UniPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "UniPoly":
-        out = UniPoly.constant(1)
-        for _ in range(n):
+        if n == 0:
+            return UniPoly.constant(1)
+        out = self
+        for _ in range(n - 1):
             out = out * self
         return out
 
@@ -473,45 +478,73 @@ def _qt_map(q: int, bound: int):
     return var
 
 
-def _product(factors: list[tuple[UniPoly, int]], c: int = 1) -> UniPoly:
-    """c times the (image, exponent) pairs multiplied out, size checked first.
+def _sized(p: UniPoly) -> tuple[UniPoly, int, int, int]:
+    """p with its degree span, term count and coefficient 1-norm bit length.
+
+    These bound the size of p's powers (see ``_product``); a zero p has
+    term count 0.
+    """
+    c = p._c
+    if not c:
+        return p, 0, 0, 0
+    norm = sum(map(abs, c.values()))
+    return p, max(c) - min(c), len(c), (norm - 1).bit_length()
+
+
+def _product(factors, c: int = 1) -> UniPoly:
+    """c times the (sized image, exponent) pairs multiplied out, checked first.
 
     The product has at most span + 1 terms, the span being its highest
     exponent minus its lowest, and at most the product of the factors' term
     counts, where p^e has at most C(len(p) + e - 1, e) terms (one per
-    multiset of e terms of p).  The smaller may not exceed MAX_SPEC_TERMS.
+    multiset of e terms of p).  Its integer coefficients are at most |c|
+    times the product of the factors' coefficient 1-norms, so they fit in
+    the sum of those norms' bit lengths.  The smaller term count times that
+    many bits may not exceed MAX_SPEC_BITS.
     """
-    span, terms = 0, 1
-    for p, e in factors:
-        if not p._c:
+    span, terms, bits = 0, 1, abs(c).bit_length()
+    for (_, ps, pn, pb), e in factors:
+        if not pn:
             return UniPoly()
-        span += e * (max(p._c) - min(p._c))
-        terms = min(terms * comb(len(p._c) + e - 1, e), MAX_SPEC_TERMS + 1)
-    if min(span + 1, terms) > MAX_SPEC_TERMS:
-        raise SizeBoundError(
-            f"a product to expand may have more than {MAX_SPEC_TERMS} terms")
-    out = UniPoly._raw({0: c})
-    for p, e in factors:
-        for _ in range(e):
-            out = out * p
-    return out
+        span += e * ps
+        terms = min(terms * (pn if e == 1 else comb(pn + e - 1, e)),
+                    MAX_SPEC_BITS + 1)
+        bits += e * pb
+    if min(span + 1, terms) * bits > MAX_SPEC_BITS:
+        raise SizeBoundError(f"a product to expand may hold more than "
+                             f"{MAX_SPEC_BITS} bits of coefficients")
+    out = None
+    for (p, _, _, _), e in factors:
+        out = p ** e if out is None else out * p ** e
+    if out is None:
+        return UniPoly._raw({0: c})
+    return out if c == 1 else out.scale(c)
+
+
+@lru_cache(maxsize=None)
+def _var_image(var, i: int):
+    """Sized image of x_i."""
+    return _sized(var(i))
 
 
 def _poly_image(items, var) -> UniPoly:
     """Image of a polynomial given as (packed key, coefficient) pairs."""
     out = UniPoly()
     for key, coeff in items:
-        out = out + _product([(var(v), e) for v, e in _mono_unpack(key)], coeff)
+        out = out + _product([(_var_image(var, v), e)
+                              for v, e in _mono_unpack(key)], coeff)
     return out
 
 
 @lru_cache(maxsize=None)
-def _atom_image(atom, var) -> UniPoly:
-    """Image of an F or B atom; P atoms are mostly one-offs, left uncached."""
+def _atom_image(atom, var):
+    """Sized image of an F or B atom, cached; P atoms are mostly one-offs."""
     if atom[0] == "F":
         _, off, m = atom  # the sum telescopes under the q and (q,t) maps
-        return sum((var(i) for i in range(off + 1, off + m + 1)), UniPoly())
-    return 1 - _product([(var(v), e) for v, e in atom[1]])  # 1 - x^u
+        return _sized(sum((var(i) for i in range(off + 1, off + m + 1)),
+                          UniPoly()))
+    return _sized(1 - _product([(_var_image(var, v), e)
+                                for v, e in atom[1]]))  # 1 - x^u
 
 
 def _substitute(f: RatFunc, var) -> UniRatFunc:
@@ -519,10 +552,10 @@ def _substitute(f: RatFunc, var) -> UniRatFunc:
     frf = f._frf
     if frf.is_zero():
         return UniRatFunc(UniPoly())
-    num = [(_poly_image(frf.num.items(), var), 1)]
+    num = [(_sized(_poly_image(frf.num.items(), var)), 1)]
     den = []
     for atom, e in frf.fac.items():
-        a = (_poly_image(atom[1], var) if atom[0] == "P"
+        a = (_sized(_poly_image(atom[1], var)) if atom[0] == "P"
              else _atom_image(atom, var))
         if e > 0:
             num.append((a, e))

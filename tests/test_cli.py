@@ -10,6 +10,7 @@ import pytest
 
 import hookweight
 from hookweight.cli import MAX_FOREST_N, main
+from hookweight.specialize import q_factorial
 
 VEE = {"n": 3, "covers": [[1, 2], [3, 2]]}
 CHAIN = {"n": 3, "covers": [[2, 1], [3, 2]]}
@@ -265,16 +266,23 @@ class TestSpecializeSizeBound:
         code, out, err = run_process("specialize", "--map", *qmap,
                                      "--expr", "x1^65535*x2")
         assert code == 3 and out == ""
-        assert "more than 2000 terms" in err
+        assert "bits of coefficients" in err
         assert "Traceback" not in err
 
-    def test_span_at_the_limit_still_prints(self, capsys):
-        # q^999 (1-q)^1999: a degree span of 1999, so 2000 terms
+    def test_dense_power_still_prints(self, capsys):
+        # q^999 (1-q)^1999: 2000 terms of up to 1999 bits
         code, out, _ = run(capsys, "specialize", "--map", "q",
                            "--expr", "x1^1000*x2^999")
         assert code == 0
         assert out.startswith("-q^2998+1999q^2997-") and out.endswith("+q^999\n")
         assert out.count("q") == 2000
+
+    def test_long_product_of_binomials_still_prints(self, capsys, forest_file):
+        # H of a 63-element antichain maps to [63]!_q: its numerator is a
+        # product of 63 binomials with a degree span of 2016
+        path = forest_file({"n": 63, "covers": []})
+        code, out, _ = run(capsys, "specialize", "--map", "q", "--forest", path)
+        assert code == 0 and out == q_factorial(63).to_string() + "\n"
 
     def test_sparse_high_degree_still_prints(self, capsys):
         # degree 2^21 but only three terms

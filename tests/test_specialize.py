@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import isqrt, prod
 
 import pytest
 
@@ -16,7 +17,7 @@ from hookweight.qanalog import bracket
 from hookweight.ratfunc import Polynomial, RatFunc, _mono_unpack, rf_add, rf_mul
 from hookweight.specialize import (
     DEFAULT_QT_BOUND,
-    MAX_SPEC_TERMS,
+    MAX_SPEC_BITS,
     ExponentBoundError,
     SizeBoundError,
     SpecializationError,
@@ -206,15 +207,33 @@ class TestSizeBound:
         with pytest.raises(SizeBoundError):
             spec_q(parse_ratfunc("(x1+x2^2)/(1-x1^65535)"))
 
-    def test_span_just_above_the_limit(self):
-        # (1-q)^e has e + 1 terms
+    def test_dense_power_just_above_the_limit(self):
+        # (1-q)^e has e + 1 terms, each below 2^e: (e + 1)^2 bits with the sign
+        e = isqrt(MAX_SPEC_BITS)
+        assert e * e <= MAX_SPEC_BITS < (e + 1) ** 2
         with pytest.raises(SizeBoundError):
-            spec_q(parse_ratfunc(f"x1^{MAX_SPEC_TERMS}"))
+            spec_q(parse_ratfunc(f"x1^{e}"))
 
     def test_sparse_binomial_power_counts_its_terms(self):
-        # a span of 11 * 2^8 and 2^11 products of terms, but only 12 terms
-        got = spec_qt(parse_ratfunc("x9^11"), 2)
-        assert got.is_polynomial() and len(got.num.coeffs) == 12
+        # (t^(2^19) - t^(2^20))^24 has coefficients below 2^24, a span of
+        # 24 * 2^19 and 2^24 products of terms, but only 25 terms
+        got = spec_qt(parse_ratfunc("x20^24"), 2)
+        assert 24 * 24 * 2 ** 19 > MAX_SPEC_BITS and 24 * 2 ** 24 > MAX_SPEC_BITS
+        assert got.is_polynomial() and len(got.num.coeffs) == 25
+
+    def test_many_sparse_binomials_still_expand(self):
+        # H of an antichain maps to prod_k sum_{j < m_k} t^(a_k j) under (q,t)
+        # at q = 2, with a_k = 2^(k-1) and m_k = 2^(n-k+1) - 1: its numerator
+        # multiplies out 2^n products of binomials, all coefficients +-1.
+        # Above degree 10000 it stays unreduced, so compare values at t = 2.
+        n = 14
+        got = spec_qt(H_of_forest(ForestPoset.from_covers(n, [])), 2)
+        at_2 = [sum(c * 2 ** e for e, c in side.coeffs.items())
+                for side in (got.num, got.den)]
+        geometric = [(2 ** (2 ** (k - 1) * (2 ** (n - k + 1) - 1)) - 1)
+                     // (2 ** 2 ** (k - 1) - 1) for k in range(1, n + 1)]
+        assert at_2[0] == prod(geometric) * at_2[1]
+        assert len(got.num.coeffs) > 2000
 
 
 class TestBWInvFormula:
