@@ -15,6 +15,7 @@ series gamma(w, x) * u^n and is a morphism everywhere.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -37,7 +38,6 @@ from .ratfunc import (
     _mono_degree,
 )
 from .specialize import (
-    UniPoly,
     UniRatFunc,
     _all_q_var,
     _q_hook_sides,
@@ -442,10 +442,9 @@ def verify_bw_maj(p: DualForestPoset) -> bool:
     stats = dual_forest_stats(p)
     hooks = [len(stats.lower_subtrees[i]) for i in range(1, p.n + 1)]
     substituted = _substitute(gamma_dual_forest(p), _all_q_var)
-    den = UniPoly.constant(1)
-    for h in hooks:
-        den = den * UniPoly({0: 1, h: -1})
-    if substituted != UniRatFunc(UniPoly.monomial(stats.maj), den):
+    den = Counter()
+    den.subtract(hooks)
+    if substituted != UniRatFunc._factored(1, stats.maj, den):
         return False
     gen, closed = _q_hook_sides((maj(w) for w in p.linear_extensions()),
                                 stats.maj, p.n, hooks)

@@ -1,8 +1,8 @@
 """Univariate specializations of the multivariate weights.
 
-One routine, ``_substitute``, maps a factored value under x_i -> var(i) and
-reduces it; the image of every monomial and atom is built from the variable
-images.  Three maps use it:
+One routine, ``_substitute``, maps a factored value under x_i -> var(i); the
+image of every monomial and atom is built from the variable images.  Three
+maps use it:
 
 * ``spec_q``: x_i -> q^{i-1} - q^i, collapsing every weight wt(w) to
   q^inv(w) and the hook identity to the classical q-hook formula;
@@ -11,25 +11,33 @@ images.  Three maps use it:
   (``ExponentBoundError``);
 * x_i -> q, used by ``fqsym.verify_bw_maj`` for the major-index formula.
 
+Under all three maps a bracket atom goes to c t^a (1 - t^k), so the image
+stays factored: a ``UniRatFunc`` is c t^a prod f^e with a table of factors
+f, keyed by k for the binomial 1 - t^k.  Products and quotients add tables,
+and equality cancels the shared factors and cross-multiplies the rest.  The
+reduced numerator and denominator are built only for ``num``, ``den`` and
+printing.  There 1 - t^k splits into cyclotomic factors, which cancel by
+counting; a factor that is no binomial gives up its cyclotomic factors by
+exact division, and a dense GCD is taken only between such factors on both
+sides.
+
 Before multiplying, each product is bounded by the bits of coefficients it
 may hold: its term count (at most its degree span + 1, and at most the
 product of its factors' term counts) times the bits of its largest possible
 coefficient.  Above ``MAX_SPEC_BITS`` it raises ``SizeBoundError``, so a
 dense power such as (1-q)^65535 is refused while a product of many sparse
-binomials, such as [300]!_q, still expands.  Both errors are
-``SpecializationError``s, on which the CLI exits 3.
-
-Univariate values are ``UniPoly`` (sparse dict, exponent -> coefficient) and
-``UniRatFunc`` (numerator/denominator reduced by univariate GCD, monic
-denominator).
+binomials, such as [300]!_q, still expands.  A substituted value is checked
+the same way before it is returned, and so is the dense GCD.  Both errors
+are ``SpecializationError``s, on which the CLI exits 3.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd
+from math import comb, gcd, lcm
 from typing import Iterable
 
 from .combinat import ForestPoset, inv, inv_poset, linear_extensions, subtree_data
@@ -54,11 +62,10 @@ __all__ = [
 DEFAULT_QT_BOUND = 1 << 20
 
 # Most bits of coefficients a product may hold once multiplied out (16 MiB).
-# Just below it, spec_q of x1^11584 takes about 70 s and of H(antichain 640)
-# about 40 s on one 2.1 GHz Xeon core; x1^65535 would take hours.
+# Just below it, printing spec_q of x1^11584 takes about 50 s and of
+# H(antichain 330), [330]!_q, about 11 s on one 2.1 GHz Xeon core;
+# x1^65535 would take hours.
 MAX_SPEC_BITS = 1 << 27
-
-_GCD_DEGREE_LIMIT = 10000
 
 
 class SpecializationError(ValueError):
@@ -206,8 +213,17 @@ class UniPoly:
 
 def _uni_coeff_str(v) -> str:
     if isinstance(v, Fraction) and v.denominator != 1:
-        return f"({v.numerator}/{v.denominator})"
-    return str(int(v))
+        return f"({_int_str(v.numerator)}/{_int_str(v.denominator)})"
+    return _int_str(int(v))
+
+
+def _int_str(v: int) -> str:
+    """str(v), or SizeBoundError when v has more digits than Python prints."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and v.bit_length() > 3 * limit and abs(v) >= 10 ** limit:
+        raise SizeBoundError(f"a coefficient has more than {limit} digits, "
+                             f"the most Python converts to a string")
+    return str(v)
 
 
 def _coeff(v: Fraction):
@@ -220,19 +236,6 @@ def _as_unipoly(v) -> UniPoly:
     if isinstance(v, (int, Fraction)):
         return UniPoly.constant(v)
     raise TypeError(f"expected UniPoly, got {type(v)}")
-
-
-def _dense_int(p: UniPoly) -> tuple[list, int]:
-    """Ascending int coefficient list A and scale s with p = A / s."""
-    s = 1
-    for v in p._c.values():
-        if isinstance(v, Fraction):
-            d = v.denominator
-            s = s // gcd(s, d) * d
-    out = [0] * (p.degree() + 1)
-    for e, v in p._c.items():
-        out[e] = int(v * s)
-    return out, s
 
 
 def _int_content(coeffs) -> int:
@@ -316,48 +319,328 @@ def _int_exact_div(A: list, G: list) -> list:
     return quo
 
 
+# ---------------------------------------------------------------------------
+# the size bound
+# ---------------------------------------------------------------------------
+
+def _sized(p: UniPoly) -> tuple[UniPoly, int, int, int]:
+    """p with its degree span, term count and coefficient 1-norm bit length.
+
+    These bound the size of p's powers (see ``_estimate``); a zero p has
+    term count 0.
+    """
+    c = p._c
+    if not c:
+        return p, 0, 0, 0
+    norm = sum(map(abs, c.values()))
+    return p, max(c) - min(c), len(c), (norm - 1).bit_length()
+
+
+def _estimate(factors, c: int = 1) -> tuple[int, int, int]:
+    """Degree span, term-count bound and coefficient bits of c * prod p^e.
+
+    ``factors`` are (sized p, e) pairs.  The product has at most span + 1
+    terms, the span being its highest exponent minus its lowest, and at
+    most the product of the factors' term counts, where p^e has at most
+    C(len(p) + e - 1, e) terms (one per multiset of e terms of p).  Its
+    integer coefficients are at most |c| times the product of the factors'
+    coefficient 1-norms, so they fit in the sum of those norms' bit lengths.
+    """
+    span, terms, bits = 0, 1, abs(c).bit_length()
+    for (_, ps, pn, pb), e in factors:
+        span += e * ps
+        terms = min(terms * (pn if e == 1 else comb(pn + e - 1, e)),
+                    MAX_SPEC_BITS + 1)
+        bits += e * pb
+    return span, terms, bits
+
+
+def _check_size(span: int, terms: int, bits: int) -> None:
+    """SizeBoundError when the smaller term bound times bits is too large."""
+    if min(span + 1, terms) * bits > MAX_SPEC_BITS:
+        raise SizeBoundError(f"a product to expand may hold more than "
+                             f"{MAX_SPEC_BITS} bits of coefficients")
+
+
+def _product(factors, c: int = 1) -> UniPoly:
+    """c times the (sized p, e) pairs multiplied out, checked first."""
+    if any(not pn for (_, _, pn, _), _ in factors):
+        return UniPoly()
+    _check_size(*_estimate(factors, c))
+    out = None
+    for (p, _, _, _), e in factors:
+        out = p ** e if out is None else out * p ** e
+    if out is None:
+        return UniPoly._raw({0: c})
+    return out if c == 1 else out.scale(c)
+
+
+# ---------------------------------------------------------------------------
+# binomials 1 - t^k and their cyclotomic factors
+# ---------------------------------------------------------------------------
+#
+# 1 - t^k is the product of psi_d over the divisors d of k, where psi_1 =
+# 1 - t and psi_d is the cyclotomic polynomial Phi_d for d >= 2.  By Moebius
+# inversion psi_d = prod_{e | d} (1 - t^e)^mu(d/e), so any product of
+# binomials and psi's is multiplied out by multiplications and exact
+# divisions by binomials, each linear in the number of terms.
+
+@lru_cache(maxsize=None)
+def _factorization(k: int) -> tuple[tuple[int, int], ...]:
+    """(p, multiplicity) for each prime p | k, by trial division.
+
+    Fast for the binomials the maps make, whose k stays below the (q,t)
+    exponent bound; a k with a prime factor near 2^60 would take minutes.
+    """
+    out, p = [], 2
+    while k > 1:
+        if p * p > k:
+            p = k
+        if k % p == 0:
+            r = 0
+            while k % p == 0:
+                k //= p
+                r += 1
+            out.append((p, r))
+        p += 1
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _divisors(k: int) -> tuple[int, ...]:
+    out = [1]
+    for p, r in _factorization(k):
+        out = [d * p ** i for d in out for i in range(r + 1)]
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _psi_binomials(d: int) -> tuple[tuple[int, int], ...]:
+    """(e, mu(d/e)) for each e | d with d/e squarefree."""
+    out = [(d, 1)]
+    for p, _ in _factorization(d):
+        out += [(e // p, -mu) for e, mu in out]
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _binomial(k: int) -> tuple[UniPoly, int, int, int]:
+    """Sized 1 - t^k."""
+    return _sized(UniPoly._raw({0: 1, k: -1}))
+
+
+def _times_binomial(c: dict, k: int) -> dict:
+    """c * (1 - t^k)."""
+    out = dict(c)
+    for e, v in c.items():
+        nv = out.get(e + k, 0) - v
+        if nv:
+            out[e + k] = nv
+        else:
+            del out[e + k]
+    return out
+
+
+def _over_binomial(c: dict, k: int) -> dict | None:
+    """c / (1 - t^k), or None when 1 - t^k does not divide c.
+
+    1 - t^k divides c exactly when the coefficients in each residue class of
+    exponents mod k sum to 0; the quotient's coefficient at e is then the sum
+    of c's coefficients at e, e - k, e - 2k, ...
+    """
+    keys = sorted(c)
+    sums: dict = {}
+    for e in keys:
+        sums[e % k] = sums.get(e % k, 0) + c[e]
+    if any(sums.values()):
+        return None
+    out, last = {}, {}
+    for e in keys:
+        r = e % k
+        if r in last:
+            x, run = last[r]
+            if run:
+                for y in range(x, e, k):
+                    out[y] = run
+            run += c[e]
+        else:
+            run = c[e]
+        last[r] = (e, run)
+    return out
+
+
+def _expand(polys, exps: dict, c: int = 1) -> dict | None:
+    """c * prod p^e * prod (1 - t^k)^n as a dict, or None if no polynomial.
+
+    ``polys`` are (dict, e) pairs with e > 0, and ``exps`` maps k to n.  Each
+    divisor 1 - t^a (n < 0) is paired with a multiple 1 - t^b from ``exps``
+    where one is left: multiplying by 1 - t^b and at once dividing by
+    1 - t^a multiplies by the sparse sum of t^(ja), j < b/a.  Unpaired
+    divisors come last; an inexact one gives None.  The size is checked
+    before anything is multiplied, with each unpaired division adding the
+    bits of the span + 1 (a quotient's coefficients are partial sums of the
+    dividend's).
+    """
+    ups = {k: n for k, n in exps.items() if n > 0}
+    downs = {k: -n for k, n in exps.items() if n < 0}
+    pairs = []
+    for a in sorted(downs, reverse=True):
+        for b in sorted(ups):
+            if b % a == 0 and ups[b]:
+                n = min(ups[b], downs[a])
+                pairs.append((b, a, n))
+                ups[b] -= n
+                downs[a] -= n
+                if not downs[a]:
+                    break
+    sized = [(_sized(UniPoly._raw(p)), e) for p, e in polys]
+    span, terms, bits = _estimate(
+        sized + [(_binomial(b), n) for b, n in ups.items() if n]
+        + [((None, b - a, b // a, (b // a - 1).bit_length()), n)
+           for b, a, n in pairs], c)
+    bits += sum(downs.values()) * (span + 1).bit_length()
+    _check_size(span, terms, bits)
+    out = _product(sized, c)._c
+    for b, a, n in pairs:
+        for _ in range(n):
+            out = _over_binomial(_times_binomial(out, b), a)
+    for b, n in ups.items():
+        for _ in range(n):
+            out = _times_binomial(out, b)
+    for a, n in downs.items():
+        for _ in range(n):
+            out = _over_binomial(out, a)
+            if out is None:
+                return None
+    return out
+
+
+# ---------------------------------------------------------------------------
+# factored univariate rational functions
+# ---------------------------------------------------------------------------
+
+def _split(p: UniPoly) -> tuple:
+    """(c, a, key) with p = c t^a f, f primitive with a positive constant term.
+
+    key is None when f = 1, k when f = 1 - t^k, and f's sorted (exponent,
+    coefficient) items otherwise; c is 0 for the zero polynomial.
+    """
+    c = p._c
+    if not c:
+        return 0, 0, None
+    a = min(c)
+    if len(c) == 1:
+        return c[a], a, None
+    g = gcd(*(v.numerator for v in c.values()))
+    s = lcm(*(v.denominator for v in c.values()))
+    if c[a] < 0:
+        g = -g
+    if s == 1:
+        f = {e - a: v // g for e, v in c.items()}
+        content = g
+    else:
+        content = Fraction(g, s)
+        f = {e - a: int(v / content) for e, v in c.items()}
+    if len(f) == 2 and f[0] == 1:
+        k = max(f)
+        if f[k] == -1:
+            return content, a, k
+    return content, a, tuple(sorted(f.items()))
+
+
+def _fold(parts, c=1) -> tuple[Fraction, int, dict]:
+    """c, a and the factor table of c * prod (c_i t^a_i f_i)^e_i.
+
+    ``parts`` are ((c_i, a_i, key_i), e_i) pairs as ``_split`` gives them.
+    """
+    parts = list(parts)
+    if any(not pc and e < 0 for (pc, _, _), e in parts):
+        raise SpecializationError("zero denominator after specialization")
+    num, den, a, fac = 1, 1, 0, {}
+    for (pc, pa, key), e in parts:
+        if not pc:
+            return Fraction(0), 0, {}
+        if pc != 1:
+            top, bottom = (pc.numerator, pc.denominator) if e > 0 else \
+                (pc.denominator, pc.numerator)
+            num *= top ** abs(e)
+            den *= bottom ** abs(e)
+        a += pa * e
+        if key is not None:
+            fac[key] = fac.get(key, 0) + e
+    fac = {k: e for k, e in fac.items() if e}
+    return Fraction(c) * Fraction(num, den), a, fac
+
+
+def _merge(f: dict, g: dict, sign: int) -> dict:
+    """The factor table of f * g^sign."""
+    out = dict(f)
+    for k, e in g.items():
+        e = out.get(k, 0) + sign * e
+        if e:
+            out[k] = e
+        else:
+            del out[k]
+    return out
+
+
+def _side(fac: dict, sign: int) -> list:
+    """(sized f, e) pairs of the numerator (sign 1) or denominator (-1)."""
+    return [(_binomial(k) if type(k) is int else _sized(UniPoly._raw(dict(k))),
+             e * sign) for k, e in fac.items() if e * sign > 0]
+
+
 class UniRatFunc:
-    """num/den with gcd(num, den) = 1 and monic denominator."""
+    """A univariate rational function c t^a prod f^e, kept factored.
 
-    __slots__ = ("num", "den")
+    Each factor f is a primitive integer polynomial with a positive constant
+    term.  The table ``_f`` keys it by k when f is the binomial 1 - t^k and
+    by its sorted (exponent, coefficient) items otherwise, with an exponent
+    e of either sign.  Products and quotients add tables; equality cancels
+    the factors both sides share and cross-multiplies the rest, so it is
+    exact and multiplies out nothing when the tables agree.
 
-    def __init__(self, num: UniPoly, den: UniPoly | None = None, reduce: bool = True):
-        den = UniPoly.constant(1) if den is None else den
-        if den.is_zero():
-            raise SpecializationError("zero denominator after specialization")
-        if num.is_zero():
-            self.num, self.den = UniPoly(), UniPoly.constant(1)
-            return
-        if reduce and max(num.degree(), den.degree()) <= _GCD_DEGREE_LIMIT:
-            a, sa = _dense_int(num)
-            b, sb = _dense_int(den)
-            ca, cb = _int_content(a), _int_content(b)
-            a = [v // ca for v in a]
-            b = [v // cb for v in b]
-            g = _int_gcd_dense(a, b)
-            if len(g) > 1:
-                a = _int_exact_div(a, g)
-                b = _int_exact_div(b, g)
-            # value = (sb*ca)/(sa*cb) * a/b, then make b monic
-            factor = Fraction(sb * ca, sa * cb) / b[-1]
-            num = UniPoly._raw({e: _coeff(v * factor)
-                                for e, v in enumerate(a) if v})
-            den = UniPoly._raw({e: _coeff(Fraction(v, b[-1]))
-                                for e, v in enumerate(b) if v})
-            self.num, self.den = num, den
-            return
-        lead = Fraction(den.leading_coefficient())
-        if lead != 1:
-            num = num.scale(1 / lead)
-            den = den.scale(1 / lead)
-        self.num, self.den = num, den
+    ``num`` and ``den`` are the reduced form, gcd(num, den) = 1 with a monic
+    denominator, built on first use (``_reduce``) and cached.
+    """
+
+    __slots__ = ("_c", "_a", "_f", "_nd")
+
+    def __init__(self, num: UniPoly, den: UniPoly | None = None):
+        parts = [(_split(num), 1)]
+        if den is not None:
+            parts.append((_split(den), -1))
+        self._c, self._a, self._f = _fold(parts)
+        self._nd = None
+
+    @classmethod
+    def _factored(cls, c, a: int, fac: dict) -> "UniRatFunc":
+        """c t^a prod f^e for a factor table ``fac`` keyed as ``_f`` is."""
+        r = object.__new__(cls)
+        r._c = Fraction(c)
+        r._a, r._f = (a, {k: e for k, e in fac.items() if e}) if c else (0, {})
+        r._nd = None
+        return r
 
     @classmethod
     def constant(cls, v) -> "UniRatFunc":
         return cls(UniPoly.constant(v))
 
+    @property
+    def num(self) -> UniPoly:
+        return self._reduced()[0]
+
+    @property
+    def den(self) -> UniPoly:
+        return self._reduced()[1]
+
+    def _reduced(self) -> tuple[UniPoly, UniPoly]:
+        if self._nd is None:
+            self._nd = _reduce(self._c, self._a, self._f)
+        return self._nd
+
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self._c
 
     def is_polynomial(self) -> bool:
         return self.den == UniPoly.constant(1)
@@ -370,14 +653,15 @@ class UniRatFunc:
     __radd__ = __add__
 
     def __neg__(self) -> "UniRatFunc":
-        return UniRatFunc(-self.num, self.den, reduce=False)
+        return UniRatFunc._factored(-self._c, self._a, self._f)
 
     def __sub__(self, other) -> "UniRatFunc":
         return self + (-_as_unirf(other))
 
     def __mul__(self, other) -> "UniRatFunc":
         other = _as_unirf(other)
-        return UniRatFunc(self.num * other.num, self.den * other.den)
+        return UniRatFunc._factored(self._c * other._c, self._a + other._a,
+                                    _merge(self._f, other._f, 1))
 
     __rmul__ = __mul__
 
@@ -385,14 +669,23 @@ class UniRatFunc:
         other = _as_unirf(other)
         if other.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        return UniRatFunc(self.num * other.den, self.den * other.num)
+        return UniRatFunc._factored(self._c / other._c, self._a - other._a,
+                                    _merge(self._f, other._f, -1))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, UniPoly)):
             other = _as_unirf(other)
         if not isinstance(other, UniRatFunc):
             return NotImplemented
-        return self.num * other.den == other.num * self.den
+        if not (self._c and other._c):
+            return self._c == other._c
+        if self._a != other._a:
+            # both sides' leftover products have a nonzero constant term
+            return False
+        rest = _merge(self._f, other._f, -1)
+        c = self._c / other._c
+        return (_product(_side(rest, 1), c.numerator)
+                == _product(_side(rest, -1), c.denominator))
 
     __hash__ = None
 
@@ -406,6 +699,89 @@ class UniRatFunc:
 
     def __repr__(self) -> str:
         return f"UniRatFunc<{self}>"
+
+
+def _reduce(c: Fraction, a: int, fac: dict) -> tuple[UniPoly, UniPoly]:
+    """The reduced num and den of c t^a prod f^e: coprime, den monic.
+
+    A binomial 1 - t^k holds the psi_d with d | k.  Only d dividing
+    binomials on both sides, or a binomial opposite a factor that is no
+    binomial, can cancel; for those, m_d counts psi_d in the numerator minus
+    those in the denominator, and what cancels by counting is divided out
+    of the binomials.  A factor that is no binomial first gives up, by exact
+    division, each such psi_d the other side holds.  Only when such factors
+    are left on both sides are they reduced against each other by a dense
+    GCD.
+    """
+    if not c:
+        return UniPoly(), UniPoly.constant(1)
+    keys = {k: e for k, e in fac.items() if type(k) is int}
+    others = [(dict(k), e) for k, e in fac.items() if type(k) is not int]
+    ds = set()
+    for k, e in keys.items():
+        ds.update(d for j, f in keys.items() if e > 0 > f
+                  for d in _divisors(gcd(k, j)))
+        if any(e * f < 0 for _, f in others):
+            ds.update(_divisors(k))
+    held = {d: [sum(e for k, e in keys.items() if k % d == 0 and e * s > 0)
+                for s in (1, -1)] for d in ds}
+    m = {d: up + down for d, (up, down) in held.items()}
+    sides: tuple[list, list] = ([], [])
+    for f, e in others:
+        for d in sorted(m):
+            while m[d] * e < 0:
+                q = _expand([(f, 1)], {k: -mu for k, mu in _psi_binomials(d)})
+                if q is None:
+                    break
+                f, m[d] = q, m[d] + e
+        if f != {0: 1}:
+            sides[e < 0].append((f, abs(e)))
+    num_f, den_f = sides
+    if num_f and den_f:
+        num_f, den_f = _cancel_gcd(num_f, den_f)
+    num = _expand(num_f, _side_exponents(keys, m, held, 1), c.numerator)
+    den = _expand(den_f, _side_exponents(keys, m, held, -1), c.denominator)
+    if a > 0:
+        num = {e + a: v for e, v in num.items()}
+    elif a < 0:
+        den = {e - a: v for e, v in den.items()}
+    lead = den[max(den)]
+    if lead != 1:
+        num = {e: _coeff(Fraction(v, lead)) for e, v in num.items()}
+        den = {e: _coeff(Fraction(v, lead)) for e, v in den.items()}
+    return UniPoly._raw(num), UniPoly._raw(den)
+
+
+def _side_exponents(keys: dict, m: dict, held: dict, sign: int) -> dict:
+    """Binomial exponents of one side: its binomials, with each psi_d they
+    hold replaced by the max(sign m_d, 0) copies that side keeps."""
+    out = Counter({k: e * sign for k, e in keys.items() if e * sign > 0})
+    for d, n in m.items():
+        change = max(n * sign, 0) - held[d][sign < 0] * sign
+        if change:
+            for e, mu in _psi_binomials(d):
+                out[e] += mu * change
+    return {e: n for e, n in out.items() if n}
+
+
+def _cancel_gcd(num_f: list, den_f: list) -> tuple[list, list]:
+    """Both sides' products divided by their gcd, each as one (dict, 1) pair.
+
+    The primitive remainder sequence holds subresultants up to content.  By
+    Hadamard's bound on the Sylvester matrix their coefficients are below
+    |A|_1^deg(B) |B|_1^deg(A); that many bits per term are checked first.
+    """
+    A, B = (_product([(_sized(UniPoly._raw(f)), e) for f, e in side])
+            for side in (num_f, den_f))
+    (_, m, _, bits_a), (_, n, _, bits_b) = _sized(A), _sized(B)
+    _check_size(max(m, n), MAX_SPEC_BITS + 1, n * bits_a + m * bits_b)
+    a = [A._c.get(e, 0) for e in range(m + 1)]
+    b = [B._c.get(e, 0) for e in range(n + 1)]
+    g = _int_gcd_dense(a, b)
+    if len(g) > 1:
+        a, b = _int_exact_div(a, g), _int_exact_div(b, g)
+    return ([({e: v for e, v in enumerate(a) if v}, 1)],
+            [({e: v for e, v in enumerate(b) if v}, 1)])
 
 
 def _as_unirf(v) -> UniRatFunc:
@@ -478,49 +854,6 @@ def _qt_map(q: int, bound: int):
     return var
 
 
-def _sized(p: UniPoly) -> tuple[UniPoly, int, int, int]:
-    """p with its degree span, term count and coefficient 1-norm bit length.
-
-    These bound the size of p's powers (see ``_product``); a zero p has
-    term count 0.
-    """
-    c = p._c
-    if not c:
-        return p, 0, 0, 0
-    norm = sum(map(abs, c.values()))
-    return p, max(c) - min(c), len(c), (norm - 1).bit_length()
-
-
-def _product(factors, c: int = 1) -> UniPoly:
-    """c times the (sized image, exponent) pairs multiplied out, checked first.
-
-    The product has at most span + 1 terms, the span being its highest
-    exponent minus its lowest, and at most the product of the factors' term
-    counts, where p^e has at most C(len(p) + e - 1, e) terms (one per
-    multiset of e terms of p).  Its integer coefficients are at most |c|
-    times the product of the factors' coefficient 1-norms, so they fit in
-    the sum of those norms' bit lengths.  The smaller term count times that
-    many bits may not exceed MAX_SPEC_BITS.
-    """
-    span, terms, bits = 0, 1, abs(c).bit_length()
-    for (_, ps, pn, pb), e in factors:
-        if not pn:
-            return UniPoly()
-        span += e * ps
-        terms = min(terms * (pn if e == 1 else comb(pn + e - 1, e)),
-                    MAX_SPEC_BITS + 1)
-        bits += e * pb
-    if min(span + 1, terms) * bits > MAX_SPEC_BITS:
-        raise SizeBoundError(f"a product to expand may hold more than "
-                             f"{MAX_SPEC_BITS} bits of coefficients")
-    out = None
-    for (p, _, _, _), e in factors:
-        out = p ** e if out is None else out * p ** e
-    if out is None:
-        return UniPoly._raw({0: c})
-    return out if c == 1 else out.scale(c)
-
-
 @lru_cache(maxsize=None)
 def _var_image(var, i: int):
     """Sized image of x_i."""
@@ -538,35 +871,32 @@ def _poly_image(items, var) -> UniPoly:
 
 @lru_cache(maxsize=None)
 def _atom_image(atom, var):
-    """Sized image of an F or B atom, cached; P atoms are mostly one-offs."""
+    """Split image of an F or B atom, cached; P atoms are mostly one-offs."""
     if atom[0] == "F":
         _, off, m = atom  # the sum telescopes under the q and (q,t) maps
-        return _sized(sum((var(i) for i in range(off + 1, off + m + 1)),
+        return _split(sum((var(i) for i in range(off + 1, off + m + 1)),
                           UniPoly()))
-    return _sized(1 - _product([(_var_image(var, v), e)
+    return _split(1 - _product([(_var_image(var, v), e)
                                 for v, e in atom[1]]))  # 1 - x^u
 
 
 def _substitute(f: RatFunc, var) -> UniRatFunc:
-    """Map f under x_i -> var(i) and reduce."""
+    """Map f under x_i -> var(i), factored, after checking both sides' size."""
     frf = f._frf
     if frf.is_zero():
         return UniRatFunc(UniPoly())
-    num = [(_sized(_poly_image(frf.num.items(), var)), 1)]
-    den = []
+    parts = [(_split(_poly_image(frf.num.items(), var)), 1)]
     for atom, e in frf.fac.items():
-        a = (_sized(_poly_image(atom[1], var)) if atom[0] == "P"
-             else _atom_image(atom, var))
-        if e > 0:
-            num.append((a, e))
-        else:
-            den.append((a, -e))
-    return UniRatFunc(_product(num, frf.c.numerator),
-                      _product(den, frf.c.denominator))
+        parts.append((_split(_poly_image(atom[1], var)) if atom[0] == "P"
+                      else _atom_image(atom, var), e))
+    c, a, fac = _fold(parts, frf.c)
+    for sign, k in ((1, c.numerator), (-1, c.denominator)):
+        _check_size(*_estimate(_side(fac, sign), k))
+    return UniRatFunc._factored(c, a, fac)
 
 
 def spec_q(f: RatFunc) -> UniRatFunc:
-    """Substitute x_i -> q^{i-1} - q^i and reduce."""
+    """Substitute x_i -> q^{i-1} - q^i."""
     return _substitute(f, _q_var)
 
 
@@ -585,13 +915,14 @@ def _q_hook_sides(ext_stats: Iterable[int], stat_p: int, n: int,
                   hooks: Iterable[int]) -> tuple[UniRatFunc, UniRatFunc]:
     """sum_w q^stat(w) over the extensions, and q^stat(P) [n]!_q / prod [h]_q.
 
-    ``ext_stats`` holds stat(w) for each linear extension w.
+    ``ext_stats`` holds stat(w) for each linear extension w.  The closed
+    form is kept factored as q^stat(P) prod_{m <= n} (1 - q^m) over
+    prod_i (1 - q^{h_i}), the n factors 1 - q of the brackets cancelling.
     """
-    den = UniPoly.constant(1)
-    for h in hooks:
-        den = den * q_bracket(h)
-    closed = UniRatFunc(q_factorial(n) * UniPoly.monomial(stat_p), den)
-    return UniRatFunc(UniPoly(Counter(ext_stats))), closed
+    fac = Counter(range(1, n + 1))
+    fac.subtract(hooks)
+    return (UniRatFunc(UniPoly(Counter(ext_stats))),
+            UniRatFunc._factored(1, stat_p, fac))
 
 
 def verify_bw_inv(p: ForestPoset) -> bool:

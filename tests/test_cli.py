@@ -290,6 +290,19 @@ class TestSpecializeSizeBound:
                            "--expr", "x20^2")
         assert code == 0 and out == "t^2097152-2t^1572864+t^1048576\n"
 
+    def test_high_degree_ratio_is_reduced(self, capsys):
+        # (t^1048576 - t^524288)/(t^524288 - t^262144) = t^524288 + t^262144
+        code, out, _ = run(capsys, "specialize", "--map", "qt", "--qval", "2",
+                           "--expr", "x20/x19")
+        assert code == 0 and out == "t^524288+t^262144\n"
+
+    def test_coefficient_too_long_to_print(self):
+        # 2^20000 has 6021 digits, above Python's default limit of 4300
+        code, out, err = run_process("specialize", "--map", "q",
+                                     "--expr", "2^20000*x1")
+        assert code == 3 and out == "" and "digits" in err
+        assert "Traceback" not in err
+
     def test_exponent_bound_still_reported(self, capsys):
         code, out, err = run(capsys, "specialize", "--map", "qt", "--qval", "2",
                              "--expr", "x30")

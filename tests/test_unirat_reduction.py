@@ -1,0 +1,142 @@
+"""Reduction of factored univariate values against two dense oracles.
+
+A value c t^a N prod (1 - t^k)^e G^f is built through the factored
+arithmetic, and its reduced numerator, denominator and string are compared
+with the dense reduction of the expanded sides: one integer GCD, then a
+monic denominator.  A second test compares them with ``sympy.cancel``.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, strategies as st
+
+from hookweight.specialize import (
+    UniPoly,
+    UniRatFunc,
+    _int_exact_div,
+    _int_gcd_dense,
+)
+
+small_polys = st.dictionaries(st.integers(0, 4), st.integers(-3, 3),
+                              min_size=1, max_size=4).map(UniPoly).filter(
+                                  lambda p: not p.is_zero())
+
+
+def _dense(p: UniPoly) -> list:
+    return [p.coeffs.get(e, 0) for e in range(p.degree() + 1)]
+
+
+def _cyclotomic(d: int) -> UniPoly:
+    """Phi_d as (t^d - 1) divided by Phi_e for every proper divisor e."""
+    out = [-1] + [0] * (d - 1) + [1]
+    for e in range(1, d):
+        if d % e == 0:
+            out = _int_exact_div(out, _dense(_cyclotomic(e)))
+    return UniPoly(dict(enumerate(out)))
+
+
+def _binomial(k: int) -> UniPoly:
+    return UniPoly({0: 1, k: -1})
+
+
+@st.composite
+def values(draw):
+    """(value, expanded num, expanded den) of c t^a N prod (1-t^k)^e G^f."""
+    c = Fraction(draw(st.integers(-6, 6).filter(bool)),
+                 draw(st.integers(1, 6)))
+    a = draw(st.integers(-4, 4))
+    n = draw(small_polys)
+    binomials = draw(st.dictionaries(st.integers(1, 30),
+                                     st.integers(-2, 2).filter(bool),
+                                     max_size=3))
+    if draw(st.booleans()):
+        # N shares a cyclotomic factor with a denominator binomial
+        d = draw(st.integers(1, 10))
+        n = n * _cyclotomic(d)
+        binomials[d * draw(st.integers(1, 3))] = -1
+    g = draw(st.one_of(st.none(), small_polys))
+    f = draw(st.sampled_from([-2, -1, 1, 2]))
+
+    value = UniRatFunc(n) * UniRatFunc(UniPoly.constant(c))
+    num, den = n.scale(c), UniPoly.constant(1)
+    shift = UniPoly.monomial(abs(a))
+    value = value * UniRatFunc(shift) if a >= 0 else value / UniRatFunc(shift)
+    num, den = (num * shift, den) if a >= 0 else (num, den * shift)
+    for k, e in binomials.items():
+        b = UniRatFunc(_binomial(k))
+        for _ in range(abs(e)):
+            value = value * b if e > 0 else value / b
+        num, den = ((num * _binomial(k) ** e, den) if e > 0
+                    else (num, den * _binomial(k) ** -e))
+    if g is not None:
+        value = value * UniRatFunc(g ** f) if f > 0 \
+            else value * UniRatFunc(UniPoly.constant(1), g ** -f)
+        num, den = (num * g ** f, den) if f > 0 else (num, den * g ** -f)
+    return value, num, den
+
+
+def _dense_reduced(num: UniPoly, den: UniPoly) -> tuple[UniPoly, UniPoly]:
+    """num/den reduced by one dense integer GCD, with a monic denominator."""
+    scale_a = scale_b = 1
+    for p in (num, den):
+        for v in p.coeffs.values():
+            v = Fraction(v)
+            if p is num:
+                scale_a = scale_a * v.denominator
+            else:
+                scale_b = scale_b * v.denominator
+    a = [int(v * scale_a) for v in _dense(num)]
+    b = [int(v * scale_b) for v in _dense(den)]
+    g = _int_gcd_dense(a, b)
+    a, b = _int_exact_div(a, g), _int_exact_div(b, g)
+    lead = Fraction(b[-1]) * scale_a / scale_b
+    return (UniPoly({e: Fraction(v) / lead for e, v in enumerate(a)}),
+            UniPoly({e: Fraction(v, b[-1]) for e, v in enumerate(b)}))
+
+
+def _string(num: UniPoly, den: UniPoly) -> str:
+    if den == UniPoly.constant(1):
+        return num.to_string()
+    return f"({num.to_string()})/({den.to_string()})"
+
+
+@given(values())
+def test_reduction_matches_dense_gcd(case):
+    value, num, den = case
+    ref_num, ref_den = _dense_reduced(num, den)
+    assert value.num == ref_num and value.den == ref_den
+    assert value.to_string() == _string(ref_num, ref_den)
+    assert value == UniRatFunc(num, den)
+    # equality also sees the constant, the power of t and the cofactors
+    assert value != value * 2
+    assert value != value * UniPoly.monomial(1)
+    assert value != UniRatFunc(num + den, den)
+
+
+@given(values())
+def test_reduction_matches_sympy_cancel(case):
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("q")
+    value, num, den = case
+
+    def sym(p):
+        return sum(sympy.Rational(v.numerator, v.denominator) * t ** e
+                   for e, v in p.coeffs.items())
+
+    sides = [{m[0]: Fraction(int(v.p), int(v.q))
+              for m, v in sympy.Poly(x, t).terms()}
+             for x in sympy.fraction(sympy.cancel(sym(num) / sym(den)))]
+    lead = sides[1][max(sides[1])]
+    ref = [UniPoly({e: v / lead for e, v in x.items()}) for x in sides]
+    assert value.num == ref[0] and value.den == ref[1]
+    assert value.to_string() == _string(*ref)
+
+
+def test_shared_cyclotomic_factor_cancels():
+    # (1 + q + q^2)(1 + q) / (1 - q^6) = 1 / ((1 - q)(1 - q + q^2))
+    value = UniRatFunc(_cyclotomic(3) * _cyclotomic(2), _binomial(6))
+    assert value.to_string() == "(-1)/(q^3-2q^2+2q-1)"
+    # (1 + q)(1 + q^3) / (1 - q^4) = (1 + q^3) / ((1 - q)(1 + q^2))
+    value = UniRatFunc(UniPoly({0: 1, 1: 1, 3: 1, 4: 1}), _binomial(4))
+    assert value.to_string() == "(-q^3-1)/(q^3-q^2+q-1)"
