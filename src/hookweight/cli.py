@@ -33,7 +33,7 @@ from .fqsym import (
     verify_bw_maj,
 )
 from .parsing import ParseError, parse_ratfunc
-from .qanalog import _shift_ratio_frf, binomial, skew_equal, skew_mul
+from .qanalog import _shift_ratio, binomial, skew_equal, skew_mul
 from .ratfunc import (
     DivisionByZeroError,
     RatFunc,
@@ -310,7 +310,7 @@ def _run_case(payload: tuple) -> bool:
         if k in (0, n):
             return rf_equal(binomial(n, k), RatFunc.from_const(1))
         lhs = binomial(n, k)
-        ratio = RatFunc._from_frf(_shift_ratio_frf(k))
+        ratio = _shift_ratio(k)
         rhs = rf_add(rf_frobenius(binomial(n - 1, k - 1), 1),
                      ratio * rf_frobenius(binomial(n - 1, k), 1))
         return rf_equal(lhs, rhs)

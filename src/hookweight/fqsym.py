@@ -30,20 +30,14 @@ from .combinat import (
     maj,
 )
 from .qanalog import SkewElem, skew_equal, skew_mul, _factorial_atoms
-from .ratfunc import (
-    Polynomial,
-    RatFunc,
-    _FRF,
-    _mono_pack,
-    _mono_degree,
-)
+from .ratfunc import Polynomial, RatFunc, _mono_degree, _mono_pack
 from .specialize import (
     UniRatFunc,
     _all_q_var,
     _q_hook_sides,
     _substitute,
 )
-from .weights import _L_grouped_frf, _wt_perm_tree_frf
+from .weights import _L_grouped_frf, wt_perm_tree
 
 __all__ = [
     "FQSymElem",
@@ -187,28 +181,24 @@ def f_of_poset(p: ForestPoset) -> FQSymElem:
 
 def phi_inv(elem: FQSymElem) -> SkewElem:
     """Linear extension of F_w -> wt(w) u^{(n)} = (wt(w)/[n]!) u^n."""
-    by_degree: dict[int, _FRF] = {}
+    by_degree: dict[int, RatFunc] = {}
     for w, c in elem.terms.items():
-        term = _wt_perm_tree_frf(w)
+        term = wt_perm_tree(w)
         if c != 1:
-            term = term.mul(_FRF.from_const(c))
+            term = term * c
         n = len(w)
         hints = tuple(("F", a, n - a) for a in range(n))
         prev = by_degree.get(n)
-        by_degree[n] = term if prev is None else prev.add(term, hints)
-    coeffs = {}
-    for n, total in by_degree.items():
-        if total.is_zero():
-            continue
-        value = total.mul(_FRF.from_atoms(_factorial_atoms(n, sign=-1)))
-        coeffs[n] = RatFunc._from_frf(value)
-    return SkewElem(coeffs)
+        by_degree[n] = term if prev is None else prev._add(term, hints)
+    return SkewElem({
+        n: total * RatFunc._from_atoms(_factorial_atoms(n, sign=-1))
+        for n, total in by_degree.items()})
 
 
-def _phi_inv_forest_frf(p: ForestPoset) -> _FRF:
+def _phi_inv_forest(p: ForestPoset) -> RatFunc:
     """Coefficient of u^{|p|} in phi_inv(F_p): L(p) / [n]!."""
-    return _L_grouped_frf(p.n, p.cover).mul(
-        _FRF.from_atoms(_factorial_atoms(p.n, sign=-1)))
+    return _L_grouped_frf(p.n, p.cover) * RatFunc._from_atoms(
+        _factorial_atoms(p.n, sign=-1))
 
 
 def concat_forests(p: ForestPoset, q: ForestPoset) -> ForestPoset:
@@ -224,14 +214,11 @@ def check_pbt_morphism(p: ForestPoset, q: ForestPoset) -> bool:
     product = fqsym_mul(fp, fq)
     union = concat_forests(p, q)
     if product == f_of_poset(union):
-        lhs_frf = _phi_inv_forest_frf(union)
-        lhs = SkewElem({union.n: RatFunc._from_frf(lhs_frf)}) \
-            if not lhs_frf.is_zero() else SkewElem()
+        lhs = SkewElem({union.n: _phi_inv_forest(union)})
     else:  # pragma: no cover - the product law holds for labelled forests
         lhs = phi_inv(product)
-    rhs = skew_mul(
-        SkewElem({p.n: RatFunc._from_frf(_phi_inv_forest_frf(p))}),
-        SkewElem({q.n: RatFunc._from_frf(_phi_inv_forest_frf(q))}))
+    rhs = skew_mul(SkewElem({p.n: _phi_inv_forest(p)}),
+                   SkewElem({q.n: _phi_inv_forest(q)}))
     return skew_equal(lhs, rhs)
 
 
@@ -251,7 +238,13 @@ def _monomial_atoms(elements: Iterable[int]) -> dict:
     return atoms
 
 
-def _gamma_perm_frf(word: tuple[int, ...]) -> _FRF:
+def gamma_perm(w: Sequence[int]) -> RatFunc:
+    """Generating function of weakly decreasing maps along the word w.
+
+    Closed form: prod over descents of x_{w_1}..x_{w_i} divided by
+    prod_i (1 - x_{w_1}..x_{w_i}).
+    """
+    word = tuple(Permutation(w))
     atoms: dict = {}
     for i in descents(word):
         for a, e in _monomial_atoms(word[:i]).items():
@@ -259,19 +252,11 @@ def _gamma_perm_frf(word: tuple[int, ...]) -> _FRF:
     for i in range(1, len(word) + 1):
         a = _prefix_atom(word[:i])
         atoms[a] = atoms.get(a, 0) - 1
-    return _FRF.from_atoms(atoms)
+    return RatFunc._from_atoms(atoms)
 
 
-def gamma_perm(w: Sequence[int]) -> RatFunc:
-    """Generating function of weakly decreasing maps along the word w.
-
-    Closed form: prod over descents of x_{w_1}..x_{w_i} divided by
-    prod_i (1 - x_{w_1}..x_{w_i}).
-    """
-    return RatFunc._from_frf(_gamma_perm_frf(tuple(Permutation(w))))
-
-
-def _gamma_dual_forest_frf(p: DualForestPoset) -> _FRF:
+def gamma_dual_forest(p: DualForestPoset) -> RatFunc:
+    """Product formula for the P-partition series of a dual forest."""
     stats = dual_forest_stats(p)
     atoms: dict = {}
     for i in stats.des:
@@ -280,16 +265,11 @@ def _gamma_dual_forest_frf(p: DualForestPoset) -> _FRF:
     for i in range(1, p.n + 1):
         a = _prefix_atom(stats.lower_subtrees[i])
         atoms[a] = atoms.get(a, 0) - 1
-    return _FRF.from_atoms(atoms)
-
-
-def gamma_dual_forest(p: DualForestPoset) -> RatFunc:
-    """Product formula for the P-partition series of a dual forest."""
-    return RatFunc._from_frf(_gamma_dual_forest_frf(p))
+    return RatFunc._from_atoms(atoms)
 
 
 @lru_cache(maxsize=512)
-def _gamma_extension_sum_frf(pre: tuple[frozenset[int], ...]) -> _FRF:
+def _gamma_extension_sum(pre: tuple[frozenset[int], ...]) -> RatFunc:
     n = len(pre)
     full = (1 << n) - 1
     need = [0] * n
@@ -298,22 +278,22 @@ def _gamma_extension_sum_frf(pre: tuple[frozenset[int], ...]) -> _FRF:
             need[i] |= 1 << (r - 1)
 
     @lru_cache(maxsize=None)
-    def tail(mask: int, last: int) -> _FRF:
+    def tail(mask: int, last: int) -> RatFunc:
         if mask == full:
-            return _FRF.ONE
-        total = _FRF.ZERO
+            return RatFunc.from_const(1)
+        total = RatFunc.from_const(0)
         for m in range(1, n + 1):
             bit = 1 << (m - 1)
             if mask & bit or need[m - 1] & ~mask:
                 continue
             new_mask = mask | bit
             ideal = [v + 1 for v in range(n) if new_mask >> v & 1]
-            step = _FRF.from_atoms({_prefix_atom(ideal): -1})
+            step = RatFunc._from_atoms({_prefix_atom(ideal): -1})
             if last > m:
                 placed = [v + 1 for v in range(n) if mask >> v & 1]
-                step = step.mul(_FRF.from_atoms(_monomial_atoms(placed)))
-            term = step.mul(tail(new_mask, m))
-            total = total.add(term)
+                step = step._mul(RatFunc._from_atoms(_monomial_atoms(placed)))
+            term = step._mul(tail(new_mask, m))
+            total = total._add(term)
         return total
 
     result = tail(0, 0)
@@ -334,7 +314,7 @@ def gamma_extension_sum(prereqs: Sequence[frozenset[int]] | Mapping[int, frozens
         pre = tuple(frozenset(prereqs.get(i, frozenset())) for i in range(1, n + 1))
     else:
         pre = tuple(frozenset(s) for s in prereqs)
-    return RatFunc._from_frf(_gamma_extension_sum_frf(pre))
+    return _gamma_extension_sum(pre)
 
 
 def dual_concat_forests(p: DualForestPoset, q: DualForestPoset) -> DualForestPoset:
@@ -388,16 +368,14 @@ def forest_prereqs(p: ForestPoset) -> list[frozenset[int]]:
 
 def phi_maj(elem: FQSymElem) -> SkewElem:
     """Linear extension of F_w -> gamma(w, x) u^n (plain power of u)."""
-    by_degree: dict[int, _FRF] = {}
+    by_degree = {}
     for n in {len(w) for w in elem.terms}:
         words = {w: c for w, c in elem.terms.items() if len(w) == n}
-        total = _gamma_weighted_sum(words)
-        if not total.is_zero():
-            by_degree[n] = total
-    return SkewElem({n: RatFunc._from_frf(v) for n, v in by_degree.items()})
+        by_degree[n] = _gamma_weighted_sum(words)
+    return SkewElem(by_degree)
 
 
-def _gamma_weighted_sum(terms: Mapping[tuple[int, ...], int | Fraction]) -> _FRF:
+def _gamma_weighted_sum(terms: Mapping[tuple[int, ...], int | Fraction]) -> RatFunc:
     """Sum of c_w * gamma(w) folded over the prefix trie of the words.
 
     Every prefix contributes its 1/(1 - x_prefix) factor once, and a descent
@@ -408,21 +386,21 @@ def _gamma_weighted_sum(terms: Mapping[tuple[int, ...], int | Fraction]) -> _FRF
     words = sorted(terms)
 
     def fold(group: Sequence[tuple[int, ...]], depth: int,
-             placed: tuple[int, ...], last: int) -> _FRF:
-        total = _FRF.ZERO
+             placed: tuple[int, ...], last: int) -> RatFunc:
+        total = RatFunc.from_const(0)
         children: dict[int, list[tuple[int, ...]]] = {}
         for w in group:
             if len(w) == depth:
-                total = total.add(_FRF.from_const(terms[w]))
+                total = total._add(RatFunc.from_const(terms[w]))
             else:
                 children.setdefault(w[depth], []).append(w)
         for m, sub in sorted(children.items()):
             new_placed = placed + (m,)
-            step = _FRF.from_atoms({_prefix_atom(new_placed): -1})
+            step = RatFunc._from_atoms({_prefix_atom(new_placed): -1})
             if last > m:
-                step = step.mul(_FRF.from_atoms(_monomial_atoms(placed)))
-            term = step.mul(fold(sub, depth + 1, new_placed, m))
-            total = total.add(term)
+                step = step._mul(RatFunc._from_atoms(_monomial_atoms(placed)))
+            term = step._mul(fold(sub, depth + 1, new_placed, m))
+            total = total._add(term)
         return total
 
     return fold(words, 0, (), 0)

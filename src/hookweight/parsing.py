@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 
-from .ratfunc import _FRF, _MASK, ExponentOverflowError, Polynomial, RatFunc
+from .ratfunc import _DP_ONE, _MASK, ExponentOverflowError, Polynomial, RatFunc
 
 __all__ = ["parse_ratfunc", "parse_polynomial", "ParseError"]
 
@@ -115,7 +115,7 @@ class _Parser:
             var = _int(tok[1:])
             if var < 1:
                 raise ParseError(f"variable index must be positive, got {tok!r}")
-            return RatFunc._from_frf(_FRF.from_atoms({("F", var - 1, 1): 1}))
+            return RatFunc._from_atoms({("F", var - 1, 1): 1})
         raise ParseError(f"unexpected token {tok!r}")
 
 
@@ -131,8 +131,7 @@ def parse_ratfunc(text: str) -> RatFunc:
 
 
 def parse_polynomial(text: str) -> Polynomial:
-    value = parse_ratfunc(text)
-    den = value.den
-    if den != Polynomial.one():
+    num, den = parse_ratfunc(text)._expand()
+    if den != _DP_ONE:
         raise ParseError("expression is not a polynomial")
-    return value.num
+    return Polynomial._from_dict(num)

@@ -16,12 +16,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .ratfunc import (
-    Polynomial,
-    RatFunc,
-    _FRF,
-    rf_equal,
-)
+from .ratfunc import Polynomial, RatFunc, rf_equal
 
 __all__ = [
     "bracket",
@@ -54,15 +49,15 @@ def _factorial_atoms(n: int, shift: int = 0, sign: int = 1) -> dict:
     return {("F", shift + i, n - i): sign for i in range(n)}
 
 
-def _shift_ratio_frf(k: int) -> _FRF:
+def _shift_ratio(k: int) -> RatFunc:
     """F([k]!) / [k]!, the ratio in the Pascal recurrence and in wt_subset."""
-    return _FRF.from_atoms({**_factorial_atoms(k, shift=1),
-                            **_factorial_atoms(k, sign=-1)})
+    return RatFunc._from_atoms({**_factorial_atoms(k, shift=1),
+                                **_factorial_atoms(k, sign=-1)})
 
 
 @lru_cache(maxsize=None)
-def _bracket_factorial_frf(n: int) -> _FRF:
-    return _FRF.from_atoms(_factorial_atoms(n))
+def _bracket_factorial(n: int) -> RatFunc:
+    return RatFunc._from_atoms(_factorial_atoms(n))
 
 
 def bracket_factorial(n: int) -> Polynomial:
@@ -71,11 +66,11 @@ def bracket_factorial(n: int) -> Polynomial:
         raise ValueError("bracket_factorial requires n >= 0")
     if n == 0:
         return Polynomial.one()
-    return RatFunc._from_frf(_bracket_factorial_frf(n)).num
+    return _bracket_factorial(n).num
 
 
 @lru_cache(maxsize=None)
-def _binomial_frf(n: int, k: int) -> _FRF:
+def _binomial(n: int, k: int) -> RatFunc:
     atoms: dict = {}
     for a, e in _factorial_atoms(n).items():
         atoms[a] = atoms.get(a, 0) + e
@@ -83,14 +78,14 @@ def _binomial_frf(n: int, k: int) -> _FRF:
         atoms[a] = atoms.get(a, 0) + e
     for a, e in _factorial_atoms(n - k, shift=k, sign=-1).items():
         atoms[a] = atoms.get(a, 0) + e
-    return _FRF.from_atoms(atoms)
+    return RatFunc._from_atoms(atoms)
 
 
 def binomial(n: int, k: int) -> RatFunc:
     """[n]! / ([k]! * F^k([n-k]!)) as a rational function."""
     if k < 0 or n < 0 or k > n:
         raise ValueError(f"binomial requires 0 <= k <= n, got n={n}, k={k}")
-    return RatFunc._from_frf(_binomial_frf(n, k))
+    return _binomial(n, k)
 
 
 # ---------------------------------------------------------------------------
@@ -186,5 +181,5 @@ def divided_power(n: int) -> SkewElem:
     """u^{(n)} = u^n / [n]!."""
     if n < 0:
         raise ValueError("divided_power requires n >= 0")
-    inv_fact = _FRF.from_atoms(_factorial_atoms(n, sign=-1))
-    return SkewElem.term(RatFunc._from_frf(inv_fact), n)
+    return SkewElem.term(
+        RatFunc._from_atoms(_factorial_atoms(n, sign=-1)), n)

@@ -33,7 +33,9 @@ k -> t^(k % u) on packed keys.  A rejection is a proof; acceptance always
 comes from a long division that leaves no remainder.
 
 The expanded numerator and denominator exist only for printing and for the
-``num``/``den`` properties; they are built on demand and cached.
+``num``/``den`` properties.  They are built on each request and never stored,
+so a value never changes once made and cached values are handed out as they
+are.
 """
 
 from __future__ import annotations
@@ -532,245 +534,6 @@ def _factor_forms(d: dict) -> tuple[dict, dict]:
 
 
 # ---------------------------------------------------------------------------
-# FRF: internal factored rational function
-# ---------------------------------------------------------------------------
-
-def _positive_top(c: Fraction, num: dict) -> tuple[Fraction, dict]:
-    """(c, num) up to a joint sign, with num positive at its largest key."""
-    if num[max(num)] < 0:
-        return -c, _dp_neg(num)
-    return c, num
-
-
-class _FRF:
-    """c * num * prod(atom^e); den-side atoms carry negative exponents.
-
-    ``num`` is a primitive int dict whose coefficient at its largest packed
-    key is positive (so a P atom made from it is canonical); ``c`` absorbs
-    scale and sign.  Zero is c == 0.
-    """
-
-    __slots__ = ("c", "num", "fac")
-
-    def __init__(self, c: Fraction, num: dict, fac: dict):
-        self.c = c
-        self.num = num
-        self.fac = fac
-
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def from_const(c) -> "_FRF":
-        c = Fraction(c)
-        if c == 0:
-            return _FRF_ZERO
-        return _FRF(c, dict(_DP_ONE), {})
-
-    @staticmethod
-    def from_atoms(atoms: Mapping[Atom, int], c=1) -> "_FRF":
-        c = Fraction(c)
-        if c == 0:
-            return _FRF_ZERO
-        return _FRF(c, dict(_DP_ONE), {a: e for a, e in atoms.items() if e})
-
-    @staticmethod
-    def from_dict(d: dict) -> "_FRF":
-        """Factor an expanded polynomial into bracket forms once."""
-        if not d:
-            return _FRF_ZERO
-        (ints,), scale = _coeff_clear([d])
-        residual, fac = _factor_forms(ints)
-        return _FRF._normalized(scale, residual, fac)
-
-    @staticmethod
-    def _normalized(c: Fraction, num: dict, fac: dict,
-                    hint_atoms: Iterable[Atom] = ()) -> "_FRF":
-        """Fold monomial content and recognizable factors of num into fac."""
-        if not num:
-            return _FRF_ZERO
-        fac = {a: e for a, e in fac.items() if e}
-        if num == _DP_ONE:
-            return _FRF(c, num, fac)
-        c, num = _positive_top(c, num)
-        g = 0
-        for v in num.values():
-            g = gcd(g, v)
-            if g == 1:
-                break
-        if g > 1:
-            num = {k: v // g for k, v in num.items()}
-            c = c * g
-        # pull out the common monomial factor as single-variable forms
-        mono = _dp_min_monomial([num])
-        if mono:
-            num = _dp_div_monomial(num, mono)
-            for var, exp in _mono_unpack(mono):
-                a = ("F", var - 1, 1)
-                fac[a] = fac.get(a, 0) + exp
-        # cancel against hinted atoms (typically the denominator's) while
-        # num is not a constant; a constant here is 1 or -1
-        for atom in hint_atoms:
-            while len(num) > 1 or 0 not in num:
-                q = _try_divide_atom(num, atom)
-                if q is None or not q:
-                    break
-                fac[atom] = fac.get(atom, 0) + 1
-                num = q
-        c, num = _positive_top(c, num)  # a binomial quotient flips it
-        # recognize what remains
-        if num != _DP_ONE:
-            form = _dp_as_form(num)
-            if form is not None:
-                fac[form] = fac.get(form, 0) + 1
-                num = dict(_DP_ONE)
-            else:
-                rec = _dp_as_binom(num)
-                if rec is not None:
-                    s, atom = rec
-                    if s < 0:
-                        c = -c
-                    fac[atom] = fac.get(atom, 0) + 1
-                    num = dict(_DP_ONE)
-        fac = {a: e for a, e in fac.items() if e}
-        return _FRF(c, num, fac)
-
-    # -- queries ------------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return self.c == 0
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def mul(self, other: "_FRF") -> "_FRF":
-        if self.c == 0 or other.c == 0:
-            return _FRF_ZERO
-        fac = dict(self.fac)
-        for a, e in other.fac.items():
-            ne = fac.get(a, 0) + e
-            if ne:
-                fac[a] = ne
-            else:
-                del fac[a]
-        if self.num == _DP_ONE:
-            num = other.num if other.num == _DP_ONE else dict(other.num)
-            return _FRF(self.c * other.c, num, fac)
-        if other.num == _DP_ONE:
-            return _FRF(self.c * other.c, dict(self.num), fac)
-        return _FRF._normalized(self.c * other.c,
-                                _dp_mul(self.num, other.num), fac)
-
-    def inv(self) -> "_FRF":
-        if self.c == 0:
-            raise DivisionByZeroError("inverse of the zero rational function")
-        fac = {a: -e for a, e in self.fac.items()}
-        if self.num != _DP_ONE:
-            atom = ("P", tuple(sorted(self.num.items())))
-            e = fac.pop(atom, 0) - 1
-            if e:
-                fac[atom] = e
-        return _FRF(1 / self.c, dict(_DP_ONE), fac)
-
-    def frobenius(self, k: int) -> "_FRF":
-        if k == 0 or self.c == 0:
-            return self
-        return _FRF(self.c, _dp_frobenius(self.num, k),
-                    {_atom_shift(a, k): e for a, e in self.fac.items()})
-
-    def add(self, other: "_FRF", hint_atoms: Iterable[Atom] = ()) -> "_FRF":
-        if self.c == 0:
-            return other
-        if other.c == 0:
-            return self
-        common: dict = {}
-        for a in set(self.fac) | set(other.fac):
-            m = min(self.fac.get(a, 0), other.fac.get(a, 0))
-            if m:
-                common[a] = m
-        p1 = self._expanded_extra(common)
-        p2 = other._expanded_extra(common)
-        c1, c2 = self.c, other.c
-        den_lcm = (c1.denominator * c2.denominator
-                   // gcd(c1.denominator, c2.denominator))
-        s1 = c1.numerator * (den_lcm // c1.denominator)
-        s2 = c2.numerator * (den_lcm // c2.denominator)
-        g = gcd(s1, s2)
-        total = _dp_add(_dp_scale(p1, s1 // g), _dp_scale(p2, s2 // g))
-        if not total:
-            return _FRF_ZERO
-        hints = list(hint_atoms) if hint_atoms else []
-        for a, e in common.items():
-            if e < 0:
-                hints.append(a)
-        return _FRF._normalized(Fraction(g, den_lcm), total, common, hints)
-
-    def _expanded_extra(self, common: dict) -> dict:
-        """self.num times the atoms of self.fac exceeding ``common``."""
-        out = self.num
-        fresh = False
-        for a in set(self.fac) | set(common):
-            extra = self.fac.get(a, 0) - common.get(a, 0)
-            for _ in range(extra):
-                out = _dp_mul(out, _atom_dict(a))
-                fresh = True
-        return out if fresh else dict(out)
-
-    def refactor(self, candidates: Iterable[Atom]) -> "_FRF":
-        """Trial-divide num by candidate atoms (exact, optional speed-up)."""
-        if self.c == 0 or self.num == _DP_ONE:
-            return self
-        num = self.num
-        fac = dict(self.fac)
-        changed = False
-        for atom in candidates:
-            while num != _DP_ONE:
-                q = _try_divide_atom(num, atom)
-                if q is None or not q:
-                    break
-                fac[atom] = fac.get(atom, 0) + 1
-                num = q
-                changed = True
-        if not changed:
-            return self
-        return _FRF._normalized(self.c, num, fac)
-
-    # -- materialization ------------------------------------------------------
-
-    def num_den_dicts(self) -> tuple[dict, dict]:
-        num = _dp_scale(self.num, self.c.numerator)
-        den = {0: self.c.denominator}
-        for a, e in self.fac.items():
-            d = _atom_dict(a)
-            for _ in range(e, 0, -1):
-                num = _dp_mul(num, d)
-            for _ in range(e, 0):
-                den = _dp_mul(den, d)
-        return num, den
-
-    def equals(self, other: "_FRF") -> bool:
-        if self.c == 0 or other.c == 0:
-            return self.c == other.c
-        lhs = self.num
-        rhs = other.num
-        for a in set(self.fac) | set(other.fac):
-            delta = self.fac.get(a, 0) - other.fac.get(a, 0)
-            if not delta:
-                continue
-            d = _atom_dict(a)
-            for _ in range(delta, 0, -1):
-                lhs = _dp_mul(lhs, d)
-            for _ in range(delta, 0):
-                rhs = _dp_mul(rhs, d)
-        s1 = self.c.numerator * other.c.denominator
-        s2 = other.c.numerator * self.c.denominator
-        return _dp_scale(lhs, s1) == _dp_scale(rhs, s2)
-
-
-_FRF_ZERO = _FRF(Fraction(0), {}, {})
-_FRF.ZERO = _FRF_ZERO
-_FRF.ONE = _FRF(Fraction(1), dict(_DP_ONE), {})
-
-
-# ---------------------------------------------------------------------------
 # public Monomial / Polynomial
 # ---------------------------------------------------------------------------
 
@@ -1024,60 +787,260 @@ def _poly_str(d: dict) -> str:
 # RatFunc
 # ---------------------------------------------------------------------------
 
+def _positive_top(c: Fraction, num: dict) -> tuple[Fraction, dict]:
+    """(c, num) up to a joint sign, with num positive at its largest key."""
+    if num[max(num)] < 0:
+        return -c, _dp_neg(num)
+    return c, num
+
+
+def _times_atoms(d: dict, powers: Iterable[tuple[Atom, int]]) -> dict:
+    """d times a^e for every (a, e) in ``powers`` with e > 0."""
+    for a, e in powers:
+        if e > 0:
+            ad = _atom_dict(a)
+            for _ in range(e):
+                d = _dp_mul(d, ad)
+    return d
+
+
+def _raw(c: Fraction, num: dict, fac: dict) -> "RatFunc":
+    """A RatFunc from fields that are already normalized."""
+    rf = object.__new__(RatFunc)
+    rf._c = c
+    rf._num = num
+    rf._fac = fac
+    return rf
+
+
 class RatFunc:
     """Exact rational function, held factored as c * num * prod(atom^e).
 
-    The atoms are bracket forms, binomials 1 - x^m and opaque polynomials
-    (see the module notes).  ``RatFunc(num, den)`` factors its expanded
-    arguments once, so bracket and binomial factors that ``num`` and ``den``
-    share cancel.  No polynomial GCD is ever taken: equality (``==``,
-    ``rf_equal``) is semantic, by cross multiplication.  The expanded
-    ``num``/``den`` pair is built only when asked for or printed.
+    ``_c`` is a Fraction that absorbs scale and sign; zero is ``_c == 0``.
+    ``_num`` is a primitive int dict whose coefficient at its largest packed
+    key is positive, so a P atom made from it is canonical.  ``_fac`` maps
+    atoms (bracket forms, binomials 1 - x^m and opaque polynomials, see the
+    module notes) to nonzero exponents, negative on the denominator side.
+    ``RatFunc(num, den)`` factors its expanded arguments once, so bracket and
+    binomial factors that ``num`` and ``den`` share cancel.  No polynomial
+    GCD is ever taken: equality (``==``, ``rf_equal``) is semantic, by cross
+    multiplication.
+
+    A value is immutable: no method changes its fields or their dicts, so
+    values may share dicts and a cached value is handed out as it is.  The
+    public ``num``/``den`` are the expanded, normalized pair; like the
+    printed form they are built on each request and never stored.
     """
 
-    __slots__ = ("_num", "_den", "_frf")
+    __slots__ = ("_c", "_num", "_fac")
 
     def __init__(self, num=None, den=1):
         if isinstance(num, RatFunc):
-            self._num, self._den, self._frf = num._num, num._den, num._frf
-            return
-        num = Polynomial.zero() if num is None else _as_poly(num)
-        den = _as_poly(den)
-        if not den._d:
-            raise DivisionByZeroError("zero denominator")
-        self._num = self._den = None
-        self._frf = _FRF.from_dict(num._d).mul(_FRF.from_dict(den._d).inv())
+            value = num
+        else:
+            num = Polynomial.zero() if num is None else _as_poly(num)
+            den = _as_poly(den)
+            if not den._d:
+                raise DivisionByZeroError("zero denominator")
+            value = RatFunc._from_dict(num._d)._mul(
+                RatFunc._from_dict(den._d)._inv())
+        self._c, self._num, self._fac = value._c, value._num, value._fac
 
-    @classmethod
-    def _from_frf(cls, f: _FRF) -> "RatFunc":
-        rf = object.__new__(cls)
-        rf._num = None
-        rf._den = None
-        rf._frf = f
-        return rf
+    # -- constructors ----------------------------------------------------------
 
-    @classmethod
-    def from_const(cls, c) -> "RatFunc":
-        return cls._from_frf(_FRF.from_const(c))
+    @staticmethod
+    def from_const(c) -> "RatFunc":
+        return RatFunc._from_atoms({}, c)
 
-    def _materialize(self) -> None:
-        """Cache the expanded, normalized num/den pair (for printing)."""
-        if self._num is None:
-            num, den = self._frf.num_den_dicts()
-            self._num, self._den = _rf_normalize(num, den)
+    @staticmethod
+    def _from_atoms(atoms: Mapping[Atom, int], c=1) -> "RatFunc":
+        c = Fraction(c)
+        if c == 0:
+            return _ZERO
+        return _raw(c, _DP_ONE, {a: e for a, e in atoms.items() if e})
+
+    @staticmethod
+    def _from_dict(d: dict) -> "RatFunc":
+        """Factor an expanded polynomial into bracket forms once."""
+        if not d:
+            return _ZERO
+        (ints,), scale = _coeff_clear([d])
+        residual, fac = _factor_forms(ints)
+        return RatFunc._normalized(scale, residual, fac)
+
+    @staticmethod
+    def _normalized(c: Fraction, num: dict, fac: dict,
+                    hint_atoms: Iterable[Atom] = ()) -> "RatFunc":
+        """Fold monomial content, the hint atoms that divide num and a
+        recognizable rest of num into fac."""
+        if not num:
+            return _ZERO
+        fac = {a: e for a, e in fac.items() if e}
+        if num == _DP_ONE:
+            return _raw(c, _DP_ONE, fac)
+        c, num = _positive_top(c, num)
+        g = 0
+        for v in num.values():
+            g = gcd(g, v)
+            if g == 1:
+                break
+        if g > 1:
+            num = {k: v // g for k, v in num.items()}
+            c = c * g
+        # pull out the common monomial factor as single-variable forms
+        mono = _dp_min_monomial([num])
+        if mono:
+            num = _dp_div_monomial(num, mono)
+            for var, exp in _mono_unpack(mono):
+                a = ("F", var - 1, 1)
+                fac[a] = fac.get(a, 0) + exp
+        # the one trial-division loop: divide by each hinted atom (typically
+        # the denominator's) while num is not a constant; a constant here
+        # is 1 or -1
+        for atom in hint_atoms:
+            while len(num) > 1 or 0 not in num:
+                q = _try_divide_atom(num, atom)
+                if q is None or not q:
+                    break
+                fac[atom] = fac.get(atom, 0) + 1
+                num = q
+        c, num = _positive_top(c, num)  # a binomial quotient flips it
+        # recognize what remains
+        if num != _DP_ONE:
+            form = _dp_as_form(num)
+            if form is not None:
+                fac[form] = fac.get(form, 0) + 1
+                num = _DP_ONE
+            else:
+                rec = _dp_as_binom(num)
+                if rec is not None:
+                    s, atom = rec
+                    if s < 0:
+                        c = -c
+                    fac[atom] = fac.get(atom, 0) + 1
+                    num = _DP_ONE
+        fac = {a: e for a, e in fac.items() if e}
+        return _raw(c, num, fac)
+
+    # -- queries ---------------------------------------------------------------
+
+    def is_zero(self) -> bool:
+        return self._c == 0
+
+    def _expand(self) -> tuple[dict, dict]:
+        """The expanded num/den pair, normalized as printed: joint integer
+        content and monomial factor removed, positive leading den."""
+        if self._c == 0:
+            return {}, dict(_DP_ONE)
+        c, fac = self._c, self._fac
+        num = _times_atoms(_dp_scale(self._num, c.numerator), fac.items())
+        den = _times_atoms({0: c.denominator},
+                           ((a, -e) for a, e in fac.items()))
+        (num, den), _scale = _coeff_clear([num, den])
+        mono = _dp_min_monomial([num, den])
+        if mono:
+            num = _dp_div_monomial(num, mono)
+            den = _dp_div_monomial(den, mono)
+        if den[_dp_leading_key(den)] < 0:
+            num = _dp_neg(num)
+            den = _dp_neg(den)
+        return num, den
 
     @property
     def num(self) -> Polynomial:
-        self._materialize()
-        return Polynomial._from_dict(dict(self._num))
+        return Polynomial._from_dict(self._expand()[0])
 
     @property
     def den(self) -> Polynomial:
-        self._materialize()
-        return Polynomial._from_dict(dict(self._den))
+        return Polynomial._from_dict(self._expand()[1])
 
-    def is_zero(self) -> bool:
-        return self._frf.is_zero()
+    # -- arithmetic --------------------------------------------------------------
+
+    def _mul(self, other: "RatFunc") -> "RatFunc":
+        if self._c == 0 or other._c == 0:
+            return _ZERO
+        fac = dict(self._fac)
+        for a, e in other._fac.items():
+            ne = fac.get(a, 0) + e
+            if ne:
+                fac[a] = ne
+            else:
+                del fac[a]
+        c = self._c * other._c
+        if self._num == _DP_ONE:
+            return _raw(c, other._num, fac)
+        if other._num == _DP_ONE:
+            return _raw(c, self._num, fac)
+        return RatFunc._normalized(c, _dp_mul(self._num, other._num), fac)
+
+    def _inv(self) -> "RatFunc":
+        if self._c == 0:
+            raise DivisionByZeroError("inverse of the zero rational function")
+        fac = {a: -e for a, e in self._fac.items()}
+        if self._num != _DP_ONE:
+            atom = ("P", tuple(sorted(self._num.items())))
+            e = fac.pop(atom, 0) - 1
+            if e:
+                fac[atom] = e
+        return _raw(1 / self._c, _DP_ONE, fac)
+
+    def frobenius(self, k: int) -> "RatFunc":
+        if k < 0:
+            raise ValueError("frobenius shift must be nonnegative")
+        if k == 0 or self._c == 0:
+            return self
+        return _raw(self._c, _dp_frobenius(self._num, k),
+                    {_atom_shift(a, k): e for a, e in self._fac.items()})
+
+    def _cross(self, other: "RatFunc") -> tuple[dict, dict]:
+        """Each side's num times the atom powers it holds beyond the other."""
+        delta = {a: self._fac.get(a, 0) - other._fac.get(a, 0)
+                 for a in self._fac.keys() | other._fac.keys()}
+        return (_times_atoms(self._num, delta.items()),
+                _times_atoms(other._num, ((a, -e) for a, e in delta.items())))
+
+    def _add(self, other: "RatFunc",
+             hint_atoms: Iterable[Atom] = ()) -> "RatFunc":
+        """The sum over the atoms both sides share, trial-divided by
+        ``hint_atoms`` and then by the shared denominator atoms."""
+        if self._c == 0:
+            return other
+        if other._c == 0:
+            return self
+        common: dict = {}
+        for a in set(self._fac) | set(other._fac):
+            m = min(self._fac.get(a, 0), other._fac.get(a, 0))
+            if m:
+                common[a] = m
+        p1, p2 = self._cross(other)
+        c1, c2 = self._c, other._c
+        den_lcm = (c1.denominator * c2.denominator
+                   // gcd(c1.denominator, c2.denominator))
+        s1 = c1.numerator * (den_lcm // c1.denominator)
+        s2 = c2.numerator * (den_lcm // c2.denominator)
+        g = gcd(s1, s2)
+        total = _dp_add(_dp_scale(p1, s1 // g), _dp_scale(p2, s2 // g))
+        if not total:
+            return _ZERO
+        hints = list(hint_atoms)
+        hints.extend(a for a, e in common.items() if e < 0)
+        return RatFunc._normalized(Fraction(g, den_lcm), total, common, hints)
+
+    def _refactor(self, candidates: Iterable[Atom]) -> "RatFunc":
+        """Trial-divide num by candidate atoms (exact, optional speed-up)."""
+        if self._c == 0 or self._num == _DP_ONE:
+            return self
+        return RatFunc._normalized(self._c, self._num, self._fac, candidates)
+
+    def _equals(self, other: "RatFunc") -> bool:
+        if self._c == 0 or other._c == 0:
+            return self._c == other._c
+        lhs, rhs = self._cross(other)
+        s1 = self._c.numerator * other._c.denominator
+        s2 = other._c.numerator * self._c.denominator
+        return _dp_scale(lhs, s1) == _dp_scale(rhs, s2)
+
+    # -- operators ---------------------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -1089,38 +1052,38 @@ class RatFunc:
     __hash__ = None  # semantic equality is not hash-compatible
 
     def __add__(self, other) -> "RatFunc":
-        return rf_add(self, _as_rf(other))
+        return rf_add(self, other)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RatFunc":
-        return rf_mul(RatFunc.from_const(-1), self)
+        return _raw(-self._c, self._num, self._fac)
 
     def __sub__(self, other) -> "RatFunc":
         return rf_add(self, -_as_rf(other))
 
     def __rsub__(self, other) -> "RatFunc":
-        return rf_add(_as_rf(other), -self)
+        return rf_add(other, -self)
 
     def __mul__(self, other) -> "RatFunc":
-        return rf_mul(self, _as_rf(other))
+        return rf_mul(self, other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "RatFunc":
-        return rf_div(self, _as_rf(other))
+        return rf_div(self, other)
 
     def __rtruediv__(self, other) -> "RatFunc":
-        return rf_div(_as_rf(other), self)
-
-    def frobenius(self, k: int) -> "RatFunc":
-        return rf_frobenius(self, k)
+        return rf_div(other, self)
 
     def __str__(self) -> str:
         return rf_to_canonical_string(self)
 
     def __repr__(self) -> str:
         return f"RatFunc<{self}>"
+
+
+_ZERO = _raw(Fraction(0), {}, {})
 
 
 def _as_rf(v) -> RatFunc:
@@ -1133,51 +1096,34 @@ def _as_rf(v) -> RatFunc:
     raise TypeError(f"expected RatFunc, got {type(v)}")
 
 
-def _rf_normalize(num: dict, den: dict) -> tuple[dict, dict]:
-    if not num:
-        return {}, dict(_DP_ONE)
-    (num, den), _scale = _coeff_clear([num, den])
-    mono = _dp_min_monomial([num, den])
-    if mono:
-        num = _dp_div_monomial(num, mono)
-        den = _dp_div_monomial(den, mono)
-    if den[_dp_leading_key(den)] < 0:
-        num = _dp_neg(num)
-        den = _dp_neg(den)
-    return num, den
-
-
 def rf_add(a: RatFunc, b: RatFunc) -> RatFunc:
-    return RatFunc._from_frf(_as_rf(a)._frf.add(_as_rf(b)._frf))
+    return _as_rf(a)._add(_as_rf(b))
 
 
 def rf_mul(a: RatFunc, b: RatFunc) -> RatFunc:
-    return RatFunc._from_frf(_as_rf(a)._frf.mul(_as_rf(b)._frf))
+    return _as_rf(a)._mul(_as_rf(b))
 
 
 def rf_inv(a: RatFunc) -> RatFunc:
-    return RatFunc._from_frf(_as_rf(a)._frf.inv())
+    return _as_rf(a)._inv()
 
 
 def rf_div(a: RatFunc, b: RatFunc) -> RatFunc:
-    return rf_mul(_as_rf(a), rf_inv(_as_rf(b)))
+    return rf_mul(a, rf_inv(b))
 
 
 def rf_frobenius(a: RatFunc, k: int) -> RatFunc:
-    if k < 0:
-        raise ValueError("frobenius shift must be nonnegative")
-    return RatFunc._from_frf(_as_rf(a)._frf.frobenius(k))
+    return _as_rf(a).frobenius(k)
 
 
 def rf_equal(a: RatFunc, b: RatFunc) -> bool:
     """True iff a.num * b.den == b.num * a.den exactly."""
-    return _as_rf(a)._frf.equals(_as_rf(b)._frf)
+    return _as_rf(a)._equals(_as_rf(b))
 
 
 def rf_to_canonical_string(a: RatFunc) -> str:
     """Deterministic rendering, e.g. ``(x2x3+x3^2)/(x1^2+x1x2)``."""
-    a = _as_rf(a)
-    a._materialize()
-    if a._den == _DP_ONE:
-        return _poly_str(a._num)
-    return f"({_poly_str(a._num)})/({_poly_str(a._den)})"
+    num, den = _as_rf(a)._expand()
+    if den == _DP_ONE:
+        return _poly_str(num)
+    return f"({_poly_str(num)})/({_poly_str(den)})"

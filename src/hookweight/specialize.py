@@ -882,14 +882,13 @@ def _atom_image(atom, var):
 
 def _substitute(f: RatFunc, var) -> UniRatFunc:
     """Map f under x_i -> var(i), factored, after checking both sides' size."""
-    frf = f._frf
-    if frf.is_zero():
+    if f.is_zero():
         return UniRatFunc(UniPoly())
-    parts = [(_split(_poly_image(frf.num.items(), var)), 1)]
-    for atom, e in frf.fac.items():
+    parts = [(_split(_poly_image(f._num.items(), var)), 1)]
+    for atom, e in f._fac.items():
         parts.append((_split(_poly_image(atom[1], var)) if atom[0] == "P"
                       else _atom_image(atom, var), e))
-    c, a, fac = _fold(parts, frf.c)
+    c, a, fac = _fold(parts, f._c)
     for sign, k in ((1, c.numerator), (-1, c.denominator)):
         _check_size(*_estimate(_side(fac, sign), k))
     return UniRatFunc._factored(c, a, fac)

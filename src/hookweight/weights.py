@@ -34,8 +34,8 @@ from .combinat import (
     subtree_data,
     tree_pair_stats,
 )
-from .qanalog import _factorial_atoms, _shift_ratio_frf
-from .ratfunc import RatFunc, _FRF
+from .qanalog import _factorial_atoms, _shift_ratio
+from .ratfunc import RatFunc
 
 __all__ = [
     "wt_subset",
@@ -70,24 +70,24 @@ def _hook_candidates(n: int) -> tuple:
 # subset weights
 # ---------------------------------------------------------------------------
 
-def _wt_subset_frf(s: tuple[int, ...]) -> _FRF:
+def _wt_subset(s: tuple[int, ...]) -> RatFunc:
     k = len(s)
     atoms = dict(_factorial_atoms(k, sign=-1))
     for j, i_j in enumerate(s, start=1):
         a = ("F", i_j - 1, j)
         atoms[a] = atoms.get(a, 0) + 1
-    return _FRF.from_atoms(atoms)
+    return RatFunc._from_atoms(atoms)
 
 
-def _wt_subset_recursive_frf(s: tuple[int, ...]) -> _FRF:
+def _wt_subset_recursive(s: tuple[int, ...]) -> RatFunc:
     if not s:
-        return _FRF.ONE
+        return RatFunc.from_const(1)
     k = len(s)
     if 1 in s:
         shat = tuple(i - 1 for i in s if i != 1)
-        return _wt_subset_recursive_frf(shat).frobenius(1)
+        return _wt_subset_recursive(shat).frobenius(1)
     shat = tuple(i - 1 for i in s)
-    return _shift_ratio_frf(k).mul(_wt_subset_recursive_frf(shat).frobenius(1))
+    return _shift_ratio(k) * _wt_subset_recursive(shat).frobenius(1)
 
 
 def wt_subset(s: Iterable[int], k: int | None = None,
@@ -97,9 +97,9 @@ def wt_subset(s: Iterable[int], k: int | None = None,
     if k is not None and k != len(s):
         raise ValueError(f"subset has {len(s)} elements, expected {k}")
     if method == "product":
-        return RatFunc._from_frf(_wt_subset_frf(tuple(s)))
+        return _wt_subset(tuple(s))
     if method == "recursive":
-        return RatFunc._from_frf(_wt_subset_recursive_frf(tuple(s)))
+        return _wt_subset_recursive(tuple(s))
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -108,24 +108,24 @@ def wt_subset(s: Iterable[int], k: int | None = None,
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=200000)
-def _wt_perm_recursive_frf(word: tuple[int, ...]) -> _FRF:
+def _wt_perm_recursive_frf(word: tuple[int, ...]) -> RatFunc:
     if not word:
-        return _FRF.ONE
+        return RatFunc.from_const(1)
     u, a, bhat, k = parabolic_factorization(Permutation(word))
     s = tuple(set_of_grassmannian(u, k))
-    value = _wt_subset_frf(s)
-    value = value.mul(_wt_perm_recursive_frf(tuple(a)))
-    return value.mul(_wt_perm_recursive_frf(tuple(bhat)).frobenius(k + 1))
+    value = _wt_subset(s) * _wt_perm_recursive_frf(tuple(a))
+    return value * _wt_perm_recursive_frf(tuple(bhat)).frobenius(k + 1)
 
 
 def wt_perm_recursive(w: Sequence[int]) -> RatFunc:
     """wt(w) by the parabolic recursion."""
-    return RatFunc._from_frf(_wt_perm_recursive_frf(tuple(Permutation(w))))
+    return _wt_perm_recursive_frf(tuple(Permutation(w)))
 
 
-def _wt_perm_tree_frf(word: tuple[int, ...]) -> _FRF:
+def wt_perm_tree(w: Sequence[int]) -> RatFunc:
+    """wt(w) as the product of N/D over pairs of the increasing tree."""
     atoms: dict = {}
-    for alpha, beta, w_beta, ell, r in tree_pair_stats(Permutation(word)):
+    for alpha, beta, w_beta, ell, r in tree_pair_stats(Permutation(w)):
         off = w_beta - ell - 1
         if off < 0:
             raise AssertionError(f"negative form offset for pair ({alpha},{beta})")
@@ -133,12 +133,7 @@ def _wt_perm_tree_frf(word: tuple[int, ...]) -> _FRF:
         num = ("F", off + r + 1, ell)
         atoms[num] = atoms.get(num, 0) + 1
         atoms[den] = atoms.get(den, 0) - 1
-    return _FRF.from_atoms({a: e for a, e in atoms.items() if e})
-
-
-def wt_perm_tree(w: Sequence[int]) -> RatFunc:
-    """wt(w) as the product of N/D over pairs of the increasing tree."""
-    return RatFunc._from_frf(_wt_perm_tree_frf(tuple(Permutation(w))))
+    return RatFunc._from_atoms(atoms)
 
 
 def inv_via_tree(w: Sequence[int]) -> int:
@@ -150,33 +145,29 @@ def inv_via_tree(w: Sequence[int]) -> int:
 # the two sides of the hook identity
 # ---------------------------------------------------------------------------
 
-def _H_frf(p: ForestPoset) -> _FRF:
+def H_of_forest(p: ForestPoset) -> RatFunc:
+    """[n]! divided by the Frobenius-shifted hook of every subtree."""
+    _require_recursively_labelled(p)
     atoms = dict(_factorial_atoms(p.n))
     for i in range(1, p.n + 1):
         lo, _hi, h = subtree_data(p, i)
         a = ("F", lo - 1, h)
         atoms[a] = atoms.get(a, 0) - 1
-    return _FRF.from_atoms({a: e for a, e in atoms.items() if e})
-
-
-def H_of_forest(p: ForestPoset) -> RatFunc:
-    """[n]! divided by the Frobenius-shifted hook of every subtree."""
-    _require_recursively_labelled(p)
-    return RatFunc._from_frf(_H_frf(p))
+    return RatFunc._from_atoms(atoms)
 
 
 @lru_cache(maxsize=None)
-def _subset_sum_frf(n: int, k: int) -> _FRF:
+def _subset_sum(n: int, k: int) -> RatFunc:
     """Sum of wt(S) over k-subsets S of {2..n}: the shuffles with u(1)=k+1."""
     hooks = _hook_candidates(n)
-    total = _FRF.ZERO
+    total = RatFunc.from_const(0)
     for comb in combinations(range(2, n + 1), k):
-        total = total.add(_wt_subset_frf(tuple(reversed(comb))), hooks)
-    return total.refactor(hooks)
+        total = total._add(_wt_subset(tuple(reversed(comb))), hooks)
+    return total._refactor(hooks)
 
 
 @lru_cache(maxsize=None)
-def _L_grouped_frf(n: int, cover: tuple[int, ...]) -> _FRF:
+def _L_grouped_frf(n: int, cover: tuple[int, ...]) -> RatFunc:
     """Exact sum of wt over extensions, grouped by the first letter.
 
     Extensions starting with a root rho split as (shuffle pattern u with
@@ -185,9 +176,9 @@ def _L_grouped_frf(n: int, cover: tuple[int, ...]) -> _FRF:
     sum is subset-sum(n, rho-1) * L(left part) * F^rho(L(right part)).
     """
     if n == 0:
-        return _FRF.ONE
+        return RatFunc.from_const(1)
     hooks = _hook_candidates(n)
-    total = _FRF.ZERO
+    total = RatFunc.from_const(0)
     for rho in range(1, n + 1):
         if cover[rho - 1]:
             continue  # not a root
@@ -195,20 +186,10 @@ def _L_grouped_frf(n: int, cover: tuple[int, ...]) -> _FRF:
                      for i in range(rho - 1))
         right = tuple(cover[i] - rho if cover[i] and cover[i] != rho else 0
                       for i in range(rho, n))
-        term = _subset_sum_frf(n, rho - 1)
-        term = term.mul(_L_grouped_frf(rho - 1, left))
-        term = term.mul(_L_grouped_frf(n - rho, right).frobenius(rho))
-        total = total.add(term, hooks)
-    return total.refactor(hooks)
-
-
-def _L_direct_frf(p: ForestPoset) -> _FRF:
-    """Literal left-to-right accumulation over lexicographic extensions."""
-    hooks = _hook_candidates(p.n)
-    total = _FRF.ZERO
-    for w in linear_extensions(p):
-        total = total.add(_wt_perm_tree_frf(tuple(w)), hooks)
-    return total.refactor(hooks)
+        term = _subset_sum(n, rho - 1) * _L_grouped_frf(rho - 1, left)
+        term = term * _L_grouped_frf(n - rho, right).frobenius(rho)
+        total = total._add(term, hooks)
+    return total._refactor(hooks)
 
 
 def L_of_forest(p: ForestPoset, method: str = "grouped") -> RatFunc:
@@ -220,7 +201,11 @@ def L_of_forest(p: ForestPoset, method: str = "grouped") -> RatFunc:
     """
     _require_recursively_labelled(p)
     if method == "grouped":
-        return RatFunc._from_frf(_L_grouped_frf(p.n, p.cover))
+        return _L_grouped_frf(p.n, p.cover)
     if method == "direct":
-        return RatFunc._from_frf(_L_direct_frf(p))
+        hooks = _hook_candidates(p.n)
+        total = RatFunc.from_const(0)
+        for w in linear_extensions(p):
+            total = total._add(wt_perm_tree(w), hooks)
+        return total._refactor(hooks)
     raise ValueError(f"unknown method {method!r}")

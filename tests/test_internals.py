@@ -16,9 +16,9 @@ from hypothesis import example, given, strategies as st
 
 from hookweight import ratfunc
 from hookweight.ratfunc import (
-    _FRF,
     ExponentOverflowError,
     Monomial,
+    RatFunc,
     _atom_dict,
     _dp_add,
     _dp_div_binom,
@@ -230,8 +230,8 @@ class TestFactorForms:
 
 
 def frf_value(f):
-    """(num, den) dict pair representing the FRF exactly."""
-    num, den = f.num_den_dicts()
+    """(num, den) dict pair representing the factored value exactly."""
+    num, den = f._expand()
     return num, den
 
 
@@ -241,12 +241,12 @@ def cross_equal(a, b):
 
 
 def random_frf(rng):
-    base = _FRF.from_dict(dict_poly(rng, max_terms=3) or {0: 1})
+    base = RatFunc._from_dict(dict_poly(rng, max_terms=3) or {0: 1})
     atoms = {}
     for _ in range(rng.randint(0, 3)):
         atoms[random_form(rng)] = rng.choice([-2, -1, 1, 2])
-    scaled = base.mul(_FRF.from_atoms(atoms, c=Fraction(rng.randint(1, 5),
-                                                        rng.randint(1, 5))))
+    scaled = base._mul(RatFunc._from_atoms(atoms, c=Fraction(rng.randint(1, 5),
+                                                             rng.randint(1, 5))))
     return scaled
 
 
@@ -257,23 +257,23 @@ class TestFRF:
             (nf, df), (ng, dg) = frf_value(f), frf_value(g)
             expected = (_dp_add(_dp_mul(nf, dg), _dp_mul(ng, df)),
                         _dp_mul(df, dg))
-            assert cross_equal(frf_value(f.add(g)), expected)
+            assert cross_equal(frf_value(f._add(g)), expected)
 
     def test_mul_matches_cross_multiplication(self, rng):
         for _ in range(120):
             f, g = random_frf(rng), random_frf(rng)
             (nf, df), (ng, dg) = frf_value(f), frf_value(g)
             expected = (_dp_mul(nf, ng), _dp_mul(df, dg))
-            assert cross_equal(frf_value(f.mul(g)), expected)
+            assert cross_equal(frf_value(f._mul(g)), expected)
 
     def test_equals_matches_cross_multiplication(self, rng):
         for _ in range(150):
             f, g = random_frf(rng), random_frf(rng)
-            assert f.equals(g) == cross_equal(frf_value(f), frf_value(g))
-            assert f.equals(f)
-            scaled = f.mul(_FRF.from_const(Fraction(3, 7)))
-            unscaled = scaled.mul(_FRF.from_const(Fraction(7, 3)))
-            assert f.equals(unscaled)
+            assert f._equals(g) == cross_equal(frf_value(f), frf_value(g))
+            assert f._equals(f)
+            scaled = f._mul(RatFunc.from_const(Fraction(3, 7)))
+            unscaled = scaled._mul(RatFunc.from_const(Fraction(7, 3)))
+            assert f._equals(unscaled)
 
     def test_frobenius_commutes_with_value(self, rng):
         for _ in range(80):
@@ -298,9 +298,9 @@ class TestFactoredConstruction:
             rf = RatFunc(Polynomial._from_dict(dict(num)),
                          Polynomial._from_dict(dict(den)))
             # pure form denominators always factor into F atoms
-            assert all(atom[0] == "F" for atom, e in rf._frf.fac.items()
+            assert all(atom[0] == "F" for atom, e in rf._fac.items()
                        if e < 0)
-            assert cross_equal(rf._frf.num_den_dicts(), (num, den))
+            assert cross_equal(rf._expand(), (num, den))
             assert cross_equal((rf.num._d, rf.den._d), (num, den))
 
 
@@ -316,10 +316,10 @@ class TestHintDivision:
         monkeypatch.setattr(ratfunc, "_try_divide_atom", counting)
         hints = [("B", ((v, 1),)) for v in (1, 2, 3)]
         # (1 - x1) / (1 - x1) leaves the constant -1 after the sign fix
-        f = _FRF._normalized(Fraction(1), {0: 1, _mono_pack({1: 1}): -1}, {},
-                             hints)
+        f = RatFunc._normalized(Fraction(1), {0: 1, _mono_pack({1: 1}): -1},
+                                {}, hints)
         assert calls == hints[:1]
-        assert f.c == 1 and f.num == {0: 1} and f.fac == {hints[0]: 1}
+        assert f._c == 1 and f._num == {0: 1} and f._fac == {hints[0]: 1}
 
 
 class TestOpaqueAtomSign:
@@ -330,10 +330,10 @@ class TestOpaqueAtomSign:
             p = dict_poly(rng)
             if not p:
                 continue
-            a = RatFunc(Polynomial._from_dict(dict(p)))._frf.inv()
-            b = RatFunc(Polynomial._from_dict(_dp_neg(p)))._frf.inv()
-            assert a.fac == b.fac and a.c == -b.c
-            seen_p += any(atom[0] == "P" for atom in a.fac)
+            a = RatFunc(Polynomial._from_dict(dict(p)))._inv()
+            b = RatFunc(Polynomial._from_dict(_dp_neg(p)))._inv()
+            assert a._fac == b._fac and a._c == -b._c
+            seen_p += any(atom[0] == "P" for atom in a._fac)
         assert seen_p
 
 
@@ -387,7 +387,28 @@ class TestSingleRepresentation:
         for skew in (phi_inv(elem), phi_maj(elem), divided_power(3)):
             values.extend(skew.coeffs.values())
         for value in values:
-            assert isinstance(value._frf, _FRF), value
+            assert (type(value) is RatFunc and isinstance(value._c, Fraction)
+                    and isinstance(value._num, dict)
+                    and isinstance(value._fac, dict)), value
+
+    def test_printing_a_cached_value_leaves_it_unchanged(self):
+        from hookweight.combinat import ForestPoset
+        from hookweight.weights import L_of_forest
+        p = ForestPoset.from_covers(5, [[2, 1], [3, 1], [5, 4]])
+        value = L_of_forest(p)
+        assert L_of_forest(p) is value  # handed out from the cache
+        assert len(value._fac) > 2  # atoms that printing multiplies out
+        fields = (value._c, value._num, value._fac)
+        copies = (value._c, dict(value._num), dict(value._fac))
+        text = str(value)
+        num, den = value.num, value.den
+        num._d.clear()  # the returned polynomials are the caller's own
+        den._d.clear()
+        assert (value._c, value._num, value._fac) == copies
+        assert all(now is then for now, then in
+                   zip((value._c, value._num, value._fac), fields))
+        assert str(L_of_forest(p)) == text
+        assert RatFunc.__slots__ == ("_c", "_num", "_fac")
 
     def test_opaque_atoms_are_not_cached(self):
         from hookweight.ratfunc import _named_atom_dict
