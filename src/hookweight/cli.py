@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import combinations
 from itertools import permutations as _permutations
 
 from .combinat import (
@@ -233,21 +234,13 @@ def _covers_label(covers) -> str:
 
 def _suite_cases(suite: str, nmax: int) -> list[tuple[str, tuple]]:
     cases: list[tuple[str, tuple]] = []
-    if suite == "hook":
+    if suite in ("hook", "bw-inv", "bw-maj"):
+        forests = (enumerate_dual_forests if suite == "bw-maj"
+                   else enumerate_rl_forests)
         for n in range(0, nmax + 1):
-            for p in enumerate_rl_forests(n):
-                label = f"hook n={n} {_covers_label(p.covers())}"
-                cases.append((label, ("hook", n, p.cover)))
-    elif suite == "bw-inv":
-        for n in range(0, nmax + 1):
-            for p in enumerate_rl_forests(n):
-                label = f"bw-inv n={n} {_covers_label(p.covers())}"
-                cases.append((label, ("bw-inv", n, p.cover)))
-    elif suite == "bw-maj":
-        for n in range(0, nmax + 1):
-            for p in enumerate_dual_forests(n):
-                label = f"bw-maj n={n} {_covers_label(p.covers())}"
-                cases.append((label, ("bw-maj", n, p.cover)))
+            for p in forests(n):
+                label = f"{suite} n={n} {_covers_label(p.covers())}"
+                cases.append((label, (suite, n, p.cover)))
     elif suite == "pbt":
         for n1 in range(1, nmax):
             for n2 in range(1, nmax - n1 + 1):
@@ -317,7 +310,6 @@ def _run_case(payload: tuple) -> bool:
     if kind == "binom-sum":
         _, n, k = payload
         total = RatFunc.from_const(0)
-        from itertools import combinations
         for s in combinations(range(1, n + 1), k):
             total = rf_add(total, wt_subset(tuple(reversed(s))))
         return rf_equal(total, binomial(n, k))

@@ -15,8 +15,9 @@ Both classes are one parent array underneath and share one core: every
 subtree (its elements, size, least and largest label) comes from one O(n)
 preorder pass, cached per poset, and one iterative walk lists the linear
 extensions of either kind in ascending lexicographic order.
-``count_linear_extensions`` counts by running that walk; it never uses
-Knuth's hook-length formula, which the tests use as its oracle.
+``count_linear_extensions`` counts by the multinomial recursion over those
+subtrees; it never uses Knuth's hook-length formula, which the tests use as
+its oracle.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from bisect import bisect_left, insort
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from math import comb
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 __all__ = [
@@ -152,23 +154,26 @@ def parabolic_factorization(w: Sequence[int]) -> ParabolicFactorization:
     w = Permutation(w)
     if len(w) == 0:
         raise ValueError("parabolic factorization needs a nonempty permutation")
+    u, a, bhat, k = _parabolic_words(w)
+    return ParabolicFactorization(Permutation(u), Permutation(a),
+                                  Permutation(bhat), k)
+
+
+def _parabolic_words(w: Sequence[int]) -> tuple[list[int], list[int],
+                                                 list[int], int]:
+    """u, a, b-hat and k of a nonempty permutation w, as plain lists."""
     k = w[0] - 1
-    u_word = []
-    small_seen = large_seen = 0
-    a_word = []
-    b_word = []
+    u_word: list[int] = []
+    a_word: list[int] = []
+    b_word: list[int] = []
     for val in w:
         if val <= k:
-            small_seen += 1
-            u_word.append(small_seen)
             a_word.append(val)
+            u_word.append(len(a_word))
         else:
-            large_seen += 1
-            u_word.append(k + large_seen)
             b_word.append(val)
-    bhat = Permutation(v - (k + 1) for v in b_word[1:])
-    return ParabolicFactorization(Permutation(u_word), Permutation(a_word),
-                                  bhat, k)
+            u_word.append(k + len(b_word))
+    return u_word, a_word, [v - (k + 1) for v in b_word[1:]], k
 
 
 def recompose_parabolic(u: Permutation, a: Permutation,
@@ -279,21 +284,17 @@ def tree_pair_stats(w: Sequence[int]) -> list[TreePairStat]:
     w = Permutation(w)
     tree = increasing_binary_tree(w.inverse())
     stats: list[TreePairStat] = []
-
-    def visit(node: Optional[IncBinTree]) -> None:
-        if node is None:
-            return
+    stack = [tree] if tree is not None else []
+    while stack:  # preorder: a node, then its left subtree, then its right
+        node = stack.pop()
         if node.left is not None:
             left_labels = sorted(node.left.labels())
             right_labels = sorted(node.right.labels()) if node.right else []
-            for alpha in left_labels:
-                ell = sum(1 for x in left_labels if x >= alpha)
-                r = sum(1 for x in right_labels if x < alpha)
+            for i, alpha in enumerate(left_labels):
+                ell = len(left_labels) - i  # left labels >= alpha
+                r = bisect_left(right_labels, alpha)  # right labels < alpha
                 stats.append(TreePairStat(alpha, node.label, w(node.label), ell, r))
-        visit(node.left)
-        visit(node.right)
-
-    visit(tree)
+        stack.extend(c for c in (node.right, node.left) if c is not None)
     return stats
 
 
@@ -489,9 +490,23 @@ def linear_extensions(p: _ParentArray) -> Iterator[Permutation]:
 
 
 def count_linear_extensions(p: _ParentArray) -> int:
-    """Number of linear extensions, by enumeration: the tests check it
-    against Knuth's hook-length formula, so it must not use that formula."""
-    return sum(1 for _ in _extension_words(p))
+    """Number of linear extensions, by the multinomial recursion over subtrees.
+
+    An extension of a forest interleaves extensions of its trees T_1..T_k,
+    so e(forest) = (n; |T_1|, ..., |T_k|) * prod e(T_j), and a tree's root
+    comes first (last in a dual forest), so e(tree) = e(forest of the
+    subtrees at its children).  The multinomial is built one tree at a time
+    as a product of binomials.  The tests check the count against Knuth's
+    n!/prod h_i and against the listing, so it must use neither.
+    """
+    s = p._subtrees
+    count = [1] * (p.n + 1)  # e(subtree at i); index 0 is the whole forest
+    placed = [0] * (p.n + 1)  # elements of the subtrees merged into i so far
+    for i in reversed(s.order):  # every child before its parent
+        parent = p.cover[i - 1]
+        placed[parent] += s.size[i]
+        count[parent] *= comb(placed[parent], s.size[i]) * count[i]
+    return count[0]
 
 
 # ---------------------------------------------------------------------------

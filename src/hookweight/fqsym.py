@@ -37,7 +37,7 @@ from .specialize import (
     _q_hook_sides,
     _substitute,
 )
-from .weights import _L_grouped_frf, wt_perm_tree
+from .weights import _hook_candidates, _L_grouped_frf, wt_perm_tree
 
 __all__ = [
     "FQSymElem",
@@ -187,9 +187,9 @@ def phi_inv(elem: FQSymElem) -> SkewElem:
         if c != 1:
             term = term * c
         n = len(w)
-        hints = tuple(("F", a, n - a) for a in range(n))
         prev = by_degree.get(n)
-        by_degree[n] = term if prev is None else prev._add(term, hints)
+        by_degree[n] = (term if prev is None
+                        else prev._add(term, _hook_candidates(n)))
     return SkewElem({
         n: total * RatFunc._from_atoms(_factorial_atoms(n, sign=-1))
         for n, total in by_degree.items()})
@@ -236,6 +236,14 @@ def _monomial_atoms(elements: Iterable[int]) -> dict:
         a = ("F", v - 1, 1)
         atoms[a] = atoms.get(a, 0) + 1
     return atoms
+
+
+def _prefix_step(ideal: Iterable[int], placed: Iterable[int]) -> RatFunc:
+    """One step of the prefix DP: 1/(1 - x_ideal) times x_placed, where
+    ``placed`` is empty unless the step follows a descent."""
+    atoms = {_prefix_atom(ideal): -1}
+    atoms.update(_monomial_atoms(placed))
+    return RatFunc._from_atoms(atoms)
 
 
 def gamma_perm(w: Sequence[int]) -> RatFunc:
@@ -288,11 +296,9 @@ def _gamma_extension_sum(pre: tuple[frozenset[int], ...]) -> RatFunc:
                 continue
             new_mask = mask | bit
             ideal = [v + 1 for v in range(n) if new_mask >> v & 1]
-            step = RatFunc._from_atoms({_prefix_atom(ideal): -1})
-            if last > m:
-                placed = [v + 1 for v in range(n) if mask >> v & 1]
-                step = step._mul(RatFunc._from_atoms(_monomial_atoms(placed)))
-            term = step._mul(tail(new_mask, m))
+            placed = ([v + 1 for v in range(n) if mask >> v & 1]
+                      if last > m else ())
+            term = _prefix_step(ideal, placed)._mul(tail(new_mask, m))
             total = total._add(term)
         return total
 
@@ -396,9 +402,7 @@ def _gamma_weighted_sum(terms: Mapping[tuple[int, ...], int | Fraction]) -> RatF
                 children.setdefault(w[depth], []).append(w)
         for m, sub in sorted(children.items()):
             new_placed = placed + (m,)
-            step = RatFunc._from_atoms({_prefix_atom(new_placed): -1})
-            if last > m:
-                step = step._mul(RatFunc._from_atoms(_monomial_atoms(placed)))
+            step = _prefix_step(new_placed, placed if last > m else ())
             term = step._mul(fold(sub, depth + 1, new_placed, m))
             total = total._add(term)
         return total

@@ -894,9 +894,8 @@ class RatFunc:
             for var, exp in _mono_unpack(mono):
                 a = ("F", var - 1, 1)
                 fac[a] = fac.get(a, 0) + exp
-        # the one trial-division loop: divide by each hinted atom (typically
-        # the denominator's) while num is not a constant; a constant here
-        # is 1 or -1
+        # cancel against hinted atoms (typically the denominator's) while
+        # num is not a constant; a constant here is 1 or -1
         for atom in hint_atoms:
             while len(num) > 1 or 0 not in num:
                 q = _try_divide_atom(num, atom)

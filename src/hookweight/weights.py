@@ -27,10 +27,9 @@ from .combinat import (
     ForestPoset,
     Permutation,
     SubsetK,
+    _parabolic_words,
     _rl_violation,
     linear_extensions,
-    parabolic_factorization,
-    set_of_grassmannian,
     subtree_data,
     tree_pair_stats,
 )
@@ -70,13 +69,13 @@ def _hook_candidates(n: int) -> tuple:
 # subset weights
 # ---------------------------------------------------------------------------
 
-def _wt_subset(s: tuple[int, ...]) -> RatFunc:
-    k = len(s)
-    atoms = dict(_factorial_atoms(k, sign=-1))
+def _wt_subset_atoms(s: tuple[int, ...], shift: int = 0) -> dict:
+    """Atoms of F^shift(wt(S))."""
+    atoms = dict(_factorial_atoms(len(s), shift=shift, sign=-1))
     for j, i_j in enumerate(s, start=1):
-        a = ("F", i_j - 1, j)
+        a = ("F", shift + i_j - 1, j)
         atoms[a] = atoms.get(a, 0) + 1
-    return RatFunc._from_atoms(atoms)
+    return atoms
 
 
 def _wt_subset_recursive(s: tuple[int, ...]) -> RatFunc:
@@ -97,7 +96,7 @@ def wt_subset(s: Iterable[int], k: int | None = None,
     if k is not None and k != len(s):
         raise ValueError(f"subset has {len(s)} elements, expected {k}")
     if method == "product":
-        return _wt_subset(tuple(s))
+        return RatFunc._from_atoms(_wt_subset_atoms(tuple(s)))
     if method == "recursive":
         return _wt_subset_recursive(tuple(s))
     raise ValueError(f"unknown method {method!r}")
@@ -109,12 +108,25 @@ def wt_subset(s: Iterable[int], k: int | None = None,
 
 @lru_cache(maxsize=200000)
 def _wt_perm_recursive_frf(word: tuple[int, ...]) -> RatFunc:
-    if not word:
-        return RatFunc.from_const(1)
-    u, a, bhat, k = parabolic_factorization(Permutation(word))
-    s = tuple(set_of_grassmannian(u, k))
-    value = _wt_subset(s) * _wt_perm_recursive_frf(tuple(a))
-    return value * _wt_perm_recursive_frf(tuple(bhat)).frobenius(k + 1)
+    """wt(word) by the parabolic recursion, unrolled on an explicit stack.
+
+    wt(w) = wt(S(u)) * wt(a) * F^{k+1}(wt(b-hat)) makes wt(w) the product of
+    F^s(wt(S(u))) over every word the recursion reaches, where s adds up
+    k+1 over the b-hat steps taken to reach it.
+    """
+    atoms: dict = {}
+    stack = [(word, 0)]
+    while stack:
+        v, shift = stack.pop()
+        if not v:
+            continue
+        u, a, bhat, k = _parabolic_words(v)
+        s = tuple(i for i in range(len(u), 0, -1) if u[i - 1] <= k)  # S(u)
+        for atom, e in _wt_subset_atoms(s, shift).items():
+            atoms[atom] = atoms.get(atom, 0) + e
+        stack.append((a, shift))
+        stack.append((bhat, shift + k + 1))
+    return RatFunc._from_atoms(atoms)
 
 
 def wt_perm_recursive(w: Sequence[int]) -> RatFunc:
@@ -162,7 +174,8 @@ def _subset_sum(n: int, k: int) -> RatFunc:
     hooks = _hook_candidates(n)
     total = RatFunc.from_const(0)
     for comb in combinations(range(2, n + 1), k):
-        total = total._add(_wt_subset(tuple(reversed(comb))), hooks)
+        s = tuple(reversed(comb))
+        total = total._add(RatFunc._from_atoms(_wt_subset_atoms(s)), hooks)
     return total._refactor(hooks)
 
 

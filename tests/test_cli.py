@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: output formats, exit codes, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -56,6 +57,13 @@ class TestWeightPerm:
         outs = {run(capsys, "weight-perm", "6,2,9,1,7,5,3,8,4")[1]
                 for _ in range(3)}
         assert len(outs) == 1
+
+    def test_long_identity(self):
+        # the parabolic recursion is 1000 levels deep on this word
+        word = ",".join(map(str, range(1, 1001)))
+        code, out, err = run_process("weight-perm", word)
+        assert code == 0 and out == "1\n"
+        assert "Traceback" not in err
 
 
 class TestHook:
@@ -113,6 +121,14 @@ class TestLinext:
     def test_intro_count(self, capsys, forest_file):
         code, out, _ = run(capsys, "linext", forest_file(INTRO), "--count")
         assert code == 0 and out == "24192\n"
+
+    def test_count_large_antichain(self, forest_file):
+        # 40! extensions: counted, not listed; the 20 s subprocess timeout
+        # bounds the time
+        code, out, err = run_process("linext", forest_file({"n": 40, "covers": []}),
+                                     "--count")
+        assert code == 0 and out == f"{math.factorial(40)}\n"
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("key", ["covers", "covered_by"])
     def test_long_chain(self, capsys, forest_file, key):

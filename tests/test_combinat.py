@@ -188,6 +188,14 @@ class TestTreePairStats:
         for w in permutations(range(1, 6)):
             assert all(s.ell >= 1 for s in tree_pair_stats(w))
 
+    def test_long_words_without_recursion(self):
+        # the increasing tree of either word is a 1000-node path
+        n = 1000
+        assert tree_pair_stats(range(1, n + 1)) == []
+        rows = tree_pair_stats(range(n, 0, -1))
+        assert len(rows) == n * (n - 1) // 2
+        assert sum(s.r + 1 for s in rows) == n * (n - 1) // 2  # inv
+
 
 class TestForestPoset:
     def test_intro_forest(self):
