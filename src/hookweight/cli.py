@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (or verified equal), 1 verification failure,
 2 input error, 3 specialization error (a vanishing denominator, an
-exponent or a size beyond its bound).  The verify sweeps honor
+exponent or a size beyond its bound, including a number with more digits
+than Python converts to a string).  The verify sweeps honor
 HOOKWEIGHT_THREADS (default: all cores) and emit case lines in a fixed
 order regardless of scheduling.
 """
@@ -46,6 +47,7 @@ from .ratfunc import (
 from .specialize import (
     SpecializationError,
     UniPoly,
+    _int_str,
     spec_q,
     spec_qt,
     verify_bw_inv,
@@ -183,7 +185,7 @@ def cmd_hook(args) -> int:
         print(f"L(P) = {rf_to_canonical_string(left)}")
     if args.side in ("H", "both"):
         print(f"H(P) = {rf_to_canonical_string(right)}")
-    print(f"|L(P)| = {count_linear_extensions(p)}")
+    print(f"|L(P)| = {_int_str(count_linear_extensions(p))}")
     equal = rf_equal(left, right)
     print("EQUAL" if equal else "UNEQUAL")
     return EXIT_OK if equal else EXIT_VERIFY_FAIL
@@ -192,7 +194,7 @@ def cmd_hook(args) -> int:
 def cmd_linext(args) -> int:
     p = _load_forest_file(args.forest)
     if args.count:
-        print(count_linear_extensions(p))
+        print(_int_str(count_linear_extensions(p)))
     else:
         for w in linear_extensions(p):
             print(",".join(map(str, w)))

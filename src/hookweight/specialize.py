@@ -221,7 +221,7 @@ def _int_str(v: int) -> str:
     """str(v), or SizeBoundError when v has more digits than Python prints."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit and v.bit_length() > 3 * limit and abs(v) >= 10 ** limit:
-        raise SizeBoundError(f"a coefficient has more than {limit} digits, "
+        raise SizeBoundError(f"an integer has more than {limit} digits, "
                              f"the most Python converts to a string")
     return str(v)
 

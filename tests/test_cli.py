@@ -130,6 +130,13 @@ class TestLinext:
         assert code == 0 and out == f"{math.factorial(40)}\n"
         assert "Traceback" not in err
 
+    def test_count_too_long_to_print(self, forest_file):
+        # 2000! has 5736 digits, above Python's default limit of 4300
+        code, out, err = run_process("linext", forest_file({"n": 2000, "covers": []}),
+                                     "--count")
+        assert code == 3 and out == "" and "digits" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("key", ["covers", "covered_by"])
     def test_long_chain(self, capsys, forest_file, key):
         # far deeper than the interpreter's recursion limit
