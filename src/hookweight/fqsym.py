@@ -279,32 +279,31 @@ def gamma_dual_forest(p: DualForestPoset) -> RatFunc:
 @lru_cache(maxsize=512)
 def _gamma_extension_sum(pre: tuple[frozenset[int], ...]) -> RatFunc:
     n = len(pre)
-    full = (1 << n) - 1
     need = [0] * n
     for i, reqs in enumerate(pre):
         for r in reqs:
             need[i] |= 1 << (r - 1)
-
-    @lru_cache(maxsize=None)
-    def tail(mask: int, last: int) -> RatFunc:
-        if mask == full:
-            return RatFunc.from_const(1)
-        total = RatFunc.from_const(0)
-        for m in range(1, n + 1):
-            bit = 1 << (m - 1)
-            if mask & bit or need[m - 1] & ~mask:
-                continue
-            new_mask = mask | bit
-            ideal = [v + 1 for v in range(n) if new_mask >> v & 1]
-            placed = ([v + 1 for v in range(n) if mask >> v & 1]
-                      if last > m else ())
-            term = _prefix_step(ideal, placed)._mul(tail(new_mask, m))
-            total = total._add(term)
-        return total
-
-    result = tail(0, 0)
-    tail.cache_clear()
-    return result
+    # ideals of one size, each as mask -> {last letter: sum over the
+    # extensions of the ideal that end in that letter}
+    level = {0: {0: RatFunc.from_const(1)}}
+    for _size in range(n):
+        grown: dict[int, dict[int, RatFunc]] = {}
+        for mask, ends in level.items():
+            placed = [v + 1 for v in range(n) if mask >> v & 1]
+            for m in range(1, n + 1):
+                if mask >> (m - 1) & 1 or need[m - 1] & ~mask:
+                    continue
+                total = RatFunc.from_const(0)
+                for last, value in ends.items():
+                    step = _prefix_step(placed + [m],
+                                        placed if last > m else ())
+                    total = total._add(step._mul(value))
+                grown.setdefault(mask | 1 << (m - 1), {})[m] = total
+        level = grown
+    total = RatFunc.from_const(0)
+    for value in level.get((1 << n) - 1, {}).values():
+        total = total._add(value)
+    return total
 
 
 def gamma_extension_sum(prereqs: Sequence[frozenset[int]] | Mapping[int, frozenset[int]],
@@ -312,8 +311,11 @@ def gamma_extension_sum(prereqs: Sequence[frozenset[int]] | Mapping[int, frozens
     """Exact sum of gamma_perm(w) over the linear extensions of any poset.
 
     ``prereqs[i]`` lists the elements that must precede i.  The sum is folded
-    over prefix order ideals, so shared tails are computed once; it never
-    uses the dual-forest product formula.
+    forward over the order ideals by size: the sum over the extensions of an
+    ideal I that end in m is one prefix step times the sum held for I - {m},
+    added over that ideal's last letters.  Every partial sum runs over the
+    extensions of a lower set, which for a dual forest cancels to a small
+    numerator; the fold never uses the dual-forest product formula.
     """
     if isinstance(prereqs, Mapping):
         n = max(prereqs, default=0) if n is None else n

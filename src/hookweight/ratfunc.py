@@ -9,7 +9,8 @@ Representation notes
 A monomial is packed into a single int, 16 bits of exponent per variable
 (variable i occupies bits [16*(i-1), 16*i)), so an exponent is at most 65535;
 a product that would pass it raises ExponentOverflowError rather than carry
-into the next variable.
+into the next variable, and an exact division that would carry rejects the
+divisor, which cannot divide then.
 Monomial multiplication is then integer addition, which keeps the exhaustive
 verification sweeps fast in pure Python.  Coefficients are ints, promoted to
 fractions.Fraction only when a value is genuinely non-integral.
@@ -109,17 +110,39 @@ _TOP_BITS = _field_bits(64, _SHIFT - 1)
 _TOP_SPAN = 64 * _SHIFT
 
 
-def _check_key_sums(a: Iterable[int], b: Iterable[int]) -> None:
-    """Raise ExponentOverflowError if some ka + kb carries out of a field."""
+def _sum_carry(a: Iterable[int], b: Iterable[int]) -> int:
+    """The carry bits of the first ka + kb that carries out of a field, or 0."""
     nfields = -(-max(max(a), max(b)).bit_length() // _SHIFT)
     carries = _field_bits(nfields, 0) << _SHIFT
     for ka in a:
         for kb in b:
             carry = ((ka + kb) ^ ka ^ kb) & carries
             if carry:
-                var = (carry & -carry).bit_length() // _SHIFT
-                raise ExponentOverflowError(
-                    f"exponent of x{var} in a product exceeds {_MASK}")
+                return carry
+    return 0
+
+
+def _check_key_sums(a: Iterable[int], b: Iterable[int]) -> None:
+    """Raise ExponentOverflowError if some ka + kb carries out of a field."""
+    carry = _sum_carry(a, b)
+    if carry:
+        var = (carry & -carry).bit_length() // _SHIFT
+        raise ExponentOverflowError(
+            f"exponent of x{var} in a product exceeds {_MASK}")
+
+
+def _quotient_carries(q: Iterable[int], d: Iterable[int]) -> bool:
+    """Whether the long division that found the quotient q carried.
+
+    It added every key of d to every key of q, which can carry only where
+    the keys OR to an exponent of 2^15 or more, as in _dp_mul.  A carry
+    means that the divisor does not divide: an exact quotient times it
+    stays within the dividend's exponents, none above 65535.
+    """
+    either = reduce(or_, q, reduce(or_, d, 0))
+    if either & _TOP_BITS or either >> _TOP_SPAN:
+        return bool(_sum_carry(q, d))
+    return False
 
 
 def _mono_unpack(key: int) -> tuple[tuple[int, int], ...]:
@@ -331,7 +354,9 @@ def _dp_div_form(p: dict, off: int, m: int) -> Optional[dict]:
                 else:
                     nxt.pop(kk, None)
         cur = nxt
-    return quotient if not cur else None
+    if cur or _quotient_carries(quotient, g):
+        return None
+    return quotient
 
 
 def _dp_div_binom(p: dict, pairs: tuple[tuple[int, int], ...]) -> Optional[dict]:
@@ -387,7 +412,7 @@ def _dp_div_binom(p: dict, pairs: tuple[tuple[int, int], ...]) -> Optional[dict]
                 nxt[kk] = nv
             else:
                 del nxt[kk]
-    return out
+    return None if _quotient_carries(out, (u,)) else out
 
 
 # ---------------------------------------------------------------------------
@@ -1024,12 +1049,6 @@ class RatFunc:
         hints = list(hint_atoms)
         hints.extend(a for a, e in common.items() if e < 0)
         return RatFunc._normalized(Fraction(g, den_lcm), total, common, hints)
-
-    def _refactor(self, candidates: Iterable[Atom]) -> "RatFunc":
-        """Trial-divide num by candidate atoms (exact, optional speed-up)."""
-        if self._c == 0 or self._num == _DP_ONE:
-            return self
-        return RatFunc._normalized(self._c, self._num, self._fac, candidates)
 
     def _equals(self, other: "RatFunc") -> bool:
         if self._c == 0 or other._c == 0:

@@ -79,14 +79,17 @@ def _wt_subset_atoms(s: tuple[int, ...], shift: int = 0) -> dict:
 
 
 def _wt_subset_recursive(s: tuple[int, ...]) -> RatFunc:
-    if not s:
-        return RatFunc.from_const(1)
-    k = len(s)
-    if 1 in s:
-        shat = tuple(i - 1 for i in s if i != 1)
-        return _wt_subset_recursive(shat).frobenius(1)
-    shat = tuple(i - 1 for i in s)
-    return _shift_ratio(k) * _wt_subset_recursive(shat).frobenius(1)
+    """wt(S) by the recursion wt(S) = F(wt(S-hat)) if 1 is in S, else
+    F([k]!)/[k]! * F(wt(S-hat)), run as a loop: the ratio met after
+    ``shift`` steps enters shifted ``shift`` times."""
+    total = RatFunc.from_const(1)
+    shift = 0
+    while s:
+        if 1 not in s:
+            total = total._mul(_shift_ratio(len(s)).frobenius(shift))
+        s = tuple(i - 1 for i in s if i != 1)
+        shift += 1
+    return total
 
 
 def wt_subset(s: Iterable[int], k: int | None = None,
@@ -176,7 +179,7 @@ def _subset_sum(n: int, k: int) -> RatFunc:
     for comb in combinations(range(2, n + 1), k):
         s = tuple(reversed(comb))
         total = total._add(RatFunc._from_atoms(_wt_subset_atoms(s)), hooks)
-    return total._refactor(hooks)
+    return total
 
 
 @lru_cache(maxsize=None)
@@ -202,7 +205,7 @@ def _L_grouped_frf(n: int, cover: tuple[int, ...]) -> RatFunc:
         term = _subset_sum(n, rho - 1) * _L_grouped_frf(rho - 1, left)
         term = term * _L_grouped_frf(n - rho, right).frobenius(rho)
         total = total._add(term, hooks)
-    return total._refactor(hooks)
+    return total
 
 
 def L_of_forest(p: ForestPoset, method: str = "grouped") -> RatFunc:
@@ -220,5 +223,5 @@ def L_of_forest(p: ForestPoset, method: str = "grouped") -> RatFunc:
         total = RatFunc.from_const(0)
         for w in linear_extensions(p):
             total = total._add(wt_perm_tree(w), hooks)
-        return total._refactor(hooks)
+        return total
     raise ValueError(f"unknown method {method!r}")

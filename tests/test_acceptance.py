@@ -231,6 +231,15 @@ def test_10_maj_identities():
                 assert verify_bw_maj(p), p
 
 
+@pytest.mark.slow
+def test_10s_ppartition_identity_n6():
+    with report(10, "P-partition sum identity for all dual forests n = 6 "
+                    "(slow tier)"):
+        for p in enumerate_dual_forests(6):
+            assert rf_equal(gamma_extension_sum(dual_forest_prereqs(p)),
+                            gamma_dual_forest(p)), p
+
+
 def test_11_knuth_counts():
     with report(11, "|L(P)| = n!/prod h_i for every forest n <= 7; "
                     "the 10-element worked forest has 24192 extensions"):

@@ -1,10 +1,15 @@
 """Shuffle algebra, the two maps into the twisted algebra, P-partitions."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import islice, permutations
+from pathlib import Path
 
 from hypothesis import given, strategies as st
 
+import hookweight
 from hookweight.combinat import (
     DualForestPoset,
     ForestPoset,
@@ -180,6 +185,46 @@ class TestGamma:
         got = gamma_extension_sum(forest_prereqs(VEE))
         flat = gamma_perm((2, 1, 3)) + gamma_perm((2, 3, 1))
         assert rf_equal(got, flat)
+
+    def test_extension_sum_flat_oracle_every_poset(self):
+        # every strict partial order on {1..n}, n <= 4, given as the
+        # transitively closed sets of elements forced before each element
+        for n in range(0, 5):
+            pairs = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1)
+                     if a != b]
+            for bits in range(1 << len(pairs)):
+                below = {b: frozenset() for b in range(1, n + 1)}
+                for j, (a, b) in enumerate(pairs):
+                    if bits >> j & 1:
+                        below[b] = below[b] | {a}
+                if any(b in below[a] or not below[a] <= below[b]
+                       for b in below for a in below[b]):
+                    continue  # not antisymmetric or not transitive
+                flat = RatFunc.from_const(0)
+                for w in permutations(range(1, n + 1)):
+                    if all(below[v] <= set(w[:i]) for i, v in enumerate(w)):
+                        flat = flat + gamma_perm(w)
+                assert rf_equal(gamma_extension_sum(below, n), flat), below
+
+    def test_antichains_6_and_7_promptly(self):
+        # the 20 s timeout bounds "promptly"; the backward fold over upper
+        # sets did not finish the 6-antichain in minutes
+        script = (
+            "from hookweight.combinat import DualForestPoset\n"
+            "from hookweight.fqsym import (dual_forest_prereqs,\n"
+            "    gamma_dual_forest, gamma_extension_sum)\n"
+            "from hookweight.ratfunc import rf_equal\n"
+            "for n in (6, 7):\n"
+            "    p = DualForestPoset.from_covered_by(n, [])\n"
+            "    assert rf_equal(gamma_extension_sum(dual_forest_prereqs(p)),\n"
+            "                    gamma_dual_forest(p)), n\n")
+        env = dict(os.environ)
+        src = str(Path(hookweight.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=20)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestPhiMaj:

@@ -139,6 +139,34 @@ class TestExactDivision:
             if got is not None:
                 assert _dp_mul(got, _atom_dict(atom)) == p
 
+    def test_form_division_rejects_on_a_carry(self):
+        # x1 x2^65535 + x3 is not a multiple of x1 + x2; the quotient term
+        # x2^65535 times x2 would wrap into x3 and cancel it
+        p = {_mono_pack({1: 1, 2: 65535}): 1, _mono_pack({3: 1}): 1}
+        assert _dp_div_form(p, 0, 2) is None
+        q = {_mono_pack({2: 65534}): 1}
+        p = _dp_mul(q, _atom_dict(("F", 0, 2)))
+        assert _dp_div_form(p, 0, 2) == q
+
+    def test_binom_division_rejects_on_a_carry(self):
+        # x2^65535 - x1 x3^2 is not a multiple of 1 - x1 x2 x3; x2^65535
+        # times x1 x2 x3 would wrap to x1 x3^2, which keeps its residue
+        # mod u, so only the carry check can reject it
+        pairs = ((1, 1), (2, 1), (3, 1))
+        p = {_mono_pack({2: 65535}): 1, _mono_pack({1: 1, 3: 2}): -1}
+        assert _dp_div_binom(p, pairs) is None
+        q = {_mono_pack({2: 65534}): 1}
+        p = _dp_mul(q, binom_dict(pairs))
+        assert _dp_div_binom(p, pairs) == q
+
+    def test_binom_division_rejects_a_carry_from_small_keys(self):
+        # every exponent is below 2^15, but the quotient term x1^2 x2^60000
+        # x3^2 times u reaches x2^90000, which would wrap to x1^3 x2^24464
+        # x3^4 and cancel
+        pairs = ((1, 1), (2, 30000), (3, 1))
+        p = {0: 1, _mono_pack({1: 3, 2: 24464, 3: 4}): -1}
+        assert _dp_div_binom(p, pairs) is None
+
 
 def binom_dict(pairs):
     return _atom_dict(("B", pairs))

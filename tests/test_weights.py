@@ -74,6 +74,11 @@ class TestSubsetWeight:
                     assert rf_equal(wt_subset(sub),
                                     wt_subset(sub, method="recursive")), sub
 
+    def test_recursive_takes_many_shifts(self):
+        # one Frobenius shift per step: 1199 steps, no recursion depth
+        assert rf_equal(wt_subset([1200], method="recursive"),
+                        wt_subset([1200]))
+
     def test_size_check(self):
         with pytest.raises(ValueError):
             wt_subset([3, 1], k=3)
