@@ -389,27 +389,40 @@ def _gamma_weighted_sum(terms: Mapping[tuple[int, ...], int | Fraction]) -> RatF
     Every prefix contributes its 1/(1 - x_prefix) factor once, and a descent
     between consecutive letters contributes the prefix monomial; folding
     bottom-up keeps the partial sums collapsing instead of accumulating all
-    binomial denominators at once.
+    binomial denominators at once.  The trie is walked on an explicit stack
+    of frames [total, children left, placed, step of the open child], so a
+    word of any length folds.
     """
-    words = sorted(terms)
 
-    def fold(group: Sequence[tuple[int, ...]], depth: int,
-             placed: tuple[int, ...], last: int) -> RatFunc:
+    def open_node(group: Sequence[tuple[int, ...]], placed: tuple[int, ...]) -> list:
         total = RatFunc.from_const(0)
         children: dict[int, list[tuple[int, ...]]] = {}
         for w in group:
-            if len(w) == depth:
+            if len(w) == len(placed):
                 total = total._add(RatFunc.from_const(terms[w]))
             else:
-                children.setdefault(w[depth], []).append(w)
-        for m, sub in sorted(children.items()):
-            new_placed = placed + (m,)
-            step = _prefix_step(new_placed, placed if last > m else ())
-            term = step._mul(fold(sub, depth + 1, new_placed, m))
-            total = total._add(term)
-        return total
+                children.setdefault(w[len(placed)], []).append(w)
+        return [total, iter(sorted(children.items())), placed, None]
 
-    return fold(words, 0, (), 0)
+    stack = [open_node(sorted(terms), ())]
+    while True:
+        frame = stack[-1]
+        child = next(frame[1], None)
+        if child is None:
+            stack.pop()
+            if not stack:
+                return frame[0]
+            parent = stack[-1]
+            # _mul looks up every atom of its argument, and a prefix atom
+            # is as long as its prefix: the short step goes there
+            parent[0] = parent[0]._add(frame[0]._mul(parent[3]))
+            continue
+        m, sub = child
+        placed = frame[2]
+        new_placed = placed + (m,)
+        last = placed[-1] if placed else 0
+        frame[3] = _prefix_step(new_placed, placed if last > m else ())
+        stack.append(open_node(sub, new_placed))
 
 
 # ---------------------------------------------------------------------------

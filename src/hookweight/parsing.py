@@ -3,35 +3,59 @@
 Accepts variables ``x<k>``, integers, ``+ - * / ^ ( )``.  Juxtaposition
 multiplies (so ``x2x3^2`` and ``2x1`` parse the way the canonical printer
 writes them); ``*`` is also accepted.  ``/`` builds rational functions.
+
+Monomials and sums of monomials, which is all a printed numerator or
+denominator holds, are built without ``RatFunc`` arithmetic.  A monomial
+is a pair ``(coeff, {var: exp})``: integers, variables, ``^`` and products
+of them.  Its exponents and variable indices stay unpacked, so a lone
+``x3000000`` costs nothing.  A sum of monomials is one packed dict
+``{key: coeff}``, updated in place term by term, so parsing a sum takes
+time linear in its length.  A value becomes a ``RatFunc`` at ``)``, at
+``/``, next to a ``RatFunc`` operand or at the end of input: a monomial by
+its atoms, a sum by ``RatFunc._normalized``.  Without hint atoms that is a
+canonical function of the polynomial, the same fields that a chain of
+``RatFunc._add`` calls reaches.  Quotients, powers of parenthesised values
+and sums with a ``RatFunc`` operand use ``RatFunc`` arithmetic, and so does
+a sum whose monomial has an exponent above 65535, which no packed key
+holds.
 """
 
 from __future__ import annotations
 
 import re
+from fractions import Fraction
+from typing import Union
 
-from .ratfunc import _DP_ONE, _MASK, ExponentOverflowError, Polynomial, RatFunc
+from .ratfunc import (_DP_ONE, _MASK, _SHIFT, ExponentOverflowError,
+                      Polynomial, RatFunc)
 
 __all__ = ["parse_ratfunc", "parse_polynomial", "ParseError"]
+
+# Each level of parentheses costs four stack frames of the recursive
+# descent, so this stays well below Python's default recursion limit.
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
     pass
 
 
-_TOKEN = re.compile(r"\s*(x\d+|\d+|[-+*/^()])")
+# A monomial (coeff, {var: exp}), a packed sum {key: coeff} of two or more
+# monomials, or a RatFunc.
+_Value = Union[tuple, dict, RatFunc]
+
+_TOKEN = re.compile(r"\s*(?:(x\d+|\d+|[-+*/^()])|(\S))")
 
 
-def _tokenize(text: str) -> list[str]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip() == "":
-                break
+def _tokenize(text: str) -> list[str | None]:
+    """The tokens of ``text``, then None for the end of input."""
+    tokens: list[str | None] = []
+    for m in _TOKEN.finditer(text):
+        if m.group(2) is not None:
+            pos = m.start()
             raise ParseError(f"bad character at position {pos}: {text[pos:]!r}")
         tokens.append(m.group(1))
-        pos = m.end()
+    tokens.append(None)
     return tokens
 
 
@@ -42,13 +66,80 @@ def _int(digits: str) -> int:
         raise ParseError(f"integer with {len(digits)} digits is too long") from None
 
 
+def _pack(exps: dict) -> int | None:
+    """The packed key of a monomial's exponents, or None above 65535."""
+    key = 0
+    for var, exp in exps.items():
+        if exp > _MASK:
+            return None
+        key += exp << (_SHIFT * (var - 1))
+    return key
+
+
+def _ratfunc(value: _Value) -> RatFunc:
+    if isinstance(value, RatFunc):
+        return value
+    if isinstance(value, dict):
+        return RatFunc._normalized(Fraction(1), value, {})
+    c, exps = value
+    return RatFunc._from_atoms({("F", v - 1, 1): e for v, e in exps.items()}, c)
+
+
+def _plus(value: _Value, rhs: _Value) -> _Value:
+    """value + rhs; a packed sum ``value`` is updated in place."""
+    if isinstance(value, tuple) and isinstance(rhs, tuple):
+        key = _pack(value[1])
+        if key is not None:
+            value = {key: value[0]} if value[0] else {}
+    if isinstance(value, dict) and isinstance(rhs, tuple):
+        c, exps = rhs
+        key = _pack(exps)
+        if key is not None:
+            nv = value.get(key, 0) + c
+            if nv:
+                value[key] = nv
+            else:
+                value.pop(key, None)
+            return value
+    return _ratfunc(value) + _ratfunc(rhs)
+
+
+def _neg(value: _Value) -> _Value:
+    if isinstance(value, tuple):
+        return -value[0], value[1]
+    return -value
+
+
+def _times(value: _Value, rhs: _Value) -> _Value:
+    if isinstance(value, tuple) and isinstance(rhs, tuple):
+        exps = dict(value[1])
+        for var, exp in rhs[1].items():
+            exps[var] = exps.get(var, 0) + exp
+        return value[0] * rhs[0], exps
+    return _ratfunc(value) * _ratfunc(rhs)
+
+
+def _power(value: _Value, exp: int) -> _Value:
+    if isinstance(value, tuple):
+        return value[0] ** exp, {v: e * exp for v, e in value[1].items()}
+    out = RatFunc.from_const(1)
+    while exp:  # square and multiply
+        if exp & 1:
+            out = out * value
+        exp >>= 1
+        if exp:
+            value = value * value
+    return out
+
+
 class _Parser:
-    def __init__(self, tokens: list[str]):
+    def __init__(self, tokens: list[str | None]):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> str | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
+        return self.tokens[self.i]
 
     def take(self) -> str:
         tok = self.peek()
@@ -57,28 +148,31 @@ class _Parser:
         self.i += 1
         return tok
 
-    def parse_expr(self) -> RatFunc:
+    def parse_expr(self) -> _Value:
         value = self.parse_term()
         while self.peek() in ("+", "-"):
             op = self.take()
             rhs = self.parse_term()
-            value = value + rhs if op == "+" else value - rhs
+            value = _plus(value, rhs if op == "+" else _neg(rhs))
         return value
 
-    def parse_term(self) -> RatFunc:
+    def parse_term(self) -> _Value:
         value = self.parse_factor()
         while True:
             tok = self.peek()
             if tok in ("*", "/"):
                 self.take()
                 rhs = self.parse_factor()
-                value = value * rhs if tok == "*" else value / rhs
+                if tok == "*":
+                    value = _times(value, rhs)
+                else:
+                    value = _ratfunc(value) / _ratfunc(rhs)
             elif tok is not None and (tok == "(" or tok.isdigit() or tok.startswith("x")):
-                value = value * self.parse_factor()
+                value = _times(value, self.parse_factor())
             else:
                 return value
 
-    def parse_factor(self) -> RatFunc:
+    def parse_factor(self) -> _Value:
         sign = 1
         while self.peek() in ("+", "-"):
             if self.take() == "-":
@@ -92,37 +186,35 @@ class _Parser:
             exp = _int(exp_tok)
             if exp > _MASK:
                 raise ParseError(f"exponent {exp} exceeds {_MASK}")
-            out = RatFunc.from_const(1)
-            while exp:  # square and multiply
-                if exp & 1:
-                    out = out * value
-                exp >>= 1
-                if exp:
-                    value = value * value
-            value = out
-        return value if sign == 1 else RatFunc.from_const(-1) * value
+            value = _power(value, exp)
+        return value if sign == 1 else _neg(value)
 
-    def parse_primary(self) -> RatFunc:
+    def parse_primary(self) -> _Value:
         tok = self.take()
         if tok == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(
+                    f"parentheses nested deeper than {MAX_NESTING} levels")
+            self.depth += 1
             value = self.parse_expr()
             if self.take() != ")":
                 raise ParseError("missing closing parenthesis")
-            return value
+            self.depth -= 1
+            return _ratfunc(value)
         if tok.isdigit():
-            return RatFunc.from_const(_int(tok))
+            return _int(tok), {}
         if tok.startswith("x"):
             var = _int(tok[1:])
             if var < 1:
                 raise ParseError(f"variable index must be positive, got {tok!r}")
-            return RatFunc._from_atoms({("F", var - 1, 1): 1})
+            return 1, {var: 1}
         raise ParseError(f"unexpected token {tok!r}")
 
 
 def parse_ratfunc(text: str) -> RatFunc:
     parser = _Parser(_tokenize(text))
     try:
-        value = parser.parse_expr()
+        value = _ratfunc(parser.parse_expr())
     except ExponentOverflowError as exc:
         raise ParseError(str(exc)) from None
     if parser.peek() is not None:
@@ -131,7 +223,10 @@ def parse_ratfunc(text: str) -> RatFunc:
 
 
 def parse_polynomial(text: str) -> Polynomial:
-    num, den = parse_ratfunc(text)._expand()
+    try:
+        num, den = parse_ratfunc(text)._expand()
+    except ExponentOverflowError as exc:
+        raise ParseError(str(exc)) from None
     if den != _DP_ONE:
         raise ParseError("expression is not a polynomial")
     return Polynomial._from_dict(num)

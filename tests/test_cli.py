@@ -267,6 +267,13 @@ class TestMalformedInput:
         assert code == 2 and "exceeds" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("depth", [260, 1000])
+    def test_deep_nesting(self, depth):
+        code, out, err = run_process("specialize", "--map", "q", "--expr",
+                                     depth * "(" + "x1" + depth * ")")
+        assert code == 2 and out == "" and "nested deeper" in err
+        assert "Traceback" not in err
+
     def test_qt_bound_checked_before_power(self):
         # q**3000000 has over a million digits; it must never be built
         code, _, err = run_process("specialize", "--map", "qt", "--qval", "3",

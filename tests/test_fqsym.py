@@ -254,6 +254,12 @@ class TestPhiMaj:
             p, q = rng.choice(pools[n1]), rng.choice(pools[n2])
             assert check_phimaj_morphism(p, q)
 
+    def test_long_words(self):
+        # longer than the recursion limit: the trie fold must not recurse
+        # once per letter
+        for w in (tuple(range(1, 1201)), tuple(range(1200, 0, -1))):
+            assert skew_equal(phi_maj(F(w)), SkewElem({1200: gamma_perm(w)}))
+
     def test_poset_image_is_extension_sum(self):
         p = DualForestPoset.from_covered_by(3, [[1, 3], [2, 3]])
         fp = FQSymElem({tuple(w): 1 for w in p.linear_extensions()})

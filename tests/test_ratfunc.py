@@ -1,9 +1,19 @@
 """Polynomial and rational-function arithmetic, normalization, printing."""
 
+import os
+import random
+import subprocess
+import sys
+from itertools import permutations
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
-from hookweight.parsing import ParseError, parse_polynomial, parse_ratfunc
+import hookweight
+from hookweight.combinat import enumerate_rl_forests
+from hookweight.parsing import (MAX_NESTING, ParseError, parse_polynomial,
+                                parse_ratfunc)
 from hookweight.qanalog import bracket, bracket_factorial
 from hookweight.ratfunc import (
     DivisionByZeroError,
@@ -22,6 +32,7 @@ from hookweight.ratfunc import (
     rf_mul,
     rf_to_canonical_string,
 )
+from hookweight.weights import H_of_forest, L_of_forest, wt_perm_recursive
 
 x1, x2, x3, x4 = (Polynomial.variable(i) for i in range(1, 5))
 
@@ -198,6 +209,69 @@ class TestCanonicalString:
         assert rf_to_canonical_string(RatFunc(Polynomial.zero(), x1)) == "0"
 
 
+def _power(value, e):
+    out = RatFunc.from_const(1)
+    while e:  # square and multiply, as the parser does
+        if e & 1:
+            out = out * value
+        e >>= 1
+        if e:
+            value = value * value
+    return out
+
+
+def _random_expr(rng, depth):
+    """A random sum as (text, value), the value computed with RatFunc."""
+    text, value = _random_term(rng, depth)
+    for _ in range(rng.randint(0, 5)):
+        t, v = _random_term(rng, depth)
+        if rng.random() < 0.6:
+            text, value = f"{text}+{t}", value + v
+        else:
+            text, value = f"{text}-{t}", value - v
+    return text, value
+
+
+def _random_term(rng, depth):
+    text, value = _random_factor(rng, depth)
+    for _ in range(rng.randint(0, 3)):
+        t, v = _random_factor(rng, depth)
+        op = rng.choice("* /") if rng.random() < 0.3 else " "
+        if op == " " and t.startswith("-"):
+            op = "*"  # juxtaposed, "-" would be read as a binary minus
+        text = f"{text}{op}{t}"
+        value = value / v if op == "/" else value * v
+    return text, value
+
+
+def _random_factor(rng, depth):
+    r = rng.random()
+    if depth > 0 and r < 0.2:
+        text, value = _random_expr(rng, depth - 1)
+        text = f"({text})"
+    elif r < 0.35:
+        k = rng.randint(0, 3)
+        text, value = str(k), RatFunc.from_const(k)
+    else:
+        i = rng.randint(1, 4)
+        text, value = f"x{i}", RatFunc(Polynomial.variable(i))
+    if rng.random() < 0.25:
+        e = rng.randint(0, 3)
+        text, value = f"{text}^{e}", _power(value, e)
+    if rng.random() < 0.1:
+        text, value = f"-{text}", -value
+    return text, value
+
+
+def _run_python(script):
+    env = dict(os.environ)
+    src = str(Path(hookweight.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=20)
+
+
 class TestParser:
     def test_round_trip(self):
         for text in ["1", "(x2+x3)/(x1)", "(x2x3+x3^2)/(x1^2+x1x2)",
@@ -253,3 +327,54 @@ class TestParser:
     def test_fraction_coefficients_survive(self):
         r = parse_ratfunc("x1/2")
         assert rf_equal(r, RatFunc(x1, Polynomial.constant(2)))
+
+    def test_polynomial_exponent_overflow(self):
+        # x1^65536 fits a factored value but not the expanded polynomial
+        with pytest.raises(ParseError, match="exceeds 65535"):
+            parse_polynomial("x1^65535*x1")
+
+    def test_fields_match_ratfunc_arithmetic(self):
+        rng = random.Random(20261018)
+        for _ in range(400):
+            try:
+                text, expected = _random_expr(rng, 2)
+            except DivisionByZeroError:
+                continue
+            got = parse_ratfunc(text)
+            assert (got._c, got._num, got._fac) == (
+                expected._c, expected._num, expected._fac), text
+            assert type(got._c) is type(expected._c), text
+            assert (rf_to_canonical_string(got)
+                    == rf_to_canonical_string(expected)), text
+
+    def test_nesting_bound(self):
+        deep = MAX_NESTING * "(" + "x1+1" + MAX_NESTING * ")"
+        assert rf_to_canonical_string(parse_ratfunc(deep)) == "x1+1"
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse_ratfunc("(" + deep + ")")
+
+    def test_zero_divisor_raises(self):
+        with pytest.raises(DivisionByZeroError):
+            parse_ratfunc("x1/(x2-x2)")
+
+    def test_printed_weights_parse_back(self):
+        values = [wt_perm_recursive(w) for w in permutations(range(1, 6))]
+        for n in range(5):
+            for p in enumerate_rl_forests(n):
+                values += [L_of_forest(p), H_of_forest(p)]
+        for v in values:
+            text = rf_to_canonical_string(v)
+            assert rf_to_canonical_string(parse_ratfunc(text)) == text
+
+    def test_long_sum_parses_promptly(self):
+        # all 12,376 monomials of degree 6 in x1..x12; the 20 s timeout
+        # bounds "promptly", which re-adding the running sum per term misses
+        script = (
+            "from itertools import combinations_with_replacement as cwr\n"
+            "from hookweight.parsing import parse_polynomial\n"
+            "terms = ['x' + 'x'.join(map(str, c)) for c in cwr(range(1, 13), 6)]\n"
+            "p = parse_polynomial('+'.join(terms))\n"
+            "assert len(p) == len(terms) == 12376, len(p)\n"
+            "assert set(p.terms.values()) == {1}\n")
+        proc = _run_python(script)
+        assert proc.returncode == 0, proc.stderr
