@@ -16,8 +16,9 @@ its atoms, a sum by ``RatFunc._normalized``.  Without hint atoms that is a
 canonical function of the polynomial, the same fields that a chain of
 ``RatFunc._add`` calls reaches.  Quotients, powers of parenthesised values
 and sums with a ``RatFunc`` operand use ``RatFunc`` arithmetic, and so does
-a sum whose monomial has an exponent above 65535, which no packed key
-holds.
+a sum with a monomial that no packed key holds: an exponent above 65535,
+or a variable above ``ratfunc.MAX_PACKED_VAR``, which ends in a
+``ParseError``.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ import re
 from fractions import Fraction
 from typing import Union
 
-from .ratfunc import (_DP_ONE, _MASK, _SHIFT, ExponentOverflowError,
-                      Polynomial, RatFunc)
+from .ratfunc import (_DP_ONE, _MASK, ExponentOverflowError, Polynomial,
+                      RatFunc, _mono_pack)
 
 __all__ = ["parse_ratfunc", "parse_polynomial", "ParseError"]
 
@@ -66,16 +67,6 @@ def _int(digits: str) -> int:
         raise ParseError(f"integer with {len(digits)} digits is too long") from None
 
 
-def _pack(exps: dict) -> int | None:
-    """The packed key of a monomial's exponents, or None above 65535."""
-    key = 0
-    for var, exp in exps.items():
-        if exp > _MASK:
-            return None
-        key += exp << (_SHIFT * (var - 1))
-    return key
-
-
 def _ratfunc(value: _Value) -> RatFunc:
     if isinstance(value, RatFunc):
         return value
@@ -87,20 +78,21 @@ def _ratfunc(value: _Value) -> RatFunc:
 
 def _plus(value: _Value, rhs: _Value) -> _Value:
     """value + rhs; a packed sum ``value`` is updated in place."""
-    if isinstance(value, tuple) and isinstance(rhs, tuple):
-        key = _pack(value[1])
-        if key is not None:
+    try:
+        if isinstance(value, tuple) and isinstance(rhs, tuple):
+            key = _mono_pack(value[1])
             value = {key: value[0]} if value[0] else {}
-    if isinstance(value, dict) and isinstance(rhs, tuple):
-        c, exps = rhs
-        key = _pack(exps)
-        if key is not None:
+        if isinstance(value, dict) and isinstance(rhs, tuple):
+            c, exps = rhs
+            key = _mono_pack(exps)
             nv = value.get(key, 0) + c
             if nv:
                 value[key] = nv
             else:
                 value.pop(key, None)
             return value
+    except ExponentOverflowError:  # no packed key holds the monomial
+        pass
     return _ratfunc(value) + _ratfunc(rhs)
 
 

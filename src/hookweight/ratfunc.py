@@ -1,6 +1,7 @@
 """Exact sparse multivariate polynomials and rational functions over Q.
 
-Variables are x1, x2, x3, ... (a countable supply; indices are unbounded).
+Variables are x1, x2, x3, ... (a countable supply; a packed monomial holds
+indices up to MAX_PACKED_VAR = 2^22, a bracket atom any index).
 The shift endomorphism ``frobenius`` sends x_i to x_{i+k} and is the engine
 behind every twisted factorial and hook product in this package.
 
@@ -14,6 +15,12 @@ divisor, which cannot divide then.
 Monomial multiplication is then integer addition, which keeps the exhaustive
 verification sweeps fast in pure Python.  Coefficients are ints, promoted to
 fractions.Fraction only when a value is genuinely non-integral.
+
+One reader, ``_fields``, reads every key: it unpacks all 16-bit fields from
+the key's bytes at once, in time linear in the key's length, and exponent
+lists, degrees, the term order and monomial content are built on it.
+Packing a variable above MAX_PACKED_VAR, where a key would pass 8 MiB,
+raises ExponentOverflowError as well.
 
 A ``RatFunc`` has one representation, the factored form c * num * prod(a^e):
 a rational constant c, a primitive polynomial num and integer powers of
@@ -41,10 +48,11 @@ are.
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd
-from operator import or_
+from operator import itemgetter, or_
 from typing import Iterable, Mapping, Optional, Union
 
 __all__ = [
@@ -70,13 +78,18 @@ Coeff = Union[int, Fraction]
 _SHIFT = 16
 _MASK = (1 << _SHIFT) - 1
 
+# The last variable a packed key may hold: its field starts below bit 2^26,
+# so a key stays under 8 MiB.
+MAX_PACKED_VAR = 1 << 22
+
 
 class DivisionByZeroError(ZeroDivisionError):
     """Raised when a rational-function denominator is the zero polynomial."""
 
 
 class ExponentOverflowError(ValueError):
-    """A product has an exponent above 65535, which a packed key cannot hold."""
+    """An exponent above 65535 or a variable above x_MAX_PACKED_VAR, which a
+    packed key cannot hold."""
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +104,12 @@ def _mono_pack(exponents: Mapping[int, int]) -> int:
         if exp < 0:
             raise ValueError(f"exponent must be nonnegative, got {exp}")
         if exp > _MASK:
-            raise ValueError(f"exponent {exp} of x{var} exceeds {_MASK}")
+            raise ExponentOverflowError(
+                f"exponent {exp} of x{var} exceeds {_MASK}")
+        if var > MAX_PACKED_VAR:
+            raise ExponentOverflowError(
+                f"variable x{var} is beyond x{MAX_PACKED_VAR}, the last one "
+                f"a packed monomial holds")
         if exp:
             key += exp << (_SHIFT * (var - 1))
     return key
@@ -145,43 +163,38 @@ def _quotient_carries(q: Iterable[int], d: Iterable[int]) -> bool:
     return False
 
 
+@lru_cache(maxsize=None)
+def _unpacker(nfields: int):
+    """The reader of ``nfields`` fields, compiled once: formatting and
+    looking up the format on every call costs more than the unpacking."""
+    return struct.Struct(f"<{nfields}H").unpack
+
+
+def _fields(key: int) -> tuple[int, ...]:
+    """The exponents of x1 ... x_last in ``key``, read in one linear pass.
+
+    A 16-bit field is two little-endian bytes, whatever the host's order.
+    """
+    n = (key.bit_length() + _SHIFT - 1) // _SHIFT
+    return _unpacker(n)(key.to_bytes(2 * n, "little"))
+
+
 def _mono_unpack(key: int) -> tuple[tuple[int, int], ...]:
     """Return ((var, exp), ...) with var ascending."""
-    out = []
-    var = 1
-    while key:
-        exp = key & _MASK
-        if exp:
-            out.append((var, exp))
-        key >>= _SHIFT
-        var += 1
-    return tuple(out)
+    return tuple(filter(itemgetter(1), enumerate(_fields(key), 1)))
 
 
 def _mono_degree(key: int) -> int:
-    deg = 0
-    while key:
-        deg += key & _MASK
-        key >>= _SHIFT
-    return deg
+    return sum(_fields(key))
 
 
-def _mono_varseq(key: int) -> tuple[int, ...]:
-    """Variable-index sequence with multiplicity, e.g. x1*x3^2 -> (1, 3, 3)."""
-    seq = []
-    var = 1
-    while key:
-        exp = key & _MASK
-        seq.extend([var] * exp)
-        key >>= _SHIFT
-        var += 1
-    return tuple(seq)
-
-
-def _term_order(key: int) -> tuple[int, tuple[int, ...]]:
-    """Canonical order: total degree descending, then var sequence ascending."""
-    seq = _mono_varseq(key)
-    return (-len(seq), seq)
+def _term_order(key: int) -> tuple[int, list[int]]:
+    """Canonical order: total degree descending, then the exponents of x1,
+    x2, ... descending.  At equal degree this sorts the variable sequences
+    with multiplicity (x1*x3^2 -> 1, 3, 3) ascending: where two keys first
+    differ, the larger exponent puts the smaller variable first."""
+    fields = _fields(key)
+    return -sum(fields), [-e for e in fields]
 
 
 # ---------------------------------------------------------------------------
@@ -250,25 +263,16 @@ def _dp_min_monomial(dicts: list[dict]) -> int:
     """Packed per-variable minimum exponent over all keys of all dicts."""
     if any(0 in d for d in dicts):
         return 0  # a constant term: the content is 1
-    mins: Optional[dict[int, int]] = None
+    mins: Optional[tuple[int, ...]] = None
     for d in dicts:
         for key in d:
-            exps = dict(_mono_unpack(key))
-            if mins is None:
-                mins = exps
-            else:
-                for var in list(mins):
-                    e = exps.get(var, 0)
-                    if e < mins[var]:
-                        if e:
-                            mins[var] = e
-                        else:
-                            del mins[var]
-            if not mins:
+            fields = _fields(key)
+            mins = fields if mins is None else tuple(map(min, mins, fields))
+            if not any(mins):
                 return 0
     if not mins:
         return 0
-    return _mono_pack(mins)
+    return int.from_bytes(struct.pack(f"<{len(mins)}H", *mins), "little")
 
 
 def _dp_div_monomial(a: dict, mono_key: int) -> dict:
@@ -440,7 +444,7 @@ def _named_atom_dict(atom: Atom) -> dict:
     kind = atom[0]
     if kind == "F":
         _, off, m = atom
-        return {1 << (_SHIFT * (off + i)): 1 for i in range(m)}
+        return {_mono_pack({off + i: 1}): 1 for i in range(1, m + 1)}
     if kind == "B":
         _, pairs = atom
         return {0: 1, _mono_pack(dict(pairs)): -1}
@@ -468,12 +472,10 @@ def _dp_as_form(p: dict) -> Optional[Atom]:
         return None
     vars_seen = []
     for k, v in p.items():
-        if v != 1:
+        # x_v alone is one set bit, at bit 16 (v - 1)
+        if v != 1 or k & (k - 1) or (k.bit_length() - 1) % _SHIFT:
             return None
-        unpacked = _mono_unpack(k)
-        if len(unpacked) != 1 or unpacked[0][1] != 1:
-            return None
-        vars_seen.append(unpacked[0][0])
+        vars_seen.append(k.bit_length() // _SHIFT + 1)
     vars_seen.sort()
     lo, hi = vars_seen[0], vars_seen[-1]
     if hi - lo + 1 != len(vars_seen):
@@ -548,13 +550,6 @@ def _factor_forms(d: dict) -> tuple[dict, dict]:
                 d = q
                 val = val // fval if val else _dp_eval_point(d, base)
                 fac[atom] = fac.get(atom, 0) + 1
-    # leftover single-variable content may appear after divisions
-    mono = _dp_min_monomial([d])
-    if mono:
-        d = _dp_div_monomial(d, mono)
-        for var, exp in _mono_unpack(mono):
-            a = ("F", var - 1, 1)
-            fac[a] = fac.get(a, 0) + exp
     return d, fac
 
 

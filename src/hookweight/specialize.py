@@ -162,6 +162,8 @@ class UniPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "UniPoly":
+        if n < 0:
+            raise ValueError("negative power of a UniPoly")
         if n == 0:
             return UniPoly.constant(1)
         out = self

@@ -1,7 +1,9 @@
 """Acceptance suite: one test per criterion, exact tolerances throughout.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see one PASS/FAIL line per
-criterion.  The n=7 hook sweep and the size-7 morphism sweep carry the
+criterion.  The sweeps one size up (the hook identity at n = 7 and 8, the
+q-specialization over S_8, the inversion hook formula at n = 7, the
+P-partition identity at n = 6 and the size-7 morphism sweep) carry the
 ``slow`` marker and are deselected by default.
 """
 
@@ -130,9 +132,10 @@ def test_03_hook_identity_sweep_n6():
 
 
 @pytest.mark.slow
-def test_03s_hook_identity_sweep_n7():
-    with report(3, "hook identity sweep extended to n = 7 (slow tier)"):
-        for p in enumerate_rl_forests(7):
+@pytest.mark.parametrize("n", [7, 8])
+def test_03s_hook_identity_sweep(n):
+    with report(3, f"hook identity sweep extended to n = {n} (slow tier)"):
+        for p in enumerate_rl_forests(n):
             assert rf_equal(L_of_forest(p), H_of_forest(p)), p
 
 
@@ -155,12 +158,28 @@ def test_05_q_specialization_and_tree_inversions():
                 assert inv_via_tree(w) == inv(w)
 
 
+@pytest.mark.slow
+def test_05s_q_specialization_s8():
+    with report(5, "spec_q(wt(w)) = q^inv(w) for every w in S_8 "
+                   "(slow tier)"):
+        for w in permutations(range(1, 9)):
+            assert spec_q(wt_perm_recursive(w)) == UniPoly.monomial(inv(w)), w
+
+
 def test_06_bw_inv_formula_sweep():
     with report(6, "inversion hook formula (generating function, closed "
                    "form, and spec_q(L)) for every forest, n <= 6"):
         for n in range(0, 7):
             for p in enumerate_rl_forests(n):
                 assert verify_bw_inv(p), p
+
+
+@pytest.mark.slow
+def test_06s_bw_inv_formula_sweep_n7():
+    with report(6, "inversion hook formula for every forest, n = 7 "
+                   "(slow tier)"):
+        for p in enumerate_rl_forests(7):
+            assert verify_bw_inv(p), p
 
 
 def test_07_pascal_and_subset_sum():

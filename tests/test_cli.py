@@ -267,6 +267,26 @@ class TestMalformedInput:
         assert code == 2 and "exceeds" in err
         assert "Traceback" not in err
 
+    def test_large_variable_index_prints_promptly(self):
+        # reading a packed key takes time linear in its length; the 20 s
+        # subprocess timeout bounds "promptly"
+        code, out, err = run_process("specialize", "--map", "q",
+                                     "--expr", "x400000+1")
+        assert code == 0 and out == "-q^400000+q^399999+1\n"
+        assert err == ""
+
+    def test_variable_beyond_the_packed_cap(self):
+        # a packed x100000000 alone would take 200 MB
+        code, out, err = run_process("specialize", "--map", "q",
+                                     "--expr", "x100000000+1")
+        assert code == 2 and out == "" and "x100000000" in err
+        assert "Traceback" not in err
+
+    def test_lone_large_variable_never_packs(self):
+        code, out, _ = run_process("specialize", "--map", "q",
+                                   "--expr", "x1000000000")
+        assert code == 0 and out == "-q^1000000000+q^999999999\n"
+
     @pytest.mark.parametrize("depth", [260, 1000])
     def test_deep_nesting(self, depth):
         code, out, err = run_process("specialize", "--map", "q", "--expr",

@@ -15,20 +15,26 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from hookweight import ratfunc
+from hookweight.parsing import ParseError, parse_ratfunc
 from hookweight.ratfunc import (
+    MAX_PACKED_VAR,
     ExponentOverflowError,
     Monomial,
     RatFunc,
     _atom_dict,
     _dp_add,
+    _dp_as_form,
     _dp_div_binom,
     _dp_div_form,
+    _dp_min_monomial,
     _dp_mul,
     _dp_neg,
     _dp_scale,
     _factor_forms,
+    _mono_degree,
     _mono_pack,
     _mono_unpack,
+    _term_order,
 )
 from hookweight.specialize import UniPoly, UniRatFunc, _int_gcd_dense
 
@@ -54,6 +60,21 @@ def random_form(rng, max_var=6):
 def random_binom(rng, max_var=5):
     vars_ = rng.sample(range(1, max_var + 1), rng.randint(1, 3))
     return ("B", tuple((v, rng.randint(1, 2)) for v in sorted(vars_)))
+
+
+def varseq_order(key):
+    """The term order as first defined: degree descending, then the variable
+    sequence with multiplicity (x1*x3^2 -> 1, 3, 3) ascending."""
+    seq = []
+    var = 1
+    while key:
+        seq.extend([var] * (key & 0xFFFF))
+        key >>= 16
+        var += 1
+    return -len(seq), tuple(seq)
+
+
+monomials = st.dictionaries(st.integers(1, 6), st.integers(0, 4), max_size=4)
 
 
 class TestPackedMonomials:
@@ -90,6 +111,67 @@ class TestPackedMonomials:
             product = _dp_mul(da, db)
             for k in product:
                 assert max(dict(_mono_unpack(k)).values(), default=0) <= 65535
+
+    @given(st.dictionaries(st.integers(1, 10**5), st.integers(0, 65535),
+                           max_size=5))
+    @example({10**5: 65535, 1: 1})
+    def test_reader_round_trip_on_large_indices(self, exps):
+        key = _mono_pack(exps)
+        assert _mono_unpack(key) == \
+            tuple(sorted((v, e) for v, e in exps.items() if e))
+        assert _mono_degree(key) == sum(exps.values())
+
+    @given(st.lists(monomials, max_size=12))
+    @example([{1: 1, 3: 2}, {2: 3}, {1: 2, 4: 1}, {3: 3}, {}])
+    def test_term_order_matches_variable_sequences(self, monos):
+        keys = {_mono_pack(m) for m in monos}
+        for a in keys:
+            for b in keys:
+                assert (_term_order(a) < _term_order(b)) == \
+                    (varseq_order(a) < varseq_order(b)), (a, b)
+
+    @given(st.lists(st.lists(monomials, min_size=1, max_size=5),
+                    min_size=1, max_size=3))
+    @example([[{10**5: 3, 2: 1}, {10**5: 2, 7: 1}]])
+    def test_min_monomial_is_the_fieldwise_minimum(self, polys):
+        dicts = [{_mono_pack(m): 1 for m in monos} for monos in polys]
+        exps = [dict(_mono_unpack(k)) for d in dicts for k in d]
+        variables = {v for e in exps for v in e}
+        assert _dp_min_monomial(dicts) == _mono_pack(
+            {v: min(e.get(v, 0) for e in exps) for v in variables})
+
+    @given(st.dictionaries(
+        monomials.map(lambda m: tuple(sorted((v, e) for v, e in m.items() if e))),
+        st.integers(1, 2), min_size=1, max_size=4))
+    @example({((1, 2),): 1})
+    @example({((5, 2),): 1, ((6, 1),): 1})
+    @example({((2, 1),): 1, ((3, 1),): 1, ((4, 1),): 1})
+    @example({((99999, 1),): 1, ((10**5, 1),): 1})
+    def test_as_form_recognizes_exactly_the_forms(self, terms):
+        p = {_mono_pack(dict(mono)): c for mono, c in terms.items()}
+        variables = sorted(m[0][0] for m, c in terms.items()
+                           if c == 1 and len(m) == 1 and m[0][1] == 1)
+        is_form = (len(variables) == len(terms)
+                   and variables[-1] - variables[0] + 1 == len(variables))
+        expected = (("F", variables[0] - 1, len(variables)) if is_form
+                    else None)
+        assert _dp_as_form(p) == expected
+
+    def test_packing_stops_at_the_variable_cap(self):
+        assert _mono_unpack(_mono_pack({MAX_PACKED_VAR: 2})) == \
+            ((MAX_PACKED_VAR, 2),)
+        for bad in ({MAX_PACKED_VAR + 1: 1}, {1: 65536}):
+            with pytest.raises(ExponentOverflowError):
+                _mono_pack(bad)
+        for atom in (("F", MAX_PACKED_VAR - 1, 2),
+                     ("B", ((1, 1), (MAX_PACKED_VAR + 1, 1)))):
+            with pytest.raises(ExponentOverflowError):
+                _atom_dict(atom)
+        with pytest.raises(ParseError):
+            parse_ratfunc(f"x{MAX_PACKED_VAR + 1}+1")
+        # a monomial alone is held by its atoms and never packed
+        assert parse_ratfunc(f"x{MAX_PACKED_VAR + 1}")._fac == \
+            {("F", MAX_PACKED_VAR, 1): 1}
 
     def test_monomial_product_overflow(self):
         with pytest.raises(ExponentOverflowError):

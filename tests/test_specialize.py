@@ -85,6 +85,13 @@ class TestUniPoly:
         with pytest.raises(SpecializationError):
             UniRatFunc(UniPoly.constant(1), UniPoly())
 
+    @pytest.mark.parametrize("n", [-1, -3])
+    def test_negative_power_raises(self, n):
+        # as Polynomial ** n does; 1 - q used to come back unchanged
+        with pytest.raises(ValueError):
+            UniPoly({0: 1, 1: -1}) ** n
+        assert UniPoly({0: 1, 1: -1}) ** 2 == UniPoly({0: 1, 1: -2, 2: 1})
+
 
 class TestSpecQ:
     def test_simple_monomial_ratio(self):
