@@ -1,7 +1,8 @@
 """Exact sparse multivariate polynomials and rational functions over Q.
 
 Variables are x1, x2, x3, ... (a countable supply; a packed monomial holds
-indices up to MAX_PACKED_VAR = 2^22, a bracket atom any index).
+indices up to MAX_PACKED_VAR = 2^22, a bracket atom any index, and
+``frobenius`` shifts no variable past MAX_PACKED_VAR).
 The shift endomorphism ``frobenius`` sends x_i to x_{i+k} and is the engine
 behind every twisted factorial and hook product in this package.
 
@@ -20,7 +21,8 @@ One reader, ``_fields``, reads every key: it unpacks all 16-bit fields from
 the key's bytes at once, in time linear in the key's length, and exponent
 lists, degrees, the term order and monomial content are built on it.
 Packing a variable above MAX_PACKED_VAR, where a key would pass 8 MiB,
-raises ExponentOverflowError as well.
+raises ExponentOverflowError as well, and so does a shift that would move a
+variable of a key or an atom there.
 
 A ``RatFunc`` has one representation, the factored form c * num * prod(a^e):
 a rational constant c, a primitive polynomial num and integer powers of
@@ -33,12 +35,17 @@ never by polynomial GCD, so it is always exact.  The sign of num is fixed
 by its coefficient at the largest packed key, which needs no term order.
 
 Sums are kept small by trial division of num by the atoms of the shared
-denominator.  Division by a binomial 1 - x^u first maps num by a ring map
-that sends 1 - x^u to 0: the variables of u go to powers of t in
-Z[t]/(t^u - 1), and a nonzero image rejects the divisor.  This map refines
-both the projection x_i -> 1 on the variables of u and the residue map
-k -> t^(k % u) on packed keys.  A rejection is a proof; acceptance always
-comes from a long division that leaves no remainder.
+denominator.  Construction runs the same greedy loop: its candidates are
+the bracket forms of two or more variables that all occur in the input,
+longest first.  One idea rejects a divisor before any long division, for
+forms and binomials alike: a ring map that sends the divisor to 0, so that
+a nonzero image of num proves that it does not divide.  For a form
+x_{a+1}+...+x_{a+m} with m >= 2, x_{a+1} goes to -x_{a+2} and x_{a+3},
+..., x_{a+m} go to 0.  For a binomial 1 - x^u, the variables of u go to
+powers of t in Z[t]/(t^u - 1); this refines both the projection x_i -> 1
+on the variables of u and the residue map k -> t^(k % u) on packed keys.
+A rejection is a proof; acceptance always comes from a long division that
+leaves no remainder.
 
 The expanded numerator and denominator exist only for printing and for the
 ``num``/``den`` properties.  They are built on each request and never stored,
@@ -252,9 +259,23 @@ def _dp_mul(a: dict, b: dict) -> dict:
     return out
 
 
+def _last_var(key: int) -> int:
+    """The largest index of a variable in ``key``, 0 for a constant."""
+    return (key.bit_length() + _SHIFT - 1) // _SHIFT
+
+
+def _check_shift(last: int, k: int) -> None:
+    """Raise ExponentOverflowError if x_last shifted by k passes the cap."""
+    if last and last + k > MAX_PACKED_VAR:
+        raise ExponentOverflowError(
+            f"shifting x{last} by {k} passes x{MAX_PACKED_VAR}, the last "
+            f"variable a packed monomial holds")
+
+
 def _dp_frobenius(a: dict, k: int) -> dict:
     if k == 0:
         return dict(a)
+    _check_shift(_last_var(max(a, default=0)), k)
     shift = _SHIFT * k
     return {key << shift: v for key, v in a.items()}
 
@@ -319,7 +340,16 @@ def _dp_leading_key(a: dict) -> int:
 
 
 def _dp_div_form(p: dict, off: int, m: int) -> Optional[dict]:
-    """Exact quotient of p by x_{off+1}+...+x_{off+m}, or None."""
+    """Exact quotient of p by x_{off+1}+...+x_{off+m}, or None.
+
+    For m >= 2 a ring map that sends the form to 0 rejects almost every
+    non-multiple in one pass: x_{off+1} -> -x_{off+2} and x_{off+3}, ...,
+    x_{off+m} -> 0.  The image of a key keeps the other variables and holds
+    e_{off+1} + e_{off+2}, below 2^17, in the 32 bits of x_{off+1} and
+    x_{off+2}, so the sum cannot carry into another variable.  A nonzero
+    image proves that the division fails; only a long division with zero
+    remainder accepts.
+    """
     if not p:
         return {}
     ybit = _SHIFT * off
@@ -331,6 +361,18 @@ def _dp_div_form(p: dict, off: int, m: int) -> Optional[dict]:
                 return None
             out[k - unit] = v
         return out
+    move = _MASK << ybit  # k - e*move moves e from x_{off+2} to x_{off+1}
+    zero = ((1 << (_SHIFT * (m - 2))) - 1) << (ybit + 2 * _SHIFT)
+    image: dict = {}
+    get = image.get
+    for k, v in p.items():
+        if k & zero:
+            continue
+        y = k >> ybit
+        kk = k - (y >> _SHIFT & _MASK) * move
+        image[kk] = get(kk, 0) + (-v if y & 1 else v)
+    if any(image.values()):
+        return None
     g = _named_atom_dict(("F", off + 1, m - 1))
     buckets: dict[int, dict] = {}
     maxd = 0
@@ -455,10 +497,13 @@ def _atom_shift(atom: Atom, k: int) -> Atom:
     if k == 0:
         return atom
     if atom[0] == "F":
+        _check_shift(atom[1] + atom[2], k)
         return ("F", atom[1] + k, atom[2])
-    if atom[0] == "P":
+    if atom[0] == "P":  # items sorted by key, so the largest key is last
+        _check_shift(_last_var(atom[1][-1][0]), k)
         shift = _SHIFT * k
         return ("P", tuple((key << shift, v) for key, v in atom[1]))
+    _check_shift(atom[1][-1][0], k)
     return ("B", tuple((v + k, e) for v, e in atom[1]))
 
 
@@ -504,53 +549,17 @@ def _try_divide_atom(p: dict, atom: Atom) -> Optional[dict]:
     return None  # hints are optional; P atoms are never trial-divided
 
 
-def _dp_max_var(d: dict) -> int:
-    mv = 0
-    for key in d:
-        mv = max(mv, key.bit_length())
-    return (mv + _SHIFT - 1) // _SHIFT
-
-
-def _dp_eval_point(d: dict, base: int) -> int:
-    """Evaluate an int-coefficient dict at x_i = base**i (exact)."""
-    total = 0
-    for key, coeff in d.items():
-        val = coeff
-        for var, exp in _mono_unpack(key):
-            val *= base ** (var * exp)
-        total += val
-    return total
-
-
-def _factor_forms(d: dict) -> tuple[dict, dict]:
-    """Greedy exact factorization of d into bracket-form atoms.
-
-    Returns (residual, atoms).  Only int-coefficient dicts; a fixed-point
-    integer evaluation cheaply rejects most non-factors before the exact
-    trial division runs, so failures stay cheap.
-    """
-    fac: dict = {}
-    mono = _dp_min_monomial([d])
-    if mono:
-        d = _dp_div_monomial(d, mono)
-        for var, exp in _mono_unpack(mono):
-            a = ("F", var - 1, 1)
-            fac[a] = fac.get(a, 0) + exp
-    maxvar = _dp_max_var(d)
-    base = 3
-    val = _dp_eval_point(d, base)
-    for m in range(maxvar, 1, -1):
-        for off in range(0, maxvar - m + 1):
-            atom = ("F", off, m)
-            fval = sum(base ** (off + i + 1) for i in range(m))
-            while d != _DP_ONE and val % fval == 0:
-                q = _dp_div_form(d, off, m)
-                if q is None or not q:
-                    break
-                d = q
-                val = val // fval if val else _dp_eval_point(d, base)
-                fac[atom] = fac.get(atom, 0) + 1
-    return d, fac
+def _form_candidates(d: dict) -> list[Atom]:
+    """The forms x_{a+1}+...+x_{a+m} with m >= 2 that may divide d, longest
+    first and then by a.  Such a form divides d only if each of its
+    variables occurs in d, so only runs of variables that occur are listed."""
+    fields = _fields(reduce(or_, d, 0))
+    run = [0] * (len(fields) + 1)  # x_{i+1} ... x_{i+run[i]} all occur
+    for i in range(len(fields) - 1, -1, -1):
+        if fields[i]:
+            run[i] = run[i + 1] + 1
+    return [("F", off, m) for m in range(max(run), 1, -1)
+            for off, r in enumerate(run) if r >= m]
 
 
 # ---------------------------------------------------------------------------
@@ -842,7 +851,9 @@ class RatFunc:
     atoms (bracket forms, binomials 1 - x^m and opaque polynomials, see the
     module notes) to nonzero exponents, negative on the denominator side.
     ``RatFunc(num, den)`` factors its expanded arguments once, so bracket and
-    binomial factors that ``num`` and ``den`` share cancel.  No polynomial
+    binomial factors that ``num`` and ``den`` share cancel; an opaque factor
+    that is all that is left of ``num`` cancels against the same factor of
+    ``den`` when the value is expanded.  No polynomial
     GCD is ever taken: equality (``==``, ``rf_equal``) is semantic, by cross
     multiplication.
 
@@ -885,8 +896,7 @@ class RatFunc:
         if not d:
             return _ZERO
         (ints,), scale = _coeff_clear([d])
-        residual, fac = _factor_forms(ints)
-        return RatFunc._normalized(scale, residual, fac)
+        return RatFunc._normalized(scale, ints, {}, _form_candidates(ints))
 
     @staticmethod
     def _normalized(c: Fraction, num: dict, fac: dict,
@@ -951,8 +961,14 @@ class RatFunc:
         content and monomial factor removed, positive leading den."""
         if self._c == 0:
             return {}, dict(_DP_ONE)
-        c, fac = self._c, self._fac
-        num = _times_atoms(_dp_scale(self._num, c.numerator), fac.items())
+        c, num, fac = self._c, self._num, self._fac
+        if num != _DP_ONE:
+            # num over an opaque atom made from that same num: cancel one copy
+            atom = ("P", tuple(sorted(num.items())))
+            if fac.get(atom, 0) < 0:
+                num, fac = _DP_ONE, dict(fac)
+                fac[atom] += 1
+        num = _times_atoms(_dp_scale(num, c.numerator), fac.items())
         den = _times_atoms({0: c.denominator},
                            ((a, -e) for a, e in fac.items()))
         (num, den), _scale = _coeff_clear([num, den])

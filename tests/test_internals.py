@@ -30,7 +30,6 @@ from hookweight.ratfunc import (
     _dp_mul,
     _dp_neg,
     _dp_scale,
-    _factor_forms,
     _mono_degree,
     _mono_pack,
     _mono_unpack,
@@ -311,7 +310,58 @@ class TestBinomRejection:
         assert _dp_div_binom(p, pairs) is None
 
 
+FORMS = st.integers(0, 3).flatmap(
+    lambda off: st.tuples(st.just(off), st.integers(1, 5 - off)))
+
+
+class TestFormRejection:
+    """_dp_div_form: for m >= 2 a ring map rejects, only a long division
+    accepts."""
+
+    @given(INT_DICTS, FORMS)
+    @example({_mono_pack({1: 3, 2: 1}): 2, _mono_pack({4: 2}): -1}, (0, 4))
+    def test_exact_multiples_divide(self, q, form):
+        off, m = form
+        p = _dp_mul(q, _atom_dict(("F", off, m)))
+        assert _dp_div_form(p, off, m) == q
+
+    def test_rejections_agree_with_sympy(self, rng):
+        sympy = pytest.importorskip("sympy")
+        xs = sympy.symbols("x1:7")
+        for _ in range(150):
+            atom = random_form(rng)
+            p = _dp_mul(dict_poly(rng), _atom_dict(atom))
+            if rng.random() < 0.7:  # perturb most multiples
+                p = _dp_add(p, dict_poly(rng, max_terms=2))
+            if not p:
+                continue
+            _q, rem = sympy.div(to_sympy(p, xs),
+                                to_sympy(_atom_dict(atom), xs), *xs)
+            assert (_dp_div_form(p, atom[1], atom[2]) is None) == \
+                (rem != 0), (p, atom)
+
+    def test_exponent_sum_stays_in_its_fields(self):
+        # the map sends x1^40001 x2^40000 to -x2^80001, past 65535: the
+        # image holds the sum in the 32 bits of x1 and x2, so it carries
+        # into no other variable
+        q = {_mono_pack({1: 40000, 2: 40000}): 1}
+        p = _dp_mul(q, _atom_dict(("F", 0, 3)))
+        assert _dp_div_form(p, 0, 3) == q
+
+
+def reassembled(f):
+    """c * num * prod(atom^e) of a value with no denominator atoms."""
+    d = _dp_scale(f._num, f._c)
+    for atom, e in f._fac.items():
+        assert e > 0
+        for _ in range(e):
+            d = _dp_mul(d, _atom_dict(atom))
+    return d
+
+
 class TestFactorForms:
+    """RatFunc._from_dict factors expanded input into bracket forms."""
+
     def test_reassembly(self, rng):
         for _ in range(150):
             residual = dict_poly(rng, max_terms=3)
@@ -321,12 +371,7 @@ class TestFactorForms:
             atoms = [random_form(rng) for _ in range(rng.randint(0, 4))]
             for atom in atoms:
                 product = _dp_mul(product, _atom_dict(atom))
-            got_res, got_fac = _factor_forms(product)
-            rebuilt = dict(got_res)
-            for atom, e in got_fac.items():
-                for _ in range(e):
-                    rebuilt = _dp_mul(rebuilt, _atom_dict(atom))
-            assert rebuilt == product
+            assert reassembled(RatFunc._from_dict(product)) == product
 
     def test_pure_products_fully_factor(self, rng):
         for _ in range(100):
@@ -334,9 +379,10 @@ class TestFactorForms:
             product = {0: 1}
             for atom in atoms:
                 product = _dp_mul(product, _atom_dict(atom))
-            got_res, got_fac = _factor_forms(product)
-            assert got_res == {0: 1}
-            assert sum(got_fac.values()) == len(atoms)
+            f = RatFunc._from_dict(product)
+            assert f._c == 1 and f._num == {0: 1}
+            assert all(atom[0] == "F" for atom in f._fac)
+            assert sum(f._fac.values()) == len(atoms)
 
 
 def frf_value(f):

@@ -16,6 +16,7 @@ from hookweight.parsing import (MAX_NESTING, ParseError, parse_polynomial,
                                 parse_ratfunc)
 from hookweight.qanalog import bracket, bracket_factorial
 from hookweight.ratfunc import (
+    MAX_PACKED_VAR,
     DivisionByZeroError,
     ExponentOverflowError,
     Monomial,
@@ -159,6 +160,42 @@ class TestRatFunc:
         # a factor that is no bracket or binomial stays, but the value is 1
         assert rf_equal(RatFunc(x1 + x2 ** 2, x1 + x2 ** 2),
                         RatFunc.from_const(1))
+
+    def test_shared_opaque_factor_cancels_when_expanded(self):
+        p = x1 + x2 ** 2
+        r = RatFunc(p, p)
+        assert rf_to_canonical_string(r) == "1"
+        assert r.num == Polynomial.one() and r.den == Polynomial.one()
+        r = RatFunc(p * (x1 + x2), p)
+        assert rf_to_canonical_string(r) == "x1+x2"
+        assert r.num == x1 + x2 and r.den == Polynomial.one()
+
+    def test_frobenius_stops_at_the_variable_cap(self):
+        top = MAX_PACKED_VAR - 1
+        assert Polynomial.variable(1).frobenius(top) == \
+            Polynomial.variable(MAX_PACKED_VAR)
+        with pytest.raises(ExponentOverflowError):
+            Polynomial.variable(1).frobenius(top + 1)
+        one = Polynomial.one()
+        assert RatFunc(1, one - x1).frobenius(top)._fac == \
+            {("B", ((MAX_PACKED_VAR, 1),)): -1}
+        # the shift of num, and of a B, F and P atom
+        for value, k in ((RatFunc(one + x1), top + 1),
+                         (RatFunc(1, one - x1), top + 1),
+                         (RatFunc(1, x1 + x2), top),
+                         (RatFunc(1, x1 + x2 ** 2), top)):
+            with pytest.raises(ExponentOverflowError):
+                value.frobenius(k)
+        assert str(RatFunc(3).frobenius(10 ** 9)) == "3"
+
+    def test_sparse_wide_input_constructs_promptly(self):
+        # the 20 s timeout bounds "promptly", which trying every window of
+        # variables below x600 as a bracket factor misses
+        proc = _run_python(
+            "from hookweight.ratfunc import Polynomial, RatFunc\n"
+            "x = Polynomial.variable\n"
+            "assert str(RatFunc(x(1) + x(600))) == 'x1+x600'\n")
+        assert proc.returncode == 0, proc.stderr
 
     def test_inverse_of_non_factored_value(self):
         r = RatFunc(x1 * x3 + Polynomial.one(), x2)
