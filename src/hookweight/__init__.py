@@ -18,6 +18,7 @@ from .combinat import (
     dual_forest_stats,
     enumerate_dual_forests,
     enumerate_rl_forests,
+    extension_stat_counts,
     increasing_binary_tree,
     inv,
     inv_poset,

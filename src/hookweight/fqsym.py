@@ -24,10 +24,11 @@ from .combinat import (
     DualForestPoset,
     ForestPoset,
     Permutation,
+    _extension_words,
+    _ideal_fold,
     descents,
     dual_forest_stats,
-    linear_extensions,
-    maj,
+    extension_stat_counts,
 )
 from .qanalog import SkewElem, skew_equal, skew_mul, _factorial_atoms
 from .ratfunc import Polynomial, RatFunc, _mono_degree, _mono_pack
@@ -79,6 +80,14 @@ class FQSymElem:
                         del self.terms[w]
 
     @classmethod
+    def _raw(cls, terms: dict[tuple[int, ...], int | Fraction]) -> "FQSymElem":
+        """Wrap ``terms`` unchecked: its keys must be permutation tuples and
+        its coefficients nonzero, as the public constructor leaves them."""
+        elem = object.__new__(cls)
+        elem.terms = terms
+        return elem
+
+    @classmethod
     def basis(cls, w: Sequence[int]) -> "FQSymElem":
         return cls({tuple(w): 1})
 
@@ -109,9 +118,8 @@ class FQSymElem:
     def __eq__(self, other) -> bool:
         if not isinstance(other, FQSymElem):
             return NotImplemented
-        mine = {w: Fraction(c) for w, c in self.terms.items()}
-        theirs = {w: Fraction(c) for w, c in other.terms.items()}
-        return mine == theirs
+        # no stored coefficient is 0, and an int equals a Fraction by value
+        return self.terms == other.terms
 
     __hash__ = None
 
@@ -167,12 +175,12 @@ def fqsym_mul(x: FQSymElem, y: FQSymElem) -> FQSymElem:
                     out[w] = nc
                 else:
                     del out[w]
-    return FQSymElem(out)
+    return FQSymElem._raw(out)
 
 
-def f_of_poset(p: ForestPoset) -> FQSymElem:
+def f_of_poset(p: ForestPoset | DualForestPoset) -> FQSymElem:
     """Sum of F_w over the linear extensions of p."""
-    return FQSymElem({tuple(w): 1 for w in linear_extensions(p)})
+    return FQSymElem._raw({tuple(w): 1 for w in _extension_words(p)})
 
 
 # ---------------------------------------------------------------------------
@@ -283,27 +291,13 @@ def _gamma_extension_sum(pre: tuple[frozenset[int], ...]) -> RatFunc:
     for i, reqs in enumerate(pre):
         for r in reqs:
             need[i] |= 1 << (r - 1)
-    # ideals of one size, each as mask -> {last letter: sum over the
-    # extensions of the ideal that end in that letter}
-    level = {0: {0: RatFunc.from_const(1)}}
-    for _size in range(n):
-        grown: dict[int, dict[int, RatFunc]] = {}
-        for mask, ends in level.items():
-            placed = [v + 1 for v in range(n) if mask >> v & 1]
-            for m in range(1, n + 1):
-                if mask >> (m - 1) & 1 or need[m - 1] & ~mask:
-                    continue
-                total = RatFunc.from_const(0)
-                for last, value in ends.items():
-                    step = _prefix_step(placed + [m],
-                                        placed if last > m else ())
-                    total = total._add(step._mul(value))
-                grown.setdefault(mask | 1 << (m - 1), {})[m] = total
-        level = grown
-    total = RatFunc.from_const(0)
-    for value in level.get((1 << n) - 1, {}).values():
-        total = total._add(value)
-    return total
+
+    def step(mask: int, last: int, m: int, value: RatFunc) -> RatFunc:
+        placed = [v + 1 for v in range(n) if mask >> v & 1]
+        return _prefix_step(placed + [m], placed if last > m else ())._mul(value)
+
+    total = _ideal_fold(n, need, RatFunc.from_const(1), step, RatFunc._add)
+    return RatFunc.from_const(0) if total is None else total
 
 
 def gamma_extension_sum(prereqs: Sequence[frozenset[int]] | Mapping[int, frozenset[int]],
@@ -311,11 +305,12 @@ def gamma_extension_sum(prereqs: Sequence[frozenset[int]] | Mapping[int, frozens
     """Exact sum of gamma_perm(w) over the linear extensions of any poset.
 
     ``prereqs[i]`` lists the elements that must precede i.  The sum is folded
-    forward over the order ideals by size: the sum over the extensions of an
-    ideal I that end in m is one prefix step times the sum held for I - {m},
-    added over that ideal's last letters.  Every partial sum runs over the
-    extensions of a lower set, which for a dual forest cancels to a small
-    numerator; the fold never uses the dual-forest product formula.
+    forward over the order ideals by size (``combinat._ideal_fold``): the sum
+    over the extensions of an ideal I that end in m is one prefix step times
+    the sum held for I - {m}, added over that ideal's last letters.  Every
+    partial sum runs over the extensions of a lower set, which for a dual
+    forest cancels to a small numerator; the fold never uses the dual-forest
+    product formula.
     """
     if isinstance(prereqs, Mapping):
         n = max(prereqs, default=0) if n is None else n
@@ -339,11 +334,9 @@ def check_phimaj_morphism(p: DualForestPoset, q: DualForestPoset) -> bool:
     left side's support is first verified to be the extensions of the
     shifted disjoint union.
     """
-    fp = FQSymElem({tuple(w): 1 for w in p.linear_extensions()})
-    fq = FQSymElem({tuple(w): 1 for w in q.linear_extensions()})
-    product = fqsym_mul(fp, fq)
+    product = fqsym_mul(f_of_poset(p), f_of_poset(q))
     union = dual_concat_forests(p, q)
-    if product == FQSymElem({tuple(w): 1 for w in union.linear_extensions()}):
+    if product == f_of_poset(union):
         lhs = SkewElem({union.n: gamma_extension_sum(dual_forest_prereqs(union))})
     else:  # pragma: no cover - the product law holds for shifted unions
         lhs = phi_maj(product)
@@ -434,7 +427,10 @@ def verify_bw_maj(p: DualForestPoset) -> bool:
 
     Substituting x_i -> q in the product formula must give
     q^{maj(P)} / prod_i (1 - q^{h_i}), and the extension generating function
-    sum_w q^{maj(w)} must equal q^{maj(P)} [n]!_q / prod_i [h_i]_q.
+    sum_w q^{maj(w)} must equal q^{maj(P)} [n]!_q / prod_i [h_i]_q.  That
+    sum is folded over the order ideals of P (``extension_stat_counts``)
+    without listing the extensions; the closed form alone uses maj(P) and
+    the hook lengths.
     """
     stats = dual_forest_stats(p)
     hooks = [len(stats.lower_subtrees[i]) for i in range(1, p.n + 1)]
@@ -443,7 +439,7 @@ def verify_bw_maj(p: DualForestPoset) -> bool:
     den.subtract(hooks)
     if substituted != UniRatFunc._factored(1, stats.maj, den):
         return False
-    gen, closed = _q_hook_sides((maj(w) for w in p.linear_extensions()),
+    gen, closed = _q_hook_sides(extension_stat_counts(p, "maj"),
                                 stats.maj, p.n, hooks)
     return gen == closed
 

@@ -125,7 +125,8 @@ def _mono_pack(exponents: Mapping[int, int]) -> int:
 @lru_cache(maxsize=None)
 def _field_bits(nfields: int, bit: int) -> int:
     """Bit ``bit`` of each of the first ``nfields`` exponent fields."""
-    return sum(1 << (_SHIFT * f + bit) for f in range(nfields))
+    field = (1 << bit).to_bytes(_SHIFT // 8, "little")
+    return int.from_bytes(field * nfields, "little")
 
 
 # A carry out of an exponent field needs an exponent of at least 2^15 on one

@@ -40,7 +40,8 @@ from functools import lru_cache
 from math import comb, gcd, lcm
 from typing import Iterable
 
-from .combinat import ForestPoset, inv, inv_poset, linear_extensions, subtree_data
+from .combinat import (ForestPoset, extension_stat_counts, inv_poset,
+                       subtree_data)
 from .ratfunc import RatFunc, _mono_unpack
 from .weights import L_of_forest
 
@@ -912,17 +913,18 @@ def spec_qt(f: RatFunc, q: int, bound: int = DEFAULT_QT_BOUND) -> UniRatFunc:
 # the q-hook formula check
 # ---------------------------------------------------------------------------
 
-def _q_hook_sides(ext_stats: Iterable[int], stat_p: int, n: int,
+def _q_hook_sides(counts: dict[int, int], stat_p: int, n: int,
                   hooks: Iterable[int]) -> tuple[UniRatFunc, UniRatFunc]:
     """sum_w q^stat(w) over the extensions, and q^stat(P) [n]!_q / prod [h]_q.
 
-    ``ext_stats`` holds stat(w) for each linear extension w.  The closed
-    form is kept factored as q^stat(P) prod_{m <= n} (1 - q^m) over
-    prod_i (1 - q^{h_i}), the n factors 1 - q of the brackets cancelling.
+    ``counts[s]`` is the number of linear extensions w with stat(w) = s.
+    The closed form is kept factored as q^stat(P) prod_{m <= n} (1 - q^m)
+    over prod_i (1 - q^{h_i}), the n factors 1 - q of the brackets
+    cancelling.
     """
     fac = Counter(range(1, n + 1))
     fac.subtract(hooks)
-    return (UniRatFunc(UniPoly(Counter(ext_stats))),
+    return (UniRatFunc(UniPoly(counts)),
             UniRatFunc._factored(1, stat_p, fac))
 
 
@@ -930,10 +932,12 @@ def verify_bw_inv(p: ForestPoset) -> bool:
     """Inversion-statistic hook formula on a recursively labelled forest.
 
     Checks that spec_q(L(P)) equals both sum_w q^inv(w) and
-    q^inv(P) [n]!_q / prod [h_i]_q.
+    q^inv(P) [n]!_q / prod [h_i]_q.  The extension sum is folded over the
+    order ideals of P (``extension_stat_counts``) without listing the
+    extensions; the closed form alone uses inv(P) and the hook lengths.
     """
     lhs = spec_q(L_of_forest(p))
     gen, closed = _q_hook_sides(
-        (inv(w) for w in linear_extensions(p)), inv_poset(p), p.n,
+        extension_stat_counts(p, "inv"), inv_poset(p), p.n,
         (subtree_data(p, i)[2] for i in range(1, p.n + 1)))
     return lhs == gen and lhs == closed

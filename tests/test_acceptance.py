@@ -175,10 +175,11 @@ def test_06_bw_inv_formula_sweep():
 
 
 @pytest.mark.slow
-def test_06s_bw_inv_formula_sweep_n7():
-    with report(6, "inversion hook formula for every forest, n = 7 "
+@pytest.mark.parametrize("n", [7, 8])
+def test_06s_bw_inv_formula_sweep(n):
+    with report(6, f"inversion hook formula for every forest, n = {n} "
                    "(slow tier)"):
-        for p in enumerate_rl_forests(7):
+        for p in enumerate_rl_forests(n):
             assert verify_bw_inv(p), p
 
 

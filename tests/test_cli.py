@@ -231,14 +231,15 @@ class TestVerify:
         assert code == 2
 
 
-def run_process(*argv):
+def run_process(*argv, timeout=20):
     """Run the CLI in a fresh interpreter, as a user would."""
     env = dict(os.environ)
     src = str(Path(hookweight.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-m", "hookweight.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=20)
+                          capture_output=True, text=True, env=env,
+                          timeout=timeout)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -274,6 +275,16 @@ class TestMalformedInput:
                                      "--expr", "x400000+1")
         assert code == 0 and out == "-q^400000+q^399999+1\n"
         assert err == ""
+
+    def test_product_of_large_variables_prints_promptly(self):
+        # the carry check of a product masks every field up to x200000, and
+        # that mask is built in linear time; the 10 s timeout bounds
+        # "promptly"
+        code, out, err = run_process(
+            "specialize", "--map", "q", "--expr", "(x200000+1)*(x200000+2)",
+            timeout=10)
+        assert code == 0 and err == ""
+        assert out == "q^400000-2q^399999+q^399998-3q^200000+3q^199999+2\n"
 
     def test_variable_beyond_the_packed_cap(self):
         # a packed x100000000 alone would take 200 MB

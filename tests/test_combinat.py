@@ -1,9 +1,11 @@
 """Permutation statistics, trees, forests, and their enumerators."""
 
 import random
+from collections import Counter
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hookweight.combinat import (
     DualForestPoset,
@@ -15,6 +17,7 @@ from hookweight.combinat import (
     dual_forest_stats,
     enumerate_dual_forests,
     enumerate_rl_forests,
+    extension_stat_counts,
     increasing_binary_tree,
     inv,
     inv_poset,
@@ -372,3 +375,66 @@ class TestDualForests:
                          if all(w.index(i) < w.index(c) for i, c in p.covers())]
                 assert [tuple(w) for w in p.linear_extensions()] == brute
                 assert [tuple(w) for w in linear_extensions(p)] == brute
+
+
+class _Dag:
+    """Any poset on {1..n}, given by the pairs (a, b) that force a before b."""
+
+    def __init__(self, n, pairs):
+        self.n = n
+        self.pairs = pairs
+
+    def _precedences(self):
+        return self.pairs
+
+
+@st.composite
+def prerequisite_dags(draw):
+    n = draw(st.integers(0, 7))
+    order = draw(st.permutations(range(1, n + 1)))
+    pairs = [(order[i], order[j]) for i in range(n) for j in range(i + 1, n)]
+    return _Dag(n, draw(st.lists(st.sampled_from(pairs), unique=True))
+                if pairs else [])
+
+
+class TestExtensionStatCounts:
+    """The ideal fold against the listing of the extensions."""
+
+    @staticmethod
+    def check(p, extensions):
+        words = [tuple(w) for w in extensions]
+        for stat, f in (("inv", inv), ("maj", maj)):
+            got = extension_stat_counts(p, stat)
+            assert got == Counter(map(f, words)), (p, stat)
+            assert 0 not in got.values()
+            assert sum(got.values()) == count_linear_extensions(p)
+
+    def test_forests_against_listing(self):
+        for n in range(0, 7):
+            for p in enumerate_rl_forests(n):
+                self.check(p, linear_extensions(p))
+
+    def test_dual_forests_against_listing(self):
+        for n in range(0, 6):
+            for p in enumerate_dual_forests(n):
+                self.check(p, p.linear_extensions())
+
+    def test_antichain_is_mahonian(self):
+        # every word of S_7: both statistics have the q-factorial's counts
+        p = ForestPoset(7, (0,) * 7)
+        words = list(permutations(range(1, 8)))
+        for stat, f in (("inv", inv), ("maj", maj)):
+            assert extension_stat_counts(p, stat) == Counter(map(f, words))
+
+    @settings(max_examples=60, deadline=None)
+    @given(prerequisite_dags())
+    def test_any_poset_against_brute_force(self, dag):
+        words = [w for w in permutations(range(1, dag.n + 1))
+                 if all(w.index(a) < w.index(b) for a, b in dag.pairs)]
+        assert words
+        for stat, f in (("inv", inv), ("maj", maj)):
+            assert extension_stat_counts(dag, stat) == Counter(map(f, words))
+
+    def test_unknown_statistic(self):
+        with pytest.raises(ValueError):
+            extension_stat_counts(ForestPoset(1, (0,)), "des")

@@ -7,6 +7,7 @@ from fractions import Fraction
 from itertools import islice, permutations
 from pathlib import Path
 
+import pytest
 from hypothesis import given, strategies as st
 
 import hookweight
@@ -75,6 +76,30 @@ class TestShuffleProduct:
     def test_string_form(self):
         elem = F([2, 1]) + F([1]).scale(3)
         assert str(elem) == "3*F[1] + F[2,1]"
+
+    def test_int_and_fraction_coefficients_are_equal(self):
+        assert FQSymElem({(1,): Fraction(2)}) == FQSymElem({(1,): 2})
+        assert FQSymElem({(1,): Fraction(1, 2)}) != FQSymElem({(1,): 1})
+        assert F([1]) + F([1]).scale(-1) == FQSymElem.zero()
+
+    def test_constructor_rejects_non_permutations(self):
+        for word in [(1, 1), (2,), (0, 1)]:
+            with pytest.raises(ValueError):
+                FQSymElem({word: 1})
+
+    def test_product_is_a_valid_element(self):
+        # the product skips validation; rebuilding it through the validating
+        # constructor, which drops zero coefficients, must change nothing
+        words = [w for n in range(0, 5) for w in permutations(range(1, n + 1))]
+        for a in words:
+            for b in words:
+                if len(a) + len(b) > 5:
+                    continue
+                # F_1 F_12 and F_12 F_1 share the word 123, which cancels
+                for x, y in ((F(a), F(b)), (F(a) + F(b).scale(-1), F(a) + F(b)),
+                             (F(a).scale(Fraction(1, 2)), F(b).scale(3))):
+                    prod = fqsym_mul(x, y)
+                    assert FQSymElem(prod.terms) == prod, (x, y)
 
 
 class TestFOfPoset:
