@@ -67,22 +67,14 @@ EXIT_VERIFY_FAIL = 1
 EXIT_INPUT = 2
 EXIT_SPECIALIZE = 3
 
-_SUITE_DEFAULT_NMAX = {
-    "hook": 6,
-    "bw-inv": 6,
-    "bw-maj": 5,
-    "pbt": 6,
-    "weights": 7,
-    "pascal": 10,
-}
-
-_SUITE_MAX_NMAX = {
-    "hook": 7,
-    "bw-inv": 7,
-    "bw-maj": 6,
-    "pbt": 7,
-    "weights": 8,
-    "pascal": 12,
+# suite -> (default --nmax, largest --nmax)
+_SUITE_NMAX = {
+    "hook": (6, 7),
+    "bw-inv": (6, 7),
+    "bw-maj": (5, 6),
+    "pbt": (6, 7),
+    "weights": (7, 8),
+    "pascal": (10, 12),
 }
 
 
@@ -330,10 +322,11 @@ def _thread_count() -> int:
 
 def cmd_verify(args) -> int:
     suite = args.suite
-    nmax = args.nmax if args.nmax is not None else _SUITE_DEFAULT_NMAX[suite]
-    if nmax < 0 or nmax > _SUITE_MAX_NMAX[suite]:
+    default, largest = _SUITE_NMAX[suite]
+    nmax = args.nmax if args.nmax is not None else default
+    if nmax < 0 or nmax > largest:
         raise InputError(
-            f"--nmax for {suite} must be between 0 and {_SUITE_MAX_NMAX[suite]}")
+            f"--nmax for {suite} must be between 0 and {largest}")
     cases = _suite_cases(suite, nmax)
     threads = _thread_count()
     results: list[bool]
@@ -392,8 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_specialize)
 
     vf = sub.add_parser("verify", help="run an exhaustive verification suite")
-    vf.add_argument("--suite", required=True,
-                    choices=["hook", "bw-inv", "bw-maj", "pbt", "weights", "pascal"])
+    vf.add_argument("--suite", required=True, choices=list(_SUITE_NMAX))
     vf.add_argument("--nmax", type=int, default=None)
     vf.set_defaults(func=cmd_verify)
     return parser

@@ -44,8 +44,12 @@ x_{a+1}+...+x_{a+m} with m >= 2, x_{a+1} goes to -x_{a+2} and x_{a+3},
 ..., x_{a+m} go to 0.  For a binomial 1 - x^u, the variables of u go to
 powers of t in Z[t]/(t^u - 1); this refines both the projection x_i -> 1
 on the variables of u and the residue map k -> t^(k % u) on packed keys.
-A rejection is a proof; acceptance always comes from a long division that
-leaves no remainder.
+A rejection is a proof; acceptance always comes from one graded long
+division, shared by forms and binomials, that leaves no remainder and no
+carry.  It divides by x^lead + rest grade by grade, from x^lead's end: a form
+is x_{a+1} + (x_{a+2}+...+x_{a+m}), graded by the exponent of x_{a+1} from
+the top down, and a binomial is 1 + (-x^u), graded by the exponent of the
+first variable of u from the bottom up.
 
 The expanded numerator and denominator exist only for printing and for the
 ``num``/``den`` properties.  They are built on each request and never stored,
@@ -340,6 +344,44 @@ def _dp_leading_key(a: dict) -> int:
     return min(a, key=_term_order)
 
 
+def _dp_div_graded(p: dict, shift: int, lead: int, rest: dict) -> Optional[dict]:
+    """Exact quotient of p by x^lead + rest, or None.
+
+    A key's grade is its exponent field at bit ``shift``; x^lead is a power
+    of that variable, alone in its grade, and all keys of ``rest`` share
+    another.  From x^lead's end, each grade is divided by x^lead and its
+    quotient times rest is taken off the grade it reaches, until a quotient
+    could not divide or would reach past p.  A term left over is a
+    remainder, and so is a carry.
+    """
+    glead = lead >> shift & _MASK
+    step = (next(iter(rest)) >> shift & _MASK) - glead
+    buckets: dict[int, dict] = {}
+    for k, v in p.items():
+        buckets.setdefault(k >> shift & _MASK, {})[k] = v
+    top = max(buckets)
+    grades = range(top, glead - 1, -1) if step < 0 else range(glead, top - step + 1)
+    quotient: dict = {}
+    for d in grades:
+        cur = buckets.pop(d, None)
+        if not cur:
+            continue
+        nxt = buckets.setdefault(d + step, {})
+        for k, v in cur.items():
+            kq = k - lead
+            quotient[kq] = v
+            for kr, vr in rest.items():
+                kk = kq + kr
+                nv = nxt.get(kk, 0) - v * vr
+                if nv:
+                    nxt[kk] = nv
+                else:
+                    del nxt[kk]
+    if any(buckets.values()) or _quotient_carries(quotient, rest):
+        return None
+    return quotient
+
+
 def _dp_div_form(p: dict, off: int, m: int) -> Optional[dict]:
     """Exact quotient of p by x_{off+1}+...+x_{off+m}, or None.
 
@@ -374,36 +416,8 @@ def _dp_div_form(p: dict, off: int, m: int) -> Optional[dict]:
         image[kk] = get(kk, 0) + (-v if y & 1 else v)
     if any(image.values()):
         return None
-    g = _named_atom_dict(("F", off + 1, m - 1))
-    buckets: dict[int, dict] = {}
-    maxd = 0
-    for k, v in p.items():
-        d = (k >> ybit) & _MASK
-        buckets.setdefault(d, {})[k - (d << ybit)] = v
-        if d > maxd:
-            maxd = d
-    if maxd == 0:
-        return None
-    quotient: dict = {}
-    cur = dict(buckets.get(maxd, {}))
-    for d in range(maxd, 0, -1):
-        if cur:
-            shift = (d - 1) << ybit
-            for k, v in cur.items():
-                quotient[k + shift] = v
-        nxt = dict(buckets.get(d - 1, {}))
-        for kq, vq in cur.items():
-            for kg, vg in g.items():
-                kk = kq + kg
-                nv = nxt.get(kk, 0) - vq * vg
-                if nv:
-                    nxt[kk] = nv
-                else:
-                    nxt.pop(kk, None)
-        cur = nxt
-    if cur or _quotient_carries(quotient, g):
-        return None
-    return quotient
+    return _dp_div_graded(p, ybit, 1 << ybit,
+                          _named_atom_dict(("F", off + 1, m - 1)))
 
 
 def _dp_div_binom(p: dict, pairs: tuple[tuple[int, int], ...]) -> Optional[dict]:
@@ -431,35 +445,7 @@ def _dp_div_binom(p: dict, pairs: tuple[tuple[int, int], ...]) -> Optional[dict]
         image[kk] = get(kk, 0) + v
     if any(image.values()):
         return None
-    # long division graded by the exponent of the first variable of u,
-    # which is positive on x^u, from the lowest grade up
-    shift = _SHIFT * (pairs[0][0] - 1)
-    ustep = pairs[0][1]
-    buckets: dict[int, dict] = {}
-    maxgrade = 0
-    for k, v in p.items():
-        d = (k >> shift) & _MASK
-        buckets.setdefault(d, {})[k] = v
-        if d > maxgrade:
-            maxgrade = d
-    qbound = maxgrade - ustep
-    out: dict = {}
-    for d in range(0, maxgrade + 1):
-        cur = buckets.get(d)
-        if not cur:
-            continue
-        if d > qbound:
-            return None
-        nxt = buckets.setdefault(d + ustep, {})
-        for k, v in cur.items():
-            out[k] = v
-            kk = k + u
-            nv = nxt.get(kk, 0) + v
-            if nv:
-                nxt[kk] = nv
-            else:
-                del nxt[kk]
-    return None if _quotient_carries(out, (u,)) else out
+    return _dp_div_graded(p, _SHIFT * (pairs[0][0] - 1), 0, {u: -1})
 
 
 # ---------------------------------------------------------------------------

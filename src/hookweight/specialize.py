@@ -37,6 +37,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 from math import comb, gcd, lcm
 from typing import Iterable
 
@@ -388,13 +389,79 @@ def _product(factors, c: int = 1) -> UniPoly:
 # binomials and psi's is multiplied out by multiplications and exact
 # divisions by binomials, each linear in the number of terms.
 
+# Miller-Rabin on the primes up to 37 decides primality exactly below
+# _MR_EXACT_BELOW; the bound itself is a strong pseudoprime to all of them.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
+def _passes_miller_rabin(n: int) -> bool:
+    """False proves n composite; True proves n prime below _MR_EXACT_BELOW."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho_factor(n: int) -> int:
+    """A proper factor of the composite n, by Pollard's rho."""
+    for p in _MR_BASES:
+        if n % p == 0:
+            return p
+    for c in count(1):
+        x, y, d = 2, 2, 1
+        while d == 1:
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            d = gcd(x - y, n)
+        if d != n:
+            return d
+
+
 @lru_cache(maxsize=None)
 def _factorization(k: int) -> tuple[tuple[int, int], ...]:
-    """(p, multiplicity) for each prime p | k, by trial division.
+    """(p, multiplicity) for each prime p | k, ascending.
 
-    Fast for the binomials the maps make, whose k stays below the (q,t)
-    exponent bound; a k with a prime factor near 2^60 would take minutes.
+    Pollard's rho splits every cofactor that Miller-Rabin proves composite,
+    and the test proves the others prime below _MR_EXACT_BELOW.  A cofactor
+    at or above it that passes the test is factored by trial division, so
+    the factorization is always exact.
     """
+    primes: Counter = Counter()
+    stack = [k]
+    while stack:
+        m = stack.pop()
+        if m < 2:
+            continue
+        if not _passes_miller_rabin(m):
+            d = _rho_factor(m)
+            stack += (d, m // d)
+        elif m < _MR_EXACT_BELOW:
+            primes[m] += 1
+        else:
+            primes.update(dict(_trial_division(m)))
+    return tuple(sorted(primes.items()))
+
+
+def _trial_division(k: int) -> tuple[tuple[int, int], ...]:
+    """(p, multiplicity) for each prime p | k, by trial division: slow when
+    k has two large prime factors."""
     out, p = [], 2
     while k > 1:
         if p * p > k:

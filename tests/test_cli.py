@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: output formats, exit codes, determinism."""
 
+import hashlib
 import json
 import math
 import os
@@ -224,6 +225,17 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--suite", "pascal", "--nmax", "8")
         assert code == 0
         assert out.splitlines()[-1] == "SUITE pascal n<=8: 88/88"
+
+    @pytest.mark.parametrize("suite, digest", [
+        ("pbt", "3cd953254af34a48e656884bf114ba98d68ad8aa10fc8c25144cf569919a70de"),
+        ("bw-maj", "bc26f80a5fab19b4d86f81e6897e166b7e56f907f6b48b97977740ee8936d27e"),
+    ])
+    def test_morphism_suites_output_is_pinned(self, suite, digest):
+        # sha256 of stdout before the two FQSym morphism checks became one
+        code, out, _ = run_process("verify", "--suite", suite, "--nmax", "4",
+                                   timeout=60)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_threads_env_invalid(self, capsys, monkeypatch):
         monkeypatch.setenv("HOOKWEIGHT_THREADS", "lots")

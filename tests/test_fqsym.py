@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import hookweight
+from hookweight import fqsym
 from hookweight.combinat import (
     DualForestPoset,
     ForestPoset,
@@ -68,6 +69,18 @@ class TestShuffleProduct:
         from math import comb
         assert sum(1 for _ in shuffles((1, 2), (3, 4, 5))) == comb(5, 2)
 
+    def test_shuffle_order(self):
+        # ascending positions of the left word, as the old recursion listed
+        assert list(shuffles((1, 2), (3, 4))) == [
+            (1, 2, 3, 4), (1, 3, 2, 4), (1, 3, 4, 2),
+            (3, 1, 2, 4), (3, 1, 4, 2), (3, 4, 1, 2)]
+
+    def test_long_word_product(self):
+        # longer than the recursion limit: shuffles must not recurse per letter
+        prod = fqsym_mul(F(range(1, 1201)), F([1]))
+        assert len(prod.terms) == 1201
+        assert (1201,) + tuple(range(1, 1201)) in prod.terms
+
     @given(small_perm_words(), small_perm_words(), small_perm_words())
     def test_associative(self, a, b, c):
         fa, fb, fc = F(a), F(b), F(c)
@@ -81,6 +94,14 @@ class TestShuffleProduct:
         assert FQSymElem({(1,): Fraction(2)}) == FQSymElem({(1,): 2})
         assert FQSymElem({(1,): Fraction(1, 2)}) != FQSymElem({(1,): 1})
         assert F([1]) + F([1]).scale(-1) == FQSymElem.zero()
+
+    def test_zero_coefficients_are_dropped(self):
+        w = (2, 3, 1)
+        assert F(w).scale(0) == FQSymElem.zero()
+        assert (F(w) + F([1])).scale(Fraction(0)).terms == {}
+        cancel = F(w).scale(Fraction(1, 2)) + F(w).scale(Fraction(-1, 2))
+        assert cancel == FQSymElem.zero() and cancel.terms == {}
+        assert (F(w) + F([1]) + F(w).scale(-1)).terms == {(1,): 1}
 
     def test_constructor_rejects_non_permutations(self):
         for word in [(1, 1), (2,), (0, 1)]:
@@ -165,6 +186,46 @@ class TestPbtMorphism:
                 for p in enumerate_rl_forests(n1):
                     for q in enumerate_rl_forests(n2):
                         assert check_pbt_morphism(p, q), (p, q)
+
+
+class TestMorphismCheck:
+    """Both morphism checks fail when the product law fails."""
+
+    def test_broken_product_law_fails_both_checks(self, monkeypatch):
+        real = fqsym.fqsym_mul
+
+        def drop_one_word(x, y):
+            terms = dict(real(x, y).terms)
+            del terms[max(terms)]
+            return FQSymElem._raw(terms)
+
+        monkeypatch.setattr(fqsym, "fqsym_mul", drop_one_word)
+        single = ForestPoset.from_covers(1, [])
+        assert not check_pbt_morphism(VEE, single)
+        assert not check_pbt_morphism(single, single)
+        join = DualForestPoset.from_covered_by(3, [[1, 3], [2, 3]])
+        assert not check_phimaj_morphism(join, DualForestPoset.from_covered_by(1, []))
+        monkeypatch.undo()
+        assert check_pbt_morphism(VEE, single)
+        assert check_phimaj_morphism(join, DualForestPoset.from_covered_by(1, []))
+
+    def test_concat_dual_forests(self):
+        # the shifted union keeps the kind of its arguments
+        for n1 in range(0, 6):
+            for n2 in range(0, 6 - n1):
+                for p in enumerate_dual_forests(n1):
+                    for q in enumerate_dual_forests(n2):
+                        union = concat_forests(p, q)
+                        pairs = p.covers() + [(i + n1, t + n1)
+                                              for i, t in q.covers()]
+                        assert type(union) is DualForestPoset
+                        assert union == DualForestPoset.from_covered_by(
+                            n1 + n2, pairs), (p, q)
+
+    def test_concat_forests_keeps_the_kind(self):
+        union = concat_forests(VEE, ForestPoset.from_covers(2, [[2, 1]]))
+        assert type(union) is ForestPoset
+        assert union.covers() == [(1, 2), (3, 2), (5, 4)]
 
 
 class TestGamma:

@@ -6,16 +6,26 @@ with the dense reduction of the expanded sides: one integer GCD, then a
 monic denominator.  A second test compares them with ``sympy.cancel``.
 """
 
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import hookweight
+from hookweight import specialize
 from hookweight.specialize import (
+    _MR_EXACT_BELOW,
     UniPoly,
     UniRatFunc,
+    _factorization,
     _int_exact_div,
     _int_gcd_dense,
+    _passes_miller_rabin,
 )
 
 small_polys = st.dictionaries(st.integers(0, 4), st.integers(-3, 3),
@@ -140,3 +150,64 @@ def test_shared_cyclotomic_factor_cancels():
     # (1 + q)(1 + q^3) / (1 - q^4) = (1 + q^3) / ((1 - q)(1 + q^2))
     value = UniRatFunc(UniPoly({0: 1, 1: 1, 3: 1, 4: 1}), _binomial(4))
     assert value.to_string() == "(-q^3-1)/(q^3-q^2+q-1)"
+
+
+def _binomial_ratio(p: int) -> UniRatFunc:
+    """(1 - t^2p) / (1 - t^3p), whose reduced form is
+    (t^p + 1) / (t^2p + t^p + 1)."""
+    return UniRatFunc(UniPoly({0: 1, 2 * p: -1}), UniPoly({0: 1, 3 * p: -1}))
+
+
+class TestFactorization:
+    """Binomial keys factor by Pollard's rho and Miller-Rabin, exactly."""
+
+    def test_small_prime_reduced_form(self):
+        assert _binomial_ratio(101).to_string("t") == "(t^101+1)/(t^202+t^101+1)"
+
+    def test_large_prime_prints_without_hanging(self):
+        # 2^61 - 1 is prime; trial division of 2(2^61 - 1) would run for hours
+        p = 2 ** 61 - 1
+        src = str(Path(hookweight.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            x for x in (src, env.get("PYTHONPATH")) if x)
+        code = ("from hookweight.specialize import UniPoly, UniRatFunc\n"
+                f"p = {p}\n"
+                "print(UniRatFunc(UniPoly({0: 1, 2 * p: -1}),\n"
+                "                 UniPoly({0: 1, 3 * p: -1})).to_string('t'))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, timeout=20)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"(t^{p}+1)/(t^{2 * p}+t^{p}+1)\n"
+
+    def test_matches_sympy_factorint(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(20110)
+        ks = [rng.randrange(2, 1 << 64) for _ in range(150)]
+        ks += [rng.randrange(2, 1 << 20) for _ in range(150)]
+        ks += [(2 ** 31 - 1) ** 2, 2 ** 64 - 1, 3 ** 40, 1000003 * 1000033]
+        for k in ks:
+            assert _factorization(k) == tuple(sorted(sympy.factorint(k).items())), k
+
+    def test_composite_above_the_exact_bound_splits(self):
+        m31, m61 = 2 ** 31 - 1, 2 ** 61 - 1
+        assert 7 * m31 * m61 >= _MR_EXACT_BELOW
+        assert _factorization(7 * m31 * m61) == ((7, 1), (m31, 1), (m61, 1))
+
+    def test_pseudoprime_at_the_bound_is_not_called_prime(self, monkeypatch):
+        # the bound is a strong pseudoprime to every base up to 37, so a
+        # cofactor that large which passes the test goes to trial division
+        p1, p2 = 1287836182261, 2575672364521
+        assert p1 * p2 == _MR_EXACT_BELOW
+        assert _passes_miller_rabin(_MR_EXACT_BELOW)
+        assert _passes_miller_rabin(p1) and _passes_miller_rabin(p2)
+        seen = []
+
+        def trial(k):
+            seen.append(k)
+            return ((p1, 1), (p2, 1))
+
+        monkeypatch.setattr(specialize, "_trial_division", trial)
+        assert _factorization.__wrapped__(3 * _MR_EXACT_BELOW) == \
+            ((3, 1), (p1, 1), (p2, 1))
+        assert seen == [_MR_EXACT_BELOW]
