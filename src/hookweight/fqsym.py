@@ -36,7 +36,8 @@ from .combinat import (
     extension_stat_counts,
 )
 from .qanalog import SkewElem, skew_equal, skew_mul, _factorial_atoms
-from .ratfunc import Polynomial, RatFunc, _mono_degree, _mono_pack
+from .ratfunc import (Polynomial, RatFunc, _dp_acc, _dp_add, _dp_scale,
+                      _mono_degree, _mono_pack)
 from .specialize import (
     UniRatFunc,
     _all_q_var,
@@ -72,16 +73,9 @@ class FQSymElem:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Sequence[int], int | Fraction] | None = None):
-        self.terms: dict[tuple[int, ...], int | Fraction] = {}
-        if terms:
-            for w, c in terms.items():
-                w = tuple(Permutation(w))
-                if c:
-                    nc = self.terms.get(w, 0) + c
-                    if nc:
-                        self.terms[w] = nc
-                    else:
-                        del self.terms[w]
+        items = terms.items() if terms else ()
+        self.terms: dict[tuple[int, ...], int | Fraction] = _dp_acc(
+            {}, ((tuple(Permutation(w)), c) for w, c in items))
 
     @classmethod
     def _raw(cls, terms: dict[tuple[int, ...], int | Fraction]) -> "FQSymElem":
@@ -104,18 +98,10 @@ class FQSymElem:
         return cls({(): 1})
 
     def __add__(self, other: "FQSymElem") -> "FQSymElem":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            nc = out.get(w, 0) + c
-            if nc:
-                out[w] = nc
-            else:
-                del out[w]
-        return FQSymElem._raw(out)
+        return FQSymElem._raw(_dp_add(self.terms, other.terms))
 
     def scale(self, c) -> "FQSymElem":
-        return FQSymElem._raw(
-            {w: v * c for w, v in self.terms.items()} if c else {})
+        return FQSymElem._raw(_dp_scale(self.terms, c))
 
     def __mul__(self, other: "FQSymElem") -> "FQSymElem":
         return fqsym_mul(self, other)
@@ -164,14 +150,8 @@ def fqsym_mul(x: FQSymElem, y: FQSymElem) -> FQSymElem:
     for a, ca in x.terms.items():
         k = len(a)
         for b, cb in y.terms.items():
-            shifted = tuple(v + k for v in b)
             c = ca * cb
-            for w in shuffles(a, shifted):
-                nc = out.get(w, 0) + c
-                if nc:
-                    out[w] = nc
-                else:
-                    del out[w]
+            _dp_acc(out, ((w, c) for w in shuffles(a, tuple(v + k for v in b))))
     return FQSymElem._raw(out)
 
 
@@ -240,11 +220,7 @@ def _prefix_atom(elements: Iterable[int]):
 
 
 def _monomial_atoms(elements: Iterable[int]) -> dict:
-    atoms: dict = {}
-    for v in elements:
-        a = ("F", v - 1, 1)
-        atoms[a] = atoms.get(a, 0) + 1
-    return atoms
+    return _dp_acc({}, [(("F", v - 1, 1), 1) for v in elements])
 
 
 def _prefix_step(ideal: Iterable[int], placed: Iterable[int]) -> RatFunc:
@@ -262,27 +238,24 @@ def gamma_perm(w: Sequence[int]) -> RatFunc:
     prod_i (1 - x_{w_1}..x_{w_i}).
     """
     word = tuple(Permutation(w))
-    atoms: dict = {}
-    for i in descents(word):
-        for a, e in _monomial_atoms(word[:i]).items():
-            atoms[a] = atoms.get(a, 0) + e
-    for i in range(1, len(word) + 1):
-        a = _prefix_atom(word[:i])
-        atoms[a] = atoms.get(a, 0) - 1
-    return RatFunc._from_atoms(atoms)
+    return _gamma_product([word[:i] for i in range(1, len(word) + 1)],
+                          [word[:i] for i in descents(word)])
 
 
 def gamma_dual_forest(p: DualForestPoset) -> RatFunc:
     """Product formula for the P-partition series of a dual forest."""
     stats = dual_forest_stats(p)
-    atoms: dict = {}
-    for i in stats.des:
-        for a, e in _monomial_atoms(stats.lower_subtrees[i]).items():
-            atoms[a] = atoms.get(a, 0) + e
-    for i in range(1, p.n + 1):
-        a = _prefix_atom(stats.lower_subtrees[i])
-        atoms[a] = atoms.get(a, 0) - 1
-    return RatFunc._from_atoms(atoms)
+    below = stats.lower_subtrees
+    return _gamma_product([below[i] for i in range(1, p.n + 1)],
+                          [below[i] for i in stats.des])
+
+
+def _gamma_product(prefixes, descent_prefixes) -> RatFunc:
+    """The product of x_prefix over ``descent_prefixes`` divided by the
+    product of 1 - x_prefix over ``prefixes``."""
+    items = [(("F", v - 1, 1), 1) for pre in descent_prefixes for v in pre]
+    items += [(_prefix_atom(pre), -1) for pre in prefixes]
+    return RatFunc._from_atoms(_dp_acc({}, items))
 
 
 @lru_cache(maxsize=512)
@@ -388,8 +361,8 @@ def _gamma_weighted_sum(terms: Mapping[tuple[int, ...], int | Fraction]) -> RatF
             if not stack:
                 return frame[0]
             parent = stack[-1]
-            # _mul looks up every atom of its argument, and a prefix atom
-            # is as long as its prefix: the short step goes there
+            # _mul looks up the atoms of the smaller factor table, so
+            # either side may receive the call
             parent[0] = parent[0]._add(frame[0]._mul(parent[3]))
             continue
         m, sub = child

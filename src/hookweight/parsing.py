@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Union
 
 from .ratfunc import (_DP_ONE, _MASK, ExponentOverflowError, Polynomial,
-                      RatFunc, _mono_pack)
+                      RatFunc, _dp_acc, _mono_pack)
 
 __all__ = ["parse_ratfunc", "parse_polynomial", "ParseError"]
 
@@ -83,14 +83,7 @@ def _plus(value: _Value, rhs: _Value) -> _Value:
             key = _mono_pack(value[1])
             value = {key: value[0]} if value[0] else {}
         if isinstance(value, dict) and isinstance(rhs, tuple):
-            c, exps = rhs
-            key = _mono_pack(exps)
-            nv = value.get(key, 0) + c
-            if nv:
-                value[key] = nv
-            else:
-                value.pop(key, None)
-            return value
+            return _dp_acc(value, ((_mono_pack(rhs[1]), rhs[0]),))
     except ExponentOverflowError:  # no packed key holds the monomial
         pass
     return _ratfunc(value) + _ratfunc(rhs)
@@ -104,10 +97,7 @@ def _neg(value: _Value) -> _Value:
 
 def _times(value: _Value, rhs: _Value) -> _Value:
     if isinstance(value, tuple) and isinstance(rhs, tuple):
-        exps = dict(value[1])
-        for var, exp in rhs[1].items():
-            exps[var] = exps.get(var, 0) + exp
-        return value[0] * rhs[0], exps
+        return value[0] * rhs[0], _dp_acc(dict(value[1]), rhs[1].items())
     return _ratfunc(value) * _ratfunc(rhs)
 
 

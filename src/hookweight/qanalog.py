@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .ratfunc import Polynomial, RatFunc, rf_equal
+from .ratfunc import Polynomial, RatFunc, _dp_acc, rf_equal
 
 __all__ = [
     "bracket",
@@ -71,14 +71,9 @@ def bracket_factorial(n: int) -> Polynomial:
 
 @lru_cache(maxsize=None)
 def _binomial(n: int, k: int) -> RatFunc:
-    atoms: dict = {}
-    for a, e in _factorial_atoms(n).items():
-        atoms[a] = atoms.get(a, 0) + e
-    for a, e in _factorial_atoms(k, sign=-1).items():
-        atoms[a] = atoms.get(a, 0) + e
-    for a, e in _factorial_atoms(n - k, shift=k, sign=-1).items():
-        atoms[a] = atoms.get(a, 0) + e
-    return RatFunc._from_atoms(atoms)
+    atoms = _dp_acc(_factorial_atoms(n), _factorial_atoms(k, sign=-1).items())
+    return RatFunc._from_atoms(_dp_acc(
+        atoms, _factorial_atoms(n - k, shift=k, sign=-1).items()))
 
 
 def binomial(n: int, k: int) -> RatFunc:

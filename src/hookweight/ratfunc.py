@@ -216,17 +216,24 @@ def _term_order(key: int) -> tuple[int, list[int]]:
 _DP_ONE = {0: 1}
 
 
-def _dp_add(a: dict, b: dict) -> dict:
-    if len(a) < len(b):
-        a, b = b, a
-    out = dict(a)
-    for k, v in b.items():
-        nv = out.get(k, 0) + v
+def _dp_acc(out: dict, items: Iterable[tuple]) -> dict:
+    """Add each (key, value) of ``items`` into ``out`` in place, dropping a
+    key whose value reaches 0, and return ``out``.  ``out`` must be a dict of
+    the caller's own, never one that a value holds or a cache hands out."""
+    get = out.get
+    for k, v in items:
+        nv = get(k, 0) + v
         if nv:
             out[k] = nv
         else:
-            del out[k]
+            out.pop(k, None)
     return out
+
+
+def _dp_add(a: dict, b: dict) -> dict:
+    if len(a) < len(b):
+        a, b = b, a
+    return _dp_acc(dict(a), b.items())
 
 
 def _dp_neg(a: dict) -> dict:
@@ -244,13 +251,17 @@ def _dp_scale(a: dict, c: Coeff) -> dict:
 def _dp_mul(a: dict, b: dict) -> dict:
     if not a or not b:
         return {}
-    if len(a) < len(b):
-        a, b = b, a
-    either = reduce(or_, a, 0)
-    for kb in b:
-        either |= kb
+    either = reduce(or_, a, reduce(or_, b, 0))
     if either & _TOP_BITS or either >> _TOP_SPAN:
         _check_key_sums(a, b)
+    return _dict_mul(a, b)
+
+
+def _dict_mul(a: dict, b: dict) -> dict:
+    """The product of two sparse maps whose keys add, unchecked: packed keys
+    pass _dp_mul's carry check first, t-exponents need none."""
+    if len(a) < len(b):
+        a, b = b, a
     out: dict = {}
     get = out.get
     for kb, vb in b.items():
@@ -611,25 +622,14 @@ class Polynomial:
     __slots__ = ("_d",)
 
     def __init__(self, terms: Mapping | Iterable[tuple] = ()):
-        d: dict = {}
         if isinstance(terms, Polynomial):
-            d = dict(terms._d)
-        else:
-            items = terms.items() if isinstance(terms, Mapping) else terms
-            for mono, coeff in items:
-                if isinstance(mono, Monomial):
-                    key = mono._key
-                elif isinstance(mono, int):
-                    key = mono
-                else:
-                    key = _mono_pack(dict(mono))
-                coeff = _as_coeff(coeff)
-                nv = d.get(key, 0) + coeff
-                if nv:
-                    d[key] = nv
-                else:
-                    d.pop(key, None)
-        self._d = d
+            self._d = dict(terms._d)
+            return
+        items = terms.items() if isinstance(terms, Mapping) else terms
+        self._d = _dp_acc({}, (
+            (mono._key if isinstance(mono, Monomial) else
+             mono if isinstance(mono, int) else _mono_pack(dict(mono)),
+             _as_coeff(coeff)) for mono, coeff in items))
 
     @classmethod
     def _from_dict(cls, d: dict) -> "Polynomial":
@@ -981,13 +981,7 @@ class RatFunc:
     def _mul(self, other: "RatFunc") -> "RatFunc":
         if self._c == 0 or other._c == 0:
             return _ZERO
-        fac = dict(self._fac)
-        for a, e in other._fac.items():
-            ne = fac.get(a, 0) + e
-            if ne:
-                fac[a] = ne
-            else:
-                del fac[a]
+        fac = _dp_add(self._fac, other._fac)
         c = self._c * other._c
         if self._num == _DP_ONE:
             return _raw(c, other._num, fac)
@@ -1016,8 +1010,7 @@ class RatFunc:
 
     def _cross(self, other: "RatFunc") -> tuple[dict, dict]:
         """Each side's num times the atom powers it holds beyond the other."""
-        delta = {a: self._fac.get(a, 0) - other._fac.get(a, 0)
-                 for a in self._fac.keys() | other._fac.keys()}
+        delta = _dp_add(self._fac, _dp_neg(other._fac))
         return (_times_atoms(self._num, delta.items()),
                 _times_atoms(other._num, ((a, -e) for a, e in delta.items())))
 

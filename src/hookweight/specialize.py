@@ -43,7 +43,8 @@ from typing import Iterable
 
 from .combinat import (ForestPoset, extension_stat_counts, inv_poset,
                        subtree_data)
-from .ratfunc import RatFunc, _mono_unpack
+from .ratfunc import (RatFunc, _dict_mul, _dp_acc, _dp_add, _dp_neg,
+                      _dp_scale, _mono_unpack)
 from .weights import L_of_forest
 
 __all__ = [
@@ -88,15 +89,10 @@ class UniPoly:
     __slots__ = ("_c",)
 
     def __init__(self, coeffs: dict | None = None):
-        self._c: dict[int, Fraction | int] = {}
-        if coeffs:
-            for e, v in coeffs.items():
-                if e < 0:
-                    raise ValueError("negative exponent")
-                if v:
-                    self._c[e] = self._c.get(e, 0) + v
-                    if not self._c[e]:
-                        del self._c[e]
+        if coeffs and min(coeffs) < 0:
+            raise ValueError("negative exponent")
+        self._c: dict[int, Fraction | int] = \
+            _dp_acc({}, coeffs.items()) if coeffs else {}
 
     @classmethod
     def _raw(cls, c: dict) -> "UniPoly":
@@ -127,20 +123,12 @@ class UniPoly:
         return self._c[self.degree()] if self._c else 0
 
     def __add__(self, other) -> "UniPoly":
-        other = _as_unipoly(other)
-        out = dict(self._c)
-        for e, v in other._c.items():
-            nv = out.get(e, 0) + v
-            if nv:
-                out[e] = nv
-            else:
-                del out[e]
-        return UniPoly._raw(out)
+        return UniPoly._raw(_dp_add(self._c, _as_unipoly(other)._c))
 
     __radd__ = __add__
 
     def __neg__(self) -> "UniPoly":
-        return UniPoly._raw({e: -v for e, v in self._c.items()})
+        return UniPoly._raw(_dp_neg(self._c))
 
     def __sub__(self, other) -> "UniPoly":
         return self + (-_as_unipoly(other))
@@ -149,17 +137,7 @@ class UniPoly:
         return _as_unipoly(other) + (-self)
 
     def __mul__(self, other) -> "UniPoly":
-        other = _as_unipoly(other)
-        out: dict = {}
-        for e1, v1 in self._c.items():
-            for e2, v2 in other._c.items():
-                e = e1 + e2
-                nv = out.get(e, 0) + v1 * v2
-                if nv:
-                    out[e] = nv
-                else:
-                    del out[e]
-        return UniPoly._raw(out)
+        return UniPoly._raw(_dict_mul(self._c, _as_unipoly(other)._c))
 
     __rmul__ = __mul__
 
@@ -174,9 +152,7 @@ class UniPoly:
         return out
 
     def scale(self, v) -> "UniPoly":
-        if not v:
-            return UniPoly()
-        return UniPoly._raw({e: c * v for e, c in self._c.items()})
+        return UniPoly._raw(_dp_scale(self._c, v))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -501,14 +477,7 @@ def _binomial(k: int) -> tuple[UniPoly, int, int, int]:
 
 def _times_binomial(c: dict, k: int) -> dict:
     """c * (1 - t^k)."""
-    out = dict(c)
-    for e, v in c.items():
-        nv = out.get(e + k, 0) - v
-        if nv:
-            out[e + k] = nv
-        else:
-            del out[e + k]
-    return out
+    return _dp_acc(dict(c), [(e + k, -v) for e, v in c.items()])
 
 
 def _over_binomial(c: dict, k: int) -> dict | None:
@@ -626,8 +595,8 @@ def _fold(parts, c=1) -> tuple[Fraction, int, dict]:
     parts = list(parts)
     if any(not pc and e < 0 for (pc, _, _), e in parts):
         raise SpecializationError("zero denominator after specialization")
-    num, den, a, fac = 1, 1, 0, {}
-    for (pc, pa, key), e in parts:
+    num, den, a = 1, 1, 0
+    for (pc, pa, _), e in parts:
         if not pc:
             return Fraction(0), 0, {}
         if pc != 1:
@@ -636,22 +605,8 @@ def _fold(parts, c=1) -> tuple[Fraction, int, dict]:
             num *= top ** abs(e)
             den *= bottom ** abs(e)
         a += pa * e
-        if key is not None:
-            fac[key] = fac.get(key, 0) + e
-    fac = {k: e for k, e in fac.items() if e}
+    fac = _dp_acc({}, [(key, e) for (_, _, key), e in parts if key is not None])
     return Fraction(c) * Fraction(num, den), a, fac
-
-
-def _merge(f: dict, g: dict, sign: int) -> dict:
-    """The factor table of f * g^sign."""
-    out = dict(f)
-    for k, e in g.items():
-        e = out.get(k, 0) + sign * e
-        if e:
-            out[k] = e
-        else:
-            del out[k]
-    return out
 
 
 def _side(fac: dict, sign: int) -> list:
@@ -731,7 +686,7 @@ class UniRatFunc:
     def __mul__(self, other) -> "UniRatFunc":
         other = _as_unirf(other)
         return UniRatFunc._factored(self._c * other._c, self._a + other._a,
-                                    _merge(self._f, other._f, 1))
+                                    _dp_add(self._f, other._f))
 
     __rmul__ = __mul__
 
@@ -740,7 +695,7 @@ class UniRatFunc:
         if other.is_zero():
             raise ZeroDivisionError("division by zero rational function")
         return UniRatFunc._factored(self._c / other._c, self._a - other._a,
-                                    _merge(self._f, other._f, -1))
+                                    _dp_add(self._f, _dp_neg(other._f)))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, UniPoly)):
@@ -752,7 +707,7 @@ class UniRatFunc:
         if self._a != other._a:
             # both sides' leftover products have a nonzero constant term
             return False
-        rest = _merge(self._f, other._f, -1)
+        rest = _dp_add(self._f, _dp_neg(other._f))
         c = self._c / other._c
         return (_product(_side(rest, 1), c.numerator)
                 == _product(_side(rest, -1), c.denominator))

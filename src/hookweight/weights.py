@@ -34,7 +34,7 @@ from .combinat import (
     tree_pair_stats,
 )
 from .qanalog import _factorial_atoms, _shift_ratio
-from .ratfunc import RatFunc
+from .ratfunc import RatFunc, _dp_acc
 
 __all__ = [
     "wt_subset",
@@ -71,11 +71,9 @@ def _hook_candidates(n: int) -> tuple:
 
 def _wt_subset_atoms(s: tuple[int, ...], shift: int = 0) -> dict:
     """Atoms of F^shift(wt(S))."""
-    atoms = dict(_factorial_atoms(len(s), shift=shift, sign=-1))
-    for j, i_j in enumerate(s, start=1):
-        a = ("F", shift + i_j - 1, j)
-        atoms[a] = atoms.get(a, 0) + 1
-    return atoms
+    return _dp_acc(_factorial_atoms(len(s), shift=shift, sign=-1),
+                   [(("F", shift + i_j - 1, j), 1)
+                    for j, i_j in enumerate(s, start=1)])
 
 
 def _wt_subset_recursive(s: tuple[int, ...]) -> RatFunc:
@@ -117,7 +115,7 @@ def _wt_perm_recursive_frf(word: tuple[int, ...]) -> RatFunc:
     F^s(wt(S(u))) over every word the recursion reaches, where s adds up
     k+1 over the b-hat steps taken to reach it.
     """
-    atoms: dict = {}
+    items: list = []
     stack = [(word, 0)]
     while stack:
         v, shift = stack.pop()
@@ -125,11 +123,11 @@ def _wt_perm_recursive_frf(word: tuple[int, ...]) -> RatFunc:
             continue
         u, a, bhat, k = _parabolic_words(v)
         s = tuple(i for i in range(len(u), 0, -1) if u[i - 1] <= k)  # S(u)
-        for atom, e in _wt_subset_atoms(s, shift).items():
-            atoms[atom] = atoms.get(atom, 0) + e
+        if s:  # wt(empty set) = 1
+            items += _wt_subset_atoms(s, shift).items()
         stack.append((a, shift))
         stack.append((bhat, shift + k + 1))
-    return RatFunc._from_atoms(atoms)
+    return RatFunc._from_atoms(_dp_acc({}, items))
 
 
 def wt_perm_recursive(w: Sequence[int]) -> RatFunc:
@@ -139,16 +137,13 @@ def wt_perm_recursive(w: Sequence[int]) -> RatFunc:
 
 def wt_perm_tree(w: Sequence[int]) -> RatFunc:
     """wt(w) as the product of N/D over pairs of the increasing tree."""
-    atoms: dict = {}
+    items: list = []
     for alpha, beta, w_beta, ell, r in tree_pair_stats(Permutation(w)):
         off = w_beta - ell - 1
         if off < 0:
             raise AssertionError(f"negative form offset for pair ({alpha},{beta})")
-        den = ("F", off, ell)
-        num = ("F", off + r + 1, ell)
-        atoms[num] = atoms.get(num, 0) + 1
-        atoms[den] = atoms.get(den, 0) - 1
-    return RatFunc._from_atoms(atoms)
+        items += ((("F", off + r + 1, ell), 1), (("F", off, ell), -1))
+    return RatFunc._from_atoms(_dp_acc({}, items))
 
 
 def inv_via_tree(w: Sequence[int]) -> int:
@@ -163,12 +158,9 @@ def inv_via_tree(w: Sequence[int]) -> int:
 def H_of_forest(p: ForestPoset) -> RatFunc:
     """[n]! divided by the Frobenius-shifted hook of every subtree."""
     _require_recursively_labelled(p)
-    atoms = dict(_factorial_atoms(p.n))
-    for i in range(1, p.n + 1):
-        lo, _hi, h = subtree_data(p, i)
-        a = ("F", lo - 1, h)
-        atoms[a] = atoms.get(a, 0) - 1
-    return RatFunc._from_atoms(atoms)
+    hooks = [subtree_data(p, i) for i in range(1, p.n + 1)]
+    return RatFunc._from_atoms(_dp_acc(
+        _factorial_atoms(p.n), [(("F", lo - 1, h), -1) for lo, _, h in hooks]))
 
 
 @lru_cache(maxsize=None)
