@@ -35,7 +35,7 @@ from .combinat import (
     dual_forest_stats,
     extension_stat_counts,
 )
-from .qanalog import SkewElem, skew_equal, skew_mul, _factorial_atoms
+from .qanalog import SkewElem, _factorial_atoms
 from .ratfunc import (Polynomial, RatFunc, _dp_acc, _dp_add, _dp_scale,
                       _mono_degree, _mono_pack)
 from .specialize import (
@@ -197,13 +197,12 @@ def concat_forests(p: ForestPoset | DualForestPoset,
 def _morphism_holds(p, q, image) -> bool:
     """Whether the map with coefficient image(r) on F_r is multiplicative on
     F_p * F_q: the product law F_p * F_q = F_{p + q} must hold for the
-    shifted union p + q, and then image(p + q) = image(p) * image(q)."""
+    shifted union p + q, and then image(p + q) = image(p) * F^|p|(image(q)),
+    the twisted product of the two u-coefficients."""
     union = concat_forests(p, q)
     if fqsym_mul(f_of_poset(p), f_of_poset(q)) != f_of_poset(union):
         return False
-    return skew_equal(SkewElem({union.n: image(union)}),
-                      skew_mul(SkewElem({p.n: image(p)}),
-                               SkewElem({q.n: image(q)})))
+    return image(union) == image(p) * image(q).frobenius(p.n)
 
 
 def check_pbt_morphism(p: ForestPoset, q: ForestPoset) -> bool:

@@ -55,6 +55,18 @@ The expanded numerator and denominator exist only for printing and for the
 ``num``/``den`` properties.  They are built on each request and never stored,
 so a value never changes once made and cached values are handed out as they
 are.
+
+Sparse maps
+-----------
+Every {key: number} sum in the package is a sparse dict: packed key to
+coefficient here, t-exponent to coefficient in ``UniPoly``, atom to exponent
+in the factor tables, word to coefficient in ``FQSymElem``.  One accumulator,
+``_dp_acc``, adds (key, value) pairs into a dict in place and drops a key
+that reaches 0; ``_dp_add`` copies the larger map and adds the smaller into
+it.  ``_dp_acc`` is only handed a dict that its caller has just made, never
+one that a value holds or a cache hands out.  ``_dict_mul`` is the product
+of two maps whose keys add: ``_dp_mul`` runs it on packed keys after the
+carry check, ``UniPoly`` on t-exponents, which are plain ints.
 """
 
 from __future__ import annotations
@@ -62,7 +74,7 @@ from __future__ import annotations
 import struct
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import gcd
+from math import gcd, lcm
 from operator import itemgetter, or_
 from typing import Iterable, Mapping, Optional, Union
 
@@ -210,7 +222,7 @@ def _term_order(key: int) -> tuple[int, list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# dict polynomials (packed key -> coefficient)
+# sparse maps (packed key -> coefficient, and any other key -> number)
 # ---------------------------------------------------------------------------
 
 _DP_ONE = {0: 1}
@@ -323,32 +335,12 @@ def _coeff_clear(dicts: list[dict]) -> tuple[list[dict], Fraction]:
 
     The returned dicts times ``scale`` reproduce the inputs (jointly).
     """
-    lcm = 1
-    for d in dicts:
-        for v in d.values():
-            if isinstance(v, Fraction):
-                dv = v.denominator
-                lcm = lcm // gcd(lcm, dv) * dv
-    ints = []
-    for d in dicts:
-        nd = {}
-        for k, v in d.items():
-            iv = v * lcm
-            nd[k] = int(iv)
-        ints.append(nd)
-    g = 0
-    for d in ints:
-        for v in d.values():
-            g = gcd(g, v)
-            if g == 1:
-                break
-        if g == 1:
-            break
+    den = lcm(*(v.denominator for d in dicts for v in d.values()))
+    ints = [{k: int(v * den) for k, v in d.items()} for d in dicts]
+    g = gcd(*(v for d in ints for v in d.values())) or 1
     if g > 1:
         ints = [{k: v // g for k, v in d.items()} for d in ints]
-    else:
-        g = max(g, 1)
-    return ints, Fraction(g, lcm)
+    return ints, Fraction(g, den)
 
 
 def _dp_leading_key(a: dict) -> int:
@@ -652,9 +644,7 @@ class Polynomial:
 
     @classmethod
     def variable(cls, i: int) -> "Polynomial":
-        if i < 1:
-            raise ValueError("variable index must be positive")
-        return cls._from_dict({1 << (_SHIFT * (i - 1)): 1})
+        return cls._from_dict({_mono_pack({i: 1}): 1})
 
     @property
     def terms(self) -> dict[Monomial, Coeff]:
@@ -896,11 +886,7 @@ class RatFunc:
         if num == _DP_ONE:
             return _raw(c, _DP_ONE, fac)
         c, num = _positive_top(c, num)
-        g = 0
-        for v in num.values():
-            g = gcd(g, v)
-            if g == 1:
-                break
+        g = gcd(*num.values())
         if g > 1:
             num = {k: v // g for k, v in num.items()}
             c = c * g
@@ -1029,8 +1015,7 @@ class RatFunc:
                 common[a] = m
         p1, p2 = self._cross(other)
         c1, c2 = self._c, other._c
-        den_lcm = (c1.denominator * c2.denominator
-                   // gcd(c1.denominator, c2.denominator))
+        den_lcm = lcm(c1.denominator, c2.denominator)
         s1 = c1.numerator * (den_lcm // c1.denominator)
         s2 = c2.numerator * (den_lcm // c2.denominator)
         g = gcd(s1, s2)

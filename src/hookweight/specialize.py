@@ -80,7 +80,8 @@ class ExponentBoundError(SpecializationError):
 
 
 class SizeBoundError(SpecializationError):
-    """A product to multiply out may hold more than MAX_SPEC_BITS bits."""
+    """A product to multiply out may hold more than MAX_SPEC_BITS bits, or a
+    binomial exponent has a factor too large to prove prime."""
 
 
 class UniPoly:
@@ -91,8 +92,7 @@ class UniPoly:
     def __init__(self, coeffs: dict | None = None):
         if coeffs and min(coeffs) < 0:
             raise ValueError("negative exponent")
-        self._c: dict[int, Fraction | int] = \
-            _dp_acc({}, coeffs.items()) if coeffs else {}
+        self._c: dict[int, Fraction | int] = _dp_acc({}, (coeffs or {}).items())
 
     @classmethod
     def _raw(cls, c: dict) -> "UniPoly":
@@ -218,16 +218,6 @@ def _as_unipoly(v) -> UniPoly:
     raise TypeError(f"expected UniPoly, got {type(v)}")
 
 
-def _int_content(coeffs) -> int:
-    g = 0
-    for v in coeffs:
-        if v:
-            g = gcd(g, v)
-            if g == 1:
-                break
-    return g or 1
-
-
 def _strip(A: list) -> list:
     while A and not A[-1]:
         A.pop()
@@ -253,7 +243,7 @@ def _int_prem(A: list, B: list) -> list:
             A[off + j] -= la * B[j]
         rows += 1
         if rows % 32 == 0:
-            c = _int_content(A[:i])
+            c = gcd(*A[:i])
             if c > 1:
                 for j in range(i):
                     A[j] //= c
@@ -268,11 +258,11 @@ def _int_gcd_dense(A: list, B: list) -> list:
         A, B = B, A
     while B:
         R = _int_prem(A, B)
-        c = _int_content(R)
+        c = gcd(*R)
         if c > 1:
             R = [v // c for v in R]
         A, B = B, R
-    c = _int_content(A)
+    c = gcd(*A)
     if A and A[-1] < 0:
         c = -c
     return [v // c for v in A]
@@ -416,8 +406,8 @@ def _factorization(k: int) -> tuple[tuple[int, int], ...]:
 
     Pollard's rho splits every cofactor that Miller-Rabin proves composite,
     and the test proves the others prime below _MR_EXACT_BELOW.  A cofactor
-    at or above it that passes the test is factored by trial division, so
-    the factorization is always exact.
+    at or above it that passes the test is not proved prime, so it raises
+    SizeBoundError rather than give a factorization that may be wrong.
     """
     primes: Counter = Counter()
     stack = [k]
@@ -431,25 +421,9 @@ def _factorization(k: int) -> tuple[tuple[int, int], ...]:
         elif m < _MR_EXACT_BELOW:
             primes[m] += 1
         else:
-            primes.update(dict(_trial_division(m)))
+            raise SizeBoundError(f"a binomial exponent has a {m.bit_length()}-"
+                                 f"bit factor that is not proved prime")
     return tuple(sorted(primes.items()))
-
-
-def _trial_division(k: int) -> tuple[tuple[int, int], ...]:
-    """(p, multiplicity) for each prime p | k, by trial division: slow when
-    k has two large prime factors."""
-    out, p = [], 2
-    while k > 1:
-        if p * p > k:
-            p = k
-        if k % p == 0:
-            r = 0
-            while k % p == 0:
-                k //= p
-                r += 1
-            out.append((p, r))
-        p += 1
-    return tuple(out)
 
 
 @lru_cache(maxsize=None)

@@ -8,6 +8,7 @@ brute-force counterpart on randomized inputs.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 from math import prod
 
@@ -20,8 +21,10 @@ from hookweight.ratfunc import (
     MAX_PACKED_VAR,
     ExponentOverflowError,
     Monomial,
+    Polynomial,
     RatFunc,
     _atom_dict,
+    _dp_acc,
     _dp_add,
     _dp_as_form,
     _dp_div_binom,
@@ -171,6 +174,16 @@ class TestPackedMonomials:
         # a monomial alone is held by its atoms and never packed
         assert parse_ratfunc(f"x{MAX_PACKED_VAR + 1}")._fac == \
             {("F", MAX_PACKED_VAR, 1): 1}
+
+    def test_polynomial_variable_packs_through_the_cap(self):
+        top = Polynomial.variable(MAX_PACKED_VAR)
+        assert top.coefficient(Monomial.variable(MAX_PACKED_VAR)) == 1
+        # the key of x_(10^12) would take 2 TB: it must be refused unbuilt
+        for i in (MAX_PACKED_VAR + 1, 10 ** 12):
+            with pytest.raises(ExponentOverflowError):
+                Polynomial.variable(i)
+        with pytest.raises(ValueError):
+            Polynomial.variable(0)
 
     def test_monomial_product_overflow(self):
         with pytest.raises(ExponentOverflowError):
@@ -491,6 +504,70 @@ class TestOpaqueAtomSign:
             assert a._fac == b._fac and a._c == -b._c
             seen_p += any(atom[0] == "P" for atom in a._fac)
         assert seen_p
+
+
+class TestSparseAccumulator:
+    """_dp_acc is the one in-place sum of sparse maps.  Values share their
+    dicts, so no sum or product may change an operand's."""
+
+    def test_cancelling_keys_are_dropped(self):
+        out = {1: 2, 5: -1}
+        assert _dp_acc(out, [(1, -2), (7, 3), (5, 1), (7, -3)]) is out
+        assert out == {}
+
+    def test_zero_on_a_new_key_is_ignored(self):
+        assert _dp_acc({}, [(3, 0)]) == {}
+        assert _dp_acc({3: 1}, [(4, 0), (3, 0)]) == {3: 1}
+
+    def test_tuple_and_atom_keys(self):
+        words = _dp_acc({}, [((2, 1), 1), ((1, 2), Fraction(1, 2)),
+                             ((2, 1), -1)])
+        assert words == {(1, 2): Fraction(1, 2)}
+        atoms = _dp_acc({("F", 0, 2): -1},
+                        [(("F", 0, 2), 1), (("B", ((1, 1),)), -1)])
+        assert atoms == {("B", ((1, 1),)): -1}
+
+    @given(st.lists(st.tuples(st.integers(0, 5), st.integers(-3, 3))))
+    def test_matches_a_counter(self, items):
+        expected = Counter()
+        for k, v in items:
+            expected[k] += v
+        assert _dp_acc({}, items) == {k: v for k, v in expected.items() if v}
+
+    def test_t_exponents_are_not_packed_fields(self):
+        # 40000 + 40000 would carry out of a 16-bit field of a packed key
+        t = UniPoly.monomial(40000)
+        assert (t * t).coeffs == {80000: 1}
+
+    def test_ratfunc_operands_are_unchanged(self, rng):
+        for _ in range(60):
+            f, g = random_frf(rng), random_frf(rng)
+            before = [(dict(v._num), dict(v._fac)) for v in (f, g)]
+            f._mul(g), g._mul(f), f._mul(f._inv()), f._add(g), g._add(f)
+            f._equals(g)
+            assert [(v._num, v._fac) for v in (f, g)] == before
+
+    def test_unirat_operands_are_unchanged(self):
+        cubic = ((0, 1), (1, 1), (2, 1))  # 1 + t + t^2, no binomial
+        a = UniRatFunc._factored(2, 1, {1: 2, 3: -1, cubic: 1})
+        b = UniRatFunc._factored(Fraction(1, 3), 0, {1: -2, 3: -1, 5: 1})
+        before = (dict(a._f), dict(b._f))
+        a * b, b * a, a / b, b / a, a / a, a == b
+        assert (a._f, b._f) == before
+
+    def test_cached_value_prints_the_same_after_arithmetic(self):
+        from hookweight.combinat import ForestPoset
+        from hookweight.specialize import spec_q
+        from hookweight.weights import H_of_forest, L_of_forest
+        p = ForestPoset.from_covers(5, [[2, 1], [3, 1], [5, 4]])
+        value = L_of_forest(p)
+        text = str(value)
+        other = H_of_forest(p)
+        value._mul(other), other._mul(value), value._mul(value._inv())
+        value._add(value), value._add(other), other._add(value)
+        value - value, value == other, spec_q(value) / spec_q(other)
+        assert L_of_forest(p) is value
+        assert str(value) == text
 
 
 class TestSingleRepresentation:

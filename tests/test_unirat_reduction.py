@@ -17,9 +17,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import hookweight
-from hookweight import specialize
 from hookweight.specialize import (
     _MR_EXACT_BELOW,
+    SizeBoundError,
     UniPoly,
     UniRatFunc,
     _factorization,
@@ -31,6 +31,15 @@ from hookweight.specialize import (
 small_polys = st.dictionaries(st.integers(0, 4), st.integers(-3, 3),
                               min_size=1, max_size=4).map(UniPoly).filter(
                                   lambda p: not p.is_zero())
+
+
+def _src_env() -> dict:
+    """The environment with this checkout's sources first on the path."""
+    src = str(Path(hookweight.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        x for x in (src, env.get("PYTHONPATH")) if x)
+    return env
 
 
 def _dense(p: UniPoly) -> list:
@@ -167,16 +176,12 @@ class TestFactorization:
     def test_large_prime_prints_without_hanging(self):
         # 2^61 - 1 is prime; trial division of 2(2^61 - 1) would run for hours
         p = 2 ** 61 - 1
-        src = str(Path(hookweight.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            x for x in (src, env.get("PYTHONPATH")) if x)
         code = ("from hookweight.specialize import UniPoly, UniRatFunc\n"
                 f"p = {p}\n"
                 "print(UniRatFunc(UniPoly({0: 1, 2 * p: -1}),\n"
                 "                 UniPoly({0: 1, 3 * p: -1})).to_string('t'))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, env=env, timeout=20)
+                              text=True, env=_src_env(), timeout=20)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == f"(t^{p}+1)/(t^{2 * p}+t^{p}+1)\n"
 
@@ -194,20 +199,25 @@ class TestFactorization:
         assert 7 * m31 * m61 >= _MR_EXACT_BELOW
         assert _factorization(7 * m31 * m61) == ((7, 1), (m31, 1), (m61, 1))
 
-    def test_pseudoprime_at_the_bound_is_not_called_prime(self, monkeypatch):
+    def test_pseudoprime_at_the_bound_is_not_called_prime(self):
         # the bound is a strong pseudoprime to every base up to 37, so a
-        # cofactor that large which passes the test goes to trial division
+        # cofactor that large which passes the test is refused, not listed
         p1, p2 = 1287836182261, 2575672364521
         assert p1 * p2 == _MR_EXACT_BELOW
         assert _passes_miller_rabin(_MR_EXACT_BELOW)
         assert _passes_miller_rabin(p1) and _passes_miller_rabin(p2)
-        seen = []
+        with pytest.raises(SizeBoundError):
+            _factorization(3 * _MR_EXACT_BELOW)
 
-        def trial(k):
-            seen.append(k)
-            return ((p1, 1), (p2, 1))
-
-        monkeypatch.setattr(specialize, "_trial_division", trial)
-        assert _factorization.__wrapped__(3 * _MR_EXACT_BELOW) == \
-            ((3, 1), (p1, 1), (p2, 1))
-        assert seen == [_MR_EXACT_BELOW]
+    def test_large_prime_above_the_bound_is_refused_at_once(self):
+        # 2^89 - 1 is prime and above the bound: no test proves it, so it
+        # is refused instead of trial-divided for ever
+        code = ("from hookweight.specialize import SizeBoundError, _factorization\n"
+                "try:\n"
+                "    _factorization(2 ** 89 - 1)\n"
+                "except SizeBoundError:\n"
+                "    print('refused')\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=_src_env(), timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "refused\n"
