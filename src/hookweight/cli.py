@@ -26,6 +26,7 @@ from .combinat import (
     enumerate_rl_forests,
     inv,
     linear_extensions,
+    tree_pair_stats,
 )
 from .fqsym import (
     FQSymElem,
@@ -56,7 +57,7 @@ from .weights import (
     H_of_forest,
     L_of_forest,
     NotRecursivelyLabelledError,
-    inv_via_tree,
+    _wt_of_pairs,
     wt_perm_recursive,
     wt_perm_tree,
     wt_subset,
@@ -286,12 +287,14 @@ def _run_case(payload: tuple) -> bool:
     if kind == "weights":
         _, w = payload
         w = Permutation(w)
-        if not rf_equal(wt_perm_recursive(w), wt_perm_tree(w)):
+        stats = tree_pair_stats(w)
+        rec = wt_perm_recursive(w)
+        if not rf_equal(rec, _wt_of_pairs(stats)):
             return False
-        if inv_via_tree(w) != inv(w):
+        n_inv = inv(w)
+        if sum(stat.r + 1 for stat in stats) != n_inv:
             return False
-        s = spec_q(wt_perm_recursive(w))
-        return s.is_polynomial() and s.num == UniPoly.monomial(inv(w))
+        return spec_q(rec) == UniPoly.monomial(n_inv)
     if kind == "pascal":
         _, n, k = payload
         if k in (0, n):
@@ -303,9 +306,8 @@ def _run_case(payload: tuple) -> bool:
         return rf_equal(lhs, rhs)
     if kind == "binom-sum":
         _, n, k = payload
-        total = RatFunc.from_const(0)
-        for s in combinations(range(1, n + 1), k):
-            total = rf_add(total, wt_subset(tuple(reversed(s))))
+        total = RatFunc._sum(wt_subset(tuple(reversed(s)))
+                             for s in combinations(range(1, n + 1), k))
         return rf_equal(total, binomial(n, k))
     raise InputError(f"unknown case kind {kind!r}")
 

@@ -286,26 +286,37 @@ class TreePairStat(NamedTuple):
 
 
 def tree_pair_stats(w: Sequence[int]) -> list[TreePairStat]:
-    """Per-pair statistics on the increasing tree of w^{-1}.
+    """Per-pair statistics on the increasing tree of v = w^{-1}.
 
     For each node beta with alpha in its left subtree: ``ell`` counts left-
     subtree labels >= alpha and ``r`` right-subtree labels < alpha.  Rows come
     in preorder of beta with alpha ascending.
+
+    No tree is built.  The subtree of beta = v[j] is the run v[lo:hi]
+    between the nearest letters smaller than beta on either side, found for
+    every j by one stack pass; its left and right subtrees are v[lo:j] and
+    v[j+1:hi], and w(beta) = j + 1.  Preorder is the order of (lo, beta).
     """
-    w = Permutation(w)
-    tree = increasing_binary_tree(w.inverse())
+    v = Permutation(w).inverse()
+    n = len(v)
+    lo = [0] * n
+    hi = [n] * n
+    stack: list[int] = []  # positions of increasing letters
+    for j, letter in enumerate(v):
+        while stack and v[stack[-1]] > letter:
+            hi[stack.pop()] = j
+        lo[j] = stack[-1] + 1 if stack else 0
+        stack.append(j)
     stats: list[TreePairStat] = []
-    stack = [tree] if tree is not None else []
-    while stack:  # preorder: a node, then its left subtree, then its right
-        node = stack.pop()
-        if node.left is not None:
-            left_labels = sorted(node.left.labels())
-            right_labels = sorted(node.right.labels()) if node.right else []
-            for i, alpha in enumerate(left_labels):
-                ell = len(left_labels) - i  # left labels >= alpha
-                r = bisect_left(right_labels, alpha)  # right labels < alpha
-                stats.append(TreePairStat(alpha, node.label, w(node.label), ell, r))
-        stack.extend(c for c in (node.right, node.left) if c is not None)
+    for start, beta, j in sorted((lo[j], v[j], j) for j in range(n)
+                                 if lo[j] < j):
+        left_labels = sorted(v[start:j])
+        right_labels = sorted(v[j + 1:hi[j]])
+        size = len(left_labels)
+        for i, alpha in enumerate(left_labels):
+            # ell: left labels >= alpha; r: right labels < alpha
+            stats.append(TreePairStat(alpha, beta, j + 1, size - i,
+                                      bisect_left(right_labels, alpha)))
     return stats
 
 

@@ -51,6 +51,10 @@ is x_{a+1} + (x_{a+2}+...+x_{a+m}), graded by the exponent of x_{a+1} from
 the top down, and a binomial is 1 + (-x^u), graded by the exponent of the
 first variable of u from the bottom up.
 
+One routine, ``RatFunc._sum``, adds any number of values over the atoms
+they all share and normalizes the result once; ``_add`` is its two-term
+case, for the folds whose partial sums cancel.
+
 The expanded numerator and denominator exist only for printing and for the
 ``num``/``den`` properties.  They are built on each request and never stored,
 so a value never changes once made and cached values are handed out as they
@@ -1000,31 +1004,66 @@ class RatFunc:
         return (_times_atoms(self._num, delta.items()),
                 _times_atoms(other._num, ((a, -e) for a, e in delta.items())))
 
+    @staticmethod
+    def _sum(values: Iterable["RatFunc"],
+             hint_atoms: Iterable[Atom] = ()) -> "RatFunc":
+        """The sum of any number of values in one pass.
+
+        The sum keeps the atoms every term shares, each at its least
+        exponent over the terms (0 for a term without it).  Each term's num
+        times the atoms it holds beyond those, scaled to the common
+        constant, is added into one dict, which is normalized once: trial
+        division by ``hint_atoms``, then by the shared denominator atoms.
+        A zero term is skipped and a lone nonzero term is returned as is.
+        """
+        terms = [v for v in values if v._c]
+        if len(terms) < 2:
+            return terms[0] if terms else _ZERO
+        first = terms[0]
+        common = dict(first._fac)
+        den_lcm = first._c.denominator
+        for t in terms[1:]:
+            f = t._fac
+            # an atom missing from common has a least exponent of 0 so far
+            common = {a: m for a, e in common.items()
+                      if (m := min(e, f.get(a, 0)))}
+            for a, e in f.items():
+                if e < 0 and a not in common:
+                    common[a] = e
+            den_lcm = lcm(den_lcm, t._c.denominator)
+        scales = [t._c.numerator * (den_lcm // t._c.denominator)
+                  for t in terms]
+        g = gcd(*scales)
+        shared = common.get
+        dens = []  # the shared denominator atoms, as (atom, -exponent)
+        hints = list(hint_atoms)
+        for a, e in common.items():
+            if e < 0:
+                dens.append((a, -e))
+                hints.append(a)
+        total: dict = {}
+        for t, s in zip(terms, scales):
+            # t's num times the atoms t holds beyond the shared ones, as
+            # plain loops: this runs on every two-term _add
+            f = t._fac
+            p = t._num
+            for a, e in f.items():
+                for _ in range(e - shared(a, 0)):
+                    p = _dp_mul(p, _atom_dict(a))
+            for a, e in dens:
+                if a not in f:
+                    for _ in range(e):
+                        p = _dp_mul(p, _atom_dict(a))
+            p = _dp_scale(p, s // g)
+            total = _dp_acc(total, p.items()) if total else p
+        return RatFunc._normalized(Fraction(g, den_lcm), total, common, hints)
+
     def _add(self, other: "RatFunc",
              hint_atoms: Iterable[Atom] = ()) -> "RatFunc":
-        """The sum over the atoms both sides share, trial-divided by
-        ``hint_atoms`` and then by the shared denominator atoms."""
-        if self._c == 0:
-            return other
-        if other._c == 0:
-            return self
-        common: dict = {}
-        for a in set(self._fac) | set(other._fac):
-            m = min(self._fac.get(a, 0), other._fac.get(a, 0))
-            if m:
-                common[a] = m
-        p1, p2 = self._cross(other)
-        c1, c2 = self._c, other._c
-        den_lcm = lcm(c1.denominator, c2.denominator)
-        s1 = c1.numerator * (den_lcm // c1.denominator)
-        s2 = c2.numerator * (den_lcm // c2.denominator)
-        g = gcd(s1, s2)
-        total = _dp_add(_dp_scale(p1, s1 // g), _dp_scale(p2, s2 // g))
-        if not total:
-            return _ZERO
-        hints = list(hint_atoms)
-        hints.extend(a for a, e in common.items() if e < 0)
-        return RatFunc._normalized(Fraction(g, den_lcm), total, common, hints)
+        """The two-term case of ``_sum``: the sum over the atoms both sides
+        share, trial-divided by ``hint_atoms`` and then by the shared
+        denominator atoms.  Neither operand's dicts change."""
+        return RatFunc._sum((self, other), hint_atoms)
 
     def _equals(self, other: "RatFunc") -> bool:
         if self._c == 0 or other._c == 0:

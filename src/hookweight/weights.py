@@ -27,6 +27,7 @@ from .combinat import (
     ForestPoset,
     Permutation,
     SubsetK,
+    TreePairStat,
     _parabolic_words,
     _rl_violation,
     linear_extensions,
@@ -135,10 +136,10 @@ def wt_perm_recursive(w: Sequence[int]) -> RatFunc:
     return _wt_perm_recursive_frf(tuple(Permutation(w)))
 
 
-def wt_perm_tree(w: Sequence[int]) -> RatFunc:
-    """wt(w) as the product of N/D over pairs of the increasing tree."""
+def _wt_of_pairs(stats: Iterable[TreePairStat]) -> RatFunc:
+    """The product of N/D over the rows of ``tree_pair_stats(w)``: wt(w)."""
     items: list = []
-    for alpha, beta, w_beta, ell, r in tree_pair_stats(Permutation(w)):
+    for alpha, beta, w_beta, ell, r in stats:
         off = w_beta - ell - 1
         if off < 0:
             raise AssertionError(f"negative form offset for pair ({alpha},{beta})")
@@ -146,9 +147,14 @@ def wt_perm_tree(w: Sequence[int]) -> RatFunc:
     return RatFunc._from_atoms(_dp_acc({}, items))
 
 
+def wt_perm_tree(w: Sequence[int]) -> RatFunc:
+    """wt(w) as the product of N/D over pairs of the increasing tree."""
+    return _wt_of_pairs(tree_pair_stats(w))
+
+
 def inv_via_tree(w: Sequence[int]) -> int:
     """Sum of r+1 over the tree pairs; equals the inversion number."""
-    return sum(stat.r + 1 for stat in tree_pair_stats(Permutation(w)))
+    return sum(stat.r + 1 for stat in tree_pair_stats(w))
 
 
 # ---------------------------------------------------------------------------

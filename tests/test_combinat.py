@@ -173,7 +173,42 @@ class TestIncreasingBinaryTree:
             assert increasing_binary_tree(word).in_order() == word
 
 
+def tree_pair_stats_oracle(w):
+    """The rows read off an IncBinTree of w^{-1}, walked in preorder."""
+    w = Permutation(w)
+    tree = increasing_binary_tree(w.inverse())
+    rows = []
+    stack = [tree] if tree is not None else []
+    while stack:
+        node = stack.pop()
+        if node.left is not None:
+            left = sorted(node.left.labels())
+            right = sorted(node.right.labels()) if node.right else []
+            for i, alpha in enumerate(left):
+                r = sum(1 for b in right if b < alpha)
+                rows.append((alpha, node.label, w(node.label), len(left) - i, r))
+        stack.extend(c for c in (node.right, node.left) if c is not None)
+    return rows
+
+
 class TestTreePairStats:
+    def test_matches_the_tree_on_every_small_word(self):
+        for n in range(8):
+            for w in permutations(range(1, n + 1)):
+                assert [tuple(r) for r in tree_pair_stats(w)] == \
+                    tree_pair_stats_oracle(w), w
+
+    def test_matches_the_tree_on_random_words(self):
+        rng = random.Random(15)
+        for _ in range(200):
+            n = rng.randint(0, 60)
+            w = rng.sample(range(1, n + 1), n)
+            assert [tuple(r) for r in tree_pair_stats(w)] == \
+                tree_pair_stats_oracle(w), w
+        w = rng.sample(range(1, 2001), 2000)
+        assert [tuple(r) for r in tree_pair_stats(w)] == \
+            tree_pair_stats_oracle(w)
+
     def test_worked_table(self):
         rows = [tuple(r) for r in tree_pair_stats((5, 4, 1, 7, 3, 6, 8, 2, 9))]
         assert rows == [

@@ -454,6 +454,117 @@ class TestFRF:
             assert cross_equal(frf_value(f.frobenius(k)), expected)
 
 
+def opaque_atom(poly):
+    return ("P", tuple(sorted(poly.items())))
+
+
+SUM_ATOMS = [
+    ("F", 0, 1), ("F", 1, 1), ("F", 0, 2), ("F", 1, 2), ("F", 0, 3),
+    ("F", 2, 2), ("B", ((1, 1),)), ("B", ((1, 2),)), ("B", ((1, 1), (2, 1))),
+    ("B", ((2, 1),)),
+    opaque_atom({0: 1, _mono_pack({1: 1, 2: 1}): 1}),      # 1 + x1 x2
+    opaque_atom({_mono_pack({2: 1}): 1, _mono_pack({1: 2}): 1}),  # x2 + x1^2
+]
+SUM_NUMS = [
+    {0: 1}, {0: 1, _mono_pack({1: 1, 3: 1}): 2},          # 1 + 2 x1 x3
+    {_mono_pack({1: 1}): 1, _mono_pack({2: 2}): -1},      # x1 - x2^2
+    {0: 3, _mono_pack({2: 1}): 1, _mono_pack({1: 1, 2: 1}): 1},
+]
+SUM_TERMS = st.builds(
+    lambda atoms, c, num: RatFunc._from_atoms(atoms, c)._mul(
+        RatFunc._from_dict(num)),
+    st.dictionaries(st.sampled_from(SUM_ATOMS), st.integers(-2, 2),
+                    max_size=3),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    st.sampled_from(SUM_NUMS))
+
+
+def fold_add(values, hints=()):
+    total = RatFunc.from_const(0)
+    for v in values:
+        total = total._add(v, hints)
+    return total
+
+
+def fields(v):
+    return v._c, dict(v._num), dict(v._fac)
+
+
+class TestSum:
+    """RatFunc._sum adds any number of values in one pass; _add is its
+    two-term case, so the fold of _add is its oracle."""
+
+    @given(st.lists(SUM_TERMS, max_size=8), st.booleans())
+    def test_matches_the_fold_of_add(self, values, cancel):
+        if cancel:  # every term meets its negation: the sum is 0
+            values = values + [-v for v in reversed(values)]
+        before = [fields(v) for v in values]
+        total, fold = RatFunc._sum(values), fold_add(values)
+        assert total._equals(fold)
+        assert cross_equal(frf_value(total), frf_value(fold))
+        if total._fac == fold._fac:  # then normalizing fixes c and num
+            assert total._c == fold._c and total._num == fold._num
+        if cancel:
+            assert total.is_zero()
+        assert [fields(v) for v in values] == before
+
+    @given(SUM_TERMS, SUM_TERMS)
+    def test_add_is_the_two_term_sum(self, f, g):
+        before = fields(f), fields(g)
+        hints = [("F", 0, 2), ("B", ((1, 1),))]
+        for h in ((), hints):
+            total = f._add(g, h)
+            assert fields(total) == fields(RatFunc._sum((f, g), h))
+            assert fields(total) == fields(RatFunc._sum([f, 0 * g, g], h))
+        assert (fields(f), fields(g)) == before
+
+    def test_zero_and_single_terms(self):
+        f = RatFunc._from_atoms({("F", 0, 2): -1, ("F", 1, 1): 1}, 3)
+        zero = RatFunc.from_const(0)
+        assert RatFunc._sum([]).is_zero()
+        assert RatFunc._sum([zero, zero]).is_zero()
+        assert RatFunc._sum([f]) is f
+        assert RatFunc._sum([zero, f, zero]) is f
+        assert RatFunc._sum(iter([f, -f])).is_zero()
+
+    def test_one_pass_can_divide_out_more_than_the_fold(self):
+        # (1 - x1)/(1 - x1^2)^2 + 1/(1 - x1) + 1: the fold's first partial
+        # sum is (x1^2 + 2 x1 + 2)(1 - x1)/(1 - x1^2)^2, and adding 1 to it
+        # leaves 1 - x1 in num; the one pass divides it out of the whole sum
+        b1, b2 = ("B", ((1, 1),)), ("B", ((1, 2),))
+        values = [RatFunc._from_atoms({b1: 1, b2: -2}),
+                  RatFunc._from_atoms({b1: -1}), RatFunc.from_const(1)]
+        total, fold = RatFunc._sum(values), fold_add(values)
+        assert total._equals(fold)
+        assert total._fac == {b1: 1, b2: -2} and fold._fac == {b2: -2}
+
+    def test_shared_denominators_cancel_once(self):
+        # x1/(x1+x2) + x2/(x1+x2) = 1: the sum divides by the shared form
+        form = ("F", 0, 2)
+        terms = [RatFunc._from_atoms({("F", 0, 1): 1, form: -1}),
+                 RatFunc._from_atoms({("F", 1, 1): 1, form: -1})]
+        total = RatFunc._sum(terms)
+        assert (total._c, total._num, total._fac) == (1, {0: 1}, {})
+
+    def test_five_terms_against_sympy(self, rng):
+        sympy = pytest.importorskip("sympy")
+        xs = sympy.symbols("x1:7")
+
+        def pair(v):
+            return [sympy.Poly(to_sympy(d, xs), *xs) for d in v._expand()]
+
+        values = [RatFunc._from_atoms(
+            {a: rng.choice([-1, 1]) for a in rng.sample(SUM_ATOMS, 3)},
+            Fraction(rng.randint(-4, 4) or 1, rng.randint(1, 6)))._mul(
+                RatFunc._from_dict(rng.choice(SUM_NUMS))) for _ in range(5)]
+        num, den = pair(values[0])
+        for v in values[1:]:  # num/den + n/d over the product of the dens
+            n, d = pair(v)
+            num, den = num * d + n * den, den * d
+        total_num, total_den = pair(RatFunc._sum(values))
+        assert num * total_den == total_num * den
+
+
 class TestFactoredConstruction:
     def test_value_preserved(self, rng):
         from hookweight.ratfunc import Polynomial, RatFunc
