@@ -36,13 +36,11 @@ from .fqsym import (
     verify_bw_maj,
 )
 from .parsing import ParseError, parse_ratfunc
-from .qanalog import _shift_ratio, binomial, skew_equal, skew_mul
+from .qanalog import _pascal_holds, binomial, skew_equal, skew_mul
 from .ratfunc import (
     DivisionByZeroError,
     RatFunc,
-    rf_add,
     rf_equal,
-    rf_frobenius,
     rf_to_canonical_string,
 )
 from .specialize import (
@@ -297,13 +295,7 @@ def _run_case(payload: tuple) -> bool:
         return spec_q(rec) == UniPoly.monomial(n_inv)
     if kind == "pascal":
         _, n, k = payload
-        if k in (0, n):
-            return rf_equal(binomial(n, k), RatFunc.from_const(1))
-        lhs = binomial(n, k)
-        ratio = _shift_ratio(k)
-        rhs = rf_add(rf_frobenius(binomial(n - 1, k - 1), 1),
-                     ratio * rf_frobenius(binomial(n - 1, k), 1))
-        return rf_equal(lhs, rhs)
+        return _pascal_holds(n, k)
     if kind == "binom-sum":
         _, n, k = payload
         total = RatFunc._sum(wt_subset(tuple(reversed(s)))

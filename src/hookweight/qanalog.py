@@ -83,6 +83,39 @@ def binomial(n: int, k: int) -> RatFunc:
     return _binomial(n, k)
 
 
+@lru_cache(maxsize=None)
+def _pascal_holds(n: int, k: int) -> bool:
+    """Whether binomial(n, k) obeys the Pascal recurrence exactly:
+    binomial(n, k) = F(binomial(n-1, k-1)) + F([k]!)/[k]! * F(binomial(n-1, k))
+    for 0 < k < n, and binomial(n, k) = 1 for k in (0, n)."""
+    lhs = binomial(n, k)
+    if k in (0, n):
+        return lhs._equals(RatFunc.from_const(1))
+    rhs = binomial(n - 1, k - 1).frobenius(1)._add(
+        _shift_ratio(k) * binomial(n - 1, k).frobenius(1))
+    return lhs._equals(rhs)
+
+
+@lru_cache(maxsize=None)
+def _proved_binomial(n: int, k: int) -> RatFunc:
+    """binomial(n, k), once it is proved to be the sum B(n, k) of wt(S) over
+    the k-subsets S of {1..n}.
+
+    Splitting the subsets on whether they hold 1 (the step of
+    ``weights._wt_subset_recursive``) gives B(m, j) the recurrence that
+    ``_pascal_holds`` checks for binomial(m, j), with B(m, 0) = B(m, m) = 1.
+    So B(n, k) = binomial(n, k) by induction once ``_pascal_holds(m, j)``
+    holds at every (m, j) that (n, k) rests on: j <= k and m - j <= n - k.
+    A failed check raises, so no unproved value is ever returned or cached.
+    """
+    for j in range(k + 1):
+        for m in range(j, j + n - k + 1):
+            if not _pascal_holds(m, j):
+                raise AssertionError(
+                    f"binomial({m}, {j}) fails the Pascal recurrence")
+    return binomial(n, k)
+
+
 # ---------------------------------------------------------------------------
 # skew semigroup algebra
 # ---------------------------------------------------------------------------

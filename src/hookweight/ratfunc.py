@@ -902,8 +902,12 @@ class RatFunc:
                 a = ("F", var - 1, 1)
                 fac[a] = fac.get(a, 0) + exp
         # cancel against hinted atoms (typically the denominator's) while
-        # num is not a constant; a constant here is 1 or -1
+        # num is not a constant; a constant here is 1 or -1.  A variable
+        # x_{a+1} = ("F", a, 1) is skipped: it is prime and no longer divides
+        # num, so it divides no quotient of num either
         for atom in hint_atoms:
+            if atom[0] == "F" and atom[2] == 1:
+                continue
             while len(num) > 1 or 0 not in num:
                 q = _try_divide_atom(num, atom)
                 if q is None or not q:

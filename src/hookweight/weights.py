@@ -14,13 +14,16 @@ F^{r+1}(D)/D with D = F^{w(beta)-ell-1}[ell].
 For a recursively labelled forest P, ``L_of_forest`` is the exact sum of
 wt(w) over all linear extensions and ``H_of_forest`` the hook product
 [n]! / prod_i F^{min(P_>=i)-1}[h_i]; their equality over all small forests
-is the central identity this package verifies.
+is the central identity this package verifies.  ``L_of_forest`` sums the
+shuffle weights of each first-letter group in closed form: the sum of wt(S)
+over the k-subsets of {1..n} is the multivariate binomial
+[n]! / ([k]! F^k[n-k]!), which ``qanalog._proved_binomial`` returns only
+after the Pascal check of the ``pascal`` suite has proved it by induction.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .combinat import (
@@ -34,7 +37,7 @@ from .combinat import (
     subtree_data,
     tree_pair_stats,
 )
-from .qanalog import _factorial_atoms, _shift_ratio
+from .qanalog import _factorial_atoms, _proved_binomial, _shift_ratio
 from .ratfunc import RatFunc, _dp_acc
 
 __all__ = [
@@ -171,13 +174,25 @@ def H_of_forest(p: ForestPoset) -> RatFunc:
 
 @lru_cache(maxsize=None)
 def _subset_sum(n: int, k: int) -> RatFunc:
-    """Sum of wt(S) over k-subsets S of {2..n}: the shuffles with u(1)=k+1."""
-    hooks = _hook_candidates(n)
-    total = RatFunc.from_const(0)
-    for comb in combinations(range(2, n + 1), k):
-        s = tuple(reversed(comb))
-        total = total._add(RatFunc._from_atoms(_wt_subset_atoms(s)), hooks)
-    return total
+    """Sum of wt(S) over k-subsets S of {2..n}: the shuffles with u(1)=k+1.
+
+    No such S holds 1, so the sum is F([k]!)/[k]! times F of the sum over
+    the k-subsets of {1..n-1}, the proved binomial [n-1]!/([k]! F^k[n-1-k]!).
+    """
+    return _shift_ratio(k) * _proved_binomial(n - 1, k).frobenius(1)
+
+
+def _root_splits(n: int, cover: tuple[int, ...]):
+    """(rho, part below rho, part above rho) for every root rho, each part
+    an (n, cover) pair relabelled from 1."""
+    for rho in range(1, n + 1):
+        if cover[rho - 1]:
+            continue  # not a root
+        left = tuple(cover[i] if cover[i] and cover[i] != rho else 0
+                     for i in range(rho - 1))
+        right = tuple(cover[i] - rho if cover[i] and cover[i] != rho else 0
+                      for i in range(rho, n))
+        yield rho, (rho - 1, left), (n - rho, right)
 
 
 @lru_cache(maxsize=None)
@@ -188,22 +203,42 @@ def _L_grouped_frf(n: int, cover: tuple[int, ...]) -> RatFunc:
     u(1)=rho) x (extension of P below rho) x (extension of P above rho,
     shifted); the defining recursion of wt factors accordingly, so the group
     sum is subset-sum(n, rho-1) * L(left part) * F^rho(L(right part)).
+    The subset sum is the closed form of ``_subset_sum``, proved in the
+    same run by the Pascal check of the ``pascal`` suite.
     """
     if n == 0:
         return RatFunc.from_const(1)
     hooks = _hook_candidates(n)
     total = RatFunc.from_const(0)
-    for rho in range(1, n + 1):
-        if cover[rho - 1]:
-            continue  # not a root
-        left = tuple(cover[i] if cover[i] and cover[i] != rho else 0
-                     for i in range(rho - 1))
-        right = tuple(cover[i] - rho if cover[i] and cover[i] != rho else 0
-                      for i in range(rho, n))
-        term = _subset_sum(n, rho - 1) * _L_grouped_frf(rho - 1, left)
-        term = term * _L_grouped_frf(n - rho, right).frobenius(rho)
+    for rho, left, right in _root_splits(n, cover):
+        term = _subset_sum(n, rho - 1) * _L_grouped_frf(*left)
+        term = term * _L_grouped_frf(*right).frobenius(rho)
         total = total._add(term, hooks)
     return total
+
+
+# Subforests with at most this many elements are left to the plain recursion
+# of _L_grouped_frf, one level per element, well inside the interpreter's
+# recursion limit.
+_SHALLOW_N = 100
+
+
+def _L_grouped(n: int, cover: tuple[int, ...]) -> RatFunc:
+    """``_L_grouped_frf(n, cover)``, its cache first filled bottom-up by size
+    over the reachable subforests with more than ``_SHALLOW_N`` elements, so
+    no call recurses more than ``_SHALLOW_N`` levels however deep the
+    forest is."""
+    seen: set = set()
+    stack = [(n, cover)] if n > _SHALLOW_N else []
+    while stack:
+        for _rho, *parts in _root_splits(*stack.pop()):
+            for part in parts:
+                if part[0] > _SHALLOW_N and part not in seen:
+                    seen.add(part)
+                    stack.append(part)
+    for part in sorted(seen, key=lambda part: part[0]):
+        _L_grouped_frf(*part)
+    return _L_grouped_frf(n, cover)
 
 
 def L_of_forest(p: ForestPoset, method: str = "grouped") -> RatFunc:
@@ -215,7 +250,7 @@ def L_of_forest(p: ForestPoset, method: str = "grouped") -> RatFunc:
     """
     _require_recursively_labelled(p)
     if method == "grouped":
-        return _L_grouped_frf(p.n, p.cover)
+        return _L_grouped(p.n, p.cover)
     if method == "direct":
         hooks = _hook_candidates(p.n)
         total = RatFunc.from_const(0)

@@ -105,6 +105,16 @@ class TestHook:
         code, _, err = run(capsys, "hook", "/nonexistent/forest.json")
         assert code == 2
 
+    def test_long_chain(self, forest_file):
+        # one level of the grouped sum per element, deeper than the
+        # interpreter's recursion limit
+        n = 1000
+        path = forest_file({"n": n, "covers": [[i + 1, i]
+                                               for i in range(1, n)]})
+        code, out, err = run_process("hook", path, timeout=60)
+        assert code == 0 and out.splitlines()[-1] == "EQUAL"
+        assert "Traceback" not in err
+
 
 class TestLinext:
     def test_list(self, capsys, forest_file):

@@ -601,6 +601,23 @@ class TestHintDivision:
         assert calls == hints[:1]
         assert f._c == 1 and f._num == {0: 1} and f._fac == {hints[0]: 1}
 
+    def test_single_variables_are_not_tried(self, monkeypatch):
+        calls = []
+        divide = ratfunc._try_divide_atom
+
+        def counting(p, atom):
+            calls.append(atom)
+            return divide(p, atom)
+
+        monkeypatch.setattr(ratfunc, "_try_divide_atom", counting)
+        x1, x2 = ("F", 0, 1), ("F", 1, 1)
+        # x1^2 * x2 + x1 * x2^2 = x1 * x2 * [2]: the monomial content comes
+        # out before the hints, so neither variable is tried
+        num = {_mono_pack({1: 2, 2: 1}): 1, _mono_pack({1: 1, 2: 2}): 1}
+        f = RatFunc._normalized(Fraction(1), num, {}, [x1, ("F", 0, 2), x2])
+        assert calls == [("F", 0, 2)]
+        assert f._num == {0: 1} and f._fac == {x1: 1, x2: 1, ("F", 0, 2): 1}
+
 
 class TestOpaqueAtomSign:
     def test_negated_input_inverts_to_the_same_atom(self, rng):

@@ -1,8 +1,14 @@
 """Subset/permutation weights and the two sides of the hook identity."""
 
+import os
+import subprocess
+import sys
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
+
+from hookweight import qanalog, weights
 
 from hookweight.combinat import (
     ForestPoset,
@@ -28,6 +34,7 @@ from hookweight.weights import (
     inv_via_tree,
     wt_perm_recursive,
     wt_perm_tree,
+    _subset_sum,
     wt_subset,
 )
 
@@ -220,3 +227,66 @@ class TestStructuralLemmas:
                 for s in combinations(range(1, n + 1), k):
                     total = rf_add(total, wt_subset(tuple(reversed(s))))
                 assert rf_equal(total, binomial(n, k)), (n, k)
+                if n > 8:
+                    continue
+                # the shuffle factor of L(P): k-subsets of {2..n+1}
+                total = RatFunc.from_const(0)
+                for s in combinations(range(2, n + 2), k):
+                    total = rf_add(total, wt_subset(tuple(reversed(s))))
+                assert rf_equal(total, _subset_sum(n + 1, k)), (n, k)
+
+
+def _clear_L_caches():
+    for cached in (qanalog._pascal_holds, qanalog._proved_binomial,
+                   weights._subset_sum, weights._L_grouped_frf):
+        cached.cache_clear()
+
+
+def test_unproved_binomial_raises(monkeypatch):
+    # binomial(4, 2) with one atom dropped fails its Pascal check, and the
+    # antichain with n = 6 rests on it through _subset_sum(6, 2)
+    exact = qanalog._binomial
+
+    def mutated(n, k):
+        value = exact(n, k)
+        if (n, k) != (4, 2):
+            return value
+        fac = dict(value._fac)
+        fac.pop(next(iter(fac)))
+        return RatFunc._from_atoms(fac, value._c)
+
+    antichain = ForestPoset.from_covers(6, [])
+    _clear_L_caches()
+    monkeypatch.setattr(qanalog, "_binomial", mutated)
+    with pytest.raises(AssertionError, match=r"binomial\(4, 2\)"):
+        L_of_forest(antichain)
+    monkeypatch.undo()
+    # the failed checks are verdicts on the mutated binomial; every cached
+    # value must still be exact
+    qanalog._pascal_holds.cache_clear()
+    assert rf_equal(L_of_forest(antichain), H_of_forest(antichain))
+
+
+_WIDE_FOREST = """
+import sys
+from hookweight.combinat import ForestPoset
+from hookweight.ratfunc import rf_equal
+from hookweight.weights import H_of_forest, L_of_forest
+p = ForestPoset.from_covers({n}, {covers})
+sys.exit(0 if rf_equal(L_of_forest(p), H_of_forest(p)) else 1)
+"""
+
+
+@pytest.mark.parametrize("covers", [[], [[i, 30] for i in range(1, 30)]],
+                         ids=["antichain", "star"])
+def test_wide_forest_n30(covers):
+    # 30! extensions; the star's root has label 30, so its one group sums
+    # over all 29-subsets.  The 60 s timeout bounds the time.
+    env = dict(os.environ)
+    src = str(Path(weights.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _WIDE_FOREST.format(n=30, covers=covers)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
