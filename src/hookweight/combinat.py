@@ -23,11 +23,14 @@ Sums over the linear extensions of any poset fold forward over its order
 ideals instead of listing the words: ``_ideal_fold`` holds, for each ideal
 and last letter, the sum over the extensions of that ideal ending in that
 letter, so its work grows like 2^n n^2 where the listing grows like n!.
-``extension_stat_counts`` (q^inv and q^maj, for the Björner–Wachs hook
-formulas) and ``fqsym._gamma_extension_sum`` (the P-partition series) are
-its two uses.  The listing serves the ``linext`` command, the FQSym
-elements, ``L_of_forest(method="direct")`` and the tests, which use it as
-the fold's oracle.
+Each such state is made by one step from all the sums held by the ideal
+below it, and a caller may share the proper ideals' sums across calls
+through a bounded memo.  ``extension_stat_counts`` (q^inv and q^maj, for
+the Björner–Wachs hook formulas) and ``fqsym._gamma_extension_sum`` (the
+P-partition series, which shares its memo) are its two uses.  The listing
+serves the ``linext`` command, the FQSym elements,
+``L_of_forest(method="direct")`` and the tests, which use it as the fold's
+oracle.
 """
 
 from __future__ import annotations
@@ -531,53 +534,76 @@ def count_linear_extensions(p: _ParentArray) -> int:
     return count[0]
 
 
-def _ideal_fold(n: int, need: Sequence[int], start, step, merge):
+def _ideal_fold(n: int, need: Sequence[int], start, step,
+                memo: Optional[dict] = None, memo_cap: int = 0) -> dict:
     """Fold over the linear extensions of a poset on {1..n}, ideal by ideal.
 
     ``need[m-1]`` is the mask of the elements that must precede m (bit v-1
-    for v).  The state is an order ideal I, as a mask, with the last letter
-    placed; it holds the fold over the extensions of I that end in that
-    letter.  Appending m to (I, last) sends the held value to
-    ``step(I, last, m, value)``, and ``merge`` adds the values that reach
-    one state.  The empty ideal holds ``start`` with last letter 0.
-    Returns the merge over the last letters of the whole poset, or None
-    when it has no extension.
+    for v).  A state is an order ideal J, as a mask, with its last letter
+    m; it holds the fold over the extensions of J that end in m.  An ideal
+    holds its states as one ``ends`` dict {last letter: value}, and the
+    empty ideal holds {0: start}.  The state (J, m) is made in one call,
+    ``step(I, m, ends)``, from the whole ``ends`` dict of I = J - {m}.
+    Returns the ``ends`` dict of the whole poset, which the caller adds up;
+    it is empty when the poset has no extension.
+
+    ``memo``, when given, maps (J, the need masks of J's elements in
+    increasing order) to the ``ends`` dict of a proper ideal J.  That key
+    fixes the labelled order induced on J, so one entry serves every poset
+    with that lower set, whatever n and the elements above it, provided
+    every call with the memo passes the same ``start`` and ``step``.  The
+    fold inserts while the memo holds fewer than ``memo_cap`` entries and
+    never changes a stored dict.
     """
+    full = (1 << n) - 1
     level = {0: {0: start}}
     for _size in range(n):
+        # every state (I + m, m) of this size, first as the mask of I
         grown: dict[int, dict] = {}
-        for mask, ends in level.items():
+        for mask in level:
             for m in range(1, n + 1):
                 bit = 1 << (m - 1)
-                if mask & bit or need[m - 1] & ~mask:
+                if not mask & bit and not need[m - 1] & ~mask:
+                    grown.setdefault(mask | bit, {})[m] = mask
+        for ideal, ends in grown.items():
+            key = None
+            if memo is not None and ideal != full:
+                key = (ideal, tuple(need[v] for v in range(n)
+                                    if ideal >> v & 1))
+                shared = memo.get(key)
+                if shared is not None:
+                    grown[ideal] = shared
                     continue
-                total = None
-                for last, value in ends.items():
-                    value = step(mask, last, m, value)
-                    total = value if total is None else merge(total, value)
-                grown.setdefault(mask | bit, {})[m] = total
+            for m, below in ends.items():
+                ends[m] = step(below, m, level[below])
+            if key is not None and len(memo) < memo_cap:
+                memo[key] = ends
         level = grown
-    total = None
-    for value in level.get((1 << n) - 1, {}).values():
-        total = value if total is None else merge(total, value)
-    return total
+    return level.get(full, {})
 
 
 def extension_stat_counts(p: _ParentArray, stat: str) -> dict[int, int]:
     """{s: number of linear extensions w of p with stat(w) = s}.
 
     ``stat`` is "inv" or "maj".  Appending m to an ideal I adds to inv the
-    number of placed letters above m, and to maj the position |I| when the
-    last letter placed is above m.  The fold carries sum_w X^stat(w) at
-    X = 2^W as one integer: no count exceeds n! < 2^W, so the fields never
-    carry into each other.
+    number of placed letters above m, so the step shifts I's summed ends
+    once, and to maj the position |I| when the last letter placed is above
+    m, so the step adds the ends below m to the shifted ends above it.  The
+    fold carries sum_w X^stat(w) at X = 2^W as one integer: no count
+    exceeds n! < 2^W, so the fields never carry into each other.
     """
     if stat == "inv":
-        def step(mask, last, m, value):
-            return value << width * (mask >> m).bit_count()
+        def step(mask, m, ends):
+            return sum(ends.values()) << width * (mask >> m).bit_count()
     elif stat == "maj":
-        def step(mask, last, m, value):
-            return value << width * mask.bit_count() if last > m else value
+        def step(mask, m, ends):
+            rises = falls = 0
+            for last, value in ends.items():
+                if last > m:
+                    falls += value
+                else:
+                    rises += value
+            return rises + (falls << width * mask.bit_count())
     else:
         raise ValueError(f"unknown statistic {stat!r}")
     n = p.n
@@ -585,7 +611,7 @@ def extension_stat_counts(p: _ParentArray, stat: str) -> dict[int, int]:
     need = [0] * n
     for a, b in p._precedences():
         need[b - 1] |= 1 << (a - 1)
-    packed = _ideal_fold(n, need, 1, step, int.__add__)
+    packed = sum(_ideal_fold(n, need, 1, step).values())
     field = (1 << width) - 1
     counts: dict[int, int] = {}
     s = 0

@@ -257,6 +257,27 @@ def _gamma_product(prefixes, descent_prefixes) -> RatFunc:
     return RatFunc._from_atoms(_dp_acc({}, items))
 
 
+# The ends dicts of the proper ideals that the gamma fold has met, keyed by
+# the ideal and its elements' need masks and shared by every call of
+# _gamma_extension_sum (see combinat._ideal_fold).  The fold stops inserting
+# at _GAMMA_MEMO_CAP entries, which leaves room for all 10,022 proper
+# ideals of the dual forests with n = 6.  Whole posets are not stored: the
+# lru_cache of _gamma_extension_sum holds their sums.
+_GAMMA_MEMO: dict = {}
+_GAMMA_MEMO_CAP = 1 << 14
+
+
+def _gamma_step(mask: int, m: int, ends: dict) -> RatFunc:
+    """The state (I + m, m) of the gamma fold from the ends of the ideal I:
+    1/(1 - x_{I+m}) times the sum of the ends at an ascent into m and of
+    x_I times the ends at a descent."""
+    placed = [v + 1 for v in range(mask.bit_length()) if mask >> v & 1]
+    x_placed = RatFunc._from_atoms(_monomial_atoms(placed))
+    terms = [value._mul(x_placed) if last > m else value
+             for last, value in ends.items()]
+    return RatFunc._sum(terms)._mul(_prefix_step(placed + [m], ()))
+
+
 @lru_cache(maxsize=512)
 def _gamma_extension_sum(pre: tuple[frozenset[int], ...]) -> RatFunc:
     n = len(pre)
@@ -264,13 +285,9 @@ def _gamma_extension_sum(pre: tuple[frozenset[int], ...]) -> RatFunc:
     for i, reqs in enumerate(pre):
         for r in reqs:
             need[i] |= 1 << (r - 1)
-
-    def step(mask: int, last: int, m: int, value: RatFunc) -> RatFunc:
-        placed = [v + 1 for v in range(n) if mask >> v & 1]
-        return _prefix_step(placed + [m], placed if last > m else ())._mul(value)
-
-    total = _ideal_fold(n, need, RatFunc.from_const(1), step, RatFunc._add)
-    return RatFunc.from_const(0) if total is None else total
+    ends = _ideal_fold(n, need, RatFunc.from_const(1), _gamma_step,
+                       _GAMMA_MEMO, _GAMMA_MEMO_CAP)
+    return RatFunc._sum(ends.values())
 
 
 def gamma_extension_sum(prereqs: Sequence[frozenset[int]] | Mapping[int, frozenset[int]],
@@ -279,11 +296,14 @@ def gamma_extension_sum(prereqs: Sequence[frozenset[int]] | Mapping[int, frozens
 
     ``prereqs[i]`` lists the elements that must precede i.  The sum is folded
     forward over the order ideals by size (``combinat._ideal_fold``): the sum
-    over the extensions of an ideal I that end in m is one prefix step times
-    the sum held for I - {m}, added over that ideal's last letters.  Every
-    partial sum runs over the extensions of a lower set, which for a dual
-    forest cancels to a small numerator; the fold never uses the dual-forest
-    product formula.
+    over the extensions of an ideal J that end in m is 1/(1 - x_J) times one
+    ``RatFunc._sum`` over the last letters of I = J - {m}: the sums held for
+    I at an ascent into m, and x_I times those at a descent.  Every partial
+    sum runs over the extensions of a lower set, which for a dual forest
+    cancels to a small numerator.  The sums of a proper ideal depend only on
+    its labelled order, so every call shares them through one bounded memo,
+    ``_GAMMA_MEMO``; a sweep over many posets computes each lower set once.
+    The fold never uses the dual-forest product formula.
     """
     if isinstance(prereqs, Mapping):
         n = max(prereqs, default=0) if n is None else n

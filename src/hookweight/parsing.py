@@ -19,6 +19,14 @@ and sums with a ``RatFunc`` operand use ``RatFunc`` arithmetic, and so does
 a sum with a monomial that no packed key holds: an exponent above 65535,
 or a variable above ``ratfunc.MAX_PACKED_VAR``, which ends in a
 ``ParseError``.
+
+``MAX_PACKED_VAR`` bounds one key, and ``MAX_SUM_KEY_BITS`` bounds them
+all: every term of every sum in the expression counts, before it joins
+the sum, the bits of its packed key, or when ``RatFunc`` arithmetic adds
+it, 16 bits per index of its largest variable, at least the bits of any
+key that the arithmetic packs for it.  A total above ``MAX_SUM_KEY_BITS``
+is a ``ParseError``.  Without it each term of a sum in large variables
+packs its own key of up to 8 MiB.
 """
 
 from __future__ import annotations
@@ -27,14 +35,19 @@ import re
 from fractions import Fraction
 from typing import Union
 
-from .ratfunc import (_DP_ONE, _MASK, ExponentOverflowError, Polynomial,
-                      RatFunc, _dp_acc, _mono_pack)
+from .ratfunc import (_DP_ONE, _MASK, _SHIFT, MAX_PACKED_VAR,
+                      ExponentOverflowError, Polynomial, RatFunc,
+                      _atom_last_var, _dp_acc, _last_var, _mono_pack)
 
 __all__ = ["parse_ratfunc", "parse_polynomial", "ParseError"]
 
 # Each level of parentheses costs four stack frames of the recursive
 # descent, so this stays well below Python's default recursion limit.
 MAX_NESTING = 100
+
+# The bits that the terms of all the sums in one expression may count
+# together: two keys in x_MAX_PACKED_VAR, 16 MiB.
+MAX_SUM_KEY_BITS = 1 << 27
 
 
 class ParseError(ValueError):
@@ -76,17 +89,16 @@ def _ratfunc(value: _Value) -> RatFunc:
     return RatFunc._from_atoms({("F", v - 1, 1): e for v, e in exps.items()}, c)
 
 
-def _plus(value: _Value, rhs: _Value) -> _Value:
-    """value + rhs; a packed sum ``value`` is updated in place."""
-    try:
-        if isinstance(value, tuple) and isinstance(rhs, tuple):
-            key = _mono_pack(value[1])
-            value = {key: value[0]} if value[0] else {}
-        if isinstance(value, dict) and isinstance(rhs, tuple):
-            return _dp_acc(value, ((_mono_pack(rhs[1]), rhs[0]),))
-    except ExponentOverflowError:  # no packed key holds the monomial
-        pass
-    return _ratfunc(value) + _ratfunc(rhs)
+def _key_bits(term: Union[tuple, RatFunc]) -> int:
+    """16 bits per index of the largest variable of a monomial or RatFunc
+    term.  A variable beyond MAX_PACKED_VAR counts 0, because packing it
+    raises at once."""
+    if isinstance(term, tuple):
+        top = max(term[1], default=0)
+    else:
+        top = max([_last_var(max(term._num, default=0)),
+                   *map(_atom_last_var, term._fac)])
+    return _SHIFT * top if top <= MAX_PACKED_VAR else 0
 
 
 def _neg(value: _Value) -> _Value:
@@ -119,6 +131,7 @@ class _Parser:
         self.tokens = tokens
         self.i = 0
         self.depth = 0
+        self.key_bits = 0  # counted by the terms of sums so far
 
     def peek(self) -> str | None:
         return self.tokens[self.i]
@@ -132,11 +145,38 @@ class _Parser:
 
     def parse_expr(self) -> _Value:
         value = self.parse_term()
+        if isinstance(value, RatFunc) and self.peek() in ("+", "-"):
+            self.count(_key_bits(value))
         while self.peek() in ("+", "-"):
             op = self.take()
             rhs = self.parse_term()
-            value = _plus(value, rhs if op == "+" else _neg(rhs))
+            value = self.plus(value, rhs if op == "+" else _neg(rhs))
         return value
+
+    def plus(self, value: _Value, rhs: _Value) -> _Value:
+        """value + rhs; a packed sum ``value`` is updated in place.  A term
+        counts before it joins: a monomial first term or ``rhs``, and a
+        ``RatFunc`` first term in ``parse_expr``."""
+        try:
+            if isinstance(value, tuple) and isinstance(rhs, tuple):
+                key = _mono_pack(value[1])
+                self.count(key.bit_length())
+                value = {key: value[0]} if value[0] else {}
+            if isinstance(value, dict) and isinstance(rhs, tuple):
+                key = _mono_pack(rhs[1])
+                self.count(key.bit_length())
+                return _dp_acc(value, ((key, rhs[0]),))
+        except ExponentOverflowError:  # no packed key holds the monomial
+            pass
+        self.count(_key_bits(rhs) + (_key_bits(value)
+                                     if isinstance(value, tuple) else 0))
+        return _ratfunc(value) + _ratfunc(rhs)
+
+    def count(self, bits: int) -> None:
+        self.key_bits += bits
+        if self.key_bits > MAX_SUM_KEY_BITS:
+            raise ParseError(f"the sums need more than {MAX_SUM_KEY_BITS} "
+                             f"bits of packed monomials (at token {self.i})")
 
     def parse_term(self) -> _Value:
         value = self.parse_factor()

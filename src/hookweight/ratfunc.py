@@ -487,17 +487,24 @@ def _named_atom_dict(atom: Atom) -> dict:
     raise ValueError(f"unknown atom kind {atom!r}")
 
 
+def _atom_last_var(atom: Atom) -> int:
+    """The largest index of a variable in ``atom``."""
+    if atom[0] == "F":
+        return atom[1] + atom[2]
+    if atom[0] == "P":  # items sorted by key, so the largest key is last
+        return _last_var(atom[1][-1][0])
+    return atom[1][-1][0]  # pairs sorted by variable
+
+
 def _atom_shift(atom: Atom, k: int) -> Atom:
     if k == 0:
         return atom
+    _check_shift(_atom_last_var(atom), k)
     if atom[0] == "F":
-        _check_shift(atom[1] + atom[2], k)
         return ("F", atom[1] + k, atom[2])
-    if atom[0] == "P":  # items sorted by key, so the largest key is last
-        _check_shift(_last_var(atom[1][-1][0]), k)
+    if atom[0] == "P":
         shift = _SHIFT * k
         return ("P", tuple((key << shift, v) for key, v in atom[1]))
-    _check_shift(atom[1][-1][0], k)
     return ("B", tuple((v + k, e) for v, e in atom[1]))
 
 

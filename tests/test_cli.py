@@ -298,6 +298,28 @@ class TestMalformedInput:
         assert code == 0 and out == "-q^400000+q^399999+1\n"
         assert err == ""
 
+    @pytest.mark.parametrize("expr", [
+        # 40 keys of 8 MiB each, packed term by term into one sum
+        "+".join(f"x{4194304 - i}" for i in range(40)) + "+1",
+        # the same through RatFunc sums of parenthesised terms
+        "+".join(f"(x{4194304 - i})" for i in range(10)),
+        # and through nested sums
+        40 * "(" + "x4194304" + "".join(f"+x{4194303 - i})" for i in range(40)),
+    ], ids=["packed", "parenthesised", "nested"])
+    def test_sum_of_large_variables_is_refused_promptly(self, expr):
+        # each term packs a key in its largest variable; the sums of one
+        # expression may hold two keys of the largest size
+        code, out, err = run_process("specialize", "--map", "q",
+                                     "--expr", expr, timeout=10)
+        assert code == 2 and out == "" and "bits of packed" in err
+        assert "Traceback" not in err
+
+    def test_two_largest_keys_still_print(self):
+        code, out, err = run_process("specialize", "--map", "q", "--expr",
+                                     "x4194304+x4194303+1", timeout=10)
+        assert code == 0 and err == ""
+        assert out == "-q^4194304+q^4194302+1\n"
+
     def test_product_of_large_variables_prints_promptly(self):
         # the carry check of a product masks every field up to x200000, and
         # that mask is built in linear time; the 10 s timeout bounds

@@ -313,6 +313,83 @@ class TestGamma:
         assert proc.returncode == 0, proc.stderr
 
 
+def _flat_gamma(n, below):
+    """Sum of gamma_perm over the words of S_n that respect ``below``."""
+    flat = RatFunc.from_const(0)
+    for w in permutations(range(1, n + 1)):
+        if all(below.get(v, frozenset()) <= set(w[:i])
+               for i, v in enumerate(w)):
+            flat = flat + gamma_perm(w)
+    return flat
+
+
+class TestGammaMemo:
+    """The memo of proper ideals that calls of gamma_extension_sum share
+    changes no answer."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_memo(self, monkeypatch):
+        monkeypatch.setattr(fqsym, "_GAMMA_MEMO", {})
+        fqsym._gamma_extension_sum.cache_clear()
+        yield
+        fqsym._gamma_extension_sum.cache_clear()
+
+    @staticmethod
+    def forests(nmax):
+        return [p for n in range(nmax + 1) for p in enumerate_dual_forests(n)]
+
+    def test_cold_and_warm_in_both_orders(self):
+        forests = self.forests(5)
+        for order in (forests, forests[::-1]):
+            fqsym._GAMMA_MEMO.clear()
+            for _warm in (False, True):
+                # the lru_cache would answer before the fold runs
+                fqsym._gamma_extension_sum.cache_clear()
+                for p in order:
+                    assert rf_equal(gamma_extension_sum(dual_forest_prereqs(p)),
+                                    gamma_dual_forest(p)), p
+            assert 0 < len(fqsym._GAMMA_MEMO) <= fqsym._GAMMA_MEMO_CAP
+
+    def test_one_ideal_under_two_orders(self):
+        # the ideal {1, 2} is the chain 1 < 2 in one poset and an antichain
+        # in the other; each poset meets the other's entry for it
+        chain = {2: frozenset({1}), 3: frozenset({1, 2})}
+        antichain = {3: frozenset({1, 2})}
+        for first, second in ((chain, antichain), (antichain, chain)):
+            fqsym._GAMMA_MEMO.clear()
+            fqsym._gamma_extension_sum.cache_clear()
+            for below in (first, second):
+                assert rf_equal(gamma_extension_sum(below, 3),
+                                _flat_gamma(3, below)), below
+            pairs = {key for key in fqsym._GAMMA_MEMO if key[0] == 0b11}
+            assert pairs == {(0b11, (0, 0b01)), (0b11, (0, 0))}
+            # only proper ideals are stored
+            assert all(key[0] != 0b111 for key in fqsym._GAMMA_MEMO)
+
+    def test_small_cap_bounds_the_memo(self, monkeypatch):
+        monkeypatch.setattr(fqsym, "_GAMMA_MEMO_CAP", 7)
+        for p in self.forests(5):
+            assert rf_equal(gamma_extension_sum(dual_forest_prereqs(p)),
+                            gamma_dual_forest(p)), p
+            assert len(fqsym._GAMMA_MEMO) <= 7
+        assert len(fqsym._GAMMA_MEMO) == 7
+
+    def test_stored_ends_never_change(self):
+        forests = self.forests(4)
+        for p in forests:
+            gamma_extension_sum(dual_forest_prereqs(p))
+        stored = {key: (ends, {last: (v._c, dict(v._num), dict(v._fac))
+                               for last, v in ends.items()})
+                  for key, ends in fqsym._GAMMA_MEMO.items()}
+        fqsym._gamma_extension_sum.cache_clear()
+        for p in forests[::-1] + self.forests(5):
+            gamma_extension_sum(dual_forest_prereqs(p))
+        for key, (ends, fields) in stored.items():
+            assert fqsym._GAMMA_MEMO[key] is ends
+            assert {last: (v._c, v._num, v._fac)
+                    for last, v in ends.items()} == fields, key
+
+
 class TestPhiMaj:
     def test_basis_values(self):
         for w in [(1,), (2, 1, 3), (3, 1, 2)]:
