@@ -44,7 +44,7 @@ from .specialize import (
     _q_hook_sides,
     _substitute,
 )
-from .weights import _hook_candidates, _L_grouped_frf, wt_perm_tree
+from .weights import L_of_forest, _hook_candidates, wt_perm_tree
 
 __all__ = [
     "FQSymElem",
@@ -182,7 +182,7 @@ def phi_inv(elem: FQSymElem) -> SkewElem:
 
 def _phi_inv_forest(p: ForestPoset) -> RatFunc:
     """Coefficient of u^{|p|} in phi_inv(F_p): L(p) / [n]!."""
-    return _L_grouped_frf(p.n, p.cover) * RatFunc._from_atoms(
+    return L_of_forest(p) * RatFunc._from_atoms(
         _factorial_atoms(p.n, sign=-1))
 
 
@@ -206,7 +206,8 @@ def _morphism_holds(p, q, image) -> bool:
 
 
 def check_pbt_morphism(p: ForestPoset, q: ForestPoset) -> bool:
-    """phi_inv(F_p * F_q) == phi_inv(F_p) * phi_inv(F_q), coefficient-wise."""
+    """phi_inv(F_p * F_q) == phi_inv(F_p) * phi_inv(F_q), coefficient-wise;
+    ``NotRecursivelyLabelledError`` unless p and q are recursively labelled."""
     return _morphism_holds(p, q, _phi_inv_forest)
 
 

@@ -19,6 +19,7 @@ shuffle weights of each first-letter group in closed form: the sum of wt(S)
 over the k-subsets of {1..n} is the multivariate binomial
 [n]! / ([k]! F^k[n-k]!), which ``qanalog._proved_binomial`` returns only
 after the Pascal check of the ``pascal`` suite has proved it by induction.
+Its subforests are summed smallest first into one memo, without recursion.
 """
 
 from __future__ import annotations
@@ -195,8 +196,11 @@ def _root_splits(n: int, cover: tuple[int, ...]):
         yield rho, (rho - 1, left), (n - rho, right)
 
 
-@lru_cache(maxsize=None)
-def _L_grouped_frf(n: int, cover: tuple[int, ...]) -> RatFunc:
+# L(P) of every (n, cover) computed so far, the empty forest seeded as 1.
+_L_MEMO: dict = {(0, ()): RatFunc.from_const(1)}
+
+
+def _L_grouped(n: int, cover: tuple[int, ...]) -> RatFunc:
     """Exact sum of wt over extensions, grouped by the first letter.
 
     Extensions starting with a root rho split as (shuffle pattern u with
@@ -205,40 +209,28 @@ def _L_grouped_frf(n: int, cover: tuple[int, ...]) -> RatFunc:
     sum is subset-sum(n, rho-1) * L(left part) * F^rho(L(right part)).
     The subset sum is the closed form of ``_subset_sum``, proved in the
     same run by the Pascal check of the ``pascal`` suite.
+
+    A stack collects the subforests missing from ``_L_MEMO``; they are then
+    summed smallest first, so both parts of each split are already stored.
     """
-    if n == 0:
-        return RatFunc.from_const(1)
-    hooks = _hook_candidates(n)
-    total = RatFunc.from_const(0)
-    for rho, left, right in _root_splits(n, cover):
-        term = _subset_sum(n, rho - 1) * _L_grouped_frf(*left)
-        term = term * _L_grouped_frf(*right).frobenius(rho)
-        total = total._add(term, hooks)
-    return total
-
-
-# Subforests with at most this many elements are left to the plain recursion
-# of _L_grouped_frf, one level per element, well inside the interpreter's
-# recursion limit.
-_SHALLOW_N = 100
-
-
-def _L_grouped(n: int, cover: tuple[int, ...]) -> RatFunc:
-    """``_L_grouped_frf(n, cover)``, its cache first filled bottom-up by size
-    over the reachable subforests with more than ``_SHALLOW_N`` elements, so
-    no call recurses more than ``_SHALLOW_N`` levels however deep the
-    forest is."""
-    seen: set = set()
-    stack = [(n, cover)] if n > _SHALLOW_N else []
+    pending: dict = {}
+    stack = [(n, cover)]
     while stack:
-        for _rho, *parts in _root_splits(*stack.pop()):
-            for part in parts:
-                if part[0] > _SHALLOW_N and part not in seen:
-                    seen.add(part)
-                    stack.append(part)
-    for part in sorted(seen, key=lambda part: part[0]):
-        _L_grouped_frf(*part)
-    return _L_grouped_frf(n, cover)
+        part = stack.pop()
+        if part in _L_MEMO or part in pending:
+            continue
+        pending[part] = splits = list(_root_splits(*part))
+        for _rho, left, right in splits:
+            stack += left, right
+    for m, c in sorted(pending):  # by size first
+        hooks = _hook_candidates(m)
+        total = RatFunc.from_const(0)
+        for rho, left, right in pending[m, c]:
+            term = _subset_sum(m, rho - 1) * _L_MEMO[left]
+            term = term * _L_MEMO[right].frobenius(rho)
+            total = total._add(term, hooks)
+        _L_MEMO[m, c] = total
+    return _L_MEMO[n, cover]
 
 
 def L_of_forest(p: ForestPoset, method: str = "grouped") -> RatFunc:
@@ -246,7 +238,9 @@ def L_of_forest(p: ForestPoset, method: str = "grouped") -> RatFunc:
 
     ``grouped`` (default) folds the sum along the first letter, which keeps
     intermediate fractions factored; ``direct`` adds extension weights one by
-    one in lexicographic order.  Both compute the same exact sum.
+    one in lexicographic order.  Both compute the same exact sum, and
+    ``grouped`` any depth of p without recursion.  Raises
+    ``NotRecursivelyLabelledError`` unless p is recursively labelled.
     """
     _require_recursively_labelled(p)
     if method == "grouped":

@@ -40,7 +40,7 @@ from hookweight.fqsym import (
 from hookweight.parsing import parse_ratfunc
 from hookweight.qanalog import SkewElem, divided_power, skew_equal, skew_mul
 from hookweight.ratfunc import Monomial, RatFunc, rf_equal
-from hookweight.weights import wt_perm_recursive
+from hookweight.weights import NotRecursivelyLabelledError, wt_perm_recursive
 
 F = FQSymElem.basis
 VEE = ForestPoset.from_covers(3, [[1, 2], [3, 2]])
@@ -186,6 +186,20 @@ class TestPbtMorphism:
                 for p in enumerate_rl_forests(n1):
                     for q in enumerate_rl_forests(n2):
                         assert check_pbt_morphism(p, q), (p, q)
+
+    @pytest.mark.parametrize("order", ["bad_first", "bad_second"])
+    def test_refuses_forest_not_recursively_labelled(self, order):
+        # the product law holds for this pair, but phi_inv is not
+        # multiplicative on it, so a True here would be wrong
+        pair = (ForestPoset.from_covers(3, [[3, 1]]),
+                ForestPoset.from_covers(1, []))
+        p, q = pair if order == "bad_first" else pair[::-1]
+        fp, fq = f_of_poset(p), f_of_poset(q)
+        assert fqsym_mul(fp, fq) == f_of_poset(concat_forests(p, q))
+        assert not skew_equal(phi_inv(fqsym_mul(fp, fq)),
+                              skew_mul(phi_inv(fp), phi_inv(fq)))
+        with pytest.raises(NotRecursivelyLabelledError):
+            check_pbt_morphism(p, q)
 
 
 class TestMorphismCheck:

@@ -238,8 +238,10 @@ class TestStructuralLemmas:
 
 def _clear_L_caches():
     for cached in (qanalog._pascal_holds, qanalog._proved_binomial,
-                   weights._subset_sum, weights._L_grouped_frf):
+                   weights._subset_sum):
         cached.cache_clear()
+    for key in [key for key in weights._L_MEMO if key != (0, ())]:
+        del weights._L_MEMO[key]
 
 
 def test_unproved_binomial_raises(monkeypatch):
@@ -264,7 +266,19 @@ def test_unproved_binomial_raises(monkeypatch):
     # the failed checks are verdicts on the mutated binomial; every cached
     # value must still be exact
     qanalog._pascal_holds.cache_clear()
+    for (n, cover), value in list(weights._L_MEMO.items()):
+        assert rf_equal(value, H_of_forest(ForestPoset(n, cover))), n
     assert rf_equal(L_of_forest(antichain), H_of_forest(antichain))
+
+
+def _run_python(code: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter on this package, within 60 s."""
+    env = dict(os.environ)
+    src = str(Path(weights.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
 
 
 _WIDE_FOREST = """
@@ -282,11 +296,25 @@ sys.exit(0 if rf_equal(L_of_forest(p), H_of_forest(p)) else 1)
 def test_wide_forest_n30(covers):
     # 30! extensions; the star's root has label 30, so its one group sums
     # over all 29-subsets.  The 60 s timeout bounds the time.
-    env = dict(os.environ)
-    src = str(Path(weights.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", _WIDE_FOREST.format(n=30, covers=covers)],
-        capture_output=True, text=True, env=env, timeout=60)
+    proc = _run_python(_WIDE_FOREST.format(n=30, covers=covers))
+    assert proc.returncode == 0, proc.stderr
+
+
+_DEEP_CHAIN = """
+import sys
+sys.setrecursionlimit(100)
+from hookweight.combinat import ForestPoset
+from hookweight.fqsym import check_pbt_morphism
+from hookweight.ratfunc import rf_equal
+from hookweight.weights import H_of_forest, L_of_forest
+chain = ForestPoset.from_covers(300, [[i + 1, i] for i in range(1, 300)])
+assert rf_equal(L_of_forest(chain), H_of_forest(chain))
+assert check_pbt_morphism(chain, ForestPoset.from_covers(1, []))
+"""
+
+
+def test_deep_chain_without_recursion():
+    # 300 levels of subforests under a recursion limit of 100: L(P) and the
+    # pbt check must sum them without recursing
+    proc = _run_python(_DEEP_CHAIN)
     assert proc.returncode == 0, proc.stderr
