@@ -3,7 +3,8 @@
 Exit codes: 0 success (or verified equal), 1 verification failure,
 2 input error, 3 specialization error (a vanishing denominator, an
 exponent or a size beyond its bound, including a number with more digits
-than Python converts to a string).  The verify sweeps honor
+than Python converts to a string and a multivariate value too large to
+print).  The verify sweeps honor
 HOOKWEIGHT_THREADS (default: all cores) and emit case lines in a fixed
 order regardless of scheduling.
 """
@@ -40,13 +41,13 @@ from .qanalog import _pascal_holds, binomial, skew_equal, skew_mul
 from .ratfunc import (
     DivisionByZeroError,
     RatFunc,
+    SpecializationError,
+    _int_str,
     rf_equal,
     rf_to_canonical_string,
 )
 from .specialize import (
-    SpecializationError,
     UniPoly,
-    _int_str,
     spec_q,
     spec_qt,
     verify_bw_inv,

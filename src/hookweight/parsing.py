@@ -3,18 +3,24 @@
 Accepts variables ``x<k>``, integers, ``+ - * / ^ ( )``.  Juxtaposition
 multiplies (so ``x2x3^2`` and ``2x1`` parse the way the canonical printer
 writes them); ``*`` is also accepted.  ``/`` builds rational functions.
+Juxtaposition binds as ``*`` and ``/`` do, from the left, so ``1/2x1`` is
+x1/2.
 
 Monomials and sums of monomials, which is all a printed numerator or
 denominator holds, are built without ``RatFunc`` arithmetic.  A monomial
 is a pair ``(coeff, {var: exp})``: integers, variables, ``^`` and products
-of them.  Its exponents and variable indices stay unpacked, so a lone
-``x3000000`` costs nothing.  A sum of monomials is one packed dict
-``{key: coeff}``, updated in place term by term, so parsing a sum takes
-time linear in its length.  A value becomes a ``RatFunc`` at ``)``, at
-``/``, next to a ``RatFunc`` operand or at the end of input: a monomial by
-its atoms, a sum by ``RatFunc._normalized``.  Without hint atoms that is a
-canonical function of the polynomial, the same fields that a chain of
-``RatFunc._add`` calls reaches.  Quotients, powers of parenthesised values
+of them.  The tokenizer reads a whole juxtaposed monomial such as
+``3x2^3x5`` in one regular-expression match and builds its pair there, so
+the recursive descent runs once per monomial (see ``_TOKEN`` for how the
+grammar still binds as it would token by token).  A monomial's exponents
+and variable indices stay unpacked, so a lone ``x3000000`` costs nothing.
+A sum of monomials is one packed dict ``{key: coeff}``, updated in place
+term by term, so parsing a sum takes time linear in its length.  A value
+becomes a ``RatFunc`` at ``)``, at ``/``, next to a ``RatFunc`` operand or
+at the end of input: a monomial by its atoms, a sum by
+``RatFunc._normalized``.  Without hint atoms that is a canonical function
+of the polynomial, the same fields that a chain of ``RatFunc._add`` calls
+reaches.  Quotients, powers of parenthesised values
 and sums with a ``RatFunc`` operand use ``RatFunc`` arithmetic, and so does
 a sum with a monomial that no packed key holds: an exponent above 65535,
 or a variable above ``ratfunc.MAX_PACKED_VAR``, which ends in a
@@ -41,8 +47,9 @@ from .ratfunc import (_DP_ONE, _MASK, _SHIFT, MAX_PACKED_VAR,
 
 __all__ = ["parse_ratfunc", "parse_polynomial", "ParseError"]
 
-# Each level of parentheses costs four stack frames of the recursive
-# descent, so this stays well below Python's default recursion limit.
+# Each level of parentheses costs three stack frames of the recursive
+# descent (sum, term, factor), so this stays well below Python's default
+# recursion limit.
 MAX_NESTING = 100
 
 # The bits that the terms of all the sums in one expression may count
@@ -58,26 +65,83 @@ class ParseError(ValueError):
 # monomials, or a RatFunc.
 _Value = Union[tuple, dict, RatFunc]
 
-_TOKEN = re.compile(r"\s*(?:(x\d+|\d+|[-+*/^()])|(\S))")
+# One match reads a token.  A monomial such as 3x2^3x5 is one token: atoms,
+# each an integer or a variable with an optional exponent.  Every digit run
+# is read whole, so backtracking never splits x12 into x1 and 2 (a (?!\d)
+# guard does what an atomic group would, which needs Python 3.11).  An atom
+# that a spaced or repeated ^ follows ends the monomial and is read alone,
+# so that the ^ takes just it: 2x1 ^2 is 2 times x1^2.  A ^ reads its
+# integer exponent with it, so (x1+x2)^5x3 is (x1+x2)^5 times x3.
+_ATOM = r"(?:x\d+|\d+)(?!\d)(?:\^\d+(?!\d))?(?!\s*\^)"
+_TOKEN = re.compile(rf"\s*(?:((?:{_ATOM})+|x\d+|\d+)|\^\s*(\d*)"
+                    r"|([-+*/()])|(\S))")
+_FIRST_ATOM = re.compile(r"(?:x\d+|\d+)(?:\^\d+)?")
 
 
-def _tokenize(text: str) -> list[str | None]:
-    """The tokens of ``text``, then None for the end of input."""
-    tokens: list[str | None] = []
+def _tokenize(text: str) -> list:
+    """The tokens of ``text``, then None for the end of input: a monomial
+    (coeff, {var: exp}), "^" followed by its exponent, or an operator.
+    After / and its signs the first atom of a monomial is a token of its
+    own, so that 1/2x1 is x1/2 as juxtaposition binds."""
+    tokens: list = []
+    divisor = False  # the next monomial follows / and its signs
     for m in _TOKEN.finditer(text):
-        if m.group(2) is not None:
+        kind = m.lastindex  # the one group that matched
+        if kind == 1:
+            mono = m[1]
+            cut = _FIRST_ATOM.match(mono).end() if divisor else len(mono)
+            tokens.append(_monomial(mono[:cut]))
+            if cut < len(mono):
+                tokens.append(_monomial(mono[cut:]))
+            divisor = False
+        elif kind == 2:
+            if not m[2]:
+                raise ParseError(f"expected integer exponent at position "
+                                 f"{m.start()}: {text[m.start():]!r}")
+            tokens += ("^", _exponent(m[2]))
+            divisor = False
+        elif kind == 3:
+            op = m[3]
+            tokens.append(op)
+            divisor = op == "/" or divisor and op in "+-"
+        else:
             pos = m.start()
             raise ParseError(f"bad character at position {pos}: {text[pos:]!r}")
-        tokens.append(m.group(1))
     tokens.append(None)
     return tokens
 
 
-def _int(digits: str) -> int:
+def _monomial(text: str) -> tuple:
+    """(coeff, {var: exp}) of a monomial token such as 3x2^3x5."""
+    head, *factors = text.split("x")
     try:
-        return int(digits)
+        coeff = 1
+        if head:
+            digits, _, exp = head.partition("^")
+            coeff = int(digits) ** _exponent(exp) if exp else int(digits)
+        exps: dict = {}
+        for factor in factors:
+            digits, _, exp = factor.partition("^")
+            var = int(digits)
+            if var < 1:
+                raise ParseError(f"variable index must be positive, got 'x{digits}'")
+            exps[var] = exps.get(var, 0) + (_exponent(exp) if exp else 1)
+    except ParseError:
+        raise
+    except ValueError:  # more digits than int() converts
+        longest = max(map(len, re.findall(r"\d+", text)))
+        raise ParseError(f"integer with {longest} digits is too long") from None
+    return coeff, exps
+
+
+def _exponent(digits: str) -> int:
+    try:
+        exp = int(digits)
     except ValueError:  # more digits than int() converts
         raise ParseError(f"integer with {len(digits)} digits is too long") from None
+    if exp > _MASK:
+        raise ParseError(f"exponent {exp} exceeds {_MASK}")
+    return exp
 
 
 def _ratfunc(value: _Value) -> RatFunc:
@@ -127,16 +191,16 @@ def _power(value: _Value, exp: int) -> _Value:
 
 
 class _Parser:
-    def __init__(self, tokens: list[str | None]):
+    def __init__(self, tokens: list):
         self.tokens = tokens
         self.i = 0
         self.depth = 0
         self.key_bits = 0  # counted by the terms of sums so far
 
-    def peek(self) -> str | None:
+    def peek(self):
         return self.tokens[self.i]
 
-    def take(self) -> str:
+    def take(self):
         tok = self.peek()
         if tok is None:
             raise ParseError("unexpected end of input")
@@ -147,8 +211,8 @@ class _Parser:
         value = self.parse_term()
         if isinstance(value, RatFunc) and self.peek() in ("+", "-"):
             self.count(_key_bits(value))
-        while self.peek() in ("+", "-"):
-            op = self.take()
+        while (op := self.peek()) in ("+", "-"):
+            self.i += 1
             rhs = self.parse_term()
             value = self.plus(value, rhs if op == "+" else _neg(rhs))
         return value
@@ -182,38 +246,25 @@ class _Parser:
         value = self.parse_factor()
         while True:
             tok = self.peek()
-            if tok in ("*", "/"):
-                self.take()
-                rhs = self.parse_factor()
-                if tok == "*":
-                    value = _times(value, rhs)
-                else:
-                    value = _ratfunc(value) / _ratfunc(rhs)
-            elif tok is not None and (tok == "(" or tok.isdigit() or tok.startswith("x")):
+            if tok == "*":
+                self.i += 1
+                value = _times(value, self.parse_factor())
+            elif tok == "/":
+                self.i += 1
+                value = _ratfunc(value) / _ratfunc(self.parse_factor())
+            elif tok == "(" or type(tok) is tuple:  # juxtaposition
                 value = _times(value, self.parse_factor())
             else:
                 return value
 
     def parse_factor(self) -> _Value:
         sign = 1
-        while self.peek() in ("+", "-"):
-            if self.take() == "-":
+        while (tok := self.take()) in ("+", "-"):
+            if tok == "-":
                 sign = -sign
-        value = self.parse_primary()
-        if self.peek() == "^":
-            self.take()
-            exp_tok = self.take()
-            if not exp_tok.isdigit():
-                raise ParseError(f"expected integer exponent, got {exp_tok!r}")
-            exp = _int(exp_tok)
-            if exp > _MASK:
-                raise ParseError(f"exponent {exp} exceeds {_MASK}")
-            value = _power(value, exp)
-        return value if sign == 1 else _neg(value)
-
-    def parse_primary(self) -> _Value:
-        tok = self.take()
-        if tok == "(":
+        if type(tok) is tuple:
+            value = tok
+        elif tok == "(":
             if self.depth == MAX_NESTING:
                 raise ParseError(
                     f"parentheses nested deeper than {MAX_NESTING} levels")
@@ -222,15 +273,13 @@ class _Parser:
             if self.take() != ")":
                 raise ParseError("missing closing parenthesis")
             self.depth -= 1
-            return _ratfunc(value)
-        if tok.isdigit():
-            return _int(tok), {}
-        if tok.startswith("x"):
-            var = _int(tok[1:])
-            if var < 1:
-                raise ParseError(f"variable index must be positive, got {tok!r}")
-            return 1, {var: 1}
-        raise ParseError(f"unexpected token {tok!r}")
+            value = _ratfunc(value)
+        else:
+            raise ParseError(f"unexpected token {tok!r}")
+        if self.peek() == "^":  # the tokenizer put its exponent next
+            value = _power(value, self.tokens[self.i + 1])
+            self.i += 2
+        return value if sign == 1 else _neg(value)
 
 
 def parse_ratfunc(text: str) -> RatFunc:

@@ -19,7 +19,10 @@ fractions.Fraction only when a value is genuinely non-integral.
 
 One reader, ``_fields``, reads every key: it unpacks all 16-bit fields from
 the key's bytes at once, in time linear in the key's length, and exponent
-lists, degrees, the term order and monomial content are built on it.
+lists, degrees and the term order are built on it.  Printing reads each
+key once, sorts on those fields and formats from them.  The monomial
+content first ANDs the keys' nonzero-field masks and reads only the
+fields of the variables that every key holds.
 Packing a variable above MAX_PACKED_VAR, where a key would pass 8 MiB,
 raises ExponentOverflowError as well, and so does a shift that would move a
 variable of a key or an atom there.
@@ -58,7 +61,10 @@ case, for the folds whose partial sums cancel.
 The expanded numerator and denominator exist only for printing and for the
 ``num``/``den`` properties.  They are built on each request and never stored,
 so a value never changes once made and cached values are handed out as they
-are.
+are.  Before a side is multiplied out, the estimate that the
+specializations use (``_estimate``) bounds it: above ``MAX_SPEC_BITS`` bits
+of coefficients it raises ``SizeBoundError``, and so does a coefficient
+with more digits than Python prints.
 
 Sparse maps
 -----------
@@ -76,9 +82,10 @@ carry check, ``UniPoly`` on t-exponents, which are plain ints.
 from __future__ import annotations
 
 import struct
+import sys
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import itemgetter, or_
 from typing import Iterable, Mapping, Optional, Union
 
@@ -117,6 +124,77 @@ class DivisionByZeroError(ZeroDivisionError):
 class ExponentOverflowError(ValueError):
     """An exponent above 65535 or a variable above x_MAX_PACKED_VAR, which a
     packed key cannot hold."""
+
+
+class SpecializationError(ValueError):
+    """The substituted denominator vanished (or the map is undefined), or a
+    value is too large to multiply out or to print."""
+
+
+class SizeBoundError(SpecializationError):
+    """A product to multiply out may hold more than MAX_SPEC_BITS bits, an
+    integer has more digits than Python prints, or a binomial exponent has a
+    factor too large to prove prime."""
+
+
+# ---------------------------------------------------------------------------
+# the size bound
+# ---------------------------------------------------------------------------
+
+# Most bits of coefficients a product may hold once multiplied out (16 MiB).
+# Just below it, printing spec_q of x1^11584 takes about 50 s and of
+# H(antichain 330), [330]!_q, about 11 s on one 2.1 GHz Xeon core;
+# x1^65535 would take hours.
+MAX_SPEC_BITS = 1 << 27
+
+
+def _estimate(factors, c: int = 1) -> tuple[int, int, int]:
+    """Degree span, term-count bound and coefficient bits of c * prod p^e.
+
+    ``factors`` are (sized p, e) pairs, a sized p being (p, degree span,
+    term count, bit length of the coefficient 1-norm minus 1).  A
+    univariate product has at most span + 1 terms, the span being its
+    highest exponent minus its lowest, and any product at most the product
+    of the factors' term counts, where p^e has at most C(len(p) + e - 1, e)
+    terms (one per multiset of e terms of p).  Its integer coefficients are
+    at most |c| times the product of the factors' coefficient 1-norms, so
+    they fit in the sum of those norms' bit lengths.
+    """
+    span, terms, bits = 0, 1, abs(c).bit_length()
+    for (_, ps, pn, pb), e in factors:
+        span += e * ps
+        terms = min(terms * (pn if e == 1 else comb(pn + e - 1, e)),
+                    MAX_SPEC_BITS + 1)
+        bits += e * pb
+    return span, terms, bits
+
+
+def _check_size(span: int, terms: int, bits: int) -> None:
+    """SizeBoundError when the smaller term bound times bits is too large."""
+    if min(span + 1, terms) * bits > MAX_SPEC_BITS:
+        raise SizeBoundError(f"a product to expand may hold more than "
+                             f"{MAX_SPEC_BITS} bits of coefficients")
+
+
+def _check_expansion(c: int, factors: list[tuple[dict, int]]) -> None:
+    """``_check_size`` of c times the (packed dict, e) factors multiplied out.
+    No degree span bounds the terms of a multivariate product, so only the
+    term count does."""
+    _, terms, bits = _estimate(
+        [((d, 0, len(d), (sum(map(abs, d.values())) - 1).bit_length()), e)
+         for d, e in factors], c)
+    _check_size(MAX_SPEC_BITS, terms, bits)
+
+
+def _int_str(v: int) -> str:
+    """str(v), or SizeBoundError when v has more digits than Python prints
+    (``sys.get_int_max_str_digits()``)."""
+    try:
+        return str(v)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise SizeBoundError(f"an integer has more than {limit} digits, "
+                             f"the most Python converts to a string") from None
 
 
 # ---------------------------------------------------------------------------
@@ -313,19 +391,35 @@ def _dp_frobenius(a: dict, k: int) -> dict:
 
 
 def _dp_min_monomial(dicts: list[dict]) -> int:
-    """Packed per-variable minimum exponent over all keys of all dicts."""
-    if any(0 in d for d in dicts):
-        return 0  # a constant term: the content is 1
-    mins: Optional[tuple[int, ...]] = None
+    """Packed per-variable minimum exponent over all keys of all dicts.
+
+    The variables that every key holds come first, as the AND of each
+    key's nonzero-field mask (bit 0 of a field set where the field is
+    nonzero); with none, the content is 1 and no key is unpacked.
+    """
+    common = None
     for d in dicts:
+        if 0 in d:
+            return 0  # a constant term: the content is 1
         for key in d:
-            fields = _fields(key)
-            mins = fields if mins is None else tuple(map(min, mins, fields))
-            if not any(mins):
+            # fold each 16-bit field onto its bit 0
+            k = key | key >> 8
+            k |= k >> 4
+            k |= k >> 2
+            k |= k >> 1
+            if common is None:  # bit 0 of each field of the first key
+                common = k & int.from_bytes(b"\1\0" * _last_var(key), "little")
+            else:
+                common &= k
+            if not common:
                 return 0
-    if not mins:
-        return 0
-    return int.from_bytes(struct.pack(f"<{len(mins)}H", *mins), "little")
+    mins = 0
+    while common:
+        low = common & -common
+        shift = low.bit_length() - 1
+        mins |= min(k >> shift & _MASK for d in dicts for k in d) << shift
+        common ^= low
+    return mins
 
 
 def _dp_div_monomial(a: dict, mono_key: int) -> dict:
@@ -345,10 +439,6 @@ def _coeff_clear(dicts: list[dict]) -> tuple[list[dict], Fraction]:
     if g > 1:
         ints = [{k: v // g for k, v in d.items()} for d in ints]
     return ints, Fraction(g, den)
-
-
-def _dp_leading_key(a: dict) -> int:
-    return min(a, key=_term_order)
 
 
 def _dp_div_graded(p: dict, shift: int, lead: int, rest: dict) -> Optional[dict]:
@@ -613,7 +703,7 @@ class Monomial:
         return _term_order(self._key) < _term_order(other._key)
 
     def __str__(self) -> str:
-        return _mono_str(self._key) or "1"
+        return _mono_str(_fields(self._key)) or "1"
 
     def __repr__(self) -> str:
         return f"Monomial({self.exponents!r})"
@@ -724,7 +814,7 @@ class Polynomial:
         return Polynomial._from_dict(_dp_frobenius(self._d, k))
 
     def __str__(self) -> str:
-        return _poly_str(self._d)
+        return _poly_str(_sorted_terms(self._d))
 
     def __repr__(self) -> str:
         return f"Polynomial<{self}>"
@@ -765,39 +855,48 @@ def frobenius(p: Polynomial, k: int) -> Polynomial:
 # canonical strings
 # ---------------------------------------------------------------------------
 
-def _mono_str(key: int) -> str:
-    parts = []
-    for var, exp in _mono_unpack(key):
-        parts.append(f"x{var}" if exp == 1 else f"x{var}^{exp}")
-    return "".join(parts)
+def _mono_str(fields: tuple[int, ...]) -> str:
+    """The monomial with exponents ``fields`` of x1, x2, ..., e.g. x1x3^2."""
+    return "".join([f"x{var}" if exp == 1 else f"x{var}^{exp}"
+                    for var, exp in enumerate(fields, 1) if exp])
 
 
 def _coeff_str(c: Coeff) -> str:
     if isinstance(c, Fraction) and c.denominator != 1:
-        return f"{c.numerator}/{c.denominator}"
-    return str(int(c))
+        return f"{_int_str(c.numerator)}/{_int_str(c.denominator)}"
+    return _int_str(int(c))
 
 
-def _poly_str(d: dict) -> str:
-    if not d:
+def _sorted_terms(d: dict) -> list[tuple[int, tuple[int, ...], Coeff]]:
+    """(degree, fields, coeff) of each term of d in canonical order, each
+    key's fields read once.
+
+    Sorting by (degree, fields) descending is ``_term_order`` ascending: at
+    equal degree no field tuple is a prefix of another, since a key's last
+    field is nonzero, so the tuples first differ at a shared position.
+    """
+    return sorted([(sum(f := _fields(k)), f, c) for k, c in d.items()],
+                  reverse=True)
+
+
+def _poly_str(terms: list, negate: bool = False) -> str:
+    """The printed sum of the ``_sorted_terms`` ``terms``, each negated if
+    ``negate``."""
+    if not terms:
         return "0"
     pieces = []
-    for key in sorted(d, key=_term_order):
-        c = d[key]
-        mono = _mono_str(key)
-        neg = c < 0
-        ac = -c if neg else c
+    for _, fields, c in terms:
+        mono = _mono_str(fields)
+        ac = abs(c)
         if not mono:
             body = _coeff_str(ac)
         elif ac == 1:
             body = mono
         else:
             body = _coeff_str(ac) + mono
-        if not pieces:
-            pieces.append(("-" if neg else "") + body)
-        else:
-            pieces.append(("-" if neg else "+") + body)
-    return "".join(pieces)
+        pieces.append(("-" if (c < 0) != negate else "+") + body)
+    text = "".join(pieces)
+    return text[1:] if text[0] == "+" else text
 
 
 # ---------------------------------------------------------------------------
@@ -947,6 +1046,14 @@ class RatFunc:
     def _expand(self) -> tuple[dict, dict]:
         """The expanded num/den pair, normalized as printed: joint integer
         content and monomial factor removed, positive leading den."""
+        num, den = self._expand_up_to_sign()
+        if _sorted_terms(den)[0][2] < 0:
+            return _dp_neg(num), _dp_neg(den)
+        return num, den
+
+    def _expand_up_to_sign(self) -> tuple[dict, dict]:
+        """``_expand``'s pair up to a joint sign.  Each side is size-checked
+        before it is multiplied out (``_check_expansion``)."""
         if self._c == 0:
             return {}, dict(_DP_ONE)
         c, num, fac = self._c, self._num, self._fac
@@ -956,6 +1063,10 @@ class RatFunc:
             if fac.get(atom, 0) < 0:
                 num, fac = _DP_ONE, dict(fac)
                 fac[atom] += 1
+        _check_expansion(c.numerator, [(num, 1)] + [
+            (_atom_dict(a), e) for a, e in fac.items() if e > 0])
+        _check_expansion(c.denominator, [
+            (_atom_dict(a), -e) for a, e in fac.items() if e < 0])
         num = _times_atoms(_dp_scale(num, c.numerator), fac.items())
         den = _times_atoms({0: c.denominator},
                            ((a, -e) for a, e in fac.items()))
@@ -964,9 +1075,6 @@ class RatFunc:
         if mono:
             num = _dp_div_monomial(num, mono)
             den = _dp_div_monomial(den, mono)
-        if den[_dp_leading_key(den)] < 0:
-            num = _dp_neg(num)
-            den = _dp_neg(den)
         return num, den
 
     @property
@@ -1166,8 +1274,12 @@ def rf_equal(a: RatFunc, b: RatFunc) -> bool:
 
 
 def rf_to_canonical_string(a: RatFunc) -> str:
-    """Deterministic rendering, e.g. ``(x2x3+x3^2)/(x1^2+x1x2)``."""
-    num, den = _as_rf(a)._expand()
-    if den == _DP_ONE:
-        return _poly_str(num)
-    return f"({_poly_str(num)})/({_poly_str(den)})"
+    """Deterministic rendering, e.g. ``(x2x3+x3^2)/(x1^2+x1x2)``: the pair
+    of ``RatFunc._expand``, whose sign the den's sorted terms give."""
+    num, den = _as_rf(a)._expand_up_to_sign()
+    den_terms = _sorted_terms(den)
+    negate = den_terms[0][2] < 0
+    text = _poly_str(_sorted_terms(num), negate)
+    if den_terms == [(0, (), -1 if negate else 1)]:
+        return text
+    return f"({text})/({_poly_str(den_terms, negate)})"

@@ -28,23 +28,26 @@ coefficient.  Above ``MAX_SPEC_BITS`` it raises ``SizeBoundError``, so a
 dense power such as (1-q)^65535 is refused while a product of many sparse
 binomials, such as [300]!_q, still expands.  A substituted value is checked
 the same way before it is returned, and so is the dense GCD.  Both errors
-are ``SpecializationError``s, on which the CLI exits 3.
+are ``SpecializationError``s, on which the CLI exits 3.  The bound, its
+estimate and the errors live in ``ratfunc``, whose printing checks the
+expansion of a multivariate value the same way.
 """
 
 from __future__ import annotations
 
-import sys
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from typing import Iterable
 
 from .combinat import (ForestPoset, extension_stat_counts, inv_poset,
                        subtree_data)
-from .ratfunc import (RatFunc, _dict_mul, _dp_acc, _dp_add, _dp_neg,
-                      _dp_scale, _mono_unpack)
+from .ratfunc import (MAX_SPEC_BITS, RatFunc, SizeBoundError,
+                      SpecializationError, _check_size, _dict_mul, _dp_acc,
+                      _dp_add, _dp_neg, _dp_scale, _estimate, _int_str,
+                      _mono_unpack)
 from .weights import L_of_forest
 
 __all__ = [
@@ -64,24 +67,9 @@ __all__ = [
 
 DEFAULT_QT_BOUND = 1 << 20
 
-# Most bits of coefficients a product may hold once multiplied out (16 MiB).
-# Just below it, printing spec_q of x1^11584 takes about 50 s and of
-# H(antichain 330), [330]!_q, about 11 s on one 2.1 GHz Xeon core;
-# x1^65535 would take hours.
-MAX_SPEC_BITS = 1 << 27
-
-
-class SpecializationError(ValueError):
-    """The substituted denominator vanished (or the map is undefined)."""
-
 
 class ExponentBoundError(SpecializationError):
     """A required exponent q^i exceeded the configured bound."""
-
-
-class SizeBoundError(SpecializationError):
-    """A product to multiply out may hold more than MAX_SPEC_BITS bits, or a
-    binomial exponent has a factor too large to prove prime."""
 
 
 class UniPoly:
@@ -197,15 +185,6 @@ def _uni_coeff_str(v) -> str:
     return _int_str(int(v))
 
 
-def _int_str(v: int) -> str:
-    """str(v), or SizeBoundError when v has more digits than Python prints."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and v.bit_length() > 3 * limit and abs(v) >= 10 ** limit:
-        raise SizeBoundError(f"an integer has more than {limit} digits, "
-                             f"the most Python converts to a string")
-    return str(v)
-
-
 def _coeff(v: Fraction):
     return int(v) if v.denominator == 1 else v
 
@@ -296,40 +275,14 @@ def _int_exact_div(A: list, G: list) -> list:
 def _sized(p: UniPoly) -> tuple[UniPoly, int, int, int]:
     """p with its degree span, term count and coefficient 1-norm bit length.
 
-    These bound the size of p's powers (see ``_estimate``); a zero p has
-    term count 0.
+    These bound the size of p's powers (see ``ratfunc._estimate``, which
+    printing a multivariate value shares); a zero p has term count 0.
     """
     c = p._c
     if not c:
         return p, 0, 0, 0
     norm = sum(map(abs, c.values()))
     return p, max(c) - min(c), len(c), (norm - 1).bit_length()
-
-
-def _estimate(factors, c: int = 1) -> tuple[int, int, int]:
-    """Degree span, term-count bound and coefficient bits of c * prod p^e.
-
-    ``factors`` are (sized p, e) pairs.  The product has at most span + 1
-    terms, the span being its highest exponent minus its lowest, and at
-    most the product of the factors' term counts, where p^e has at most
-    C(len(p) + e - 1, e) terms (one per multiset of e terms of p).  Its
-    integer coefficients are at most |c| times the product of the factors'
-    coefficient 1-norms, so they fit in the sum of those norms' bit lengths.
-    """
-    span, terms, bits = 0, 1, abs(c).bit_length()
-    for (_, ps, pn, pb), e in factors:
-        span += e * ps
-        terms = min(terms * (pn if e == 1 else comb(pn + e - 1, e)),
-                    MAX_SPEC_BITS + 1)
-        bits += e * pb
-    return span, terms, bits
-
-
-def _check_size(span: int, terms: int, bits: int) -> None:
-    """SizeBoundError when the smaller term bound times bits is too large."""
-    if min(span + 1, terms) * bits > MAX_SPEC_BITS:
-        raise SizeBoundError(f"a product to expand may hold more than "
-                             f"{MAX_SPEC_BITS} bits of coefficients")
 
 
 def _product(factors, c: int = 1) -> UniPoly:

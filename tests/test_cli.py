@@ -255,11 +255,15 @@ class TestVerify:
 
 def run_process(*argv, timeout=20):
     """Run the CLI in a fresh interpreter, as a user would."""
+    return _run_python("-m", "hookweight.cli", *argv, timeout=timeout)
+
+
+def _run_python(*argv, timeout=20):
     env = dict(os.environ)
     src = str(Path(hookweight.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-m", "hookweight.cli", *argv],
+    proc = subprocess.run([sys.executable, *argv],
                           capture_output=True, text=True, env=env,
                           timeout=timeout)
     return proc.returncode, proc.stdout, proc.stderr
@@ -412,6 +416,44 @@ class TestSpecializeSizeBound:
         code, out, err = run(capsys, "specialize", "--map", "qt", "--qval", "2",
                              "--expr", "x30")
         assert code == 3 and out == "" and "exceeds the bound" in err
+
+
+class TestPrintSizeBound:
+    # printing multiplies out the factored value; its size is bounded first
+    # as for a specialization, so these exit 3 at once
+
+    def test_weight_of_long_reversed_word_is_refused(self):
+        # the weight of 13 12 ... 1 would print 10.4 MB in over 6 s
+        word = ",".join(map(str, range(13, 0, -1)))
+        code, out, err = run_process("weight-perm", word, timeout=10)
+        assert code == 3 and out == ""
+        assert "bits of coefficients" in err and "Traceback" not in err
+
+    def test_hook_side_of_long_chain_is_refused(self, forest_file):
+        # H(P) of this 14-chain would print 40.8 MB in over 30 s
+        path = forest_file({"n": 14,
+                            "covers": [[i, i + 1] for i in range(1, 14)]})
+        code, out, err = run_process("hook", path, "--side", "H", timeout=10)
+        assert code == 3 and out == ""
+        assert "bits of coefficients" in err and "Traceback" not in err
+
+    def test_sums_of_large_variables_answer_promptly(self):
+        # no variable is common to the terms of these sums, so their
+        # monomial content is found without unpacking the 8 MiB keys; the
+        # four terms need more packed bits than MAX_SUM_KEY_BITS
+        script = (
+            "import time\n"
+            "from hookweight.cli import main\n"
+            "for expr, want in [('(x4194304)+(x4194303)', 0),\n"
+            "                   ('(x4194304)+(x4194303)+(x4194302)"
+            "+(x4194301)', 2)]:\n"
+            "    start = time.perf_counter()\n"
+            "    code = main(['specialize', '--map', 'q', '--expr', expr])\n"
+            "    seconds = time.perf_counter() - start\n"
+            "    assert code == want and seconds < 1, (expr, code, seconds)\n")
+        code, out, err = _run_python("-c", script)
+        assert code == 0, err
+        assert out == "-q^4194304+q^4194302\n"
 
 
 class TestForestFileSchema:

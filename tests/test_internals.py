@@ -142,6 +142,14 @@ class TestPackedMonomials:
         assert _dp_min_monomial(dicts) == _mono_pack(
             {v: min(e.get(v, 0) for e in exps) for v in variables})
 
+    def test_min_monomial_without_common_variable_unpacks_nothing(
+            self, monkeypatch):
+        # the AND of the keys' nonzero-field masks is 0 at once
+        monkeypatch.setattr(ratfunc, "_fields", None)
+        keys = [_mono_pack({MAX_PACKED_VAR - i: 1}) for i in range(3)]
+        assert _dp_min_monomial([{k: 1 for k in keys}]) == 0
+        assert _dp_min_monomial([{keys[0]: 1}, {keys[1]: 1}]) == 0
+
     @given(st.dictionaries(
         monomials.map(lambda m: tuple(sorted((v, e) for v, e in m.items() if e))),
         st.integers(1, 2), min_size=1, max_size=4))

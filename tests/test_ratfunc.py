@@ -8,9 +8,10 @@ from itertools import permutations
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import hookweight
+from hookweight.cli import main
 from hookweight.combinat import enumerate_rl_forests
 from hookweight.parsing import (MAX_NESTING, ParseError, parse_polynomial,
                                 parse_ratfunc)
@@ -395,13 +396,18 @@ class TestParser:
             parse_ratfunc("x1/(x2-x2)")
 
     def test_printed_weights_parse_back(self):
-        values = [wt_perm_recursive(w) for w in permutations(range(1, 6))]
-        for n in range(5):
+        # the benchmark's roundtrip set: wt(w) over S_6 and L(P), H(P) over
+        # the forests with n <= 5, each parsed back to the same value and
+        # the same string
+        values = [wt_perm_recursive(w) for w in permutations(range(1, 7))]
+        for n in range(6):
             for p in enumerate_rl_forests(n):
                 values += [L_of_forest(p), H_of_forest(p)]
         for v in values:
             text = rf_to_canonical_string(v)
-            assert rf_to_canonical_string(parse_ratfunc(text)) == text
+            back = parse_ratfunc(text)
+            assert rf_equal(back, v), text
+            assert rf_to_canonical_string(back) == text
 
     def test_long_sum_parses_promptly(self):
         # all 12,376 monomials of degree 6 in x1..x12; the 20 s timeout
@@ -415,3 +421,116 @@ class TestParser:
             "assert set(p.terms.values()) == {1}\n")
         proc = _run_python(script)
         assert proc.returncode == 0, proc.stderr
+
+
+# Inputs whose tokens a monomial token could change, with the canonical
+# string (or the exit code 2) that the token-at-a-time parser gave them
+PARSE_EDGE_VALUES = [
+    ("2x1 ^2", "2x1^2"),  # the spaced ^ takes x1 alone
+    ("x1 ^ 2x2", "x1^2x2"),
+    ("(x1+x2)^5", "x1^5+5x1^4x2+10x1^3x2^2+10x1^2x2^3+5x1x2^4+x2^5"),
+    ("(x1+x2)^2x3", "x1^2x3+2x1x2x3+x2^2x3"),
+    ("2 3x1", "6x1"),
+    ("2 ^ 3x1", "8x1"),
+    ("x1*x2", "x1x2"),
+    ("x1 x2^2 3", "3x1x2^2"),
+    ("--x1", "x1"),
+    ("x12 ^2", "x12^2"),  # never x1 times 2^2
+    ("1/2x1", "(x1)/(2)"),  # juxtaposition binds as / does, from the left
+    ("1/x2^2x1", "(x1)/(x2^2)"),
+    ("x1/-2x1", "(-x1^2)/(2)"),
+]
+PARSE_EDGE_ERRORS = [
+    "2^3^2", "x1^2^3", "x0", "x1^65536", "9" * 5000,
+    (MAX_NESTING + 1) * "(" + "x1" + (MAX_NESTING + 1) * ")",
+    "x1 $ x2", "x1^x2", "x1^-2", "2x1 ^", "(x1+x2)^x3",
+]
+
+
+class TestParserEdges:
+    @pytest.mark.parametrize("text, printed", PARSE_EDGE_VALUES)
+    def test_value(self, text, printed):
+        assert rf_to_canonical_string(parse_ratfunc(text)) == printed
+
+    @pytest.mark.parametrize("text", PARSE_EDGE_ERRORS,
+                             ids=lambda t: t if len(t) < 20 else f"{len(t)} chars")
+    def test_error_exits_2(self, text, capsys):
+        with pytest.raises(ParseError):
+            parse_ratfunc(text)
+        assert main(["specialize", "--map", "q", "--expr", text]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+
+
+_GAP = st.sampled_from(["", "", " ", "  "])
+
+
+@st.composite
+def _expressions(draw, depth):
+    """A random sum as (text, value), drawn along the grammar: sums of
+    terms of signed, powered atoms and parenthesised sums, with random
+    spacing, * or juxtaposition.  The value is RatFunc arithmetic on the
+    same tree, left to right."""
+    text, value = draw(_terms(depth))
+    for _ in range(draw(st.integers(0, 3))):
+        t, v = draw(_terms(depth))
+        op = draw(st.sampled_from("+-"))
+        text = f"{text}{draw(_GAP)}{op}{draw(_GAP)}{t}"
+        value = value + v if op == "+" else value - v
+    return text, value
+
+
+@st.composite
+def _terms(draw, depth):
+    text, value = draw(_factors(depth))
+    for _ in range(draw(st.integers(0, 3))):
+        t, v = draw(_factors(depth))
+        op = draw(st.sampled_from(["*", "/", "", ""]))
+        if not op and t[0] in "+-":
+            op = "*"  # juxtaposed, the sign would be a binary + or -
+        gap = draw(_GAP)
+        if not op and not gap and text[-1].isdigit() and t[0].isdigit():
+            gap = " "  # the digits would run together
+        if op == "/":
+            assume(not v.is_zero())
+        text = f"{text}{gap}{op}{draw(_GAP) if op else ''}{t}"
+        value = value / v if op == "/" else value * v
+    return text, value
+
+
+@st.composite
+def _factors(draw, depth):
+    kind = draw(st.sampled_from(["int", "var", "sum"][:3 if depth else 2]))
+    if kind == "int":
+        k = draw(st.integers(0, 12))
+        text, value = str(k), RatFunc.from_const(k)
+    elif kind == "var":
+        i = draw(st.sampled_from([1, 2, 3, 10, 12]))
+        text, value = f"x{i}", RatFunc(Polynomial.variable(i))
+    else:
+        t, value = draw(_expressions(depth - 1))
+        text = f"({draw(_GAP)}{t}{draw(_GAP)})"
+    if draw(st.booleans()):
+        e = draw(st.integers(0, 3))
+        text = f"{text}{draw(_GAP)}^{draw(_GAP)}{e}"
+        value = _power(value, e)
+    signs = draw(st.sampled_from(["", "", "-", "+", "--", "-+"]))
+    if signs:
+        text = f"{signs}{draw(_GAP)}{text}"
+        value = -value if signs.count("-") % 2 else value
+    return text, value
+
+
+class TestParserProperty:
+    # one level of parentheses and 200 examples catch, in a few seconds,
+    # each of a monomial token that swallows an atom a spaced ^ follows,
+    # one that / divides whole and one that splits x12 into x1 and 2
+    @settings(max_examples=200)
+    @given(_expressions(1))
+    def test_parse_is_the_tree_and_printing_is_idempotent(self, case):
+        text, value = case
+        got = parse_ratfunc(text)
+        assert rf_equal(got, value), text
+        printed = rf_to_canonical_string(got)
+        assert printed == rf_to_canonical_string(value), text
+        assert rf_to_canonical_string(parse_ratfunc(printed)) == printed
