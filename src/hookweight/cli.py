@@ -41,6 +41,7 @@ from .qanalog import _pascal_holds, binomial, skew_equal, skew_mul
 from .ratfunc import (
     DivisionByZeroError,
     RatFunc,
+    SizeBoundError,
     SpecializationError,
     _int_str,
     rf_equal,
@@ -173,14 +174,31 @@ def cmd_hook(args) -> int:
         right = H_of_forest(p)
     except NotRecursivelyLabelledError as exc:
         raise InputError(str(exc)) from None
-    if args.side in ("L", "both"):
-        print(f"L(P) = {rf_to_canonical_string(left)}")
-    if args.side in ("H", "both"):
-        print(f"H(P) = {rf_to_canonical_string(right)}")
-    print(f"|L(P)| = {_int_str(count_linear_extensions(p))}")
     equal = rf_equal(left, right)
+    printed = True
+    if args.side in ("L", "both"):
+        printed &= _print_line("L(P)", rf_to_canonical_string, left)
+    if args.side in ("H", "both"):
+        printed &= _print_line("H(P)", rf_to_canonical_string, right)
+    printed &= _print_line("|L(P)|", _int_str, count_linear_extensions(p))
     print("EQUAL" if equal else "UNEQUAL")
-    return EXIT_OK if equal else EXIT_VERIFY_FAIL
+    if not equal:
+        return EXIT_VERIFY_FAIL
+    return EXIT_OK if printed else EXIT_SPECIALIZE
+
+
+def _print_line(label: str, render, value) -> bool:
+    """Print ``label = render(value)``, or say on stderr that the value is
+    too large to print and return False, so that the verdict still follows.
+    """
+    try:
+        text = render(value)
+    except SizeBoundError as exc:
+        print(f"specialization error: {label} not printed: {exc}",
+              file=sys.stderr)
+        return False
+    print(f"{label} = {text}")
+    return True
 
 
 def cmd_linext(args) -> int:

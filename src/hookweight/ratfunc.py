@@ -61,10 +61,12 @@ case, for the folds whose partial sums cancel.
 The expanded numerator and denominator exist only for printing and for the
 ``num``/``den`` properties.  They are built on each request and never stored,
 so a value never changes once made and cached values are handed out as they
-are.  Before a side is multiplied out, the estimate that the
-specializations use (``_estimate``) bounds it: above ``MAX_SPEC_BITS`` bits
-of coefficients it raises ``SizeBoundError``, and so does a coefficient
-with more digits than Python prints.
+are.  Printing bounds a side before it is multiplied out: its terms,
+counted as the specializations count them (``_terms_bits``) and as the
+monomials its degrees allow, times the bits of a coefficient and of a
+term's exponents, above ``MAX_SPEC_BITS`` raise ``SizeBoundError``, and so
+does a coefficient with more digits than Python prints.  ``num`` and
+``den`` are not bounded.
 
 Sparse maps
 -----------
@@ -141,31 +143,46 @@ class SizeBoundError(SpecializationError):
 # the size bound
 # ---------------------------------------------------------------------------
 
-# Most bits of coefficients a product may hold once multiplied out (16 MiB).
+# Most bits of coefficients a product may hold once multiplied out (16 MiB);
+# for a printed multivariate value, of coefficients and exponents.
 # Just below it, printing spec_q of x1^11584 takes about 50 s and of
 # H(antichain 330), [330]!_q, about 11 s on one 2.1 GHz Xeon core;
 # x1^65535 would take hours.
 MAX_SPEC_BITS = 1 << 27
 
 
+def _terms_bits(factors, c: int = 1) -> tuple[int, int]:
+    """Term-count bound and coefficient bits of c * prod p^e.
+
+    ``factors`` are (size, e) pairs, a size being a tuple that ends with
+    p's term count and the bit length of its coefficient 1-norm minus 1.
+    The product has at most the product of the factors' term counts, where
+    p^e has at most C(len(p) + e - 1, e) terms (one per multiset of e terms
+    of p).  Its integer coefficients are at most |c| times the product of
+    the factors' coefficient 1-norms, so they fit in the sum of those
+    norms' bit lengths.
+    """
+    terms, bits = 1, abs(c).bit_length()
+    for size, e in factors:
+        pn = size[-2]
+        terms = min(terms * (pn if e == 1 else comb(pn + e - 1, e)),
+                    MAX_SPEC_BITS + 1)
+        bits += e * size[-1]
+    return terms, bits
+
+
 def _estimate(factors, c: int = 1) -> tuple[int, int, int]:
     """Degree span, term-count bound and coefficient bits of c * prod p^e.
 
     ``factors`` are (sized p, e) pairs, a sized p being (p, degree span,
-    term count, bit length of the coefficient 1-norm minus 1).  A
-    univariate product has at most span + 1 terms, the span being its
-    highest exponent minus its lowest, and any product at most the product
-    of the factors' term counts, where p^e has at most C(len(p) + e - 1, e)
-    terms (one per multiset of e terms of p).  Its integer coefficients are
-    at most |c| times the product of the factors' coefficient 1-norms, so
-    they fit in the sum of those norms' bit lengths.
+    term count, coefficient bits), which ``_terms_bits`` bounds.  A
+    univariate product also has at most span + 1 terms, the span being its
+    highest exponent minus its lowest.
     """
-    span, terms, bits = 0, 1, abs(c).bit_length()
-    for (_, ps, pn, pb), e in factors:
+    terms, bits = _terms_bits(factors, c)
+    span = 0
+    for (_, ps, _, _), e in factors:
         span += e * ps
-        terms = min(terms * (pn if e == 1 else comb(pn + e - 1, e)),
-                    MAX_SPEC_BITS + 1)
-        bits += e * pb
     return span, terms, bits
 
 
@@ -176,14 +193,53 @@ def _check_size(span: int, terms: int, bits: int) -> None:
                              f"{MAX_SPEC_BITS} bits of coefficients")
 
 
+def _monomials(v: int, d: int, cap: int) -> int:
+    """C(v - 1 + d, d), the monomials of degree d in v variables, or a
+    number above ``cap`` once the count passes it."""
+    n, k = max(v - 1, d), min(v - 1, d)
+    count = 1
+    for j in range(1, k + 1):
+        count = count * (n + j) // j
+        if count > cap:
+            break
+    return count
+
+
 def _check_expansion(c: int, factors: list[tuple[dict, int]]) -> None:
-    """``_check_size`` of c times the (packed dict, e) factors multiplied out.
-    No degree span bounds the terms of a multivariate product, so only the
-    term count does."""
-    _, terms, bits = _estimate(
-        [((d, 0, len(d), (sum(map(abs, d.values())) - 1).bit_length()), e)
+    """SizeBoundError when c times the (packed dict, e) factors may multiply
+    out to more than MAX_SPEC_BITS bits.
+
+    A term holds a coefficient of at most the ``_terms_bits`` bits and a
+    16-bit exponent for each of its variables: at most v of them, v being
+    the number of variables in the factors, and at most d, the sum of e
+    times the factors' highest degrees.  The terms are at most the
+    ``_terms_bits`` count, and at most (d - d0 + 1) * C(v - 1 + d, d), the
+    monomials of degree d0 to d in v variables, d0 being the sum of e times
+    the lowest degrees.  The factors' degrees are read only when the first
+    count, with v exponents a term, is too large; the second count only
+    grows with each factor read, so reading stops once it is too large.
+    """
+    terms, bits = _terms_bits(
+        [((len(d), (sum(map(abs, d.values())) - 1).bit_length()), e)
          for d, e in factors], c)
-    _check_size(MAX_SPEC_BITS, terms, bits)
+    either = reduce(or_, (reduce(or_, d) for d, _ in factors), 0)
+    ones = int.from_bytes(b"\1\0" * _last_var(either), "little")
+    v = (_folded(either) & ones).bit_count()
+    if terms * (bits + _SHIFT * v) <= MAX_SPEC_BITS:
+        return
+    lo = hi = 0
+    for d, e in factors:
+        degrees = [sum(_fields(k)) for k in d]
+        lo += e * min(degrees)
+        hi += e * max(degrees)
+        cap = MAX_SPEC_BITS // (bits + _SHIFT * min(v, hi))
+        if min(terms, _monomials(v, hi, cap)) > cap:
+            break
+    cap = MAX_SPEC_BITS // (bits + _SHIFT * min(v, hi))
+    if min(terms, (hi - lo + 1) * _monomials(v, hi, cap)) > cap:
+        raise SizeBoundError(f"a product to expand may hold more than "
+                             f"{MAX_SPEC_BITS} bits of coefficients and "
+                             f"exponents")
 
 
 def _int_str(v: int) -> str:
@@ -390,6 +446,15 @@ def _dp_frobenius(a: dict, k: int) -> dict:
     return {key << shift: v for key, v in a.items()}
 
 
+def _folded(key: int) -> int:
+    """``key`` with each 16-bit field ORed onto its bit 0, which is then set
+    where the field is nonzero; the fields' other bits are left over."""
+    k = key | key >> 8
+    k |= k >> 4
+    k |= k >> 2
+    return k | k >> 1
+
+
 def _dp_min_monomial(dicts: list[dict]) -> int:
     """Packed per-variable minimum exponent over all keys of all dicts.
 
@@ -402,11 +467,7 @@ def _dp_min_monomial(dicts: list[dict]) -> int:
         if 0 in d:
             return 0  # a constant term: the content is 1
         for key in d:
-            # fold each 16-bit field onto its bit 0
-            k = key | key >> 8
-            k |= k >> 4
-            k |= k >> 2
-            k |= k >> 1
+            k = _folded(key)
             if common is None:  # bit 0 of each field of the first key
                 common = k & int.from_bytes(b"\1\0" * _last_var(key), "little")
             else:
@@ -879,6 +940,11 @@ def _sorted_terms(d: dict) -> list[tuple[int, tuple[int, ...], Coeff]]:
                   reverse=True)
 
 
+def _leading_coeff(d: dict) -> Coeff:
+    """The coefficient of d's first term in canonical order, in one pass."""
+    return max((sum(f := _fields(k)), f, c) for k, c in d.items())[2]
+
+
 def _poly_str(terms: list, negate: bool = False) -> str:
     """The printed sum of the ``_sorted_terms`` ``terms``, each negated if
     ``negate``."""
@@ -1047,13 +1113,13 @@ class RatFunc:
         """The expanded num/den pair, normalized as printed: joint integer
         content and monomial factor removed, positive leading den."""
         num, den = self._expand_up_to_sign()
-        if _sorted_terms(den)[0][2] < 0:
+        if _leading_coeff(den) < 0:
             return _dp_neg(num), _dp_neg(den)
         return num, den
 
-    def _expand_up_to_sign(self) -> tuple[dict, dict]:
-        """``_expand``'s pair up to a joint sign.  Each side is size-checked
-        before it is multiplied out (``_check_expansion``)."""
+    def _expand_up_to_sign(self, bounded: bool = False) -> tuple[dict, dict]:
+        """``_expand``'s pair up to a joint sign.  If ``bounded``, each side
+        is size-checked before it is multiplied out (``_check_expansion``)."""
         if self._c == 0:
             return {}, dict(_DP_ONE)
         c, num, fac = self._c, self._num, self._fac
@@ -1063,10 +1129,11 @@ class RatFunc:
             if fac.get(atom, 0) < 0:
                 num, fac = _DP_ONE, dict(fac)
                 fac[atom] += 1
-        _check_expansion(c.numerator, [(num, 1)] + [
-            (_atom_dict(a), e) for a, e in fac.items() if e > 0])
-        _check_expansion(c.denominator, [
-            (_atom_dict(a), -e) for a, e in fac.items() if e < 0])
+        if bounded:
+            _check_expansion(c.numerator, [(num, 1)] + [
+                (_atom_dict(a), e) for a, e in fac.items() if e > 0])
+            _check_expansion(c.denominator, [
+                (_atom_dict(a), -e) for a, e in fac.items() if e < 0])
         num = _times_atoms(_dp_scale(num, c.numerator), fac.items())
         den = _times_atoms({0: c.denominator},
                            ((a, -e) for a, e in fac.items()))
@@ -1275,8 +1342,10 @@ def rf_equal(a: RatFunc, b: RatFunc) -> bool:
 
 def rf_to_canonical_string(a: RatFunc) -> str:
     """Deterministic rendering, e.g. ``(x2x3+x3^2)/(x1^2+x1x2)``: the pair
-    of ``RatFunc._expand``, whose sign the den's sorted terms give."""
-    num, den = _as_rf(a)._expand_up_to_sign()
+    of ``RatFunc._expand``, whose sign the den's sorted terms give.  A side
+    that may multiply out to more than ``MAX_SPEC_BITS`` bits raises
+    ``SizeBoundError`` before it is expanded (``_check_expansion``)."""
+    num, den = _as_rf(a)._expand_up_to_sign(bounded=True)
     den_terms = _sorted_terms(den)
     negate = den_terms[0][2] < 0
     text = _poly_str(_sorted_terms(num), negate)

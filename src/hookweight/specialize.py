@@ -29,8 +29,8 @@ dense power such as (1-q)^65535 is refused while a product of many sparse
 binomials, such as [300]!_q, still expands.  A substituted value is checked
 the same way before it is returned, and so is the dense GCD.  Both errors
 are ``SpecializationError``s, on which the CLI exits 3.  The bound, its
-estimate and the errors live in ``ratfunc``, whose printing checks the
-expansion of a multivariate value the same way.
+estimate and the errors live in ``ratfunc``, whose printing bounds the
+expansion of a multivariate value with the same term count.
 """
 
 from __future__ import annotations
@@ -275,8 +275,8 @@ def _int_exact_div(A: list, G: list) -> list:
 def _sized(p: UniPoly) -> tuple[UniPoly, int, int, int]:
     """p with its degree span, term count and coefficient 1-norm bit length.
 
-    These bound the size of p's powers (see ``ratfunc._estimate``, which
-    printing a multivariate value shares); a zero p has term count 0.
+    These bound the size of p's powers (see ``ratfunc._estimate``); a
+    zero p has term count 0.
     """
     c = p._c
     if not c:

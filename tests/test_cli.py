@@ -3,14 +3,10 @@
 import hashlib
 import json
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import hookweight
+from helpers import run_python
 from hookweight.cli import MAX_FOREST_N, main
 from hookweight.specialize import q_factorial
 
@@ -255,17 +251,7 @@ class TestVerify:
 
 def run_process(*argv, timeout=20):
     """Run the CLI in a fresh interpreter, as a user would."""
-    return _run_python("-m", "hookweight.cli", *argv, timeout=timeout)
-
-
-def _run_python(*argv, timeout=20):
-    env = dict(os.environ)
-    src = str(Path(hookweight.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, *argv],
-                          capture_output=True, text=True, env=env,
-                          timeout=timeout)
+    proc = run_python("-m", "hookweight.cli", *argv, timeout=timeout)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -430,12 +416,36 @@ class TestPrintSizeBound:
         assert "bits of coefficients" in err and "Traceback" not in err
 
     def test_hook_side_of_long_chain_is_refused(self, forest_file):
-        # H(P) of this 14-chain would print 40.8 MB in over 30 s
+        # H(P) of this 14-chain would print 40.8 MB in over 30 s; the count
+        # and the verdict still follow
         path = forest_file({"n": 14,
                             "covers": [[i, i + 1] for i in range(1, 14)]})
         code, out, err = run_process("hook", path, "--side", "H", timeout=10)
-        assert code == 3 and out == ""
-        assert "bits of coefficients" in err and "Traceback" not in err
+        assert code == 3 and out == "|L(P)| = 1\nEQUAL\n"
+        assert "H(P) not printed" in err and "bits of coefficients" in err
+        assert "Traceback" not in err
+
+    def test_hook_reports_the_verdict_when_both_sides_are_refused(
+            self, forest_file):
+        path = forest_file({"n": 30, "covers": []})
+        code, out, err = run_process("hook", path, timeout=10)
+        assert code == 3
+        assert out == f"|L(P)| = {math.factorial(30)}\nEQUAL\n"
+        assert "L(P) not printed" in err and "H(P) not printed" in err
+        assert "Traceback" not in err
+
+    def test_values_of_a_few_megabytes_still_print(self, capsys, forest_file):
+        # the reversed 12-letter word prints 2.7 MB, each side of the
+        # 11-element antichain 1.3 MB
+        code, out, _ = run(capsys, "weight-perm",
+                           ",".join(map(str, range(12, 0, -1))))
+        assert code == 0 and len(out) == 2670096
+        code, out, _ = run(capsys, "hook",
+                           forest_file({"n": 11, "covers": []}))
+        lines = out.split("\n")
+        assert code == 0 and lines[3:] == ["EQUAL", ""]
+        assert lines[0][len("L(P) = "):] == lines[1][len("H(P) = "):]
+        assert len(lines[0]) == len("L(P) = ") + 1263678
 
     def test_sums_of_large_variables_answer_promptly(self):
         # no variable is common to the terms of these sums, so their
@@ -451,9 +461,9 @@ class TestPrintSizeBound:
             "    code = main(['specialize', '--map', 'q', '--expr', expr])\n"
             "    seconds = time.perf_counter() - start\n"
             "    assert code == want and seconds < 1, (expr, code, seconds)\n")
-        code, out, err = _run_python("-c", script)
-        assert code == 0, err
-        assert out == "-q^4194304+q^4194302\n"
+        proc = run_python("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "-q^4194304+q^4194302\n"
 
 
 class TestForestFileSchema:

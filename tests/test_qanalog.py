@@ -37,6 +37,13 @@ class TestBrackets:
         assert bracket_factorial(4) == parse_polynomial(
             "(x1+x2+x3+x4)(x2+x3+x4)(x3+x4)x4")
 
+    def test_large_factorial_expands(self):
+        # 58,786 terms, whose coefficients add up to [11]! at x_i = 1, 11!;
+        # expanding is not bounded the way printing is
+        terms = bracket_factorial(11).terms
+        assert len(terms) == 58786
+        assert sum(terms.values()) == 39916800
+
     def test_factorial_recursion(self):
         for n in range(1, 8):
             assert bracket_factorial(n) == \

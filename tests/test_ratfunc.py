@@ -1,16 +1,12 @@
 """Polynomial and rational-function arithmetic, normalization, printing."""
 
-import os
 import random
-import subprocess
-import sys
 from itertools import permutations
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-import hookweight
+from helpers import run_python
 from hookweight.cli import main
 from hookweight.combinat import enumerate_rl_forests
 from hookweight.parsing import (MAX_NESTING, ParseError, parse_polynomial,
@@ -192,7 +188,8 @@ class TestRatFunc:
     def test_sparse_wide_input_constructs_promptly(self):
         # the 20 s timeout bounds "promptly", which trying every window of
         # variables below x600 as a bracket factor misses
-        proc = _run_python(
+        proc = run_python(
+            "-c",
             "from hookweight.ratfunc import Polynomial, RatFunc\n"
             "x = Polynomial.variable\n"
             "assert str(RatFunc(x(1) + x(600))) == 'x1+x600'\n")
@@ -245,6 +242,13 @@ class TestCanonicalString:
     def test_zero(self):
         assert str(Polynomial.zero()) == "0"
         assert rf_to_canonical_string(RatFunc(Polynomial.zero(), x1)) == "0"
+
+    def test_sparse_large_variables_print(self):
+        # two 8 MiB keys, but each term holds one exponent, which is what
+        # the print bound counts, so the sum prints
+        top = MAX_PACKED_VAR
+        value = RatFunc(Polynomial.variable(top) + Polynomial.variable(top - 1))
+        assert rf_to_canonical_string(value) == "x4194303+x4194304"
 
 
 def _power(value, e):
@@ -299,15 +303,6 @@ def _random_factor(rng, depth):
     if rng.random() < 0.1:
         text, value = f"-{text}", -value
     return text, value
-
-
-def _run_python(script):
-    env = dict(os.environ)
-    src = str(Path(hookweight.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=20)
 
 
 class TestParser:
@@ -419,7 +414,7 @@ class TestParser:
             "p = parse_polynomial('+'.join(terms))\n"
             "assert len(p) == len(terms) == 12376, len(p)\n"
             "assert set(p.terms.values()) == {1}\n")
-        proc = _run_python(script)
+        proc = run_python("-c", script)
         assert proc.returncode == 0, proc.stderr
 
 

@@ -1,13 +1,10 @@
 """Subset/permutation weights and the two sides of the hook identity."""
 
-import os
-import subprocess
-import sys
 from itertools import combinations, permutations
-from pathlib import Path
 
 import pytest
 
+from helpers import run_python
 from hookweight import qanalog, weights
 
 from hookweight.combinat import (
@@ -271,16 +268,6 @@ def test_unproved_binomial_raises(monkeypatch):
     assert rf_equal(L_of_forest(antichain), H_of_forest(antichain))
 
 
-def _run_python(code: str) -> subprocess.CompletedProcess:
-    """Run code in a fresh interpreter on this package, within 60 s."""
-    env = dict(os.environ)
-    src = str(Path(weights.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, timeout=60)
-
-
 _WIDE_FOREST = """
 import sys
 from hookweight.combinat import ForestPoset
@@ -296,7 +283,8 @@ sys.exit(0 if rf_equal(L_of_forest(p), H_of_forest(p)) else 1)
 def test_wide_forest_n30(covers):
     # 30! extensions; the star's root has label 30, so its one group sums
     # over all 29-subsets.  The 60 s timeout bounds the time.
-    proc = _run_python(_WIDE_FOREST.format(n=30, covers=covers))
+    proc = run_python("-c", _WIDE_FOREST.format(n=30, covers=covers),
+                      timeout=60)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -316,5 +304,5 @@ assert check_pbt_morphism(chain, ForestPoset.from_covers(1, []))
 def test_deep_chain_without_recursion():
     # 300 levels of subforests under a recursion limit of 100: L(P) and the
     # pbt check must sum them without recursing
-    proc = _run_python(_DEEP_CHAIN)
+    proc = run_python("-c", _DEEP_CHAIN, timeout=60)
     assert proc.returncode == 0, proc.stderr
