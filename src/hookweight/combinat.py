@@ -26,7 +26,7 @@ letter, so its work grows like 2^n n^2 where the listing grows like n!.
 Each such state is made by one step from all the sums held by the ideal
 below it, and a caller may share the proper ideals' sums across calls
 through a bounded memo.  ``extension_stat_counts`` (q^inv and q^maj, for
-the Björner–Wachs hook formulas) and ``fqsym._gamma_extension_sum`` (the
+the Björner–Wachs hook formulas) and ``fqsym.gamma_extension_sum`` (the
 P-partition series, which shares its memo) are its two uses.  The listing
 serves the ``linext`` command, the FQSym elements,
 ``L_of_forest(method="direct")`` and the tests, which use it as the fold's

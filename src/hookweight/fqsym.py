@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -260,10 +259,9 @@ def _gamma_product(prefixes, descent_prefixes) -> RatFunc:
 
 # The ends dicts of the proper ideals that the gamma fold has met, keyed by
 # the ideal and its elements' need masks and shared by every call of
-# _gamma_extension_sum (see combinat._ideal_fold).  The fold stops inserting
+# gamma_extension_sum (see combinat._ideal_fold).  The fold stops inserting
 # at _GAMMA_MEMO_CAP entries, which leaves room for all 10,022 proper
-# ideals of the dual forests with n = 6.  Whole posets are not stored: the
-# lru_cache of _gamma_extension_sum holds their sums.
+# ideals of the dual forests with n = 6.  Whole posets are not stored.
 _GAMMA_MEMO: dict = {}
 _GAMMA_MEMO_CAP = 1 << 14
 
@@ -277,18 +275,6 @@ def _gamma_step(mask: int, m: int, ends: dict) -> RatFunc:
     terms = [value._mul(x_placed) if last > m else value
              for last, value in ends.items()]
     return RatFunc._sum(terms)._mul(_prefix_step(placed + [m], ()))
-
-
-@lru_cache(maxsize=512)
-def _gamma_extension_sum(pre: tuple[frozenset[int], ...]) -> RatFunc:
-    n = len(pre)
-    need = [0] * n
-    for i, reqs in enumerate(pre):
-        for r in reqs:
-            need[i] |= 1 << (r - 1)
-    ends = _ideal_fold(n, need, RatFunc.from_const(1), _gamma_step,
-                       _GAMMA_MEMO, _GAMMA_MEMO_CAP)
-    return RatFunc._sum(ends.values())
 
 
 def gamma_extension_sum(prereqs: Sequence[frozenset[int]] | Mapping[int, frozenset[int]],
@@ -308,10 +294,16 @@ def gamma_extension_sum(prereqs: Sequence[frozenset[int]] | Mapping[int, frozens
     """
     if isinstance(prereqs, Mapping):
         n = max(prereqs, default=0) if n is None else n
-        pre = tuple(frozenset(prereqs.get(i, frozenset())) for i in range(1, n + 1))
+        pre = [prereqs.get(i, ()) for i in range(1, n + 1)]
     else:
-        pre = tuple(frozenset(s) for s in prereqs)
-    return _gamma_extension_sum(pre)
+        pre = list(prereqs)
+    need = [0] * len(pre)
+    for i, reqs in enumerate(pre):
+        for r in reqs:
+            need[i] |= 1 << (r - 1)
+    ends = _ideal_fold(len(pre), need, RatFunc.from_const(1), _gamma_step,
+                       _GAMMA_MEMO, _GAMMA_MEMO_CAP)
+    return RatFunc._sum(ends.values())
 
 
 def check_phimaj_morphism(p: DualForestPoset, q: DualForestPoset) -> bool:

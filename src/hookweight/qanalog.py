@@ -96,7 +96,6 @@ def _pascal_holds(n: int, k: int) -> bool:
     return lhs._equals(rhs)
 
 
-@lru_cache(maxsize=None)
 def _proved_binomial(n: int, k: int) -> RatFunc:
     """binomial(n, k), once it is proved to be the sum B(n, k) of wt(S) over
     the k-subsets S of {1..n}.

@@ -61,12 +61,14 @@ case, for the folds whose partial sums cancel.
 The expanded numerator and denominator exist only for printing and for the
 ``num``/``den`` properties.  They are built on each request and never stored,
 so a value never changes once made and cached values are handed out as they
-are.  Printing bounds a side before it is multiplied out: its terms,
-counted as the specializations count them (``_terms_bits``) and as the
-monomials its degrees allow, times the bits of a coefficient and of a
-term's exponents, above ``MAX_SPEC_BITS`` raise ``SizeBoundError``, and so
-does a coefficient with more digits than Python prints.  ``num`` and
-``den`` are not bounded.
+are.  Printing bounds a side before it is multiplied out, and so do the
+specializations every product of theirs, by one rule, ``_check_size``: the
+product's terms, at most the product of its factors' term counts and at
+most the monomials its degrees allow, times the bits of a coefficient and
+of a term's packed exponents, above ``MAX_SPEC_BITS`` raise
+``SizeBoundError``, and so does a coefficient with more digits than Python
+prints.  Each factor is sized from what it is: a bracket atom from its
+fields, without packing its dict.  ``num`` and ``den`` are not bounded.
 
 Sparse maps
 -----------
@@ -143,54 +145,12 @@ class SizeBoundError(SpecializationError):
 # the size bound
 # ---------------------------------------------------------------------------
 
-# Most bits of coefficients a product may hold once multiplied out (16 MiB);
-# for a printed multivariate value, of coefficients and exponents.
+# Most bits a product may hold once multiplied out (16 MiB): of its
+# coefficients and, for a multivariate value, of its terms' packed exponents.
 # Just below it, printing spec_q of x1^11584 takes about 50 s and of
 # H(antichain 330), [330]!_q, about 11 s on one 2.1 GHz Xeon core;
 # x1^65535 would take hours.
 MAX_SPEC_BITS = 1 << 27
-
-
-def _terms_bits(factors, c: int = 1) -> tuple[int, int]:
-    """Term-count bound and coefficient bits of c * prod p^e.
-
-    ``factors`` are (size, e) pairs, a size being a tuple that ends with
-    p's term count and the bit length of its coefficient 1-norm minus 1.
-    The product has at most the product of the factors' term counts, where
-    p^e has at most C(len(p) + e - 1, e) terms (one per multiset of e terms
-    of p).  Its integer coefficients are at most |c| times the product of
-    the factors' coefficient 1-norms, so they fit in the sum of those
-    norms' bit lengths.
-    """
-    terms, bits = 1, abs(c).bit_length()
-    for size, e in factors:
-        pn = size[-2]
-        terms = min(terms * (pn if e == 1 else comb(pn + e - 1, e)),
-                    MAX_SPEC_BITS + 1)
-        bits += e * size[-1]
-    return terms, bits
-
-
-def _estimate(factors, c: int = 1) -> tuple[int, int, int]:
-    """Degree span, term-count bound and coefficient bits of c * prod p^e.
-
-    ``factors`` are (sized p, e) pairs, a sized p being (p, degree span,
-    term count, coefficient bits), which ``_terms_bits`` bounds.  A
-    univariate product also has at most span + 1 terms, the span being its
-    highest exponent minus its lowest.
-    """
-    terms, bits = _terms_bits(factors, c)
-    span = 0
-    for (_, ps, _, _), e in factors:
-        span += e * ps
-    return span, terms, bits
-
-
-def _check_size(span: int, terms: int, bits: int) -> None:
-    """SizeBoundError when the smaller term bound times bits is too large."""
-    if min(span + 1, terms) * bits > MAX_SPEC_BITS:
-        raise SizeBoundError(f"a product to expand may hold more than "
-                             f"{MAX_SPEC_BITS} bits of coefficients")
 
 
 def _monomials(v: int, d: int, cap: int) -> int:
@@ -205,41 +165,61 @@ def _monomials(v: int, d: int, cap: int) -> int:
     return count
 
 
-def _check_expansion(c: int, factors: list[tuple[dict, int]]) -> None:
-    """SizeBoundError when c times the (packed dict, e) factors may multiply
-    out to more than MAX_SPEC_BITS bits.
+def _check_size(factors, c: int = 1) -> None:
+    """SizeBoundError when c * prod p^e may multiply out to more than
+    MAX_SPEC_BITS bits.
 
-    A term holds a coefficient of at most the ``_terms_bits`` bits and a
-    16-bit exponent for each of its variables: at most v of them, v being
-    the number of variables in the factors, and at most d, the sum of e
-    times the factors' highest degrees.  The terms are at most the
-    ``_terms_bits`` count, and at most (d - d0 + 1) * C(v - 1 + d, d), the
-    monomials of degree d0 to d in v variables, d0 being the sum of e times
-    the lowest degrees.  The factors' degrees are read only when the first
-    count, with v exponents a term, is too large; the second count only
-    grows with each factor read, so reading stops once it is too large.
+    ``factors`` are (size, e) pairs, e >= 0, where the first five fields
+    of a size are p's term count, the bit length of its coefficient
+    1-norm minus 1, its packed variables (bit 0 of each of their 16-bit
+    fields), and its lowest and highest degree.  A t-polynomial holds no
+    packed variable: its one variable t has no field in a key.
+
+    p^e has at most C(len(p) + e - 1, e) terms, one per multiset of e
+    terms of p, and the product at most the product of those counts.  It
+    also has at most (d - d0 + 1) * C(v - 1 + d, d), the monomials of
+    degree d0 to d in its v packed variables (in t alone when it has
+    none), d0 and d being the sums of e times the lowest and the highest
+    degrees.  Its integer coefficients are at most |c| times the product
+    of the 1-norms^e, so they fit in bitlen(c) + sum of e times the norms'
+    bits, and a term also holds a 16-bit exponent for each of at most
+    min(v, d) packed variables.
     """
-    terms, bits = _terms_bits(
-        [((len(d), (sum(map(abs, d.values())) - 1).bit_length()), e)
-         for d, e in factors], c)
-    either = reduce(or_, (reduce(or_, d) for d, _ in factors), 0)
-    ones = int.from_bytes(b"\1\0" * _last_var(either), "little")
-    v = (_folded(either) & ones).bit_count()
+    terms, bits, either, lo, hi = 1, abs(c).bit_length(), 0, 0, 0
+    for size, e in factors:
+        pn, pb, pv, plo, phi = size[:5]
+        terms *= pn if e == 1 else comb(pn + e - 1, e)
+        if terms > MAX_SPEC_BITS:
+            terms = MAX_SPEC_BITS + 1
+        bits += e * pb
+        either |= pv
+        lo += e * plo
+        hi += e * phi
+    v = either.bit_count()
     if terms * (bits + _SHIFT * v) <= MAX_SPEC_BITS:
-        return
-    lo = hi = 0
-    for d, e in factors:
-        degrees = [sum(_fields(k)) for k in d]
-        lo += e * min(degrees)
-        hi += e * max(degrees)
-        cap = MAX_SPEC_BITS // (bits + _SHIFT * min(v, hi))
-        if min(terms, _monomials(v, hi, cap)) > cap:
-            break
+        return  # the first count alone settles it
     cap = MAX_SPEC_BITS // (bits + _SHIFT * min(v, hi))
-    if min(terms, (hi - lo + 1) * _monomials(v, hi, cap)) > cap:
+    if min(terms, (hi - lo + 1) * _monomials(max(v, 1), hi, cap)) > cap:
         raise SizeBoundError(f"a product to expand may hold more than "
-                             f"{MAX_SPEC_BITS} bits of coefficients and "
-                             f"exponents")
+                             f"{MAX_SPEC_BITS} bits of coefficients"
+                             + (" and exponents" if v else ""))
+
+
+def _dict_size(d: dict) -> tuple[int, int, int, int, int]:
+    """The size of a nonzero packed dict, as ``_check_size`` reads it.
+
+    A key's degree, the sum of its fields, is the key mod 2^16 - 1 when
+    it is below 2^16 - 1, since 2^16 is 1 mod 2^16 - 1; no key's degree
+    passes the degree of the keys' OR, whose fields are at least theirs.
+    """
+    either = reduce(or_, d)
+    if _mono_degree(either) < _MASK:
+        degrees = [k % _MASK for k in d]
+    else:
+        degrees = list(map(_mono_degree, d))
+    return (len(d), (sum(map(abs, d.values())) - 1).bit_length(),
+            _folded(either) & _field_bits(_last_var(either), 0),
+            min(degrees), max(degrees))
 
 
 def _int_str(v: int) -> str:
@@ -276,7 +256,6 @@ def _mono_pack(exponents: Mapping[int, int]) -> int:
     return key
 
 
-@lru_cache(maxsize=None)
 def _field_bits(nfields: int, bit: int) -> int:
     """Bit ``bit`` of each of the first ``nfields`` exponent fields."""
     field = (1 << bit).to_bytes(_SHIFT // 8, "little")
@@ -469,7 +448,7 @@ def _dp_min_monomial(dicts: list[dict]) -> int:
         for key in d:
             k = _folded(key)
             if common is None:  # bit 0 of each field of the first key
-                common = k & int.from_bytes(b"\1\0" * _last_var(key), "little")
+                common = k & _field_bits(_last_var(key), 0)
             else:
                 common &= k
             if not common:
@@ -636,6 +615,20 @@ def _named_atom_dict(atom: Atom) -> dict:
         _, pairs = atom
         return {0: 1, _mono_pack(dict(pairs)): -1}
     raise ValueError(f"unknown atom kind {atom!r}")
+
+
+def _atom_size(atom: Atom) -> tuple[int, int, int, int, int]:
+    """The size of ``atom`` as ``_check_size`` reads it; only a P atom
+    reads a dict, the others are sized from their fields."""
+    kind = atom[0]
+    if kind == "F":  # x_{off+1} + ... + x_{off+m}
+        _, off, m = atom
+        return m, (m - 1).bit_length(), _field_bits(m, 0) << _SHIFT * off, 1, 1
+    if kind == "B":  # 1 - x^u
+        pairs = atom[1]
+        return (2, 1, sum(1 << _SHIFT * (v - 1) for v, _ in pairs), 0,
+                sum(e for _, e in pairs))
+    return _dict_size(dict(atom[1]))
 
 
 def _atom_last_var(atom: Atom) -> int:
@@ -1119,7 +1112,7 @@ class RatFunc:
 
     def _expand_up_to_sign(self, bounded: bool = False) -> tuple[dict, dict]:
         """``_expand``'s pair up to a joint sign.  If ``bounded``, each side
-        is size-checked before it is multiplied out (``_check_expansion``)."""
+        is size-checked before it is multiplied out (``_check_size``)."""
         if self._c == 0:
             return {}, dict(_DP_ONE)
         c, num, fac = self._c, self._num, self._fac
@@ -1130,10 +1123,11 @@ class RatFunc:
                 num, fac = _DP_ONE, dict(fac)
                 fac[atom] += 1
         if bounded:
-            _check_expansion(c.numerator, [(num, 1)] + [
-                (_atom_dict(a), e) for a, e in fac.items() if e > 0])
-            _check_expansion(c.denominator, [
-                (_atom_dict(a), -e) for a, e in fac.items() if e < 0])
+            _check_size([(_dict_size(num), 1)] + [
+                (_atom_size(a), e) for a, e in fac.items() if e > 0],
+                c.numerator)
+            _check_size([(_atom_size(a), -e) for a, e in fac.items() if e < 0],
+                        c.denominator)
         num = _times_atoms(_dp_scale(num, c.numerator), fac.items())
         den = _times_atoms({0: c.denominator},
                            ((a, -e) for a, e in fac.items()))
@@ -1344,7 +1338,7 @@ def rf_to_canonical_string(a: RatFunc) -> str:
     """Deterministic rendering, e.g. ``(x2x3+x3^2)/(x1^2+x1x2)``: the pair
     of ``RatFunc._expand``, whose sign the den's sorted terms give.  A side
     that may multiply out to more than ``MAX_SPEC_BITS`` bits raises
-    ``SizeBoundError`` before it is expanded (``_check_expansion``)."""
+    ``SizeBoundError`` before it is expanded (``_check_size``)."""
     num, den = _as_rf(a)._expand_up_to_sign(bounded=True)
     den_terms = _sorted_terms(den)
     negate = den_terms[0][2] < 0

@@ -28,9 +28,10 @@ coefficient.  Above ``MAX_SPEC_BITS`` it raises ``SizeBoundError``, so a
 dense power such as (1-q)^65535 is refused while a product of many sparse
 binomials, such as [300]!_q, still expands.  A substituted value is checked
 the same way before it is returned, and so is the dense GCD.  Both errors
-are ``SpecializationError``s, on which the CLI exits 3.  The bound, its
-estimate and the errors live in ``ratfunc``, whose printing bounds the
-expansion of a multivariate value with the same term count.
+are ``SpecializationError``s, on which the CLI exits 3.  The bound is one
+function, ``ratfunc._check_size``, which also bounds printing a
+multivariate value; each factor comes with its size (``_sized``), whose
+one variable t is packed in no key and costs no exponent bits.
 """
 
 from __future__ import annotations
@@ -46,8 +47,7 @@ from .combinat import (ForestPoset, extension_stat_counts, inv_poset,
                        subtree_data)
 from .ratfunc import (MAX_SPEC_BITS, RatFunc, SizeBoundError,
                       SpecializationError, _check_size, _dict_mul, _dp_acc,
-                      _dp_add, _dp_neg, _dp_scale, _estimate, _int_str,
-                      _mono_unpack)
+                      _dp_add, _dp_neg, _dp_scale, _int_str, _mono_unpack)
 from .weights import L_of_forest
 
 __all__ = [
@@ -272,26 +272,28 @@ def _int_exact_div(A: list, G: list) -> list:
 # the size bound
 # ---------------------------------------------------------------------------
 
-def _sized(p: UniPoly) -> tuple[UniPoly, int, int, int]:
-    """p with its degree span, term count and coefficient 1-norm bit length.
+def _sized(p: UniPoly) -> tuple:
+    """p's size as ``ratfunc._check_size`` reads it, followed by p.
 
-    These bound the size of p's powers (see ``ratfunc._estimate``); a
+    The size is p's term count, the bit length of its coefficient 1-norm
+    minus 1, no packed variable, and its lowest and highest exponent; a
     zero p has term count 0.
     """
     c = p._c
     if not c:
-        return p, 0, 0, 0
+        return 0, 0, 0, 0, 0, p
     norm = sum(map(abs, c.values()))
-    return p, max(c) - min(c), len(c), (norm - 1).bit_length()
+    return len(c), (norm - 1).bit_length(), 0, min(c), max(c), p
 
 
 def _product(factors, c: int = 1) -> UniPoly:
     """c times the (sized p, e) pairs multiplied out, checked first."""
-    if any(not pn for (_, _, pn, _), _ in factors):
+    if any(not size[0] for size, _ in factors):
         return UniPoly()
-    _check_size(*_estimate(factors, c))
+    _check_size(factors, c)
     out = None
-    for (p, _, _, _), e in factors:
+    for size, e in factors:
+        p = size[5]
         out = p ** e if out is None else out * p ** e
     if out is None:
         return UniPoly._raw({0: c})
@@ -397,7 +399,7 @@ def _psi_binomials(d: int) -> tuple[tuple[int, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def _binomial(k: int) -> tuple[UniPoly, int, int, int]:
+def _binomial(k: int) -> tuple:
     """Sized 1 - t^k."""
     return _sized(UniPoly._raw({0: 1, k: -1}))
 
@@ -443,9 +445,11 @@ def _expand(polys, exps: dict, c: int = 1) -> dict | None:
     where one is left: multiplying by 1 - t^b and at once dividing by
     1 - t^a multiplies by the sparse sum of t^(ja), j < b/a.  Unpaired
     divisors come last; an inexact one gives None.  The size is checked
-    before anything is multiplied, with each unpaired division adding the
-    bits of the span + 1 (a quotient's coefficients are partial sums of the
-    dividend's).
+    before anything is multiplied, a pair as its quotient 1 + t^a + ... +
+    t^(b-a), and each unpaired division as a scaling of c by
+    2^bitlen(span + 1): a quotient's coefficients are partial sums of at
+    most span + 1 of the dividend's, the span being the degree span of
+    the rest.
     """
     ups = {k: n for k, n in exps.items() if n > 0}
     downs = {k: -n for k, n in exps.items() if n < 0}
@@ -459,14 +463,16 @@ def _expand(polys, exps: dict, c: int = 1) -> dict | None:
                 downs[a] -= n
                 if not downs[a]:
                     break
-    sized = [(_sized(UniPoly._raw(p)), e) for p, e in polys]
-    span, terms, bits = _estimate(
-        sized + [(_binomial(b), n) for b, n in ups.items() if n]
-        + [((None, b - a, b // a, (b // a - 1).bit_length()), n)
-           for b, a, n in pairs], c)
-    bits += sum(downs.values()) * (span + 1).bit_length()
-    _check_size(span, terms, bits)
-    out = _product(sized, c)._c
+    factors = ([(_sized(UniPoly._raw(p)), e) for p, e in polys]
+               + [(_binomial(b), n) for b, n in ups.items() if n]
+               + [((b // a, (b // a - 1).bit_length(), 0, 0, b - a), n)
+                  for b, a, n in pairs])
+    span = sum(e * (size[4] - size[3]) for size, e in factors)
+    _check_size(factors, c << sum(downs.values()) * (span + 1).bit_length())
+    out = {0: c}
+    for p, e in polys:
+        for _ in range(e):
+            out = _dict_mul(out, p)
     for b, a, n in pairs:
         for _ in range(n):
             out = _over_binomial(_times_binomial(out, b), a)
@@ -721,12 +727,15 @@ def _cancel_gcd(num_f: list, den_f: list) -> tuple[list, list]:
 
     The primitive remainder sequence holds subresultants up to content.  By
     Hadamard's bound on the Sylvester matrix their coefficients are below
-    |A|_1^deg(B) |B|_1^deg(A); that many bits per term are checked first.
+    |A|_1^deg(B) |B|_1^deg(A), so they fit in X = deg(B) bits(A) + deg(A)
+    bits(B) bits.  They are checked first, as c = 1, of one bit, times one
+    factor of max(deg A, deg B) + 1 terms and X - 1 bits.
     """
     A, B = (_product([(_sized(UniPoly._raw(f)), e) for f, e in side])
             for side in (num_f, den_f))
-    (_, m, _, bits_a), (_, n, _, bits_b) = _sized(A), _sized(B)
-    _check_size(max(m, n), MAX_SPEC_BITS + 1, n * bits_a + m * bits_b)
+    (_, bits_a, _, _, m, _), (_, bits_b, _, _, n, _) = _sized(A), _sized(B)
+    _check_size([((max(m, n) + 1, n * bits_a + m * bits_b - 1, 0, 0,
+                   max(m, n)), 1)])
     a = [A._c.get(e, 0) for e in range(m + 1)]
     b = [B._c.get(e, 0) for e in range(n + 1)]
     g = _int_gcd_dense(a, b)
@@ -842,7 +851,7 @@ def _substitute(f: RatFunc, var) -> UniRatFunc:
                       else _atom_image(atom, var), e))
     c, a, fac = _fold(parts, f._c)
     for sign, k in ((1, c.numerator), (-1, c.denominator)):
-        _check_size(*_estimate(_side(fac, sign), k))
+        _check_size(_side(fac, sign), k)
     return UniRatFunc._factored(c, a, fac)
 
 

@@ -112,16 +112,15 @@ def wt_subset(s: Iterable[int], k: int | None = None,
 # permutation weights
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=200000)
-def _wt_perm_recursive_frf(word: tuple[int, ...]) -> RatFunc:
-    """wt(word) by the parabolic recursion, unrolled on an explicit stack.
+def wt_perm_recursive(w: Sequence[int]) -> RatFunc:
+    """wt(w) by the parabolic recursion, unrolled on an explicit stack.
 
     wt(w) = wt(S(u)) * wt(a) * F^{k+1}(wt(b-hat)) makes wt(w) the product of
     F^s(wt(S(u))) over every word the recursion reaches, where s adds up
     k+1 over the b-hat steps taken to reach it.
     """
     items: list = []
-    stack = [(word, 0)]
+    stack = [(tuple(Permutation(w)), 0)]
     while stack:
         v, shift = stack.pop()
         if not v:
@@ -133,11 +132,6 @@ def _wt_perm_recursive_frf(word: tuple[int, ...]) -> RatFunc:
         stack.append((a, shift))
         stack.append((bhat, shift + k + 1))
     return RatFunc._from_atoms(_dp_acc({}, items))
-
-
-def wt_perm_recursive(w: Sequence[int]) -> RatFunc:
-    """wt(w) by the parabolic recursion."""
-    return _wt_perm_recursive_frf(tuple(Permutation(w)))
 
 
 def _wt_of_pairs(stats: Iterable[TreePairStat]) -> RatFunc:

@@ -344,9 +344,6 @@ class TestGammaMemo:
     @pytest.fixture(autouse=True)
     def fresh_memo(self, monkeypatch):
         monkeypatch.setattr(fqsym, "_GAMMA_MEMO", {})
-        fqsym._gamma_extension_sum.cache_clear()
-        yield
-        fqsym._gamma_extension_sum.cache_clear()
 
     @staticmethod
     def forests(nmax):
@@ -357,8 +354,6 @@ class TestGammaMemo:
         for order in (forests, forests[::-1]):
             fqsym._GAMMA_MEMO.clear()
             for _warm in (False, True):
-                # the lru_cache would answer before the fold runs
-                fqsym._gamma_extension_sum.cache_clear()
                 for p in order:
                     assert rf_equal(gamma_extension_sum(dual_forest_prereqs(p)),
                                     gamma_dual_forest(p)), p
@@ -371,7 +366,6 @@ class TestGammaMemo:
         antichain = {3: frozenset({1, 2})}
         for first, second in ((chain, antichain), (antichain, chain)):
             fqsym._GAMMA_MEMO.clear()
-            fqsym._gamma_extension_sum.cache_clear()
             for below in (first, second):
                 assert rf_equal(gamma_extension_sum(below, 3),
                                 _flat_gamma(3, below)), below
@@ -395,7 +389,6 @@ class TestGammaMemo:
         stored = {key: (ends, {last: (v._c, dict(v._num), dict(v._fac))
                                for last, v in ends.items()})
                   for key, ends in fqsym._GAMMA_MEMO.items()}
-        fqsym._gamma_extension_sum.cache_clear()
         for p in forests[::-1] + self.forests(5):
             gamma_extension_sum(dual_forest_prereqs(p))
         for key, (ends, fields) in stored.items():

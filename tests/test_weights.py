@@ -234,8 +234,7 @@ class TestStructuralLemmas:
 
 
 def _clear_L_caches():
-    for cached in (qanalog._pascal_holds, qanalog._proved_binomial,
-                   weights._subset_sum):
+    for cached in (qanalog._pascal_holds, weights._subset_sum):
         cached.cache_clear()
     for key in [key for key in weights._L_MEMO if key != (0, ())]:
         del weights._L_MEMO[key]
