@@ -43,7 +43,7 @@ from .specialize import (
     _q_hook_sides,
     _substitute,
 )
-from .weights import L_of_forest, _hook_candidates, wt_perm_tree
+from .weights import L_of_forest, wt_perm_tree
 
 __all__ = [
     "FQSymElem",
@@ -173,7 +173,7 @@ def phi_inv(elem: FQSymElem) -> SkewElem:
         n = len(w)
         prev = by_degree.get(n)
         by_degree[n] = (term if prev is None
-                        else prev._add(term, _hook_candidates(n)))
+                        else prev._add(term, tuple(_factorial_atoms(n))))
     return SkewElem({
         n: total * RatFunc._from_atoms(_factorial_atoms(n, sign=-1))
         for n, total in by_degree.items()})

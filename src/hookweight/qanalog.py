@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .ratfunc import Polynomial, RatFunc, _dp_acc, rf_equal
+from .ratfunc import Polynomial, RatFunc, _dp_acc, _named_atom_dict, rf_equal
 
 __all__ = [
     "bracket",
@@ -34,14 +34,7 @@ def bracket(n: int) -> Polynomial:
     """x1 + x2 + ... + xn; bracket(0) is the zero polynomial."""
     if n < 0:
         raise ValueError("bracket requires n >= 0")
-    return _form_poly(0, n)
-
-
-def _form_poly(off: int, m: int) -> Polynomial:
-    p = Polynomial.zero()
-    for i in range(m):
-        p = p + Polynomial.variable(off + i + 1)
-    return p
+    return Polynomial(_named_atom_dict(("F", 0, n)) if n else {})
 
 
 def _factorial_atoms(n: int, shift: int = 0, sign: int = 1) -> dict:

@@ -20,9 +20,9 @@ fractions.Fraction only when a value is genuinely non-integral.
 One reader, ``_fields``, reads every key: it unpacks all 16-bit fields from
 the key's bytes at once, in time linear in the key's length, and exponent
 lists, degrees and the term order are built on it.  Printing reads each
-key once, sorts on those fields and formats from them.  The monomial
-content first ANDs the keys' nonzero-field masks and reads only the
-fields of the variables that every key holds.
+key once, sorts on those fields and formats from the nonzero ones.  The
+monomial content first ANDs the keys' nonzero-field masks and reads only
+the fields of the variables that every key holds.
 Packing a variable above MAX_PACKED_VAR, where a key would pass 8 MiB,
 raises ExponentOverflowError as well, and so does a shift that would move a
 variable of a key or an atom there.
@@ -59,7 +59,9 @@ they all share and normalizes the result once; ``_add`` is its two-term
 case, for the folds whose partial sums cancel.
 
 The expanded numerator and denominator exist only for printing and for the
-``num``/``den`` properties.  They are built on each request and never stored,
+``num``/``den`` properties.  Multiplied out, they have no joint content and
+no common monomial to remove (``RatFunc._expand``), so only the sign is
+fixed.  They are built on each request and never stored,
 so a value never changes once made and cached values are handed out as they
 are.  Printing bounds a side before it is multiplied out, and so do the
 specializations every product of theirs, by one rule, ``_check_size``: the
@@ -89,6 +91,7 @@ import struct
 import sys
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import compress
 from math import comb, gcd, lcm
 from operator import itemgetter, or_
 from typing import Iterable, Mapping, Optional, Union
@@ -209,16 +212,23 @@ def _dict_size(d: dict) -> tuple[int, int, int, int, int]:
     """The size of a nonzero packed dict, as ``_check_size`` reads it.
 
     A key's degree, the sum of its fields, is the key mod 2^16 - 1 when
-    it is below 2^16 - 1, since 2^16 is 1 mod 2^16 - 1; no key's degree
-    passes the degree of the keys' OR, whose fields are at least theirs.
+    it is below 2^16 - 1, since 2^16 is 1 mod 2^16 - 1.  No key's degree
+    passes the number of variables that occur times ``top``, the OR of
+    every field of every key, which halving the keys' OR folds to 16 bits
+    without unpacking it.
     """
-    either = reduce(or_, d)
-    if _mono_degree(either) < _MASK:
+    either = top = reduce(or_, d)
+    n = _last_var(either)
+    packed = _folded(either) & _field_bits(n, 0)
+    while n > 1:
+        half = _SHIFT * (n // 2)
+        top = top >> half | top & ((1 << half) - 1)
+        n -= n // 2
+    if packed.bit_count() * top < _MASK:
         degrees = [k % _MASK for k in d]
     else:
         degrees = list(map(_mono_degree, d))
-    return (len(d), (sum(map(abs, d.values())) - 1).bit_length(),
-            _folded(either) & _field_bits(_last_var(either), 0),
+    return (len(d), (sum(map(abs, d.values())) - 1).bit_length(), packed,
             min(degrees), max(degrees))
 
 
@@ -912,7 +922,7 @@ def frobenius(p: Polynomial, k: int) -> Polynomial:
 def _mono_str(fields: tuple[int, ...]) -> str:
     """The monomial with exponents ``fields`` of x1, x2, ..., e.g. x1x3^2."""
     return "".join([f"x{var}" if exp == 1 else f"x{var}^{exp}"
-                    for var, exp in enumerate(fields, 1) if exp])
+                    for var, exp in compress(enumerate(fields, 1), fields)])
 
 
 def _coeff_str(c: Coeff) -> str:
@@ -1103,8 +1113,10 @@ class RatFunc:
         return self._c == 0
 
     def _expand(self) -> tuple[dict, dict]:
-        """The expanded num/den pair, normalized as printed: joint integer
-        content and monomial factor removed, positive leading den."""
+        """The expanded num/den pair, positive at den's leading term.  As
+        multiplied out it has joint content 1 and no common monomial: like
+        ``_num``, all atoms but the variables are primitive and monomial-free
+        (Gauss), each atom is on one side, and ``_c`` is a reduced Fraction."""
         num, den = self._expand_up_to_sign()
         if _leading_coeff(den) < 0:
             return _dp_neg(num), _dp_neg(den)
@@ -1129,14 +1141,8 @@ class RatFunc:
             _check_size([(_atom_size(a), -e) for a, e in fac.items() if e < 0],
                         c.denominator)
         num = _times_atoms(_dp_scale(num, c.numerator), fac.items())
-        den = _times_atoms({0: c.denominator},
-                           ((a, -e) for a, e in fac.items()))
-        (num, den), _scale = _coeff_clear([num, den])
-        mono = _dp_min_monomial([num, den])
-        if mono:
-            num = _dp_div_monomial(num, mono)
-            den = _dp_div_monomial(den, mono)
-        return num, den
+        return num, _times_atoms({0: c.denominator},
+                                 ((a, -e) for a, e in fac.items()))
 
     @property
     def num(self) -> Polynomial:

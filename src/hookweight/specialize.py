@@ -45,8 +45,8 @@ from typing import Iterable
 
 from .combinat import (ForestPoset, extension_stat_counts, inv_poset,
                        subtree_data)
-from .ratfunc import (MAX_SPEC_BITS, RatFunc, SizeBoundError,
-                      SpecializationError, _check_size, _dict_mul, _dp_acc,
+from .ratfunc import (MAX_SPEC_BITS, SizeBoundError, SpecializationError,
+                      _as_coeff, _as_rf, _check_size, _dict_mul, _dp_acc,
                       _dp_add, _dp_neg, _dp_scale, _int_str, _mono_unpack)
 from .weights import L_of_forest
 
@@ -147,8 +147,7 @@ class UniPoly:
             other = UniPoly.constant(other)
         if not isinstance(other, UniPoly):
             return NotImplemented
-        return {e: Fraction(v) for e, v in self._c.items()} == \
-               {e: Fraction(v) for e, v in other._c.items()}
+        return self._c == other._c
 
     __hash__ = None
 
@@ -183,10 +182,6 @@ def _uni_coeff_str(v) -> str:
     if isinstance(v, Fraction) and v.denominator != 1:
         return f"({_int_str(v.numerator)}/{_int_str(v.denominator)})"
     return _int_str(int(v))
-
-
-def _coeff(v: Fraction):
-    return int(v) if v.denominator == 1 else v
 
 
 def _as_unipoly(v) -> UniPoly:
@@ -705,8 +700,8 @@ def _reduce(c: Fraction, a: int, fac: dict) -> tuple[UniPoly, UniPoly]:
         den = {e - a: v for e, v in den.items()}
     lead = den[max(den)]
     if lead != 1:
-        num = {e: _coeff(Fraction(v, lead)) for e, v in num.items()}
-        den = {e: _coeff(Fraction(v, lead)) for e, v in den.items()}
+        num = {e: _as_coeff(Fraction(v, lead)) for e, v in num.items()}
+        den = {e: _as_coeff(Fraction(v, lead)) for e, v in den.items()}
     return UniPoly._raw(num), UniPoly._raw(den)
 
 
@@ -841,8 +836,10 @@ def _atom_image(atom, var):
                                 for v, e in atom[1]]))  # 1 - x^u
 
 
-def _substitute(f: RatFunc, var) -> UniRatFunc:
-    """Map f under x_i -> var(i), factored, after checking both sides' size."""
+def _substitute(f, var) -> UniRatFunc:
+    """Map f under x_i -> var(i), factored, after checking both sides'
+    size."""
+    f = _as_rf(f)
     if f.is_zero():
         return UniRatFunc(UniPoly())
     parts = [(_split(_poly_image(f._num.items(), var)), 1)]
@@ -855,13 +852,15 @@ def _substitute(f: RatFunc, var) -> UniRatFunc:
     return UniRatFunc._factored(c, a, fac)
 
 
-def spec_q(f: RatFunc) -> UniRatFunc:
-    """Substitute x_i -> q^{i-1} - q^i."""
+def spec_q(f) -> UniRatFunc:
+    """Substitute x_i -> q^{i-1} - q^i in a RatFunc, Polynomial, int or
+    Fraction."""
     return _substitute(f, _q_var)
 
 
-def spec_qt(f: RatFunc, q: int, bound: int = DEFAULT_QT_BOUND) -> UniRatFunc:
-    """Substitute x_i -> t^{q^{i-1}} - t^{q^i} for a fixed integer q >= 2."""
+def spec_qt(f, q: int, bound: int = DEFAULT_QT_BOUND) -> UniRatFunc:
+    """Substitute x_i -> t^{q^{i-1}} - t^{q^i} for a fixed integer q >= 2 in
+    a RatFunc, Polynomial, int or Fraction."""
     if q < 2:
         raise ValueError("spec_qt requires an integer q >= 2")
     return _substitute(f, _qt_map(q, bound))

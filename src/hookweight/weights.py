@@ -65,11 +65,6 @@ def _require_recursively_labelled(p: ForestPoset) -> None:
             f"which is not an integer interval")
 
 
-def _hook_candidates(n: int) -> tuple:
-    """Forms F^a[n-a]; the factors every degree-n extension sum collapses to."""
-    return tuple(("F", a, n - a) for a in range(n))
-
-
 # ---------------------------------------------------------------------------
 # subset weights
 # ---------------------------------------------------------------------------
@@ -173,7 +168,11 @@ def _subset_sum(n: int, k: int) -> RatFunc:
 
     No such S holds 1, so the sum is F([k]!)/[k]! times F of the sum over
     the k-subsets of {1..n-1}, the proved binomial [n-1]!/([k]! F^k[n-1-k]!).
+    That sum is 1 for k = 0 and k = n - 1, one subset of weight 1, the base
+    cases of the induction, which need no proof.
     """
+    if k in (0, n - 1):
+        return _shift_ratio(k)
     return _shift_ratio(k) * _proved_binomial(n - 1, k).frobenius(1)
 
 
@@ -217,9 +216,11 @@ def _L_grouped(n: int, cover: tuple[int, ...]) -> RatFunc:
         for _rho, left, right in splits:
             stack += left, right
     for m, c in sorted(pending):  # by size first
-        hooks = _hook_candidates(m)
+        splits = pending[m, c]
+        # the hints matter only where two or more groups are added
+        hooks = tuple(_factorial_atoms(m)) if len(splits) > 1 else ()
         total = RatFunc.from_const(0)
-        for rho, left, right in pending[m, c]:
+        for rho, left, right in splits:
             term = _subset_sum(m, rho - 1) * _L_MEMO[left]
             term = term * _L_MEMO[right].frobenius(rho)
             total = total._add(term, hooks)
@@ -240,7 +241,7 @@ def L_of_forest(p: ForestPoset, method: str = "grouped") -> RatFunc:
     if method == "grouped":
         return _L_grouped(p.n, p.cover)
     if method == "direct":
-        hooks = _hook_candidates(p.n)
+        hooks = tuple(_factorial_atoms(p.n))
         total = RatFunc.from_const(0)
         for w in linear_extensions(p):
             total = total._add(wt_perm_tree(w), hooks)

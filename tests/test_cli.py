@@ -492,6 +492,33 @@ class TestForestFileSchema:
         assert code == 2 and out == ""
         assert "'n'" in err and str(MAX_FOREST_N) in err
 
+    # FILE stands for the forest file's path
+    @pytest.mark.parametrize("argv, data, diagnostic", [
+        (("linext", "FILE"), [3, [[1, 2]]], "must be a JSON object"),
+        (("linext", "FILE"), {"n": 2, "cover": [[1, 2]]},
+         "unknown key 'cover'"),
+        (("linext", "FILE"), {"n": 2, "covers": [], "covered_by": []},
+         "not both"),
+        (("linext", "FILE"), {"n": 3, "covers": [[1]]},
+         "[i, j] integer pairs"),
+        (("linext", "FILE"), {"n": 2, "covers": [[1, 2], [2, 1]]}, "cycle"),
+        (("linext", "FILE"), {"n": 2, "covers": [[1, 3]]}, "out of range"),
+        (("linext", "FILE"), {"n": 3, "covers": [[1, 2], [1, 3]]},
+         "appears twice"),
+        (("hook", "FILE"), DUAL_JOIN, "needs a forest file with 'covers'"),
+        (("specialize", "--map", "q", "--forest", "FILE"), DUAL_JOIN,
+         "needs a forest file with 'covers'"),
+        (("specialize", "--map", "q", "--forest", "FILE", "--side", "L"), BAD,
+         "not an integer interval"),
+    ])
+    def test_invalid_forest_file_exits_2(self, capsys, forest_file, argv,
+                                         data, diagnostic):
+        path = forest_file(data)
+        code, out, err = run(capsys, *(path if a == "FILE" else a
+                                       for a in argv))
+        assert code == 2 and out == ""
+        assert diagnostic in err
+
     def test_empty_forest_needs_no_covers(self, capsys, forest_file):
         code, out, _ = run(capsys, "linext", forest_file({"n": 0}), "--count")
         assert code == 0 and out == "1\n"

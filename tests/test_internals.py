@@ -10,7 +10,7 @@ brute-force counterpart on randomized inputs.
 import random
 from collections import Counter
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -460,6 +460,32 @@ class TestFRF:
             nf, df = frf_value(f)
             expected = (_dp_frobenius(nf, k), _dp_frobenius(df, k))
             assert cross_equal(frf_value(f.frobenius(k)), expected)
+
+
+class TestExpansionIsNormalized:
+    def test_raw_expansion_has_no_content_to_remove(self, rng):
+        # printing multiplies out c * num * prod(a^e) and removes neither a
+        # joint integer content nor a common monomial: there must be none
+        from hookweight.combinat import enumerate_rl_forests
+        from hookweight.weights import H_of_forest, L_of_forest
+        values = []
+        for _ in range(150):
+            f, g = random_frf(rng), random_frf(rng)
+            f = f._mul(RatFunc._from_atoms({random_binom(rng): rng.choice(
+                [-1, 1])}, rng.choice([1, -2, Fraction(3, 4)])))
+            top, bottom = (Polynomial._from_dict(_dp_scale(
+                dict_poly(rng) or {0: 1}, rng.randint(1, 4))) for _ in "ab")
+            values += [f._add(g), f._mul(g), f._mul(g._inv()),
+                       f.frobenius(rng.randint(1, 3)),
+                       parse_ratfunc(str(f._add(g._inv()))),
+                       parse_ratfunc(f"({top})/({bottom})")]
+        for n in range(1, 6):
+            for p in enumerate_rl_forests(n):
+                values += [L_of_forest(p), H_of_forest(p)]
+        for value in values:
+            num, den = value._expand_up_to_sign()
+            assert gcd(*num.values(), *den.values()) == 1, value
+            assert _dp_min_monomial([num, den]) == 0, value
 
 
 def opaque_atom(poly):

@@ -13,6 +13,7 @@ from math import comb
 
 import pytest
 
+from hookweight import ratfunc
 from hookweight.combinat import ForestPoset
 from hookweight.parsing import parse_ratfunc
 from hookweight.ratfunc import (
@@ -183,6 +184,22 @@ def test_packed_dicts_are_sized_by_their_fields():
     # 40000 + 25535 is 0 mod 2^16 - 1
     d = {_mono_pack({1: 40000, 2: 25535}): 1, _mono_pack({3: 2}): 1}
     assert _dict_size(d)[3:] == (2, 65535)
+
+
+def test_keys_in_large_variables_are_sized_without_unpacking(monkeypatch):
+    # a key in x4194304 holds 2^22 fields; its degree is read as the key
+    # mod 2^16 - 1, and the printed bytes stay the same
+    def unpacking(key):
+        raise AssertionError("a key was unpacked")
+
+    monkeypatch.setattr(ratfunc, "_mono_degree", unpacking)
+    d = {_mono_pack({4194304: 1}): 1, _mono_pack({2: 3}): -2, 0: 1}
+    assert _dict_size(d)[3:] == (0, 3)
+    d = {_mono_pack({4194303: 1, 4194304: 1}): 1, _mono_pack({4194304: 1}): 2}
+    assert _dict_size(d)[3:] == (1, 2)
+    monkeypatch.undo()
+    assert rf_to_canonical_string(parse_ratfunc(
+        "(x4194304+1)*(x4194303+2)")) == "x4194303x4194304+x4194303+2x4194304+2"
 
 
 def test_bracket_atoms_are_sized_as_their_dicts():

@@ -13,7 +13,7 @@ from hookweight.combinat import (
     subtree_data,
 )
 from hookweight.parsing import parse_ratfunc
-from hookweight.qanalog import bracket
+from hookweight.qanalog import bracket, bracket_factorial
 from hookweight.ratfunc import Polynomial, RatFunc, _mono_unpack, rf_add, rf_mul
 from hookweight.specialize import (
     DEFAULT_QT_BOUND,
@@ -80,6 +80,12 @@ class TestUniPoly:
     def test_unirf_monic_denominator(self):
         r = UniRatFunc(UniPoly.constant(1), UniPoly({1: 2, 3: 2}))
         assert r.den.leading_coefficient() == 1
+
+    def test_equality_is_by_value(self):
+        assert UniPoly({0: Fraction(4, 2), 3: Fraction(1, 3)}) == \
+            UniPoly({0: 2, 3: Fraction(1, 3)})
+        assert UniPoly({1: 1}) != UniPoly({1: 1, 2: 1})
+        assert UniPoly({0: 2}) == 2 and UniPoly() == 0
 
     def test_zero_denominator(self):
         with pytest.raises(SpecializationError):
@@ -168,6 +174,12 @@ class TestSpecQT:
                     expected = UniRatFunc(
                         UniPoly({q ** a: 1, q ** (a + n): -1}))
                     assert got == expected
+
+    def test_polynomial_arguments(self):
+        # bracket and bracket_factorial hand out Polynomials
+        assert spec_q(bracket(3)) == UniPoly({0: 1, 3: -1})
+        assert spec_qt(bracket_factorial(3), 2) == spec_qt(
+            RatFunc(bracket_factorial(3)), 2)
 
     def test_q_must_be_at_least_two(self):
         with pytest.raises(ValueError):

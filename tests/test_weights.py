@@ -240,6 +240,20 @@ def _clear_L_caches():
         del weights._L_MEMO[key]
 
 
+def test_edge_subset_sums_need_no_proof():
+    # one subset, of weight 1: the base cases of the Pascal induction
+    _clear_L_caches()
+    _subset_sum(500, 0), _subset_sum(500, 499)
+    assert qanalog._pascal_holds.cache_info().misses == 0
+    for n in range(1, 9):
+        for k in (0, n - 1):
+            value = _subset_sum(n, k)
+            proved = qanalog._shift_ratio(k) * qanalog._proved_binomial(
+                n - 1, k).frobenius(1)
+            assert (value._c, value._num, value._fac) == \
+                (proved._c, proved._num, proved._fac), (n, k)
+
+
 def test_unproved_binomial_raises(monkeypatch):
     # binomial(4, 2) with one atom dropped fails its Pascal check, and the
     # antichain with n = 6 rests on it through _subset_sum(6, 2)
