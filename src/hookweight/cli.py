@@ -5,8 +5,8 @@ Exit codes: 0 success (or verified equal), 1 verification failure,
 exponent or a size beyond its bound, including a number with more digits
 than Python converts to a string and a multivariate value too large to
 print).  The verify sweeps honor
-HOOKWEIGHT_THREADS (default: all cores) and emit case lines in a fixed
-order regardless of scheduling.
+HOOKWEIGHT_THREADS (default and upper bound: all cores) and emit case lines
+in a fixed order regardless of scheduling.
 """
 
 from __future__ import annotations
@@ -212,6 +212,11 @@ def cmd_linext(args) -> int:
 
 
 def cmd_specialize(args) -> int:
+    if args.map == "qt":
+        if args.qval is None:
+            raise InputError("--map qt requires --qval")
+        if args.qval < 2:
+            raise InputError(f"--qval must be an integer >= 2, got {args.qval}")
     if args.expr is not None:
         try:
             value = parse_ratfunc(args.expr)
@@ -230,8 +235,6 @@ def cmd_specialize(args) -> int:
     if args.map == "q":
         print(spec_q(value).to_string("q"))
     else:
-        if args.qval is None:
-            raise InputError("--map qt requires --qval")
         print(spec_qt(value, args.qval).to_string("t"))
     return EXIT_OK
 
@@ -324,13 +327,16 @@ def _run_case(payload: tuple) -> bool:
 
 
 def _thread_count() -> int:
+    """HOOKWEIGHT_THREADS, at most the number of cores (the default): the
+    pool forks all of its workers at its first task."""
+    cores = os.cpu_count() or 1
     env = os.environ.get("HOOKWEIGHT_THREADS", "").strip()
     if env:
         try:
-            return max(1, int(env))
+            return min(max(1, int(env)), cores)
         except ValueError:
             raise InputError(f"HOOKWEIGHT_THREADS must be an integer, got {env!r}")
-    return os.cpu_count() or 1
+    return cores
 
 
 def cmd_verify(args) -> int:

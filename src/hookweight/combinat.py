@@ -9,7 +9,8 @@ A ``ForestPoset`` stores, for each element i, the unique element p(i) that i
 covers (roots are the minimal elements, so subtrees P_{>=i} grow upward).  A
 ``DualForestPoset`` stores the unique element covering i, so subtrees are the
 lower sets P_{<=i}.  A forest is recursively labelled when every subtree's
-label set is a contiguous interval of integers.
+label set is a contiguous interval of integers; ``enumerate_rl_forests``
+builds their parent arrays directly, cached by size.
 
 Both classes are one parent array underneath and share one core: every
 subtree (its elements, size, least and largest label) comes from one O(n)
@@ -628,45 +629,35 @@ def extension_stat_counts(p: _ParentArray, stat: str) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _rl_forest_covers(size: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Cover lists (relative to a size-``size`` interval starting at 1)."""
+def _rl_forests(size: int) -> tuple[tuple[int, ...], ...]:
+    """Parent arrays of the recursively labelled forests on 1..size: a first
+    tree on 1..f, then a forest on the rest shifted by f."""
     if size == 0:
         return ((),)
-    out = []
-    for first in range(1, size + 1):
-        for tree in _rl_tree_covers(first):
-            for rest in _rl_forest_covers(size - first):
-                shifted = tuple((i + first, p + first) for i, p in rest)
-                out.append(tree + shifted)
-    return tuple(out)
+    return tuple(tree + tuple(p and p + f for p in rest)
+                 for f in range(1, size + 1)
+                 for tree in _rl_trees(f)
+                 for rest in _rl_forests(size - f))
 
 
 @lru_cache(maxsize=None)
-def _rl_tree_covers(size: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    out = []
-    for root in range(1, size + 1):
-        for left in _rl_forest_covers(root - 1):
-            left_roots = _forest_roots(root - 1, left)
-            for right in _rl_forest_covers(size - root):
-                right_shifted = tuple((i + root, p + root) for i, p in right)
-                right_roots = [r + root for r in _forest_roots(size - root, right)]
-                covers = left + right_shifted + tuple(
-                    (r, root) for r in left_roots + right_roots)
-                out.append(covers)
-    return tuple(out)
-
-
-def _forest_roots(size: int, covers: tuple[tuple[int, int], ...]) -> list[int]:
-    non_roots = {i for i, _ in covers}
-    return [i for i in range(1, size + 1) if i not in non_roots]
+def _rl_trees(size: int) -> tuple[tuple[int, ...], ...]:
+    """Parent arrays of the recursively labelled trees on 1..size: a root r,
+    a forest on 1..r-1 with its roots set to r, and a forest on r+1..size
+    shifted by r with its roots set to r."""
+    return tuple(tuple(p or r for p in left) + (0,)
+                 + tuple(p + r if p else r for p in right)
+                 for r in range(1, size + 1)
+                 for left in _rl_forests(r - 1)
+                 for right in _rl_forests(size - r))
 
 
 def enumerate_rl_forests(n: int) -> Iterator[ForestPoset]:
     """Every recursively labelled forest on {1..n}, exactly once."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    for covers in _rl_forest_covers(n):
-        yield ForestPoset.from_covers(n, covers)
+    for cover in _rl_forests(n):
+        yield ForestPoset(n, cover)
 
 
 # ---------------------------------------------------------------------------

@@ -188,9 +188,7 @@ def _phi_inv_forest(p: ForestPoset) -> RatFunc:
 def concat_forests(p: ForestPoset | DualForestPoset,
                    q: ForestPoset | DualForestPoset) -> ForestPoset | DualForestPoset:
     """Disjoint union of two forests of one kind, q's labels shifted above p's."""
-    k = p.n
-    pairs = p.covers() + [(i + k, t + k) for i, t in q.covers()]
-    return type(p)._from_pairs(p.n + q.n, pairs)
+    return type(p)(p.n + q.n, p.cover + tuple(t and t + p.n for t in q.cover))
 
 
 def _morphism_holds(p, q, image) -> bool:

@@ -48,18 +48,11 @@ def _shift_ratio(k: int) -> RatFunc:
                                 **_factorial_atoms(k, sign=-1)})
 
 
-@lru_cache(maxsize=None)
-def _bracket_factorial(n: int) -> RatFunc:
-    return RatFunc._from_atoms(_factorial_atoms(n))
-
-
 def bracket_factorial(n: int) -> Polynomial:
     """[n]! = [n] * F([n-1]!) expanded; bracket_factorial(0) = 1."""
     if n < 0:
         raise ValueError("bracket_factorial requires n >= 0")
-    if n == 0:
-        return Polynomial.one()
-    return _bracket_factorial(n).num
+    return RatFunc._from_atoms(_factorial_atoms(n)).num
 
 
 @lru_cache(maxsize=None)

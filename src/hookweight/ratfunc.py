@@ -35,7 +35,9 @@ polynomial atom that carries any denominator factor that is neither.
 Expanded input is factored once, when it is constructed.  Equality is
 decided by cross multiplication of the atoms the two sides do not share,
 never by polynomial GCD, so it is always exact.  The sign of num is fixed
-by its coefficient at the largest packed key, which needs no term order.
+by its coefficient at the largest packed key, which needs no term order,
+once per normalization: content, monomial content and trial division do
+not depend on it.
 
 Sums are kept small by trial division of num by the atoms of the shared
 denominator.  Construction runs the same greedy loop: its candidates are
@@ -444,51 +446,40 @@ def _folded(key: int) -> int:
     return k | k >> 1
 
 
-def _dp_min_monomial(dicts: list[dict]) -> int:
-    """Packed per-variable minimum exponent over all keys of all dicts.
+def _dp_min_monomial(d: dict) -> int:
+    """Packed per-variable minimum exponent over the keys of d.
 
     The variables that every key holds come first, as the AND of each
     key's nonzero-field mask (bit 0 of a field set where the field is
     nonzero); with none, the content is 1 and no key is unpacked.
     """
+    if 0 in d:
+        return 0  # a constant term: the content is 1
     common = None
-    for d in dicts:
-        if 0 in d:
-            return 0  # a constant term: the content is 1
-        for key in d:
-            k = _folded(key)
-            if common is None:  # bit 0 of each field of the first key
-                common = k & _field_bits(_last_var(key), 0)
-            else:
-                common &= k
-            if not common:
-                return 0
+    for key in d:
+        k = _folded(key)
+        if common is None:  # bit 0 of each field of the first key
+            common = k & _field_bits(_last_var(key), 0)
+        else:
+            common &= k
+        if not common:
+            return 0
     mins = 0
     while common:
         low = common & -common
         shift = low.bit_length() - 1
-        mins |= min(k >> shift & _MASK for d in dicts for k in d) << shift
+        mins |= min(k >> shift & _MASK for k in d) << shift
         common ^= low
     return mins
 
 
-def _dp_div_monomial(a: dict, mono_key: int) -> dict:
-    if mono_key == 0:
-        return dict(a)
-    return {k - mono_key: v for k, v in a.items()}
-
-
-def _coeff_clear(dicts: list[dict]) -> tuple[list[dict], Fraction]:
-    """Scale int/Fraction dicts to primitive int dicts; return the scale.
-
-    The returned dicts times ``scale`` reproduce the inputs (jointly).
-    """
-    den = lcm(*(v.denominator for d in dicts for v in d.values()))
-    ints = [{k: int(v * den) for k, v in d.items()} for d in dicts]
-    g = gcd(*(v for d in ints for v in d.values())) or 1
-    if g > 1:
-        ints = [{k: v // g for k, v in d.items()} for d in ints]
-    return ints, Fraction(g, den)
+def _coeff_clear(d: dict) -> tuple[dict, Fraction]:
+    """(ints, scale): the primitive int dict ``ints`` times ``scale`` is
+    the int/Fraction dict d.  Since each Fraction is reduced, d's content
+    is the gcd of the numerators over the lcm of the denominators."""
+    den = lcm(*(v.denominator for v in d.values()))
+    g = gcd(*(v.numerator for v in d.values()))
+    return {k: v * den // g for k, v in d.items()}, Fraction(g, den)
 
 
 def _dp_div_graded(p: dict, shift: int, lead: int, rest: dict) -> Optional[dict]:
@@ -1051,7 +1042,7 @@ class RatFunc:
         """Factor an expanded polynomial into bracket forms once."""
         if not d:
             return _ZERO
-        (ints,), scale = _coeff_clear([d])
+        ints, scale = _coeff_clear(d)
         return RatFunc._normalized(scale, ints, {}, _form_candidates(ints))
 
     @staticmethod
@@ -1064,15 +1055,14 @@ class RatFunc:
         fac = {a: e for a, e in fac.items() if e}
         if num == _DP_ONE:
             return _raw(c, _DP_ONE, fac)
-        c, num = _positive_top(c, num)
         g = gcd(*num.values())
         if g > 1:
             num = {k: v // g for k, v in num.items()}
             c = c * g
         # pull out the common monomial factor as single-variable forms
-        mono = _dp_min_monomial([num])
+        mono = _dp_min_monomial(num)
         if mono:
-            num = _dp_div_monomial(num, mono)
+            num = {k - mono: v for k, v in num.items()}
             for var, exp in _mono_unpack(mono):
                 a = ("F", var - 1, 1)
                 fac[a] = fac.get(a, 0) + exp
@@ -1089,7 +1079,7 @@ class RatFunc:
                     break
                 fac[atom] = fac.get(atom, 0) + 1
                 num = q
-        c, num = _positive_top(c, num)  # a binomial quotient flips it
+        c, num = _positive_top(c, num)
         # recognize what remains
         if num != _DP_ONE:
             form = _dp_as_form(num)

@@ -40,14 +40,15 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable
 
 from .combinat import (ForestPoset, extension_stat_counts, inv_poset,
                        subtree_data)
 from .ratfunc import (MAX_SPEC_BITS, SizeBoundError, SpecializationError,
-                      _as_coeff, _as_rf, _check_size, _dict_mul, _dp_acc,
-                      _dp_add, _dp_neg, _dp_scale, _int_str, _mono_unpack)
+                      _as_coeff, _as_rf, _check_size, _coeff_clear, _dict_mul,
+                      _dp_acc, _dp_add, _dp_neg, _dp_scale, _int_str,
+                      _mono_unpack)
 from .weights import L_of_forest
 
 __all__ = [
@@ -490,7 +491,8 @@ def _split(p: UniPoly) -> tuple:
     """(c, a, key) with p = c t^a f, f primitive with a positive constant term.
 
     key is None when f = 1, k when f = 1 - t^k, and f's sorted (exponent,
-    coefficient) items otherwise; c is 0 for the zero polynomial.
+    coefficient) items otherwise.  c is 0 for the zero polynomial, and an
+    int whenever it is integral, so that ``_fold`` multiplies ints.
     """
     c = p._c
     if not c:
@@ -498,16 +500,10 @@ def _split(p: UniPoly) -> tuple:
     a = min(c)
     if len(c) == 1:
         return c[a], a, None
-    g = gcd(*(v.numerator for v in c.values()))
-    s = lcm(*(v.denominator for v in c.values()))
-    if c[a] < 0:
-        g = -g
-    if s == 1:
-        f = {e - a: v // g for e, v in c.items()}
-        content = g
-    else:
-        content = Fraction(g, s)
-        f = {e - a: int(v / content) for e, v in c.items()}
+    ints, content = _coeff_clear(c)
+    s = -1 if ints[a] < 0 else 1
+    f = {e - a: s * v for e, v in ints.items()}
+    content = s * _as_coeff(content)
     if len(f) == 2 and f[0] == 1:
         k = max(f)
         if f[k] == -1:

@@ -243,6 +243,35 @@ class TestVerify:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    def test_threads_env_is_capped_at_the_cores(self, capsys, monkeypatch):
+        # a pool forks all of its workers at once; a serial fake records
+        # how many it was asked for, so no process is started
+        import concurrent.futures
+        import os
+        workers = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        argv = ("verify", "--suite", "pascal", "--nmax", "8")
+        monkeypatch.setenv("HOOKWEIGHT_THREADS", "1")
+        serial = run(capsys, *argv)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("HOOKWEIGHT_THREADS", "100000")
+        assert run(capsys, *argv) == serial and workers == [2]
+
     def test_threads_env_invalid(self, capsys, monkeypatch):
         monkeypatch.setenv("HOOKWEIGHT_THREADS", "lots")
         code, _, err = run(capsys, "verify", "--suite", "pascal", "--nmax", "3")
@@ -344,6 +373,14 @@ class TestMalformedInput:
         code, _, err = run_process("specialize", "--map", "qt", "--qval", "3",
                                    "--expr", "x3000000")
         assert code == 3 and "exceeds the bound" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [["--qval", "1", "--expr", "x1"],
+                                      ["--qval", "0", "--expr", "x1"],
+                                      ["--qval", "-3", "--perm", "2,1"]])
+    def test_qval_below_two_is_input_error(self, argv):
+        code, out, err = run_process("specialize", "--map", "qt", *argv)
+        assert code == 2 and out == "" and "--qval" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("perm", ["[1.5, 2]", "[true, 2]"])

@@ -1,5 +1,6 @@
 """Permutation statistics, trees, forests, and their enumerators."""
 
+import hashlib
 import random
 from collections import Counter
 from itertools import permutations, product
@@ -361,6 +362,16 @@ class TestEnumerateRlForests:
         first = [p.cover for p in enumerate_rl_forests(5)]
         second = [p.cover for p in enumerate_rl_forests(5)]
         assert first == second
+
+    @pytest.mark.parametrize("n, digest", [
+        (6, "4e6e76232a5b59a233fdd248b4bb9c7f18e21752d505c5ab1ac35e01099a277e"),
+        (7, "ea033a9a537a085332280d01fc20bb55de0e1dfd79cca43a96ed9dc936c40698"),
+    ])
+    def test_order_is_pinned(self, n, digest):
+        # the verify suites print their cases in this order, up to n = 7
+        text = ";".join(",".join(map(str, p.cover))
+                        for p in enumerate_rl_forests(n))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestDualForests:

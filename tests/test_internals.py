@@ -139,7 +139,7 @@ class TestPackedMonomials:
         dicts = [{_mono_pack(m): 1 for m in monos} for monos in polys]
         exps = [dict(_mono_unpack(k)) for d in dicts for k in d]
         variables = {v for e in exps for v in e}
-        assert _dp_min_monomial(dicts) == _mono_pack(
+        assert _dp_min_monomial({k: 1 for d in dicts for k in d}) == _mono_pack(
             {v: min(e.get(v, 0) for e in exps) for v in variables})
 
     def test_min_monomial_without_common_variable_unpacks_nothing(
@@ -147,8 +147,8 @@ class TestPackedMonomials:
         # the AND of the keys' nonzero-field masks is 0 at once
         monkeypatch.setattr(ratfunc, "_fields", None)
         keys = [_mono_pack({MAX_PACKED_VAR - i: 1}) for i in range(3)]
-        assert _dp_min_monomial([{k: 1 for k in keys}]) == 0
-        assert _dp_min_monomial([{keys[0]: 1}, {keys[1]: 1}]) == 0
+        assert _dp_min_monomial({k: 1 for k in keys}) == 0
+        assert _dp_min_monomial({keys[0]: 1, keys[1]: 1}) == 0
 
     @given(st.dictionaries(
         monomials.map(lambda m: tuple(sorted((v, e) for v, e in m.items() if e))),
@@ -485,7 +485,7 @@ class TestExpansionIsNormalized:
         for value in values:
             num, den = value._expand_up_to_sign()
             assert gcd(*num.values(), *den.values()) == 1, value
-            assert _dp_min_monomial([num, den]) == 0, value
+            assert _dp_min_monomial({**num, **den}) == 0, value
 
 
 def opaque_atom(poly):

@@ -29,6 +29,7 @@ from hookweight.specialize import (
     spec_qt,
     verify_bw_inv,
     _all_q_var,
+    _split,
     _substitute,
 )
 from hookweight.weights import H_of_forest, L_of_forest, wt_perm_recursive, wt_subset
@@ -86,6 +87,12 @@ class TestUniPoly:
             UniPoly({0: 2, 3: Fraction(1, 3)})
         assert UniPoly({1: 1}) != UniPoly({1: 1, 2: 1})
         assert UniPoly({0: 2}) == 2 and UniPoly() == 0
+
+    def test_split_content_stays_an_int_when_integral(self):
+        content, a, key = _split(UniPoly({0: 2, 3: -2}))
+        assert (content, a, key) == (2, 0, 3) and type(content) is int
+        assert _split(UniPoly({1: Fraction(-1, 2), 2: Fraction(1, 2)})) == \
+            (Fraction(-1, 2), 1, 1)
 
     def test_zero_denominator(self):
         with pytest.raises(SpecializationError):
