@@ -43,7 +43,7 @@ from .specialize import (
     _q_hook_sides,
     _substitute,
 )
-from .weights import L_of_forest, wt_perm_tree
+from .weights import _L_grouped, _require_recursively_labelled, wt_perm_tree
 
 __all__ = [
     "FQSymElem",
@@ -180,8 +180,9 @@ def phi_inv(elem: FQSymElem) -> SkewElem:
 
 
 def _phi_inv_forest(p: ForestPoset) -> RatFunc:
-    """Coefficient of u^{|p|} in phi_inv(F_p): L(p) / [n]!."""
-    return L_of_forest(p) * RatFunc._from_atoms(
+    """Coefficient of u^{|p|} in phi_inv(F_p): L(p) / [n]!, for a p that
+    is known to be recursively labelled."""
+    return _L_grouped(p.n, p.cover) * RatFunc._from_atoms(
         _factorial_atoms(p.n, sign=-1))
 
 
@@ -204,7 +205,11 @@ def _morphism_holds(p, q, image) -> bool:
 
 def check_pbt_morphism(p: ForestPoset, q: ForestPoset) -> bool:
     """phi_inv(F_p * F_q) == phi_inv(F_p) * phi_inv(F_q), coefficient-wise;
-    ``NotRecursivelyLabelledError`` unless p and q are recursively labelled."""
+    ``NotRecursivelyLabelledError`` unless p and q are recursively labelled.
+    Each is checked once: their shifted union is recursively labelled
+    exactly when both are."""
+    _require_recursively_labelled(p)
+    _require_recursively_labelled(q)
     return _morphism_holds(p, q, _phi_inv_forest)
 
 

@@ -43,7 +43,8 @@ from typing import Union
 
 from .ratfunc import (_DP_ONE, _MASK, _SHIFT, MAX_PACKED_VAR,
                       ExponentOverflowError, Polynomial, RatFunc,
-                      _atom_last_var, _dp_acc, _last_var, _mono_pack)
+                      _atom_last_var, _dp_acc, _last_var, _mono_pack,
+                      _power as _square_and_multiply)
 
 __all__ = ["parse_ratfunc", "parse_polynomial", "ParseError"]
 
@@ -180,14 +181,7 @@ def _times(value: _Value, rhs: _Value) -> _Value:
 def _power(value: _Value, exp: int) -> _Value:
     if isinstance(value, tuple):
         return value[0] ** exp, {v: e * exp for v, e in value[1].items()}
-    out = RatFunc.from_const(1)
-    while exp:  # square and multiply
-        if exp & 1:
-            out = out * value
-        exp >>= 1
-        if exp:
-            value = value * value
-    return out
+    return _square_and_multiply(value, exp, RatFunc.from_const(1))
 
 
 class _Parser:

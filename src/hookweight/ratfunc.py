@@ -85,6 +85,13 @@ it.  ``_dp_acc`` is only handed a dict that its caller has just made, never
 one that a value holds or a cache hands out.  ``_dict_mul`` is the product
 of two maps whose keys add: ``_dp_mul`` runs it on packed keys after the
 carry check, ``UniPoly`` on t-exponents, which are plain ints.
+
+Internals pass these plain dicts; a ``Polynomial`` or ``UniPoly`` is built
+only where a caller sees one.  The two share one class body,
+``_SparsePoly``, which holds the dict as ``_d`` and has every ring
+operation; each names only its dict product, its key validation, its
+printing and its hashability.  Every power, of these and of a ``RatFunc``
+in the parser, is one square-and-multiply, ``_power``.
 """
 
 from __future__ import annotations
@@ -473,13 +480,14 @@ def _dp_min_monomial(d: dict) -> int:
     return mins
 
 
-def _coeff_clear(d: dict) -> tuple[dict, Fraction]:
-    """(ints, scale): the primitive int dict ``ints`` times ``scale`` is
-    the int/Fraction dict d.  Since each Fraction is reduced, d's content
-    is the gcd of the numerators over the lcm of the denominators."""
+def _coeff_clear(d: dict) -> tuple[dict, int, int]:
+    """(ints, g, den): the primitive int dict ``ints`` times g/den is the
+    int/Fraction dict d, g/den in lowest terms.  Since each Fraction is
+    reduced, d's content is the gcd of the numerators over the lcm of the
+    denominators."""
     den = lcm(*(v.denominator for v in d.values()))
     g = gcd(*(v.numerator for v in d.values()))
-    return {k: v * den // g for k, v in d.items()}, Fraction(g, den)
+    return {k: v * den // g for k, v in d.items()}, g, den
 
 
 def _dp_div_graded(p: dict, shift: int, lead: int, rest: dict) -> Optional[dict]:
@@ -764,10 +772,93 @@ class Monomial:
         return f"Monomial({self.exponents!r})"
 
 
-class Polynomial:
-    """Sparse multivariate polynomial with exact rational coefficients."""
+def _power(x, n: int, one):
+    """x ** n, n >= 0, by repeated squaring: ``one`` for n = 0 and x itself,
+    not multiplied by ``one``, for n = 1."""
+    out = None
+    while n:
+        if n & 1:
+            out = x if out is None else out * x
+        n >>= 1
+        if n:
+            x = x * x
+    return one if out is None else out
+
+
+class _SparsePoly:
+    """The ring operations of a sparse polynomial held as one dict ``_d``
+    from key to nonzero coefficient.
+
+    A subclass names its dict product, ``_dict_product``, whose keys add
+    (packed keys in ``Polynomial``, t-exponents in ``UniPoly``), and adds
+    its key validation, printing, hashability and extras.  An int or
+    Fraction operand is a constant; any other raises TypeError.
+    """
 
     __slots__ = ("_d",)
+
+    @classmethod
+    def _from_dict(cls, d: dict):
+        p = object.__new__(cls)
+        p._d = d
+        return p
+
+    @classmethod
+    def constant(cls, c):
+        c = _as_coeff(c)
+        return cls._from_dict({0: c} if c else {})
+
+    @classmethod
+    def _coerce(cls, v):
+        """v as a polynomial of this class: itself, or an int or Fraction as
+        a constant."""
+        if isinstance(v, cls):
+            return v
+        if isinstance(v, (int, Fraction)):
+            return cls.constant(v)
+        raise TypeError(f"expected {cls.__name__}, got {type(v)}")
+
+    def is_zero(self) -> bool:
+        return not self._d
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (type(self), int, Fraction)):
+            return self._d == self._coerce(other)._d
+        return NotImplemented
+
+    def __add__(self, other):
+        return self._from_dict(_dp_add(self._d, self._coerce(other)._d))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._from_dict(_dp_neg(self._d))
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __rsub__(self, other):
+        return self._coerce(other) + (-self)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self._from_dict(_dp_scale(self._d, _as_coeff(other)))
+        other = self._coerce(other)
+        return self._from_dict(self._dict_product(self._d, other._d))
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError(f"negative power of a {type(self).__name__}")
+        return _power(self, n, self.constant(1))
+
+
+class Polynomial(_SparsePoly):
+    """Sparse multivariate polynomial with exact rational coefficients."""
+
+    __slots__ = ()
+    _dict_product = staticmethod(_dp_mul)
 
     def __init__(self, terms: Mapping | Iterable[tuple] = ()):
         if isinstance(terms, Polynomial):
@@ -780,12 +871,6 @@ class Polynomial:
              _as_coeff(coeff)) for mono, coeff in items))
 
     @classmethod
-    def _from_dict(cls, d: dict) -> "Polynomial":
-        p = object.__new__(cls)
-        p._d = d
-        return p
-
-    @classmethod
     def zero(cls) -> "Polynomial":
         return cls._from_dict({})
 
@@ -794,20 +879,12 @@ class Polynomial:
         return cls.constant(1)
 
     @classmethod
-    def constant(cls, c) -> "Polynomial":
-        c = _as_coeff(c)
-        return cls._from_dict({0: c} if c else {})
-
-    @classmethod
     def variable(cls, i: int) -> "Polynomial":
         return cls._from_dict({_mono_pack({i: 1}): 1})
 
     @property
     def terms(self) -> dict[Monomial, Coeff]:
         return {Monomial._from_key(k): v for k, v in self._d.items()}
-
-    def is_zero(self) -> bool:
-        return not self._d
 
     def total_degree(self) -> int:
         return max((_mono_degree(k) for k in self._d), default=0)
@@ -818,50 +895,8 @@ class Polynomial:
     def __len__(self) -> int:
         return len(self._d)
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Polynomial):
-            return self._d == other._d
-        if isinstance(other, (int, Fraction)):
-            return self._d == Polynomial.constant(other)._d
-        return NotImplemented
-
     def __hash__(self) -> int:
         return hash(frozenset(self._d.items()))
-
-    def __add__(self, other) -> "Polynomial":
-        other = _as_poly(other)
-        return Polynomial._from_dict(_dp_add(self._d, other._d))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial._from_dict(_dp_neg(self._d))
-
-    def __sub__(self, other) -> "Polynomial":
-        return self + (-_as_poly(other))
-
-    def __rsub__(self, other) -> "Polynomial":
-        return _as_poly(other) + (-self)
-
-    def __mul__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            return Polynomial._from_dict(_dp_scale(self._d, _as_coeff(other)))
-        other = _as_poly(other)
-        return Polynomial._from_dict(_dp_mul(self._d, other._d))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "Polynomial":
-        if n < 0:
-            raise ValueError("negative power of a Polynomial")
-        out = Polynomial.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
 
     def frobenius(self, k: int) -> "Polynomial":
         if k < 0:
@@ -883,27 +918,19 @@ def _as_coeff(c) -> Coeff:
     raise TypeError(f"coefficient must be int or Fraction, got {type(c)}")
 
 
-def _as_poly(p) -> Polynomial:
-    if isinstance(p, Polynomial):
-        return p
-    if isinstance(p, (int, Fraction)):
-        return Polynomial.constant(p)
-    raise TypeError(f"expected Polynomial, got {type(p)}")
-
-
 def poly_add(a: Polynomial, b: Polynomial) -> Polynomial:
     """Coefficient-wise sum; zero coefficients are dropped."""
-    return _as_poly(a) + _as_poly(b)
+    return Polynomial._coerce(a) + b
 
 
 def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
     """Distributive product with exponent addition."""
-    return _as_poly(a) * _as_poly(b)
+    return Polynomial._coerce(a) * b
 
 
 def frobenius(p: Polynomial, k: int) -> Polynomial:
     """Shift every variable index by k: x_i -> x_{i+k}."""
-    return _as_poly(p).frobenius(k)
+    return Polynomial._coerce(p).frobenius(k)
 
 
 # ---------------------------------------------------------------------------
@@ -970,13 +997,18 @@ def _positive_top(c: Fraction, num: dict) -> tuple[Fraction, dict]:
     return c, num
 
 
-def _times_atoms(d: dict, powers: Iterable[tuple[Atom, int]]) -> dict:
-    """d times a^e for every (a, e) in ``powers`` with e > 0."""
-    for a, e in powers:
-        if e > 0:
-            ad = _atom_dict(a)
-            for _ in range(e):
-                d = _dp_mul(d, ad)
+def _times_atoms(d: dict, fac: dict, base: dict = {}) -> dict:
+    """d times a^(fac[a] - base[a]) for every atom a where that exponent is
+    positive, an atom missing from a table counting 0.  Neither table is
+    changed."""
+    get = base.get
+    for a, e in fac.items():
+        for _ in range(e - get(a, 0)):
+            d = _dp_mul(d, _atom_dict(a))
+    for a, e in base.items():
+        if e < 0 and a not in fac:
+            for _ in range(-e):
+                d = _dp_mul(d, _atom_dict(a))
     return d
 
 
@@ -1016,8 +1048,8 @@ class RatFunc:
         if isinstance(num, RatFunc):
             value = num
         else:
-            num = Polynomial.zero() if num is None else _as_poly(num)
-            den = _as_poly(den)
+            num = Polynomial.zero() if num is None else Polynomial._coerce(num)
+            den = Polynomial._coerce(den)
             if not den._d:
                 raise DivisionByZeroError("zero denominator")
             value = RatFunc._from_dict(num._d)._mul(
@@ -1042,8 +1074,9 @@ class RatFunc:
         """Factor an expanded polynomial into bracket forms once."""
         if not d:
             return _ZERO
-        ints, scale = _coeff_clear(d)
-        return RatFunc._normalized(scale, ints, {}, _form_candidates(ints))
+        ints, g, den = _coeff_clear(d)
+        return RatFunc._normalized(Fraction(g, den), ints, {},
+                                   _form_candidates(ints))
 
     @staticmethod
     def _normalized(c: Fraction, num: dict, fac: dict,
@@ -1130,9 +1163,8 @@ class RatFunc:
                 c.numerator)
             _check_size([(_atom_size(a), -e) for a, e in fac.items() if e < 0],
                         c.denominator)
-        num = _times_atoms(_dp_scale(num, c.numerator), fac.items())
-        return num, _times_atoms({0: c.denominator},
-                                 ((a, -e) for a, e in fac.items()))
+        return (_times_atoms(_dp_scale(num, c.numerator), fac),
+                _times_atoms({0: c.denominator}, {}, fac))
 
     @property
     def num(self) -> Polynomial:
@@ -1176,9 +1208,8 @@ class RatFunc:
 
     def _cross(self, other: "RatFunc") -> tuple[dict, dict]:
         """Each side's num times the atom powers it holds beyond the other."""
-        delta = _dp_add(self._fac, _dp_neg(other._fac))
-        return (_times_atoms(self._num, delta.items()),
-                _times_atoms(other._num, ((a, -e) for a, e in delta.items())))
+        return (_times_atoms(self._num, self._fac, other._fac),
+                _times_atoms(other._num, other._fac, self._fac))
 
     @staticmethod
     def _sum(values: Iterable["RatFunc"],
@@ -1210,27 +1241,11 @@ class RatFunc:
         scales = [t._c.numerator * (den_lcm // t._c.denominator)
                   for t in terms]
         g = gcd(*scales)
-        shared = common.get
-        dens = []  # the shared denominator atoms, as (atom, -exponent)
-        hints = list(hint_atoms)
-        for a, e in common.items():
-            if e < 0:
-                dens.append((a, -e))
-                hints.append(a)
+        hints = list(hint_atoms) + [a for a, e in common.items() if e < 0]
         total: dict = {}
         for t, s in zip(terms, scales):
-            # t's num times the atoms t holds beyond the shared ones, as
-            # plain loops: this runs on every two-term _add
-            f = t._fac
-            p = t._num
-            for a, e in f.items():
-                for _ in range(e - shared(a, 0)):
-                    p = _dp_mul(p, _atom_dict(a))
-            for a, e in dens:
-                if a not in f:
-                    for _ in range(e):
-                        p = _dp_mul(p, _atom_dict(a))
-            p = _dp_scale(p, s // g)
+            # t's num times the atoms t holds beyond the shared ones
+            p = _dp_scale(_times_atoms(t._num, t._fac, common), s // g)
             total = _dp_acc(total, p.items()) if total else p
         return RatFunc._normalized(Fraction(g, den_lcm), total, common, hints)
 

@@ -32,6 +32,14 @@ are ``SpecializationError``s, on which the CLI exits 3.  The bound is one
 function, ``ratfunc._check_size``, which also bounds printing a
 multivariate value; each factor comes with its size (``_sized``), whose
 one variable t is packed in no key and costs no exponent bits.
+
+Inside, a polynomial in t is a plain {exponent: coefficient} dict, as a
+polynomial is in ``ratfunc``: the variable maps, the images, the split
+factors, the products and the reduction take and return dicts.  A
+``UniPoly``, which shares ``Polynomial``'s ring operations
+(``ratfunc._SparsePoly``), is built only for ``num``, ``den``,
+``q_bracket``, ``q_factorial`` and the q-hook sides, and read only by
+``UniRatFunc(num, den)``.
 """
 
 from __future__ import annotations
@@ -46,9 +54,9 @@ from typing import Iterable
 from .combinat import (ForestPoset, extension_stat_counts, inv_poset,
                        subtree_data)
 from .ratfunc import (MAX_SPEC_BITS, SizeBoundError, SpecializationError,
-                      _as_coeff, _as_rf, _check_size, _coeff_clear, _dict_mul,
-                      _dp_acc, _dp_add, _dp_neg, _dp_scale, _int_str,
-                      _mono_unpack)
+                      _SparsePoly, _as_coeff, _as_rf, _check_size,
+                      _coeff_clear, _dict_mul, _dp_acc, _dp_add, _dp_neg,
+                      _dp_scale, _int_str, _mono_unpack)
 from .weights import L_of_forest
 
 __all__ = [
@@ -73,25 +81,18 @@ class ExponentBoundError(SpecializationError):
     """A required exponent q^i exceeded the configured bound."""
 
 
-class UniPoly:
+class UniPoly(_SparsePoly):
     """Sparse univariate polynomial over Q: {exponent: coefficient}."""
 
-    __slots__ = ("_c",)
+    __slots__ = ()
+    _dict_product = staticmethod(_dict_mul)
+    __hash__ = None
 
     def __init__(self, coeffs: dict | None = None):
+        coeffs = coeffs or {}
         if coeffs and min(coeffs) < 0:
             raise ValueError("negative exponent")
-        self._c: dict[int, Fraction | int] = _dp_acc({}, (coeffs or {}).items())
-
-    @classmethod
-    def _raw(cls, c: dict) -> "UniPoly":
-        p = object.__new__(cls)
-        p._c = c
-        return p
-
-    @classmethod
-    def constant(cls, v) -> "UniPoly":
-        return cls({0: v})
+        self._d = _dp_acc({}, ((e, _as_coeff(v)) for e, v in coeffs.items()))
 
     @classmethod
     def monomial(cls, e: int, v=1) -> "UniPoly":
@@ -99,69 +100,28 @@ class UniPoly:
 
     @property
     def coeffs(self) -> dict[int, Fraction | int]:
-        return dict(self._c)
+        return dict(self._d)
 
     def degree(self) -> int:
         """Degree, with the zero polynomial reported as -1."""
-        return max(self._c, default=-1)
-
-    def is_zero(self) -> bool:
-        return not self._c
+        return max(self._d, default=-1)
 
     def leading_coefficient(self):
-        return self._c[self.degree()] if self._c else 0
-
-    def __add__(self, other) -> "UniPoly":
-        return UniPoly._raw(_dp_add(self._c, _as_unipoly(other)._c))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "UniPoly":
-        return UniPoly._raw(_dp_neg(self._c))
-
-    def __sub__(self, other) -> "UniPoly":
-        return self + (-_as_unipoly(other))
-
-    def __rsub__(self, other) -> "UniPoly":
-        return _as_unipoly(other) + (-self)
-
-    def __mul__(self, other) -> "UniPoly":
-        return UniPoly._raw(_dict_mul(self._c, _as_unipoly(other)._c))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "UniPoly":
-        if n < 0:
-            raise ValueError("negative power of a UniPoly")
-        if n == 0:
-            return UniPoly.constant(1)
-        out = self
-        for _ in range(n - 1):
-            out = out * self
-        return out
+        return self._d[self.degree()] if self._d else 0
 
     def scale(self, v) -> "UniPoly":
-        return UniPoly._raw(_dp_scale(self._c, v))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = UniPoly.constant(other)
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self._c == other._c
-
-    __hash__ = None
+        return UniPoly._from_dict(_dp_scale(self._d, _as_coeff(v)))
 
     def __call__(self, value):
-        return sum((Fraction(v) * Fraction(value) ** e for e, v in self._c.items()),
+        return sum((Fraction(v) * Fraction(value) ** e for e, v in self._d.items()),
                    Fraction(0))
 
     def to_string(self, var: str = "q") -> str:
-        if not self._c:
+        if not self._d:
             return "0"
         parts = []
-        for e in sorted(self._c, reverse=True):
-            v = self._c[e]
+        for e in sorted(self._d, reverse=True):
+            v = self._d[e]
             neg = v < 0
             av = -v if neg else v
             if e == 0:
@@ -183,14 +143,6 @@ def _uni_coeff_str(v) -> str:
     if isinstance(v, Fraction) and v.denominator != 1:
         return f"({_int_str(v.numerator)}/{_int_str(v.denominator)})"
     return _int_str(int(v))
-
-
-def _as_unipoly(v) -> UniPoly:
-    if isinstance(v, UniPoly):
-        return v
-    if isinstance(v, (int, Fraction)):
-        return UniPoly.constant(v)
-    raise TypeError(f"expected UniPoly, got {type(v)}")
 
 
 def _strip(A: list) -> list:
@@ -268,32 +220,32 @@ def _int_exact_div(A: list, G: list) -> list:
 # the size bound
 # ---------------------------------------------------------------------------
 
-def _sized(p: UniPoly) -> tuple:
+def _sized(p: dict) -> tuple:
     """p's size as ``ratfunc._check_size`` reads it, followed by p.
 
     The size is p's term count, the bit length of its coefficient 1-norm
     minus 1, no packed variable, and its lowest and highest exponent; a
     zero p has term count 0.
     """
-    c = p._c
-    if not c:
+    if not p:
         return 0, 0, 0, 0, 0, p
-    norm = sum(map(abs, c.values()))
-    return len(c), (norm - 1).bit_length(), 0, min(c), max(c), p
+    norm = sum(map(abs, p.values()))
+    return len(p), (norm - 1).bit_length(), 0, min(p), max(p), p
 
 
-def _product(factors, c: int = 1) -> UniPoly:
-    """c times the (sized p, e) pairs multiplied out, checked first."""
+def _product(factors, c: int = 1) -> dict:
+    """c times the (sized p, e) pairs multiplied out, checked first; with
+    c = 1 and one factor p^1 it is p's own dict."""
     if any(not size[0] for size, _ in factors):
-        return UniPoly()
+        return {}
     _check_size(factors, c)
     out = None
     for size, e in factors:
-        p = size[5]
-        out = p ** e if out is None else out * p ** e
+        for _ in range(e):
+            out = size[5] if out is None else _dict_mul(out, size[5])
     if out is None:
-        return UniPoly._raw({0: c})
-    return out if c == 1 else out.scale(c)
+        return {0: c}
+    return out if c == 1 else _dp_scale(out, c)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +349,7 @@ def _psi_binomials(d: int) -> tuple[tuple[int, int], ...]:
 @lru_cache(maxsize=None)
 def _binomial(k: int) -> tuple:
     """Sized 1 - t^k."""
-    return _sized(UniPoly._raw({0: 1, k: -1}))
+    return _sized({0: 1, k: -1})
 
 
 def _times_binomial(c: dict, k: int) -> dict:
@@ -459,7 +411,7 @@ def _expand(polys, exps: dict, c: int = 1) -> dict | None:
                 downs[a] -= n
                 if not downs[a]:
                     break
-    factors = ([(_sized(UniPoly._raw(p)), e) for p, e in polys]
+    factors = ([(_sized(p), e) for p, e in polys]
                + [(_binomial(b), n) for b, n in ups.items() if n]
                + [((b // a, (b // a - 1).bit_length(), 0, 0, b - a), n)
                   for b, a, n in pairs])
@@ -487,23 +439,22 @@ def _expand(polys, exps: dict, c: int = 1) -> dict | None:
 # factored univariate rational functions
 # ---------------------------------------------------------------------------
 
-def _split(p: UniPoly) -> tuple:
+def _split(p: dict) -> tuple:
     """(c, a, key) with p = c t^a f, f primitive with a positive constant term.
 
     key is None when f = 1, k when f = 1 - t^k, and f's sorted (exponent,
     coefficient) items otherwise.  c is 0 for the zero polynomial, and an
     int whenever it is integral, so that ``_fold`` multiplies ints.
     """
-    c = p._c
-    if not c:
+    if not p:
         return 0, 0, None
-    a = min(c)
-    if len(c) == 1:
-        return c[a], a, None
-    ints, content = _coeff_clear(c)
+    a = min(p)
+    if len(p) == 1:
+        return p[a], a, None
+    ints, g, den = _coeff_clear(p)
     s = -1 if ints[a] < 0 else 1
     f = {e - a: s * v for e, v in ints.items()}
-    content = s * _as_coeff(content)
+    content = s * g if den == 1 else Fraction(s * g, den)
     if len(f) == 2 and f[0] == 1:
         k = max(f)
         if f[k] == -1:
@@ -535,8 +486,8 @@ def _fold(parts, c=1) -> tuple[Fraction, int, dict]:
 
 def _side(fac: dict, sign: int) -> list:
     """(sized f, e) pairs of the numerator (sign 1) or denominator (-1)."""
-    return [(_binomial(k) if type(k) is int else _sized(UniPoly._raw(dict(k))),
-             e * sign) for k, e in fac.items() if e * sign > 0]
+    return [(_binomial(k) if type(k) is int else _sized(dict(k)), e * sign)
+            for k, e in fac.items() if e * sign > 0]
 
 
 class UniRatFunc:
@@ -556,9 +507,9 @@ class UniRatFunc:
     __slots__ = ("_c", "_a", "_f", "_nd")
 
     def __init__(self, num: UniPoly, den: UniPoly | None = None):
-        parts = [(_split(num), 1)]
+        parts = [(_split(num._d), 1)]
         if den is not None:
-            parts.append((_split(den), -1))
+            parts.append((_split(den._d), -1))
         self._c, self._a, self._f = _fold(parts)
         self._nd = None
 
@@ -698,7 +649,7 @@ def _reduce(c: Fraction, a: int, fac: dict) -> tuple[UniPoly, UniPoly]:
     if lead != 1:
         num = {e: _as_coeff(Fraction(v, lead)) for e, v in num.items()}
         den = {e: _as_coeff(Fraction(v, lead)) for e, v in den.items()}
-    return UniPoly._raw(num), UniPoly._raw(den)
+    return UniPoly._from_dict(num), UniPoly._from_dict(den)
 
 
 def _side_exponents(keys: dict, m: dict, held: dict, sign: int) -> dict:
@@ -722,13 +673,13 @@ def _cancel_gcd(num_f: list, den_f: list) -> tuple[list, list]:
     bits(B) bits.  They are checked first, as c = 1, of one bit, times one
     factor of max(deg A, deg B) + 1 terms and X - 1 bits.
     """
-    A, B = (_product([(_sized(UniPoly._raw(f)), e) for f, e in side])
+    A, B = (_product([(_sized(f), e) for f, e in side])
             for side in (num_f, den_f))
     (_, bits_a, _, _, m, _), (_, bits_b, _, _, n, _) = _sized(A), _sized(B)
     _check_size([((max(m, n) + 1, n * bits_a + m * bits_b - 1, 0, 0,
                    max(m, n)), 1)])
-    a = [A._c.get(e, 0) for e in range(m + 1)]
-    b = [B._c.get(e, 0) for e in range(n + 1)]
+    a = [A.get(e, 0) for e in range(m + 1)]
+    b = [B.get(e, 0) for e in range(n + 1)]
     g = _int_gcd_dense(a, b)
     if len(g) > 1:
         a, b = _int_exact_div(a, g), _int_exact_div(b, g)
@@ -754,7 +705,7 @@ def q_bracket(n: int) -> UniPoly:
     """[n]_q = 1 + q + ... + q^{n-1}."""
     if n < 0:
         raise ValueError("q_bracket requires n >= 0")
-    return UniPoly._raw({e: 1 for e in range(n)})
+    return UniPoly._from_dict({e: 1 for e in range(n)})
 
 
 def q_factorial(n: int) -> UniPoly:
@@ -775,14 +726,14 @@ def q_factorial(n: int) -> UniPoly:
 # built from those, so one routine serves all maps; var must be hashable
 # because the F and B atom images are cached per map.
 
-def _q_var(i: int) -> UniPoly:
+def _q_var(i: int) -> dict:
     """x_i -> q^{i-1} - q^i."""
-    return UniPoly._raw({i - 1: 1, i: -1})
+    return {i - 1: 1, i: -1}
 
 
-def _all_q_var(i: int) -> UniPoly:
+def _all_q_var(i: int) -> dict:
     """x_i -> q, so a monomial goes to q^degree."""
-    return UniPoly._raw({1: 1})
+    return {1: 1}
 
 
 def _qt_power(i: int, q: int, bound: int) -> int:
@@ -800,9 +751,9 @@ def _qt_power(i: int, q: int, bound: int) -> int:
 @lru_cache(maxsize=None)
 def _qt_map(q: int, bound: int):
     """The map x_i -> t^{q^{i-1}} - t^{q^i}, one function per (q, bound)."""
-    def var(i: int) -> UniPoly:
+    def var(i: int) -> dict:
         hi = _qt_power(i, q, bound)
-        return UniPoly._raw({hi // q: 1, hi: -1})
+        return {hi // q: 1, hi: -1}
     return var
 
 
@@ -812,12 +763,12 @@ def _var_image(var, i: int):
     return _sized(var(i))
 
 
-def _poly_image(items, var) -> UniPoly:
+def _poly_image(items, var) -> dict:
     """Image of a polynomial given as (packed key, coefficient) pairs."""
-    out = UniPoly()
+    out: dict = {}
     for key, coeff in items:
-        out = out + _product([(_var_image(var, v), e)
-                              for v, e in _mono_unpack(key)], coeff)
+        _dp_acc(out, _product([(_var_image(var, v), e)
+                               for v, e in _mono_unpack(key)], coeff).items())
     return out
 
 
@@ -826,10 +777,10 @@ def _atom_image(atom, var):
     """Split image of an F or B atom, cached; P atoms are mostly one-offs."""
     if atom[0] == "F":
         _, off, m = atom  # the sum telescopes under the q and (q,t) maps
-        return _split(sum((var(i) for i in range(off + 1, off + m + 1)),
-                          UniPoly()))
-    return _split(1 - _product([(_var_image(var, v), e)
-                                for v, e in atom[1]]))  # 1 - x^u
+        return _split(_dp_acc({}, [t for i in range(off + 1, off + m + 1)
+                                   for t in var(i).items()]))
+    u = _product([(_var_image(var, v), e) for v, e in atom[1]])
+    return _split(_dp_add({0: 1}, _dp_neg(u)))  # 1 - x^u
 
 
 def _substitute(f, var) -> UniRatFunc:
@@ -837,7 +788,7 @@ def _substitute(f, var) -> UniRatFunc:
     size."""
     f = _as_rf(f)
     if f.is_zero():
-        return UniRatFunc(UniPoly())
+        return UniRatFunc._factored(0, 0, {})
     parts = [(_split(_poly_image(f._num.items(), var)), 1)]
     for atom, e in f._fac.items():
         parts.append((_split(_poly_image(atom[1], var)) if atom[0] == "P"

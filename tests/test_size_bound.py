@@ -31,7 +31,7 @@ from hookweight.ratfunc import (
     rf_div,
     rf_to_canonical_string,
 )
-from hookweight.specialize import UniPoly, _sized
+from hookweight.specialize import _sized
 from hookweight.weights import L_of_forest
 
 # ---------------------------------------------------------------------------
@@ -150,7 +150,7 @@ def test_univariate_verdicts_are_unchanged():
                    for _ in range(rng.randint(1, 4))]
         c = random_constant(rng)
         want = ref_univariate_refuses(factors, c)
-        got = refuses([(_sized(UniPoly._raw(p)), e) for p, e in factors], c)
+        got = refuses([(_sized(p), e) for p, e in factors], c)
         assert got == want, (factors, c)
         verdicts.append(got)
     assert 0.1 < sum(verdicts) / len(verdicts) < 0.9

@@ -89,14 +89,26 @@ class TestUniPoly:
         assert UniPoly({0: 2}) == 2 and UniPoly() == 0
 
     def test_split_content_stays_an_int_when_integral(self):
-        content, a, key = _split(UniPoly({0: 2, 3: -2}))
+        content, a, key = _split({0: 2, 3: -2})
         assert (content, a, key) == (2, 0, 3) and type(content) is int
-        assert _split(UniPoly({1: Fraction(-1, 2), 2: Fraction(1, 2)})) == \
+        assert _split({1: Fraction(-1, 2), 2: Fraction(1, 2)}) == \
             (Fraction(-1, 2), 1, 1)
 
     def test_zero_denominator(self):
         with pytest.raises(SpecializationError):
             UniRatFunc(UniPoly.constant(1), UniPoly())
+
+    @pytest.mark.parametrize("make", [
+        lambda: UniPoly({0: 0.1, 1: 0.2}),
+        lambda: UniPoly.constant(0.5),
+        lambda: UniPoly.monomial(2, 0.25),
+        lambda: UniPoly({0: 1, 1: 1}).scale(0.5),
+    ], ids=["init", "constant", "monomial", "scale"])
+    def test_float_coefficient_raises(self, make):
+        # as Polynomial({(): 0.5}) does; a float used to be kept and printed
+        # truncated, or to end in a traceback once a UniRatFunc reduced it
+        with pytest.raises(TypeError):
+            make()
 
     @pytest.mark.parametrize("n", [-1, -3])
     def test_negative_power_raises(self, n):
