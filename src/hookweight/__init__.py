@@ -10,7 +10,6 @@ formulas) and the free-quasisymmetric-function morphism picture.
 from .combinat import (
     DualForestPoset,
     ForestPoset,
-    IncBinTree,
     Permutation,
     SubsetK,
     count_linear_extensions,
@@ -19,7 +18,6 @@ from .combinat import (
     enumerate_dual_forests,
     enumerate_rl_forests,
     extension_stat_counts,
-    increasing_binary_tree,
     inv,
     inv_poset,
     linear_extensions,

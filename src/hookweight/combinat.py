@@ -1,4 +1,4 @@
-"""Permutations, forest posets, increasing binary trees, and enumerators.
+"""Permutations, forest posets, and enumerators.
 
 Conventions
 -----------
@@ -29,9 +29,9 @@ below it, and a caller may share the proper ideals' sums across calls
 through a bounded memo.  ``extension_stat_counts`` (q^inv and q^maj, for
 the Björner–Wachs hook formulas) and ``fqsym.gamma_extension_sum`` (the
 P-partition series, which shares its memo) are its two uses.  The listing
-serves the ``linext`` command, the FQSym elements,
-``L_of_forest(method="direct")`` and the tests, which use it as the fold's
-oracle.
+serves the ``linext`` command, the FQSym elements and the tests, which use
+it as the fold's oracle and, in ``tests/oracles.py``, sum L(P) over it
+term by term.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 __all__ = [
     "Permutation",
     "SubsetK",
-    "IncBinTree",
     "ForestPoset",
     "DualForestPoset",
     "TreePairStat",
@@ -57,7 +56,6 @@ __all__ = [
     "recompose_parabolic",
     "set_of_grassmannian",
     "subset_to_partition",
-    "increasing_binary_tree",
     "tree_pair_stats",
     "validate_recursively_labelled",
     "subtree_data",
@@ -215,70 +213,6 @@ def set_of_grassmannian(u: Sequence[int], k: int) -> SubsetK:
     if small_vals != sorted(small_vals) or large_vals != sorted(large_vals):
         raise ValueError(f"{tuple(u)} is not a shuffle of 1..{k} and {k + 1}..{len(u)}")
     return SubsetK(positions_small)
-
-
-# ---------------------------------------------------------------------------
-# increasing binary trees
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class IncBinTree:
-    label: int
-    left: Optional["IncBinTree"] = None
-    right: Optional["IncBinTree"] = None
-
-    def in_order(self) -> tuple[int, ...]:
-        out: list[int] = []
-        stack: list[tuple[Optional[IncBinTree], bool]] = [(self, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if node is None:
-                continue
-            if expanded:
-                out.append(node.label)
-            else:
-                stack.append((node.right, False))
-                stack.append((node, True))
-                stack.append((node.left, False))
-        return tuple(out)
-
-    def labels(self) -> frozenset[int]:
-        out = set()
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            out.add(node.label)
-            if node.left:
-                stack.append(node.left)
-            if node.right:
-                stack.append(node.right)
-        return frozenset(out)
-
-
-def increasing_binary_tree(word: Sequence[int]) -> Optional[IncBinTree]:
-    """Smallest letter at the root, flanking factors recursively below it.
-
-    Built in one left-to-right pass (the Cartesian-tree construction): the
-    stack holds the rightmost path, letters increasing upwards, each with its
-    finished left subtree.
-    """
-    word = tuple(word)
-    if len(set(word)) != len(word):
-        raise ValueError("word must have distinct letters")
-    stack: list[tuple[int, Optional[IncBinTree]]] = []
-
-    def close(above: Optional[int]) -> Optional[IncBinTree]:
-        # pop the letters above ``above`` (all if None); each popped
-        # subtree becomes the right child of the letter below it
-        sub = None
-        while stack and (above is None or stack[-1][0] > above):
-            letter, left = stack.pop()
-            sub = IncBinTree(letter, left, sub)
-        return sub
-
-    for a in word:
-        stack.append((a, close(a)))
-    return close(None)
 
 
 class TreePairStat(NamedTuple):
@@ -687,10 +621,6 @@ class DualForestPoset(_ParentArray):
 
     def _precedences(self) -> list[tuple[int, int]]:
         return self.covers()
-
-    def linear_extensions(self) -> Iterator[Permutation]:
-        """Ascending-lex words; an element waits for its whole lower subtree."""
-        return (Permutation(w) for w in _extension_words(self))
 
 
 class DualForestStats(NamedTuple):

@@ -36,7 +36,7 @@ from .combinat import (
 )
 from .qanalog import SkewElem, _factorial_atoms
 from .ratfunc import (Polynomial, RatFunc, _dp_acc, _dp_add, _dp_scale,
-                      _mono_degree, _mono_pack)
+                      _mono_pack)
 from .specialize import (
     UniRatFunc,
     _all_q_var,
@@ -61,7 +61,6 @@ __all__ = [
     "check_phimaj_morphism",
     "verify_bw_maj",
     "ppartition_series",
-    "gamma_dual_forest_series",
     "shuffles",
 ]
 
@@ -455,36 +454,3 @@ def _ppartition_prefix_ok(p: DualForestPoset, values: list[int]) -> bool:
             if a > b and fa == fb:
                 return False
     return True
-
-
-def gamma_dual_forest_series(p: DualForestPoset, max_degree: int) -> Polynomial:
-    """Truncated expansion of the product formula, for the oracle test."""
-    stats = dual_forest_stats(p)
-    series = {0: 1}
-    for i in range(1, p.n + 1):
-        u = _mono_pack({v: 1 for v in stats.lower_subtrees[i]})
-        udeg = len(stats.lower_subtrees[i])
-        geom = {e * u: 1 for e in range(max_degree // udeg + 1)}
-        series = _truncated_mul(series, geom, max_degree)
-    numer = {0: 1}
-    for i in stats.des:
-        mono = _mono_pack({v: 1 for v in stats.lower_subtrees[i]})
-        numer = _truncated_mul(numer, {mono: 1}, max_degree)
-    series = _truncated_mul(series, numer, max_degree)
-    return Polynomial._from_dict(series)
-
-
-def _truncated_mul(a: dict, b: dict, max_degree: int) -> dict:
-    out: dict = {}
-    for ka, va in a.items():
-        da = _mono_degree(ka)
-        for kb, vb in b.items():
-            if da + _mono_degree(kb) > max_degree:
-                continue
-            k = ka + kb
-            nv = out.get(k, 0) + va * vb
-            if nv:
-                out[k] = nv
-            else:
-                del out[k]
-    return out

@@ -86,9 +86,11 @@ def _proved_binomial(n: int, k: int) -> RatFunc:
     """binomial(n, k), once it is proved to be the sum B(n, k) of wt(S) over
     the k-subsets S of {1..n}.
 
-    Splitting the subsets on whether they hold 1 (the step of
-    ``weights._wt_subset_recursive``) gives B(m, j) the recurrence that
-    ``_pascal_holds`` checks for binomial(m, j), with B(m, 0) = B(m, m) = 1.
+    Splitting the subsets on whether they hold 1 (wt(S) = F(wt(S-hat)) if
+    1 is in S, else F([k]!)/[k]! * F(wt(S-hat)), the recursion that
+    ``tests/oracles.py`` checks ``wt_subset`` against) gives B(m, j) the
+    recurrence that ``_pascal_holds`` checks for binomial(m, j), with
+    B(m, 0) = B(m, m) = 1.
     So B(n, k) = binomial(n, k) by induction once ``_pascal_holds(m, j)``
     holds at every (m, j) that (n, k) rests on: j <= k and m - j <= n - k.
     A failed check raises, so no unproved value is ever returned or cached.

@@ -792,7 +792,9 @@ class _SparsePoly:
     A subclass names its dict product, ``_dict_product``, whose keys add
     (packed keys in ``Polynomial``, t-exponents in ``UniPoly``), and adds
     its key validation, printing, hashability and extras.  An int or
-    Fraction operand is a constant; any other raises TypeError.
+    Fraction operand is a constant; for any other the operators return
+    NotImplemented, so a rational-function operand takes over in either
+    order.
     """
 
     __slots__ = ("_d",)
@@ -809,25 +811,35 @@ class _SparsePoly:
         return cls._from_dict({0: c} if c else {})
 
     @classmethod
-    def _coerce(cls, v):
+    def _operand(cls, v):
         """v as a polynomial of this class: itself, or an int or Fraction as
-        a constant."""
+        a constant; None for any other operand."""
         if isinstance(v, cls):
             return v
         if isinstance(v, (int, Fraction)):
             return cls.constant(v)
-        raise TypeError(f"expected {cls.__name__}, got {type(v)}")
+        return None
+
+    @classmethod
+    def _coerce(cls, v):
+        """``_operand(v)``, raising TypeError where that is None."""
+        p = cls._operand(v)
+        if p is None:
+            raise TypeError(f"expected {cls.__name__}, got {type(v)}")
+        return p
 
     def is_zero(self) -> bool:
         return not self._d
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (type(self), int, Fraction)):
-            return self._d == self._coerce(other)._d
-        return NotImplemented
+        other = self._operand(other)
+        return NotImplemented if other is None else self._d == other._d
 
     def __add__(self, other):
-        return self._from_dict(_dp_add(self._d, self._coerce(other)._d))
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        return self._from_dict(_dp_add(self._d, other._d))
 
     __radd__ = __add__
 
@@ -835,15 +847,18 @@ class _SparsePoly:
         return self._from_dict(_dp_neg(self._d))
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        other = self._operand(other)
+        return NotImplemented if other is None else self + (-other)
 
     def __rsub__(self, other):
-        return self._coerce(other) + (-self)
+        other = self._operand(other)
+        return NotImplemented if other is None else other + (-self)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self._from_dict(_dp_scale(self._d, _as_coeff(other)))
-        other = self._coerce(other)
+        if not isinstance(other, type(self)):
+            return NotImplemented
         return self._from_dict(self._dict_product(self._d, other._d))
 
     __rmul__ = __mul__
@@ -920,12 +935,12 @@ def _as_coeff(c) -> Coeff:
 
 def poly_add(a: Polynomial, b: Polynomial) -> Polynomial:
     """Coefficient-wise sum; zero coefficients are dropped."""
-    return Polynomial._coerce(a) + b
+    return Polynomial._coerce(a) + Polynomial._coerce(b)
 
 
 def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
     """Distributive product with exponent addition."""
-    return Polynomial._coerce(a) * b
+    return Polynomial._coerce(a) * Polynomial._coerce(b)
 
 
 def frobenius(p: Polynomial, k: int) -> Polynomial:
@@ -1267,9 +1282,7 @@ class RatFunc:
     # -- operators ---------------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = RatFunc.from_const(other)
-        if not isinstance(other, RatFunc):
+        if not isinstance(other, (RatFunc, Polynomial, int, Fraction)):
             return NotImplemented
         return rf_equal(self, other)
 

@@ -90,8 +90,11 @@ class UniPoly(_SparsePoly):
 
     def __init__(self, coeffs: dict | None = None):
         coeffs = coeffs or {}
-        if coeffs and min(coeffs) < 0:
-            raise ValueError("negative exponent")
+        for e in coeffs:
+            if not isinstance(e, int):
+                raise TypeError(f"exponent {e!r} is not an int")
+            if e < 0:
+                raise ValueError("negative exponent")
         self._d = _dp_acc({}, ((e, _as_coeff(v)) for e, v in coeffs.items()))
 
     @classmethod
@@ -558,6 +561,9 @@ class UniRatFunc:
     def __sub__(self, other) -> "UniRatFunc":
         return self + (-_as_unirf(other))
 
+    def __rsub__(self, other) -> "UniRatFunc":
+        return _as_unirf(other) + (-self)
+
     def __mul__(self, other) -> "UniRatFunc":
         other = _as_unirf(other)
         return UniRatFunc._factored(self._c * other._c, self._a + other._a,
@@ -571,6 +577,9 @@ class UniRatFunc:
             raise ZeroDivisionError("division by zero rational function")
         return UniRatFunc._factored(self._c / other._c, self._a - other._a,
                                     _dp_add(self._f, _dp_neg(other._f)))
+
+    def __rtruediv__(self, other) -> "UniRatFunc":
+        return _as_unirf(other) / self
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, UniPoly)):
@@ -808,7 +817,7 @@ def spec_q(f) -> UniRatFunc:
 def spec_qt(f, q: int, bound: int = DEFAULT_QT_BOUND) -> UniRatFunc:
     """Substitute x_i -> t^{q^{i-1}} - t^{q^i} for a fixed integer q >= 2 in
     a RatFunc, Polynomial, int or Fraction."""
-    if q < 2:
+    if not isinstance(q, int) or q < 2:
         raise ValueError("spec_qt requires an integer q >= 2")
     return _substitute(f, _qt_map(q, bound))
 

@@ -34,7 +34,6 @@ from .combinat import (
     TreePairStat,
     _parabolic_words,
     _rl_violation,
-    linear_extensions,
     subtree_data,
     tree_pair_stats,
 )
@@ -76,31 +75,12 @@ def _wt_subset_atoms(s: tuple[int, ...], shift: int = 0) -> dict:
                     for j, i_j in enumerate(s, start=1)])
 
 
-def _wt_subset_recursive(s: tuple[int, ...]) -> RatFunc:
-    """wt(S) by the recursion wt(S) = F(wt(S-hat)) if 1 is in S, else
-    F([k]!)/[k]! * F(wt(S-hat)), run as a loop: the ratio met after
-    ``shift`` steps enters shifted ``shift`` times."""
-    total = RatFunc.from_const(1)
-    shift = 0
-    while s:
-        if 1 not in s:
-            total = total._mul(_shift_ratio(len(s)).frobenius(shift))
-        s = tuple(i - 1 for i in s if i != 1)
-        shift += 1
-    return total
-
-
-def wt_subset(s: Iterable[int], k: int | None = None,
-              method: str = "product") -> RatFunc:
-    """Weight of a decreasing k-subset, by closed product or by recursion."""
+def wt_subset(s: Iterable[int], k: int | None = None) -> RatFunc:
+    """Weight of a decreasing k-subset, as its closed product."""
     s = SubsetK(s)
     if k is not None and k != len(s):
         raise ValueError(f"subset has {len(s)} elements, expected {k}")
-    if method == "product":
-        return RatFunc._from_atoms(_wt_subset_atoms(tuple(s)))
-    if method == "recursive":
-        return _wt_subset_recursive(tuple(s))
-    raise ValueError(f"unknown method {method!r}")
+    return RatFunc._from_atoms(_wt_subset_atoms(tuple(s)))
 
 
 # ---------------------------------------------------------------------------
@@ -228,22 +208,13 @@ def _L_grouped(n: int, cover: tuple[int, ...]) -> RatFunc:
     return _L_MEMO[n, cover]
 
 
-def L_of_forest(p: ForestPoset, method: str = "grouped") -> RatFunc:
+def L_of_forest(p: ForestPoset) -> RatFunc:
     """Exact sum of wt(w) over all linear extensions of p.
 
-    ``grouped`` (default) folds the sum along the first letter, which keeps
-    intermediate fractions factored; ``direct`` adds extension weights one by
-    one in lexicographic order.  Both compute the same exact sum, and
-    ``grouped`` any depth of p without recursion.  Raises
-    ``NotRecursivelyLabelledError`` unless p is recursively labelled.
+    The sum is folded along the first letter (``_L_grouped``), which keeps
+    intermediate fractions factored and takes any depth of p without
+    recursion.  Raises ``NotRecursivelyLabelledError`` unless p is
+    recursively labelled.
     """
     _require_recursively_labelled(p)
-    if method == "grouped":
-        return _L_grouped(p.n, p.cover)
-    if method == "direct":
-        hooks = tuple(_factorial_atoms(p.n))
-        total = RatFunc.from_const(0)
-        for w in linear_extensions(p):
-            total = total._add(wt_perm_tree(w), hooks)
-        return total
-    raise ValueError(f"unknown method {method!r}")
+    return _L_grouped(p.n, p.cover)

@@ -17,6 +17,7 @@ from hookweight.combinat import (
     ForestPoset,
     enumerate_dual_forests,
     enumerate_rl_forests,
+    linear_extensions,
 )
 from hookweight.fqsym import (
     FQSymElem,
@@ -28,7 +29,6 @@ from hookweight.fqsym import (
     forest_prereqs,
     fqsym_mul,
     gamma_dual_forest,
-    gamma_dual_forest_series,
     gamma_extension_sum,
     gamma_perm,
     phi_inv,
@@ -41,6 +41,7 @@ from hookweight.parsing import parse_ratfunc
 from hookweight.qanalog import SkewElem, divided_power, skew_equal, skew_mul
 from hookweight.ratfunc import Monomial, RatFunc, rf_equal
 from hookweight.weights import NotRecursivelyLabelledError, wt_perm_recursive
+from oracles import gamma_dual_forest_series
 
 F = FQSymElem.basis
 VEE = ForestPoset.from_covers(3, [[1, 2], [3, 2]])
@@ -269,7 +270,7 @@ class TestGamma:
         for n in range(0, 4):
             for p in enumerate_dual_forests(n):
                 flat = RatFunc.from_const(0)
-                for w in p.linear_extensions():
+                for w in linear_extensions(p):
                     flat = flat + gamma_perm(w)
                 grouped = gamma_extension_sum(dual_forest_prereqs(p))
                 assert rf_equal(flat, grouped), p
@@ -410,8 +411,8 @@ class TestPhiMaj:
             for n2 in range(1, 3):
                 for p in enumerate_dual_forests(n1):
                     for q in enumerate_dual_forests(n2):
-                        fp = FQSymElem({tuple(w): 1 for w in p.linear_extensions()})
-                        fq = FQSymElem({tuple(w): 1 for w in q.linear_extensions()})
+                        fp = FQSymElem({tuple(w): 1 for w in linear_extensions(p)})
+                        fq = FQSymElem({tuple(w): 1 for w in linear_extensions(q)})
                         lhs = phi_maj(fqsym_mul(fp, fq))
                         rhs = skew_mul(phi_maj(fp), phi_maj(fq))
                         assert skew_equal(lhs, rhs), (p, q)
@@ -432,7 +433,7 @@ class TestPhiMaj:
 
     def test_poset_image_is_extension_sum(self):
         p = DualForestPoset.from_covered_by(3, [[1, 3], [2, 3]])
-        fp = FQSymElem({tuple(w): 1 for w in p.linear_extensions()})
+        fp = FQSymElem({tuple(w): 1 for w in linear_extensions(p)})
         got = phi_maj(fp)
         assert skew_equal(got, SkewElem(
             {3: gamma_extension_sum(dual_forest_prereqs(p))}))

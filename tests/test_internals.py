@@ -762,6 +762,7 @@ class TestSingleRepresentation:
             wt_perm_tree,
             wt_subset,
         )
+        from oracles import L_direct, wt_subset_recursive
         x1, x2 = Polynomial.variable(1), Polynomial.variable(2)
         vee = ForestPoset.from_covers(3, [[1, 2], [3, 2]])
         dual = DualForestPoset.from_covered_by(3, [[1, 3], [2, 3]])
@@ -772,9 +773,9 @@ class TestSingleRepresentation:
             RatFunc.from_const(3), parse_ratfunc("(x2+x3^2)/(1+x1x3)"),
             rf_add(a, a), rf_mul(a, a), rf_inv(a), rf_div(a, a),
             rf_frobenius(a, 2), -a, a - 1, 1 / a,
-            wt_subset([3, 1]), wt_subset([3, 1], method="recursive"),
+            wt_subset([3, 1]), wt_subset_recursive([3, 1]),
             wt_perm_recursive([3, 1, 2]), wt_perm_tree([3, 1, 2]),
-            L_of_forest(vee), L_of_forest(vee, method="direct"),
+            L_of_forest(vee), L_direct(vee),
             H_of_forest(vee), binomial(4, 2), gamma_perm([2, 1, 3]),
             gamma_dual_forest(dual),
             gamma_extension_sum(dual_forest_prereqs(dual)),

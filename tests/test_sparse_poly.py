@@ -2,16 +2,18 @@
 
 A polynomial in x1 alone has packed keys equal to x1's exponents, so a
 Polynomial in x1 and a UniPoly made from the same dict must come out of
-every shared operation with equal dicts.
+every shared operation with equal dicts.  Mixed with a rational function
+of its own kind, either polynomial gives what its lift to that class gives.
 """
 
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
-from hookweight.ratfunc import Polynomial
-from hookweight.specialize import UniPoly
+from hookweight.ratfunc import Polynomial, RatFunc, poly_add, poly_mul
+from hookweight.specialize import UniPoly, UniRatFunc
 
 
 def random_dict(rng) -> dict:
@@ -49,3 +51,41 @@ def test_hashability_and_negative_powers():
     for cls in (Polynomial, UniPoly):
         with pytest.raises(ValueError):
             cls({0: 1, 1: -1}) ** -1
+
+
+def mixed_cases() -> list:
+    """(a, a lifted to b's class, b) for a polynomial or a number a."""
+    x1, x2 = Polynomial.variable(1), Polynomial.variable(2)
+    u = UniPoly({0: 1, 2: 3})
+    ur = UniRatFunc(UniPoly({1: 1}), UniPoly({0: 1, 1: 2}))
+    return [(x1 + x2, RatFunc(x1 + x2), RatFunc(x2, x1 + 1)),
+            (x1, RatFunc(x1), RatFunc(x1)),
+            (2, RatFunc(2), RatFunc(x2, x1 + 1)),
+            (u, UniRatFunc(u), ur),
+            (u, UniRatFunc(u), UniRatFunc(u)),
+            (2, UniRatFunc.constant(2), ur),
+            (Fraction(1, 3), UniRatFunc.constant(Fraction(1, 3)), ur)]
+
+
+@pytest.mark.parametrize("a, lifted, b", mixed_cases(), ids=[
+    "poly-rf", "poly-equal-rf", "int-rf", "unipoly-unirf",
+    "unipoly-equal-unirf", "int-unirf", "fraction-unirf"])
+def test_mixed_operands_work_in_either_order(a, lifted, b):
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv,
+               operator.eq):
+        for got, want in ((op(a, b), op(lifted, b)),
+                          (op(b, a), op(b, lifted))):
+            assert type(got) is type(want) and got == want, op
+
+
+def test_polynomial_and_unipoly_do_not_mix():
+    x1, u = Polynomial.variable(1), UniPoly({1: 1})
+    r = RatFunc(1, x1)
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError):
+            op(x1, u)
+        with pytest.raises(TypeError):
+            op(u, x1)
+    for f in (poly_add, poly_mul):  # the named ring operations stay typed
+        with pytest.raises(TypeError):
+            f(x1, r)

@@ -110,6 +110,17 @@ class TestUniPoly:
         with pytest.raises(TypeError):
             make()
 
+    @pytest.mark.parametrize("make", [
+        lambda: UniPoly({1.5: 1, 0: 1}),
+        lambda: UniPoly({Fraction(2): 1}),
+        lambda: UniPoly.monomial(2.0),
+    ], ids=["float", "fraction", "monomial"])
+    def test_non_int_exponent_raises(self, make):
+        # as Polynomial rejects a non-int key: a float exponent would print
+        # as q^1.5 and fail once a UniRatFunc reduced it
+        with pytest.raises(TypeError):
+            make()
+
     @pytest.mark.parametrize("n", [-1, -3])
     def test_negative_power_raises(self, n):
         # as Polynomial ** n does; 1 - q used to come back unchanged
@@ -203,6 +214,12 @@ class TestSpecQT:
     def test_q_must_be_at_least_two(self):
         with pytest.raises(ValueError):
             spec_qt(RatFunc(bracket(2)), 1)
+
+    @pytest.mark.parametrize("q", [2.5, 3.0, Fraction(5, 2)])
+    def test_q_must_be_an_int(self, q):
+        # refused up front, not deep inside the substitution
+        with pytest.raises(ValueError, match="integer q >= 2"):
+            spec_qt(RatFunc(Polynomial.variable(1)), q)
 
     def test_exponent_guard(self):
         with pytest.raises(ExponentBoundError):

@@ -5,6 +5,7 @@ from itertools import combinations, permutations
 import pytest
 
 from helpers import run_python
+from oracles import L_direct, wt_subset_recursive
 from hookweight import qanalog, weights
 
 from hookweight.combinat import (
@@ -76,11 +77,11 @@ class TestSubsetWeight:
                 for s in combinations(range(1, n + 1), k):
                     sub = tuple(reversed(s))
                     assert rf_equal(wt_subset(sub),
-                                    wt_subset(sub, method="recursive")), sub
+                                    wt_subset_recursive(sub)), sub
 
     def test_recursive_takes_many_shifts(self):
         # one Frobenius shift per step: 1199 steps, no recursion depth
-        assert rf_equal(wt_subset([1200], method="recursive"),
+        assert rf_equal(wt_subset_recursive([1200]),
                         wt_subset([1200]))
 
     def test_size_check(self):
@@ -177,7 +178,7 @@ class TestHookSides:
     def test_direct_equals_grouped(self):
         for n in range(0, 6):
             for p in enumerate_rl_forests(n):
-                assert rf_equal(L_of_forest(p, method="direct"),
+                assert rf_equal(L_direct(p),
                                 L_of_forest(p)), p
 
     def test_direct_equals_grouped_spot_n6(self):
@@ -185,7 +186,7 @@ class TestHookSides:
                  ForestPoset.from_covers(6, [[1, 2], [3, 2], [6, 5]]),
                  ForestPoset.from_covers(6, [[2, 3], [1, 3], [4, 3], [6, 5]])]
         for p in spots:
-            assert rf_equal(L_of_forest(p, method="direct"), L_of_forest(p))
+            assert rf_equal(L_direct(p), L_of_forest(p))
 
     def test_hook_identity_n_le_5(self):
         for n in range(0, 6):
