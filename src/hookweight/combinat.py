@@ -74,6 +74,8 @@ class Permutation(tuple):
     """One-line notation word forming a bijection of {1..n}."""
 
     def __new__(cls, word: Sequence[int] = ()):
+        if type(word) is cls:  # checked when it was made
+            return word
         word = tuple(word)
         if sorted(word) != list(range(1, len(word) + 1)):
             raise ValueError(f"not a permutation of 1..{len(word)}: {word}")
@@ -87,7 +89,7 @@ class Permutation(tuple):
         inv_word = [0] * len(self)
         for pos, val in enumerate(self, start=1):
             inv_word[val - 1] = pos
-        return Permutation(inv_word)
+        return tuple.__new__(Permutation, inv_word)  # a permutation by construction
 
     def __call__(self, i: int) -> int:
         return self[i - 1]

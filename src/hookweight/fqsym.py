@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .combinat import (
@@ -131,31 +132,97 @@ class FQSymElem:
         return f"FQSymElem<{self}>"
 
 
+# The getters of _shuffle_patterns for every (len(a), len(b)) with at most
+# _PATTERNS_MAX_N letters in all, made on first use; longer words get
+# theirs made per call.
+_PATTERNS: dict = {}
+_PATTERNS_MAX_N = 10
+
+
+def _shuffle_patterns(k: int, l: int) -> tuple:
+    """One getter per shuffle of a k-letter word a with an l-letter word b,
+    in the order of ``shuffles``: applied to a + b, it returns the shuffle
+    whose letters from a sit at one choice of positions."""
+    patterns = _PATTERNS.get((k, l))
+    if patterns is not None:
+        return patterns
+    n = k + l
+    if n < 2:
+        # the one shuffle is a + b itself, and an itemgetter of a single
+        # index would return a letter instead of a word
+        patterns = (tuple,)
+    else:
+        index = tuple(range(n))  # one int object per index, however many getters
+        gets = []
+        for slots in combinations(index, k):
+            from_a, from_b = iter(index[:k]), iter(index[k:])
+            chosen = set(slots)
+            gets.append(itemgetter(*[next(from_a) if i in chosen
+                                     else next(from_b) for i in index]))
+        patterns = tuple(gets)
+    if n <= _PATTERNS_MAX_N:
+        _PATTERNS[k, l] = patterns
+    return patterns
+
+
 def shuffles(a: Sequence[int], b: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """All interleavings of two disjoint words, one per choice of the
     positions of a, in ascending order of those positions."""
     a, b = tuple(a), tuple(b)
-    for slots in combinations(range(len(a) + len(b)), len(a)):
-        word = list(b)
-        for i, v in zip(slots, a):  # ascending, so each lands at its slot
-            word.insert(i, v)
-        yield tuple(word)
+    ab = a + b
+    return (get(ab) for get in _shuffle_patterns(len(a), len(b)))
 
 
 def fqsym_mul(x: FQSymElem, y: FQSymElem) -> FQSymElem:
     """Bilinear shuffle product: F_a F_b = sum over shuffles of a and b+|a|."""
     out: dict[tuple[int, ...], int | Fraction] = {}
+    shifted: dict[int, list] = {}  # y's words shifted by k, per length k
     for a, ca in x.terms.items():
         k = len(a)
-        for b, cb in y.terms.items():
-            c = ca * cb
-            _dp_acc(out, ((w, c) for w in shuffles(a, tuple(v + k for v in b))))
+        right = shifted.get(k)
+        if right is None:
+            right = shifted[k] = [
+                (tuple(v + k for v in b), _shuffle_patterns(k, len(b)), cb)
+                for b, cb in y.terms.items()]
+        for b, patterns, cb in right:
+            ab = a + b
+            words = [get(ab) for get in patterns]
+            terms = zip(words, repeat(ca * cb))
+            # the shuffles of one pair are distinct words; a word already
+            # in out comes from a pair of other lengths and may cancel
+            if out.keys().isdisjoint(words):
+                out.update(terms)
+            else:
+                _dp_acc(out, terms)
     return FQSymElem._raw(out)
 
 
 def f_of_poset(p: ForestPoset | DualForestPoset) -> FQSymElem:
     """Sum of F_w over the linear extensions of p."""
-    return FQSymElem._raw({tuple(w): 1 for w in _extension_words(p)})
+    return FQSymElem._raw(dict.fromkeys(map(tuple, _extension_words(p)), 1))
+
+
+# The extension words of each forest that a morphism check has multiplied,
+# keyed by kind, n and cover, so a sweep lists each factor once.  Insertion
+# stops once _FOREST_WORDS_CAP words are held: room for every factor of
+# `verify --suite pbt` at its default --nmax (3,953 words).
+_FOREST_WORDS: dict = {}
+_FOREST_WORDS_CAP = 1 << 12
+_forest_words_held = 0
+
+
+def _forest_element(p: ForestPoset | DualForestPoset) -> FQSymElem:
+    """``f_of_poset(p)``, listed once per forest while the cache has room.
+    The terms are shared with the cache: the caller must not change them."""
+    global _forest_words_held
+    key = (type(p), p.n, p.cover)
+    terms = _FOREST_WORDS.get(key)
+    if terms is None:
+        terms = f_of_poset(p).terms
+        if _forest_words_held + len(terms) <= _FOREST_WORDS_CAP:
+            _FOREST_WORDS[key] = terms
+            _forest_words_held += len(terms)
+    return FQSymElem._raw(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +262,10 @@ def _morphism_holds(p, q, image) -> bool:
     """Whether the map with coefficient image(r) on F_r is multiplicative on
     F_p * F_q: the product law F_p * F_q = F_{p + q} must hold for the
     shifted union p + q, and then image(p + q) = image(p) * F^|p|(image(q)),
-    the twisted product of the two u-coefficients."""
+    the twisted product of the two u-coefficients.  The union's extensions
+    are listed on every call; those of p and q come from ``_FOREST_WORDS``."""
     union = concat_forests(p, q)
-    if fqsym_mul(f_of_poset(p), f_of_poset(q)) != f_of_poset(union):
+    if fqsym_mul(_forest_element(p), _forest_element(q)) != f_of_poset(union):
         return False
     return image(union) == image(p) * image(q).frobenius(p.n)
 

@@ -1044,7 +1044,8 @@ class RatFunc:
     key is positive, so a P atom made from it is canonical.  ``_fac`` maps
     atoms (bracket forms, binomials 1 - x^m and opaque polynomials, see the
     module notes) to nonzero exponents, negative on the denominator side.
-    ``RatFunc(num, den)`` factors its expanded arguments once, so bracket and
+    ``RatFunc(num, den)`` divides a ``RatFunc`` num by den, and otherwise
+    factors its expanded arguments once, so bracket and
     binomial factors that ``num`` and ``den`` share cancel; an opaque factor
     that is all that is left of ``num`` cancels against the same factor of
     ``den`` when the value is expanded.  No polynomial
@@ -1061,7 +1062,7 @@ class RatFunc:
 
     def __init__(self, num=None, den=1):
         if isinstance(num, RatFunc):
-            value = num
+            value = num._mul(_as_rf(den)._inv())
         else:
             num = Polynomial.zero() if num is None else Polynomial._coerce(num)
             den = Polynomial._coerce(den)

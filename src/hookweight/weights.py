@@ -87,25 +87,54 @@ def wt_subset(s: Iterable[int], k: int | None = None) -> RatFunc:
 # permutation weights
 # ---------------------------------------------------------------------------
 
+# The atom tables of wt(v), at shift 0, of the proper sub-words v that
+# wt_perm_recursive has walked, keyed by the word.  Every atom is a bracket
+# form ("F", offset, length), so a table shifts by its offsets.  A
+# requested word is never stored, and insertion stops once the stored words
+# hold _WT_MEMO_CAP letters in all, so a long word walks in O(n) extra
+# memory.
+_WT_MEMO: dict = {}
+_WT_MEMO_CAP = 1 << 14
+_wt_memo_letters = 0
+
+
 def wt_perm_recursive(w: Sequence[int]) -> RatFunc:
     """wt(w) by the parabolic recursion, unrolled on an explicit stack.
 
     wt(w) = wt(S(u)) * wt(a) * F^{k+1}(wt(b-hat)) makes wt(w) the product of
     F^s(wt(S(u))) over every word the recursion reaches, where s adds up
-    k+1 over the b-hat steps taken to reach it.
+    k+1 over the b-hat steps taken to reach it.  A sub-word's atoms are one
+    run of the walk's items; its table is kept in ``_WT_MEMO`` while there
+    is room, and a sub-word found there is not walked again.
     """
+    global _wt_memo_letters
+    w = tuple(Permutation(w))
+    room = _WT_MEMO_CAP - _wt_memo_letters
     items: list = []
-    stack = [(tuple(Permutation(w)), 0)]
+    stack = [(w, 0, None)]
     while stack:
-        v, shift = stack.pop()
+        v, shift, start = stack.pop()
+        if start is not None:  # the walk below the sub-word v is done
+            _WT_MEMO[v] = _dp_acc({}, [(("F", off - shift, m), e)
+                                       for (_, off, m), e in items[start:]])
+            _wt_memo_letters += len(v)
+            continue
         if not v:
             continue
+        table = _WT_MEMO.get(v)
+        if table is not None:
+            items += [(("F", off + shift, m), e)
+                      for (_, off, m), e in table.items()]
+            continue
+        if len(v) < len(w) and len(v) <= room:
+            room -= len(v)
+            stack.append((v, shift, len(items)))
         u, a, bhat, k = _parabolic_words(v)
         s = tuple(i for i in range(len(u), 0, -1) if u[i - 1] <= k)  # S(u)
         if s:  # wt(empty set) = 1
             items += _wt_subset_atoms(s, shift).items()
-        stack.append((a, shift))
-        stack.append((bhat, shift + k + 1))
+        stack.append((tuple(a), shift, None))
+        stack.append((tuple(bhat), shift + k + 1, None))
     return RatFunc._from_atoms(_dp_acc({}, items))
 
 
@@ -185,6 +214,8 @@ def _L_grouped(n: int, cover: tuple[int, ...]) -> RatFunc:
 
     A stack collects the subforests missing from ``_L_MEMO``; they are then
     summed smallest first, so both parts of each split are already stored.
+    Each subforest's groups are added by one ``RatFunc._sum``, which
+    normalizes and trial-divides the total once.
     """
     pending: dict = {}
     stack = [(n, cover)]
@@ -199,12 +230,10 @@ def _L_grouped(n: int, cover: tuple[int, ...]) -> RatFunc:
         splits = pending[m, c]
         # the hints matter only where two or more groups are added
         hooks = tuple(_factorial_atoms(m)) if len(splits) > 1 else ()
-        total = RatFunc.from_const(0)
-        for rho, left, right in splits:
-            term = _subset_sum(m, rho - 1) * _L_MEMO[left]
-            term = term * _L_MEMO[right].frobenius(rho)
-            total = total._add(term, hooks)
-        _L_MEMO[m, c] = total
+        _L_MEMO[m, c] = RatFunc._sum(
+            (_subset_sum(m, rho - 1) * _L_MEMO[left]
+             * _L_MEMO[right].frobenius(rho)
+             for rho, left, right in splits), hooks)
     return _L_MEMO[n, cover]
 
 

@@ -11,10 +11,14 @@ compare the two on the same inputs:
 - ``L_direct`` adds the weights of the linear extensions one by one,
   where ``L_of_forest`` groups them by their first letter;
 - ``gamma_dual_forest_series`` truncates the product formula for the
-  P-partition series that ``ppartition_series`` enumerates.
+  P-partition series that ``ppartition_series`` enumerates;
+- ``shuffles_by_insert`` and ``fqsym_mul_by_insert`` build each shuffle by
+  inserting the left word's letters one at a time, where ``shuffles`` and
+  ``fqsym_mul`` apply precomputed position patterns.
 """
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional, Sequence
 
 from hookweight.combinat import SubsetK, dual_forest_stats, linear_extensions
@@ -141,3 +145,25 @@ def _truncated_mul(a: dict, b: dict, max_degree: int) -> dict:
             else:
                 del out[k]
     return out
+
+
+def shuffles_by_insert(a: Sequence[int], b: Sequence[int]):
+    """Every interleaving of a and b, one per choice of a's positions in
+    ascending order, each word built by ``list.insert``."""
+    a, b = tuple(a), tuple(b)
+    for slots in combinations(range(len(a) + len(b)), len(a)):
+        word = list(b)
+        for i, v in zip(slots, a):  # ascending, so each lands at its slot
+            word.insert(i, v)
+        yield tuple(word)
+
+
+def fqsym_mul_by_insert(x: dict, y: dict) -> dict:
+    """The shuffle product of two {word: coefficient} maps, dropping the
+    words whose coefficients cancel."""
+    out: dict = {}
+    for a, ca in x.items():
+        for b, cb in y.items():
+            for w in shuffles_by_insert(a, [v + len(a) for v in b]):
+                out[w] = out.get(w, 0) + ca * cb
+    return {w: c for w, c in out.items() if c}

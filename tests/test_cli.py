@@ -243,6 +243,16 @@ class TestVerify:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.slow
+    def test_pbt_output_one_size_up_is_pinned(self, monkeypatch):
+        # sha256 of stdout while the product law shuffled by list.insert
+        monkeypatch.setenv("HOOKWEIGHT_THREADS", "1")
+        code, out, _ = run_process("verify", "--suite", "pbt", "--nmax", "7",
+                                   timeout=120)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "90cfa32841ee540df25577705d818c98b0f21168cb47c1beb56dbc01ff61c908"
+
     def test_threads_env_is_capped_at_the_cores(self, capsys, monkeypatch):
         # a pool forks all of its workers at once; a serial fake records
         # how many it was asked for, so no process is started

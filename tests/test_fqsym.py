@@ -41,7 +41,8 @@ from hookweight.parsing import parse_ratfunc
 from hookweight.qanalog import SkewElem, divided_power, skew_equal, skew_mul
 from hookweight.ratfunc import Monomial, RatFunc, rf_equal
 from hookweight.weights import NotRecursivelyLabelledError, wt_perm_recursive
-from oracles import gamma_dual_forest_series
+from oracles import (fqsym_mul_by_insert, gamma_dual_forest_series,
+                     shuffles_by_insert)
 
 F = FQSymElem.basis
 VEE = ForestPoset.from_covers(3, [[1, 2], [3, 2]])
@@ -75,6 +76,40 @@ class TestShuffleProduct:
         assert list(shuffles((1, 2), (3, 4))) == [
             (1, 2, 3, 4), (1, 3, 2, 4), (1, 3, 4, 2),
             (3, 1, 2, 4), (3, 1, 4, 2), (3, 4, 1, 2)]
+
+    def test_patterns_match_the_insert_oracle(self):
+        # every word pair with |a| + |b| <= 7, an empty side and the
+        # one-letter results included: same shuffles in the same order
+        words = [w for n in range(0, 8) for w in permutations(range(1, n + 1))]
+        for a in words:
+            for b in words:
+                if len(a) + len(b) <= 7:
+                    shifted = tuple(v + len(a) for v in b)
+                    assert list(shuffles(a, shifted)) == \
+                        list(shuffles_by_insert(a, shifted)), (a, b)
+                    assert fqsym_mul(F(a), F(b)).terms == \
+                        fqsym_mul_by_insert({a: 1}, {b: 1}), (a, b)
+
+    def test_product_coefficients_match_the_insert_oracle(self):
+        # several words a side, Fraction coefficients, and words that the
+        # products of pairs of other lengths share, cancelling or adding up
+        words = [w for n in range(0, 5) for w in permutations(range(1, n + 1))]
+        for i, a in enumerate(words):
+            for b in words[i:]:
+                if len(a) + len(b) > 5:
+                    continue
+                for x, y in (({a: 1, b: -1}, {a: 1, b: 1}),
+                             ({a: Fraction(1, 2), b: 3},
+                              {b: Fraction(-2, 3), a: 1}),
+                             ({a: 2}, {b: Fraction(5, 7)})):
+                    prod = fqsym_mul(FQSymElem(x), FQSymElem(y)).terms
+                    assert prod == fqsym_mul_by_insert(x, y), (x, y)
+        x = {(1,): 1, (2, 1): -1}
+        y = {(1, 2): 1, (1,): 1}
+        prod = fqsym_mul(FQSymElem(x), FQSymElem(y)).terms
+        assert prod == fqsym_mul_by_insert(x, y)
+        # F_1 F_12 and F_21 F_1 share 213 and 231, which cancel
+        assert (2, 1, 3) not in prod and (2, 3, 1) not in prod
 
     def test_long_word_product(self):
         # longer than the recursion limit: shuffles must not recurse per letter

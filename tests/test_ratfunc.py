@@ -125,6 +125,12 @@ class TestRatFunc:
         with pytest.raises(DivisionByZeroError):
             RatFunc(x1, Polynomial.zero())
 
+    def test_constructor_divides_a_ratfunc_by_den(self):
+        assert str(RatFunc(RatFunc(1, x1), x1)) == "(1)/(x1^2)"
+        assert str(RatFunc(RatFunc(1, x1), 2)) == "(1)/(2x1)"
+        with pytest.raises(DivisionByZeroError):
+            RatFunc(RatFunc(x1), 0)
+
     def test_equal_cases(self):
         assert rf_equal(RatFunc(x2 + x3, x1),
                         rf_add(RatFunc(x2, x1), RatFunc(x3, x1)))

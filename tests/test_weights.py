@@ -117,6 +117,23 @@ class TestPermWeight:
             for w in permutations(range(1, n + 1)):
                 assert rf_equal(wt_perm_recursive(w), wt_perm_tree(w)), w
 
+    def test_sub_word_memo_in_any_order(self, rng):
+        # the memo fills in whatever order the words come
+        words = [w for n in range(0, 8) for w in permutations(range(1, n + 1))]
+        rng.shuffle(words)
+        for w in words:
+            assert rf_equal(wt_perm_recursive(w), wt_perm_tree(w)), w
+
+    def test_sub_word_memo_is_capped(self, monkeypatch):
+        monkeypatch.setattr(weights, "_WT_MEMO", {})
+        monkeypatch.setattr(weights, "_wt_memo_letters", 0)
+        for n in (1000, 3000):
+            w = tuple(range(1, n + 1))
+            assert rf_equal(wt_perm_recursive(w), RatFunc.from_const(1))
+            held = sum(map(len, weights._WT_MEMO))
+            assert held == weights._wt_memo_letters <= weights._WT_MEMO_CAP
+            assert w not in weights._WT_MEMO
+
     def test_tree_weight_21(self):
         assert rf_equal(wt_perm_tree((2, 1)), parse_ratfunc("x2/x1"))
 
