@@ -26,12 +26,12 @@ and last letter, the sum over the extensions of that ideal ending in that
 letter, so its work grows like 2^n n^2 where the listing grows like n!.
 Each such state is made by one step from all the sums held by the ideal
 below it, and a caller may share the proper ideals' sums across calls
-through a bounded memo.  ``extension_stat_counts`` (q^inv and q^maj, for
-the Björner–Wachs hook formulas) and ``fqsym.gamma_extension_sum`` (the
-P-partition series, which shares its memo) are its two uses.  The listing
-serves the ``linext`` command, the FQSym elements and the tests, which use
-it as the fold's oracle and, in ``tests/oracles.py``, sum L(P) over it
-term by term.
+through a ``_Memo``, the package's one kind of budgeted memo.
+``extension_stat_counts`` (q^inv and q^maj, for the Björner–Wachs hook
+formulas) and ``fqsym.gamma_extension_sum`` (the P-partition series, which
+shares its memo) are its two uses.  The listing serves the ``linext``
+command, the FQSym elements and the tests, which use it as the fold's
+oracle and, in ``tests/oracles.py``, sum L(P) over it term by term.
 """
 
 from __future__ import annotations
@@ -471,8 +471,26 @@ def count_linear_extensions(p: _ParentArray) -> int:
     return count[0]
 
 
+class _Memo(dict):
+    """A module memo shared across calls.  ``put`` stores an entry at a new
+    key while its size, in the memo's own unit, fits in ``room``, what is
+    left of ``budget``; no entry is evicted or replaced, so a value read
+    from it stays valid.  ``get`` and ``in`` are the dict's own."""
+
+    __slots__ = ("budget", "room")
+
+    def __init__(self, budget: int):
+        super().__init__()
+        self.budget = self.room = budget
+
+    def put(self, key, value, size: int = 1) -> None:
+        if size <= self.room and key not in self:
+            self.room -= size
+            self[key] = value
+
+
 def _ideal_fold(n: int, need: Sequence[int], start, step,
-                memo: Optional[dict] = None, memo_cap: int = 0) -> dict:
+                memo: Optional[_Memo] = None) -> dict:
     """Fold over the linear extensions of a poset on {1..n}, ideal by ideal.
 
     ``need[m-1]`` is the mask of the elements that must precede m (bit v-1
@@ -488,9 +506,8 @@ def _ideal_fold(n: int, need: Sequence[int], start, step,
     increasing order) to the ``ends`` dict of a proper ideal J.  That key
     fixes the labelled order induced on J, so one entry serves every poset
     with that lower set, whatever n and the elements above it, provided
-    every call with the memo passes the same ``start`` and ``step``.  The
-    fold inserts while the memo holds fewer than ``memo_cap`` entries and
-    never changes a stored dict.
+    every call with the memo passes the same ``start`` and ``step``.  Each
+    entry has size 1, and the fold never changes a stored dict.
     """
     full = (1 << n) - 1
     level = {0: {0: start}}
@@ -513,8 +530,8 @@ def _ideal_fold(n: int, need: Sequence[int], start, step,
                     continue
             for m, below in ends.items():
                 ends[m] = step(below, m, level[below])
-            if key is not None and len(memo) < memo_cap:
-                memo[key] = ends
+            if key is not None:
+                memo.put(key, ends)
         level = grown
     return level.get(full, {})
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, repeat
+from itertools import chain, combinations, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -29,6 +29,7 @@ from .combinat import (
     DualForestPoset,
     ForestPoset,
     Permutation,
+    _Memo,
     _extension_words,
     _ideal_fold,
     descents,
@@ -132,11 +133,10 @@ class FQSymElem:
         return f"FQSymElem<{self}>"
 
 
-# The getters of _shuffle_patterns for every (len(a), len(b)) with at most
-# _PATTERNS_MAX_N letters in all, made on first use; longer words get
-# theirs made per call.
-_PATTERNS: dict = {}
-_PATTERNS_MAX_N = 10
+# The getters of _shuffle_patterns per (len(a), len(b)), made on first use.
+# Each getter counts its letters, at least one: 2^15 hold every shape of at
+# most 10 letters (18,435), and one long shape cannot pin megabytes.
+_PATTERNS = _Memo(1 << 15)
 
 
 def _shuffle_patterns(k: int, l: int) -> tuple:
@@ -160,8 +160,7 @@ def _shuffle_patterns(k: int, l: int) -> tuple:
             gets.append(itemgetter(*[next(from_a) if i in chosen
                                      else next(from_b) for i in index]))
         patterns = tuple(gets)
-    if n <= _PATTERNS_MAX_N:
-        _PATTERNS[k, l] = patterns
+    _PATTERNS.put((k, l), patterns, max(n, 1) * len(patterns))
     return patterns
 
 
@@ -203,25 +202,19 @@ def f_of_poset(p: ForestPoset | DualForestPoset) -> FQSymElem:
 
 
 # The extension words of each forest that a morphism check has multiplied,
-# keyed by kind, n and cover, so a sweep lists each factor once.  Insertion
-# stops once _FOREST_WORDS_CAP words are held: room for every factor of
-# `verify --suite pbt` at its default --nmax (3,953 words).
-_FOREST_WORDS: dict = {}
-_FOREST_WORDS_CAP = 1 << 12
-_forest_words_held = 0
+# keyed by kind, n and cover, so a sweep lists each factor once; 2^12 words
+# hold every factor of `verify --suite pbt` at its default --nmax (3,953).
+_FOREST_WORDS = _Memo(1 << 12)
 
 
 def _forest_element(p: ForestPoset | DualForestPoset) -> FQSymElem:
     """``f_of_poset(p)``, listed once per forest while the cache has room.
     The terms are shared with the cache: the caller must not change them."""
-    global _forest_words_held
     key = (type(p), p.n, p.cover)
     terms = _FOREST_WORDS.get(key)
     if terms is None:
         terms = f_of_poset(p).terms
-        if _forest_words_held + len(terms) <= _FOREST_WORDS_CAP:
-            _FOREST_WORDS[key] = terms
-            _forest_words_held += len(terms)
+        _FOREST_WORDS.put(key, terms, len(terms))
     return FQSymElem._raw(terms)
 
 
@@ -329,11 +322,9 @@ def _gamma_product(prefixes, descent_prefixes) -> RatFunc:
 
 # The ends dicts of the proper ideals that the gamma fold has met, keyed by
 # the ideal and its elements' need masks and shared by every call of
-# gamma_extension_sum (see combinat._ideal_fold).  The fold stops inserting
-# at _GAMMA_MEMO_CAP entries, which leaves room for all 10,022 proper
-# ideals of the dual forests with n = 6.  Whole posets are not stored.
-_GAMMA_MEMO: dict = {}
-_GAMMA_MEMO_CAP = 1 << 14
+# gamma_extension_sum (see combinat._ideal_fold); 2^14 entries hold all
+# 10,022 proper ideals of the dual forests with n = 6.
+_GAMMA_MEMO = _Memo(1 << 14)
 
 
 def _gamma_step(mask: int, m: int, ends: dict) -> RatFunc:
@@ -360,19 +351,23 @@ def gamma_extension_sum(prereqs: Sequence[frozenset[int]] | Mapping[int, frozens
     cancels to a small numerator.  The sums of a proper ideal depend only on
     its labelled order, so every call shares them through one bounded memo,
     ``_GAMMA_MEMO``; a sweep over many posets computes each lower set once.
-    The fold never uses the dual-forest product formula.
+    The fold never uses the dual-forest product formula.  An element or
+    prerequisite outside 1..n raises ``ValueError``.
     """
     if isinstance(prereqs, Mapping):
         n = max(prereqs, default=0) if n is None else n
         pre = [prereqs.get(i, ()) for i in range(1, n + 1)]
     else:
         pre = list(prereqs)
+    for v in chain(prereqs if isinstance(prereqs, Mapping) else (), *pre):
+        if not 1 <= v <= len(pre):
+            raise ValueError(f"element {v} is outside 1..{len(pre)}")
     need = [0] * len(pre)
     for i, reqs in enumerate(pre):
         for r in reqs:
             need[i] |= 1 << (r - 1)
     ends = _ideal_fold(len(pre), need, RatFunc.from_const(1), _gamma_step,
-                       _GAMMA_MEMO, _GAMMA_MEMO_CAP)
+                       _GAMMA_MEMO)
     return RatFunc._sum(ends.values())
 
 

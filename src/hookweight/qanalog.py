@@ -55,18 +55,13 @@ def bracket_factorial(n: int) -> Polynomial:
     return RatFunc._from_atoms(_factorial_atoms(n)).num
 
 
-@lru_cache(maxsize=None)
-def _binomial(n: int, k: int) -> RatFunc:
-    atoms = _dp_acc(_factorial_atoms(n), _factorial_atoms(k, sign=-1).items())
-    return RatFunc._from_atoms(_dp_acc(
-        atoms, _factorial_atoms(n - k, shift=k, sign=-1).items()))
-
-
 def binomial(n: int, k: int) -> RatFunc:
     """[n]! / ([k]! * F^k([n-k]!)) as a rational function."""
     if k < 0 or n < 0 or k > n:
         raise ValueError(f"binomial requires 0 <= k <= n, got n={n}, k={k}")
-    return _binomial(n, k)
+    atoms = _dp_acc(_factorial_atoms(n), _factorial_atoms(k, sign=-1).items())
+    return RatFunc._from_atoms(_dp_acc(
+        atoms, _factorial_atoms(n - k, shift=k, sign=-1).items()))
 
 
 @lru_cache(maxsize=None)

@@ -766,17 +766,11 @@ def _qt_map(q: int, bound: int):
     return var
 
 
-@lru_cache(maxsize=None)
-def _var_image(var, i: int):
-    """Sized image of x_i."""
-    return _sized(var(i))
-
-
 def _poly_image(items, var) -> dict:
     """Image of a polynomial given as (packed key, coefficient) pairs."""
     out: dict = {}
     for key, coeff in items:
-        _dp_acc(out, _product([(_var_image(var, v), e)
+        _dp_acc(out, _product([(_sized(var(v)), e)
                                for v, e in _mono_unpack(key)], coeff).items())
     return out
 
@@ -788,7 +782,7 @@ def _atom_image(atom, var):
         _, off, m = atom  # the sum telescopes under the q and (q,t) maps
         return _split(_dp_acc({}, [t for i in range(off + 1, off + m + 1)
                                    for t in var(i).items()]))
-    u = _product([(_var_image(var, v), e) for v, e in atom[1]])
+    u = _product([(_sized(var(v)), e) for v, e in atom[1]])
     return _split(_dp_add({0: 1}, _dp_neg(u)))  # 1 - x^u
 
 

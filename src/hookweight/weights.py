@@ -32,6 +32,7 @@ from .combinat import (
     Permutation,
     SubsetK,
     TreePairStat,
+    _Memo,
     _parabolic_words,
     _rl_violation,
     subtree_data,
@@ -90,12 +91,9 @@ def wt_subset(s: Iterable[int], k: int | None = None) -> RatFunc:
 # The atom tables of wt(v), at shift 0, of the proper sub-words v that
 # wt_perm_recursive has walked, keyed by the word.  Every atom is a bracket
 # form ("F", offset, length), so a table shifts by its offsets.  A
-# requested word is never stored, and insertion stops once the stored words
-# hold _WT_MEMO_CAP letters in all, so a long word walks in O(n) extra
-# memory.
-_WT_MEMO: dict = {}
-_WT_MEMO_CAP = 1 << 14
-_wt_memo_letters = 0
+# requested word is never stored, and the budget of 2^14 letters lets a
+# long word walk in O(n) extra memory.
+_WT_MEMO = _Memo(1 << 14)
 
 
 def wt_perm_recursive(w: Sequence[int]) -> RatFunc:
@@ -107,17 +105,16 @@ def wt_perm_recursive(w: Sequence[int]) -> RatFunc:
     run of the walk's items; its table is kept in ``_WT_MEMO`` while there
     is room, and a sub-word found there is not walked again.
     """
-    global _wt_memo_letters
     w = tuple(Permutation(w))
-    room = _WT_MEMO_CAP - _wt_memo_letters
+    room = _WT_MEMO.room  # each sub-word's letters are reserved as it starts
     items: list = []
     stack = [(w, 0, None)]
     while stack:
         v, shift, start = stack.pop()
         if start is not None:  # the walk below the sub-word v is done
-            _WT_MEMO[v] = _dp_acc({}, [(("F", off - shift, m), e)
-                                       for (_, off, m), e in items[start:]])
-            _wt_memo_letters += len(v)
+            _WT_MEMO.put(v, _dp_acc({}, [(("F", off - shift, m), e)
+                                         for (_, off, m), e in items[start:]]),
+                         len(v))
             continue
         if not v:
             continue

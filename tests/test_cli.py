@@ -3,11 +3,14 @@
 import hashlib
 import json
 import math
+import random
+import signal
 
 import pytest
 
 from helpers import run_python
 from hookweight.cli import MAX_FOREST_N, main
+from hookweight.combinat import enumerate_dual_forests, enumerate_rl_forests
 from hookweight.specialize import q_factorial
 
 VEE = {"n": 3, "covers": [[1, 2], [3, 2]]}
@@ -569,3 +572,122 @@ class TestForestFileSchema:
     def test_empty_forest_needs_no_covers(self, capsys, forest_file):
         code, out, _ = run(capsys, "linext", forest_file({"n": 0}), "--count")
         assert code == 0 and out == "1\n"
+
+
+class _Timeout(Exception):
+    pass
+
+
+def _mutated(rng, text: str) -> str:
+    """text with one character deleted or one character other than a digit
+    inserted."""
+    i = rng.randrange(len(text) + 1)
+    if text and rng.random() < 0.5:
+        return text[:i] + text[i + 1:]
+    return text[:i] + rng.choice("()[]{},:\"+-*/^ x.aeq") + text[i:]
+
+
+def _fuzz_word(rng) -> str:
+    n = rng.randint(0, 12)
+    w = list(range(1, n + 1))
+    rng.shuffle(w)
+    if rng.random() < 0.1:  # a long word near the identity
+        n = rng.randint(13, 300)
+        w = list(range(1, n + 1))
+        i = rng.randrange(n - 1)
+        w[i], w[i + 1] = w[i + 1], w[i]
+    if w and rng.random() < 0.3:
+        w[rng.randrange(n)] = rng.choice([0, -1, n + 1, w[0], 10 ** 30])
+    text = rng.choice([",".join(map(str, w)), " ".join(map(str, w)),
+                       json.dumps(w)])
+    return _mutated(rng, text) if rng.random() < 0.3 else text
+
+
+def _fuzz_expression(rng, depth: int = 0) -> str:
+    roll = rng.random()
+    if depth > 2 or roll < 0.35:
+        return rng.choice([f"x{rng.randint(0, 6)}", str(rng.randint(0, 9)),
+                           f"{rng.randint(1, 5)}x{rng.randint(1, 4)}",
+                           f"x{rng.randint(1, 4)}^{rng.randint(0, 3)}"])
+    if roll < 0.5:
+        return f"({_fuzz_expression(rng, depth + 1)})"
+    if roll < 0.85:
+        return (_fuzz_expression(rng, depth + 1) + rng.choice("+-*/ ")
+                + _fuzz_expression(rng, depth + 1))
+    return f"({_fuzz_expression(rng, depth + 1)})^{rng.randint(0, 3)}"
+
+
+def _fuzz_forest(rng) -> tuple[str, int]:
+    """The text of a forest file and the n it declares (-1 if unknown)."""
+    n = rng.randint(0, 7)
+    roll = rng.random()
+    if roll < 0.35:
+        p = rng.choice(list(enumerate_rl_forests(n)))
+        data = {"n": n, "covers": [list(c) for c in p.covers()]}
+    elif roll < 0.5:
+        p = rng.choice(list(enumerate_dual_forests(n)))
+        data = {"n": n, "covered_by": [list(c) for c in p.covers()]}
+    elif roll < 0.6:
+        m = rng.randint(1, 200)
+        data = {"n": m, "covers": [[i + 1, i] for i in range(1, m)]}
+        n = m
+    else:
+        ends = range(-1, n + 2)
+        data = {"n": n, "covers": [[rng.choice(ends), rng.choice(ends)]
+                                   for _ in range(rng.randint(0, n))]}
+    text = json.dumps(data)
+    if rng.random() < 0.25:
+        return _mutated(rng, text), -1
+    return text, n
+
+
+@pytest.mark.slow
+def test_cli_fuzz_exits_cleanly(capsys, tmp_path, fresh_memos):
+    # in-process calls on random words, expressions and forest files: every
+    # call ends within a 20 s alarm with exit code 0, 2 or 3 and no
+    # traceback; the module memos stay warm from call to call
+    rng = random.Random(20261020)
+    path = tmp_path / "forest.json"
+
+    def alarm(_signum, _frame):
+        raise _Timeout
+
+    previous = signal.signal(signal.SIGALRM, alarm)
+    try:
+        for i in range(400):
+            command = ("weight-perm", "hook", "linext", "specialize")[i % 4]
+            text, n = _fuzz_forest(rng)
+            path.write_text(text)
+            if command == "weight-perm":
+                argv = ["weight-perm", _fuzz_word(rng),
+                        "--method", rng.choice(["recursive", "tree"])]
+            elif command == "hook":
+                argv = ["hook", str(path),
+                        "--side", rng.choice(["L", "H", "both"])]
+            elif command == "linext":  # at most 7! words are listed
+                argv = ["linext", str(path),
+                        "--list" if 0 <= n <= 7 and rng.random() < 0.5
+                        else "--count"]
+            else:
+                argv = ["specialize", "--map", rng.choice(["q", "qt"])]
+                if rng.random() < 0.9:
+                    qval = rng.choice([-1, 1, 2, 3, 5, 10 ** 6])
+                    argv += ["--qval", str(qval)]
+                argv += rng.choice([
+                    [f"--expr={_fuzz_expression(rng)}"],
+                    ["--perm", _fuzz_word(rng)],
+                    ["--forest", str(path), "--side", rng.choice("LH")]])
+            signal.alarm(20)
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refusing the arguments
+                code = exc.code
+            except _Timeout:
+                pytest.fail(f"{argv} ({text!r}) took more than 20 s")
+            finally:
+                signal.alarm(0)
+            _out, err = capsys.readouterr()
+            assert code in (0, 2, 3), (argv, text, code, err)
+            assert "Traceback" not in err, (argv, text, err)
+    finally:
+        signal.signal(signal.SIGALRM, previous)

@@ -15,6 +15,7 @@ from hookweight import fqsym
 from hookweight.combinat import (
     DualForestPoset,
     ForestPoset,
+    _Memo,
     enumerate_dual_forests,
     enumerate_rl_forests,
     linear_extensions,
@@ -322,6 +323,19 @@ class TestGamma:
         flat = gamma_perm((2, 1, 3)) + gamma_perm((2, 3, 1))
         assert rf_equal(got, flat)
 
+    @pytest.mark.parametrize("args, element, n", [
+        (([frozenset({0})],), 0, 1),
+        (([frozenset({5})],), 5, 1),
+        (({3: frozenset({1, 2})}, 2), 3, 2),
+    ])
+    def test_elements_outside_1_to_n_raise(self, fresh_memos, args,
+                                           element, n):
+        # the shared memo must not see them either
+        with pytest.raises(ValueError,
+                           match=rf"^element {element} is outside 1\.\.{n}$"):
+            gamma_extension_sum(*args)
+        assert not fqsym._GAMMA_MEMO
+
     def test_extension_sum_flat_oracle_every_poset(self):
         # every strict partial order on {1..n}, n <= 4, given as the
         # transitively closed sets of elements forced before each element
@@ -377,31 +391,28 @@ class TestGammaMemo:
     """The memo of proper ideals that calls of gamma_extension_sum share
     changes no answer."""
 
-    @pytest.fixture(autouse=True)
-    def fresh_memo(self, monkeypatch):
-        monkeypatch.setattr(fqsym, "_GAMMA_MEMO", {})
-
     @staticmethod
     def forests(nmax):
         return [p for n in range(nmax + 1) for p in enumerate_dual_forests(n)]
 
-    def test_cold_and_warm_in_both_orders(self):
+    def test_cold_and_warm_in_both_orders(self, fresh_memos):
         forests = self.forests(5)
         for order in (forests, forests[::-1]):
-            fqsym._GAMMA_MEMO.clear()
+            fresh_memos()
             for _warm in (False, True):
                 for p in order:
                     assert rf_equal(gamma_extension_sum(dual_forest_prereqs(p)),
                                     gamma_dual_forest(p)), p
-            assert 0 < len(fqsym._GAMMA_MEMO) <= fqsym._GAMMA_MEMO_CAP
+            memo = fqsym._GAMMA_MEMO
+            assert 0 < len(memo) == memo.budget - memo.room <= memo.budget
 
-    def test_one_ideal_under_two_orders(self):
+    def test_one_ideal_under_two_orders(self, fresh_memos):
         # the ideal {1, 2} is the chain 1 < 2 in one poset and an antichain
         # in the other; each poset meets the other's entry for it
         chain = {2: frozenset({1}), 3: frozenset({1, 2})}
         antichain = {3: frozenset({1, 2})}
         for first, second in ((chain, antichain), (antichain, chain)):
-            fqsym._GAMMA_MEMO.clear()
+            fresh_memos()
             for below in (first, second):
                 assert rf_equal(gamma_extension_sum(below, 3),
                                 _flat_gamma(3, below)), below
@@ -411,14 +422,14 @@ class TestGammaMemo:
             assert all(key[0] != 0b111 for key in fqsym._GAMMA_MEMO)
 
     def test_small_cap_bounds_the_memo(self, monkeypatch):
-        monkeypatch.setattr(fqsym, "_GAMMA_MEMO_CAP", 7)
+        monkeypatch.setattr(fqsym, "_GAMMA_MEMO", _Memo(7))
         for p in self.forests(5):
             assert rf_equal(gamma_extension_sum(dual_forest_prereqs(p)),
                             gamma_dual_forest(p)), p
             assert len(fqsym._GAMMA_MEMO) <= 7
         assert len(fqsym._GAMMA_MEMO) == 7
 
-    def test_stored_ends_never_change(self):
+    def test_stored_ends_never_change(self, fresh_memos):
         forests = self.forests(4)
         for p in forests:
             gamma_extension_sum(dual_forest_prereqs(p))

@@ -1,5 +1,6 @@
 """Subset/permutation weights and the two sides of the hook identity."""
 
+from functools import lru_cache
 from itertools import combinations, permutations
 
 import pytest
@@ -124,15 +125,14 @@ class TestPermWeight:
         for w in words:
             assert rf_equal(wt_perm_recursive(w), wt_perm_tree(w)), w
 
-    def test_sub_word_memo_is_capped(self, monkeypatch):
-        monkeypatch.setattr(weights, "_WT_MEMO", {})
-        monkeypatch.setattr(weights, "_wt_memo_letters", 0)
+    def test_sub_word_memo_is_capped(self, fresh_memos):
+        memo = weights._WT_MEMO
         for n in (1000, 3000):
             w = tuple(range(1, n + 1))
             assert rf_equal(wt_perm_recursive(w), RatFunc.from_const(1))
-            held = sum(map(len, weights._WT_MEMO))
-            assert held == weights._wt_memo_letters <= weights._WT_MEMO_CAP
-            assert w not in weights._WT_MEMO
+            held = sum(map(len, memo))
+            assert held == memo.budget - memo.room <= memo.budget
+            assert w not in memo
 
     def test_tree_weight_21(self):
         assert rf_equal(wt_perm_tree((2, 1)), parse_ratfunc("x2/x1"))
@@ -251,31 +251,32 @@ class TestStructuralLemmas:
                 assert rf_equal(total, _subset_sum(n + 1, k)), (n, k)
 
 
-def _clear_L_caches():
-    for cached in (qanalog._pascal_holds, weights._subset_sum):
-        cached.cache_clear()
-    for key in [key for key in weights._L_MEMO if key != (0, ())]:
-        del weights._L_MEMO[key]
+@pytest.fixture
+def cold_L(fresh_memos, monkeypatch):
+    """Fresh memos, and fresh caches of the Pascal checks and subset sums."""
+    for module, name in ((qanalog, "_pascal_holds"), (weights, "_subset_sum")):
+        cached = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lru_cache(maxsize=None)(cached.__wrapped__))
 
 
-def test_edge_subset_sums_need_no_proof():
+def test_edge_subset_sums_need_no_proof(cold_L):
     # one subset, of weight 1: the base cases of the Pascal induction
-    _clear_L_caches()
-    _subset_sum(500, 0), _subset_sum(500, 499)
+    weights._subset_sum(500, 0), weights._subset_sum(500, 499)
     assert qanalog._pascal_holds.cache_info().misses == 0
     for n in range(1, 9):
         for k in (0, n - 1):
-            value = _subset_sum(n, k)
+            value = weights._subset_sum(n, k)
             proved = qanalog._shift_ratio(k) * qanalog._proved_binomial(
                 n - 1, k).frobenius(1)
             assert (value._c, value._num, value._fac) == \
                 (proved._c, proved._num, proved._fac), (n, k)
 
 
-def test_unproved_binomial_raises(monkeypatch):
+def test_unproved_binomial_raises(cold_L, monkeypatch):
     # binomial(4, 2) with one atom dropped fails its Pascal check, and the
     # antichain with n = 6 rests on it through _subset_sum(6, 2)
-    exact = qanalog._binomial
+    exact = qanalog.binomial
 
     def mutated(n, k):
         value = exact(n, k)
@@ -286,11 +287,10 @@ def test_unproved_binomial_raises(monkeypatch):
         return RatFunc._from_atoms(fac, value._c)
 
     antichain = ForestPoset.from_covers(6, [])
-    _clear_L_caches()
-    monkeypatch.setattr(qanalog, "_binomial", mutated)
-    with pytest.raises(AssertionError, match=r"binomial\(4, 2\)"):
-        L_of_forest(antichain)
-    monkeypatch.undo()
+    with monkeypatch.context() as patch:
+        patch.setattr(qanalog, "binomial", mutated)
+        with pytest.raises(AssertionError, match=r"binomial\(4, 2\)"):
+            L_of_forest(antichain)
     # the failed checks are verdicts on the mutated binomial; every cached
     # value must still be exact
     qanalog._pascal_holds.cache_clear()
