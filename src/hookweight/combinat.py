@@ -353,6 +353,13 @@ class _ParentArray:
         return frozenset(s.order[s.start[i]:s.start[i] + s.size[i]])
 
 
+def _require_kind(p, kind: type) -> None:
+    """Raise ``TypeError`` unless p is a ``kind``: the two kinds of forest
+    share one parent array, which each reads the other way round."""
+    if not isinstance(p, kind):
+        raise TypeError(f"expected a {kind.__name__}, got {type(p).__name__}")
+
+
 @dataclass(frozen=True)
 class ForestPoset(_ParentArray):
     """Forest on {1..n}: cover[i-1] is the element i covers (0 for roots)."""
@@ -384,6 +391,7 @@ def validate_recursively_labelled(p: ForestPoset) -> bool:
 
 
 def _rl_violation(p: ForestPoset) -> Optional[tuple[int, frozenset[int]]]:
+    _require_kind(p, ForestPoset)
     s = p._subtrees
     for i in range(1, p.n + 1):
         if s.hi[i] - s.lo[i] + 1 != s.size[i]:
@@ -655,6 +663,7 @@ def dual_forest_stats(p: DualForestPoset) -> DualForestStats:
     the major index adds up the subtree sizes h_i = |P_{<=i}| of the descent
     elements (for a chain this is the usual maj of the word).
     """
+    _require_kind(p, DualForestPoset)
     lower = {i: p.lower_set(i) for i in range(1, p.n + 1)}
     des = frozenset(i for i in range(1, p.n + 1)
                     if p.cover[i - 1] and i > p.cover[i - 1])

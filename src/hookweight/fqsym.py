@@ -15,15 +15,20 @@ series gamma(w, x) * u^n and is a morphism everywhere.  Both checks are one
 check on the map's coefficient of each forest: the product law
 F_p * F_q = F_{p + q} must hold, and the coefficient of the union must be
 the product of those of p and q.
+
+Both maps group an element's terms by degree: ``phi_inv`` adds a degree's
+weights in one ``RatFunc._sum``, and ``phi_maj`` folds a degree's words
+over their prefix trie one prefix length at a time.  A forest of the wrong
+kind raises ``TypeError``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import chain, combinations, repeat
+from itertools import combinations, repeat
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .combinat import (
     DualForestPoset,
@@ -32,6 +37,7 @@ from .combinat import (
     _Memo,
     _extension_words,
     _ideal_fold,
+    _require_kind,
     descents,
     dual_forest_stats,
     extension_stat_counts,
@@ -53,7 +59,6 @@ __all__ = [
     "f_of_poset",
     "concat_forests",
     "dual_forest_prereqs",
-    "forest_prereqs",
     "phi_inv",
     "phi_maj",
     "gamma_perm",
@@ -223,19 +228,18 @@ def _forest_element(p: ForestPoset | DualForestPoset) -> FQSymElem:
 # ---------------------------------------------------------------------------
 
 def phi_inv(elem: FQSymElem) -> SkewElem:
-    """Linear extension of F_w -> wt(w) u^{(n)} = (wt(w)/[n]!) u^n."""
-    by_degree: dict[int, RatFunc] = {}
+    """Linear extension of F_w -> wt(w) u^{(n)} = (wt(w)/[n]!) u^n.
+
+    The terms of each degree n are added by one ``RatFunc._sum``,
+    trial-divided by the atoms of [n]! as ``weights._L_grouped`` is."""
+    by_degree: dict[int, list[RatFunc]] = {}
     for w, c in elem.terms.items():
         term = wt_perm_tree(w)
-        if c != 1:
-            term = term * c
-        n = len(w)
-        prev = by_degree.get(n)
-        by_degree[n] = (term if prev is None
-                        else prev._add(term, tuple(_factorial_atoms(n))))
+        by_degree.setdefault(len(w), []).append(term if c == 1 else term * c)
     return SkewElem({
-        n: total * RatFunc._from_atoms(_factorial_atoms(n, sign=-1))
-        for n, total in by_degree.items()})
+        n: RatFunc._sum(terms, tuple(_factorial_atoms(n)))
+        * RatFunc._from_atoms(_factorial_atoms(n, sign=-1))
+        for n, terms in by_degree.items()})
 
 
 def _phi_inv_forest(p: ForestPoset) -> RatFunc:
@@ -247,7 +251,9 @@ def _phi_inv_forest(p: ForestPoset) -> RatFunc:
 
 def concat_forests(p: ForestPoset | DualForestPoset,
                    q: ForestPoset | DualForestPoset) -> ForestPoset | DualForestPoset:
-    """Disjoint union of two forests of one kind, q's labels shifted above p's."""
+    """Disjoint union of two forests of one kind, q's labels shifted above
+    p's; ``TypeError`` if q is not of p's kind."""
+    _require_kind(q, type(p))
     return type(p)(p.n + q.n, p.cover + tuple(t and t + p.n for t in q.cover))
 
 
@@ -338,61 +344,47 @@ def _gamma_step(mask: int, m: int, ends: dict) -> RatFunc:
     return RatFunc._sum(terms)._mul(_prefix_step(placed + [m], ()))
 
 
-def gamma_extension_sum(prereqs: Sequence[frozenset[int]] | Mapping[int, frozenset[int]],
-                        n: Optional[int] = None) -> RatFunc:
+def gamma_extension_sum(prereqs: Sequence[frozenset[int]]) -> RatFunc:
     """Exact sum of gamma_perm(w) over the linear extensions of any poset.
 
-    ``prereqs[i]`` lists the elements that must precede i.  The sum is folded
-    forward over the order ideals by size (``combinat._ideal_fold``): the sum
-    over the extensions of an ideal J that end in m is 1/(1 - x_J) times one
+    The poset is on 1..n, n = len(prereqs), and ``prereqs[i - 1]`` holds
+    the elements that must precede i.  The sum is folded forward over the
+    order ideals by size (``combinat._ideal_fold``): the sum over the
+    extensions of an ideal J that end in m is 1/(1 - x_J) times one
     ``RatFunc._sum`` over the last letters of I = J - {m}: the sums held for
     I at an ascent into m, and x_I times those at a descent.  Every partial
     sum runs over the extensions of a lower set, which for a dual forest
     cancels to a small numerator.  The sums of a proper ideal depend only on
     its labelled order, so every call shares them through one bounded memo,
     ``_GAMMA_MEMO``; a sweep over many posets computes each lower set once.
-    The fold never uses the dual-forest product formula.  An element or
-    prerequisite outside 1..n raises ``ValueError``.
+    The fold never uses the dual-forest product formula.  A prerequisite
+    outside 1..n raises ``ValueError``.
     """
-    if isinstance(prereqs, Mapping):
-        n = max(prereqs, default=0) if n is None else n
-        pre = [prereqs.get(i, ()) for i in range(1, n + 1)]
-    else:
-        pre = list(prereqs)
-    for v in chain(prereqs if isinstance(prereqs, Mapping) else (), *pre):
-        if not 1 <= v <= len(pre):
-            raise ValueError(f"element {v} is outside 1..{len(pre)}")
-    need = [0] * len(pre)
-    for i, reqs in enumerate(pre):
-        for r in reqs:
-            need[i] |= 1 << (r - 1)
-    ends = _ideal_fold(len(pre), need, RatFunc.from_const(1), _gamma_step,
+    n = len(prereqs)
+    need = [0] * n
+    for i, reqs in enumerate(prereqs):
+        for v in reqs:
+            if not 1 <= v <= n:
+                raise ValueError(f"element {v} is outside 1..{n}")
+            need[i] |= 1 << (v - 1)
+    ends = _ideal_fold(n, need, RatFunc.from_const(1), _gamma_step,
                        _GAMMA_MEMO)
     return RatFunc._sum(ends.values())
 
 
 def check_phimaj_morphism(p: DualForestPoset, q: DualForestPoset) -> bool:
     """phi_maj(F_p * F_q) == phi_maj(F_p) * phi_maj(F_q) via extension sums:
-    both sides sum gamma over linear extensions, never the product formula."""
+    both sides sum gamma over linear extensions, never the product formula;
+    ``TypeError`` unless p and q are dual forests."""
     return _morphism_holds(
         p, q, lambda r: gamma_extension_sum(dual_forest_prereqs(r)))
 
 
 def dual_forest_prereqs(p: DualForestPoset) -> list[frozenset[int]]:
-    """prereqs[i-1] = strict lower set of i (elements forced before i)."""
+    """prereqs[i-1] = strict lower set of i (elements forced before i);
+    ``TypeError`` unless p is a ``DualForestPoset``."""
+    _require_kind(p, DualForestPoset)
     return [p.lower_set(i) - {i} for i in range(1, p.n + 1)]
-
-
-def forest_prereqs(p: ForestPoset) -> list[frozenset[int]]:
-    out = []
-    for i in range(1, p.n + 1):
-        below = set()
-        j = p.below(i)
-        while j:
-            below.add(j)
-            j = p.below(j)
-        out.append(frozenset(below))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -400,54 +392,45 @@ def forest_prereqs(p: ForestPoset) -> list[frozenset[int]]:
 # ---------------------------------------------------------------------------
 
 def phi_maj(elem: FQSymElem) -> SkewElem:
-    """Linear extension of F_w -> gamma(w, x) u^n (plain power of u)."""
-    by_degree = {}
-    for n in {len(w) for w in elem.terms}:
-        words = {w: c for w, c in elem.terms.items() if len(w) == n}
-        by_degree[n] = _gamma_weighted_sum(words)
-    return SkewElem(by_degree)
+    """Linear extension of F_w -> gamma(w, x) u^n (plain power of u).
+
+    The words of each degree n are folded over their prefix trie by one
+    ``_gamma_weighted_sum``."""
+    by_degree: dict[int, dict] = {}
+    for w, c in elem.terms.items():
+        by_degree.setdefault(len(w), {})[w] = c
+    return SkewElem({n: _gamma_weighted_sum(words)
+                     for n, words in by_degree.items()})
 
 
 def _gamma_weighted_sum(terms: Mapping[tuple[int, ...], int | Fraction]) -> RatFunc:
-    """Sum of c_w * gamma(w) folded over the prefix trie of the words.
+    """Sum of c_w * gamma(w) over words w of one length n, at least one,
+    folded over the prefix trie of the words.
 
     Every prefix contributes its 1/(1 - x_prefix) factor once, and a descent
     between consecutive letters contributes the prefix monomial; folding
     bottom-up keeps the partial sums collapsing instead of accumulating all
-    binomial denominators at once.  The trie is walked on an explicit stack
-    of frames [total, children left, placed, step of the open child], so a
-    word of any length folds.
+    binomial denominators at once.  The trie is folded one prefix length at
+    a time, from the words up, with one dict per level: a prefix's value is
+    the pairwise ``_add`` of its children's values, each times its step, in
+    ascending order of the child.  The pairwise adds let each partial sum
+    cancel as it goes; one ``RatFunc._sum`` per prefix was slower on the
+    dual-forest elements.
     """
-
-    def open_node(group: Sequence[tuple[int, ...]], placed: tuple[int, ...]) -> list:
-        total = RatFunc.from_const(0)
-        children: dict[int, list[tuple[int, ...]]] = {}
-        for w in group:
-            if len(w) == len(placed):
-                total = total._add(RatFunc.from_const(terms[w]))
-            else:
-                children.setdefault(w[len(placed)], []).append(w)
-        return [total, iter(sorted(children.items())), placed, None]
-
-    stack = [open_node(sorted(terms), ())]
-    while True:
-        frame = stack[-1]
-        child = next(frame[1], None)
-        if child is None:
-            stack.pop()
-            if not stack:
-                return frame[0]
-            parent = stack[-1]
+    level = {w: RatFunc.from_const(terms[w]) for w in sorted(terms)}
+    for _ in range(len(next(iter(level)))):
+        up: dict[tuple[int, ...], RatFunc] = {}
+        # level is sorted, so each prefix's children come in ascending order
+        for w, value in level.items():
+            placed, m = w[:-1], w[-1]
+            step = _prefix_step(w, placed if placed and placed[-1] > m else ())
             # _mul looks up the atoms of the smaller factor table, so
             # either side may receive the call
-            parent[0] = parent[0]._add(frame[0]._mul(parent[3]))
-            continue
-        m, sub = child
-        placed = frame[2]
-        new_placed = placed + (m,)
-        last = placed[-1] if placed else 0
-        frame[3] = _prefix_step(new_placed, placed if last > m else ())
-        stack.append(open_node(sub, new_placed))
+            term = value._mul(step)
+            total = up.get(placed)
+            up[placed] = term if total is None else total._add(term)
+        level = up
+    return level[()]
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .ratfunc import Polynomial, RatFunc, _dp_acc, _named_atom_dict, rf_equal
+from .ratfunc import (Polynomial, RatFunc, _as_rf, _dp_acc, _named_atom_dict,
+                      rf_equal)
 
 __all__ = [
     "bracket",
@@ -113,13 +114,13 @@ class SkewElem:
             for n, f in coeffs.items():
                 if n < 0:
                     raise ValueError("u-degrees must be nonnegative")
-                f = f if isinstance(f, RatFunc) else RatFunc.from_const(f)
+                f = _as_rf(f)
                 if not f.is_zero():
                     self.coeffs[n] = f
 
     @classmethod
     def term(cls, f, n: int) -> "SkewElem":
-        return cls({n: f if isinstance(f, RatFunc) else RatFunc.from_const(f)})
+        return cls({n: f})
 
     @classmethod
     def one(cls) -> "SkewElem":

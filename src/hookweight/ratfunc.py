@@ -529,27 +529,19 @@ def _dp_div_graded(p: dict, shift: int, lead: int, rest: dict) -> Optional[dict]
 
 
 def _dp_div_form(p: dict, off: int, m: int) -> Optional[dict]:
-    """Exact quotient of p by x_{off+1}+...+x_{off+m}, or None.
+    """Exact quotient of p by x_{off+1}+...+x_{off+m}, m >= 2, or None.
 
-    For m >= 2 a ring map that sends the form to 0 rejects almost every
-    non-multiple in one pass: x_{off+1} -> -x_{off+2} and x_{off+3}, ...,
-    x_{off+m} -> 0.  The image of a key keeps the other variables and holds
-    e_{off+1} + e_{off+2}, below 2^17, in the 32 bits of x_{off+1} and
-    x_{off+2}, so the sum cannot carry into another variable.  A nonzero
+    A ring map that sends the form to 0 rejects almost every non-multiple
+    in one pass: x_{off+1} -> -x_{off+2} and x_{off+3}, ..., x_{off+m} -> 0.
+    The image of a key keeps the other variables and holds e_{off+1} +
+    e_{off+2}, below 2^17, in the 32 bits of x_{off+1} and x_{off+2}, so the
+    sum cannot carry into another variable.  A nonzero
     image proves that the division fails; only a long division with zero
     remainder accepts.
     """
     if not p:
         return {}
     ybit = _SHIFT * off
-    if m == 1:
-        unit = 1 << ybit
-        out = {}
-        for k, v in p.items():
-            if (k >> ybit) & _MASK == 0:
-                return None
-            out[k - unit] = v
-        return out
     move = _MASK << ybit  # k - e*move moves e from x_{off+2} to x_{off+1}
     zero = ((1 << (_SHIFT * (m - 2))) - 1) << (ybit + 2 * _SHIFT)
     image: dict = {}
@@ -1265,12 +1257,11 @@ class RatFunc:
             total = _dp_acc(total, p.items()) if total else p
         return RatFunc._normalized(Fraction(g, den_lcm), total, common, hints)
 
-    def _add(self, other: "RatFunc",
-             hint_atoms: Iterable[Atom] = ()) -> "RatFunc":
+    def _add(self, other: "RatFunc") -> "RatFunc":
         """The two-term case of ``_sum``: the sum over the atoms both sides
-        share, trial-divided by ``hint_atoms`` and then by the shared
-        denominator atoms.  Neither operand's dicts change."""
-        return RatFunc._sum((self, other), hint_atoms)
+        share, trial-divided by the shared denominator atoms.  Neither
+        operand's dicts change."""
+        return RatFunc._sum((self, other))
 
     def _equals(self, other: "RatFunc") -> bool:
         if self._c == 0 or other._c == 0:

@@ -110,7 +110,7 @@ def L_direct(p) -> RatFunc:
     hooks = tuple(_factorial_atoms(p.n))
     total = RatFunc.from_const(0)
     for w in linear_extensions(p):
-        total = total._add(wt_perm_tree(w), hooks)
+        total = RatFunc._sum((total, wt_perm_tree(w)), hooks)
     return total
 
 

@@ -16,9 +16,11 @@ from hookweight.combinat import (
     DualForestPoset,
     ForestPoset,
     _Memo,
+    dual_forest_stats,
     enumerate_dual_forests,
     enumerate_rl_forests,
     linear_extensions,
+    validate_recursively_labelled,
 )
 from hookweight.fqsym import (
     FQSymElem,
@@ -27,7 +29,6 @@ from hookweight.fqsym import (
     concat_forests,
     dual_forest_prereqs,
     f_of_poset,
-    forest_prereqs,
     fqsym_mul,
     gamma_dual_forest,
     gamma_extension_sum,
@@ -41,12 +42,15 @@ from hookweight.fqsym import (
 from hookweight.parsing import parse_ratfunc
 from hookweight.qanalog import SkewElem, divided_power, skew_equal, skew_mul
 from hookweight.ratfunc import Monomial, RatFunc, rf_equal
-from hookweight.weights import NotRecursivelyLabelledError, wt_perm_recursive
+from hookweight.specialize import verify_bw_inv
+from hookweight.weights import (H_of_forest, L_of_forest,
+                                NotRecursivelyLabelledError, wt_perm_recursive)
 from oracles import (fqsym_mul_by_insert, gamma_dual_forest_series,
                      shuffles_by_insert)
 
 F = FQSymElem.basis
 VEE = ForestPoset.from_covers(3, [[1, 2], [3, 2]])
+JOIN = DualForestPoset.from_covered_by(3, [[1, 3], [2, 3]])
 
 
 def small_perm_words(max_n=3):
@@ -206,6 +210,22 @@ class TestPhiInv:
             2: RatFunc.from_const(-3) * phi_inv(F([2, 1])).coeffs[2],
         }))
 
+    @pytest.mark.parametrize("size, holds, pairs", [
+        (4, 12, 16),
+        (5, 36, 72),
+        pytest.param(6, 124, 372, marks=pytest.mark.slow),
+    ])
+    def test_basis_pairs_where_the_morphism_holds(self, size, holds, pairs):
+        # phi_inv(F_u F_v) = phi_inv(F_u) phi_inv(F_v) on exactly this many
+        # basis pairs with |u|, |v| >= 1 and |u| + |v| = size
+        cases = [(u, v) for k in range(1, size)
+                 for u in permutations(range(1, k + 1))
+                 for v in permutations(range(1, size - k + 1))]
+        assert len(cases) == pairs
+        assert sum(skew_equal(phi_inv(fqsym_mul(F(u), F(v))),
+                              skew_mul(phi_inv(F(u)), phi_inv(F(v))))
+                   for u, v in cases) == holds
+
 
 class TestPbtMorphism:
     def test_singletons(self):
@@ -279,6 +299,39 @@ class TestMorphismCheck:
         assert union.covers() == [(1, 2), (3, 2), (5, 4)]
 
 
+class TestWrongKindOfForest:
+    """A forest of the other kind is refused, not read the other way round
+    from its parent array."""
+
+    CASES = [
+        (L_of_forest, JOIN, "ForestPoset"),
+        (H_of_forest, JOIN, "ForestPoset"),
+        (validate_recursively_labelled, JOIN, "ForestPoset"),
+        (verify_bw_inv, JOIN, "ForestPoset"),
+        (check_pbt_morphism, VEE, JOIN, "ForestPoset"),
+        (check_pbt_morphism, JOIN, VEE, "ForestPoset"),
+        (check_phimaj_morphism, JOIN, VEE, "DualForestPoset"),
+        (check_phimaj_morphism, VEE, JOIN, "ForestPoset"),
+        (check_phimaj_morphism, VEE, VEE, "DualForestPoset"),
+        (concat_forests, VEE, JOIN, "ForestPoset"),
+        (concat_forests, JOIN, VEE, "DualForestPoset"),
+        (dual_forest_stats, VEE, "DualForestPoset"),
+        (dual_forest_prereqs, VEE, "DualForestPoset"),
+        (gamma_dual_forest, VEE, "DualForestPoset"),
+        (verify_bw_maj, VEE, "DualForestPoset"),
+    ]
+
+    @pytest.mark.parametrize("case", CASES, ids=[
+        f"{fn.__name__}({', '.join(type(p).__name__ for p in args)})"
+        for fn, *args, _ in CASES])
+    def test_raises_type_error_naming_the_kind(self, case):
+        fn, *args, expected = case
+        other = ({"ForestPoset", "DualForestPoset"} - {expected}).pop()
+        with pytest.raises(TypeError,
+                           match=rf"^expected a {expected}, got {other}$"):
+            fn(*args)
+
+
 class TestGamma:
     def test_single_letter(self):
         assert rf_equal(gamma_perm([1]), parse_ratfunc("1/(1-x1)"))
@@ -319,14 +372,14 @@ class TestGamma:
 
     def test_works_for_upward_forests_too(self):
         # forest posets are general posets as far as the sum is concerned
-        got = gamma_extension_sum(forest_prereqs(VEE))
+        # 2 < 1 and 2 < 3: element 2 comes first
+        got = gamma_extension_sum([frozenset({2}), frozenset(), frozenset({2})])
         flat = gamma_perm((2, 1, 3)) + gamma_perm((2, 3, 1))
         assert rf_equal(got, flat)
 
     @pytest.mark.parametrize("args, element, n", [
         (([frozenset({0})],), 0, 1),
         (([frozenset({5})],), 5, 1),
-        (({3: frozenset({1, 2})}, 2), 3, 2),
     ])
     def test_elements_outside_1_to_n_raise(self, fresh_memos, args,
                                            element, n):
@@ -343,18 +396,19 @@ class TestGamma:
             pairs = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1)
                      if a != b]
             for bits in range(1 << len(pairs)):
-                below = {b: frozenset() for b in range(1, n + 1)}
+                below = [frozenset()] * n  # below[b - 1]: forced before b
                 for j, (a, b) in enumerate(pairs):
                     if bits >> j & 1:
-                        below[b] = below[b] | {a}
-                if any(b in below[a] or not below[a] <= below[b]
-                       for b in below for a in below[b]):
+                        below[b - 1] = below[b - 1] | {a}
+                if any(b in below[a - 1] or not below[a - 1] <= below[b - 1]
+                       for b in range(1, n + 1) for a in below[b - 1]):
                     continue  # not antisymmetric or not transitive
                 flat = RatFunc.from_const(0)
                 for w in permutations(range(1, n + 1)):
-                    if all(below[v] <= set(w[:i]) for i, v in enumerate(w)):
+                    if all(below[v - 1] <= set(w[:i])
+                           for i, v in enumerate(w)):
                         flat = flat + gamma_perm(w)
-                assert rf_equal(gamma_extension_sum(below, n), flat), below
+                assert rf_equal(gamma_extension_sum(below), flat), below
 
     def test_antichains_6_and_7_promptly(self):
         # the 20 s timeout bounds "promptly"; the backward fold over upper
@@ -377,12 +431,12 @@ class TestGamma:
         assert proc.returncode == 0, proc.stderr
 
 
-def _flat_gamma(n, below):
-    """Sum of gamma_perm over the words of S_n that respect ``below``."""
+def _flat_gamma(below):
+    """Sum of gamma_perm over the words of S_n, n = len(below), that
+    respect ``below``: below[v - 1] precedes v."""
     flat = RatFunc.from_const(0)
-    for w in permutations(range(1, n + 1)):
-        if all(below.get(v, frozenset()) <= set(w[:i])
-               for i, v in enumerate(w)):
+    for w in permutations(range(1, len(below) + 1)):
+        if all(below[v - 1] <= set(w[:i]) for i, v in enumerate(w)):
             flat = flat + gamma_perm(w)
     return flat
 
@@ -409,13 +463,13 @@ class TestGammaMemo:
     def test_one_ideal_under_two_orders(self, fresh_memos):
         # the ideal {1, 2} is the chain 1 < 2 in one poset and an antichain
         # in the other; each poset meets the other's entry for it
-        chain = {2: frozenset({1}), 3: frozenset({1, 2})}
-        antichain = {3: frozenset({1, 2})}
+        chain = [frozenset(), frozenset({1}), frozenset({1, 2})]
+        antichain = [frozenset(), frozenset(), frozenset({1, 2})]
         for first, second in ((chain, antichain), (antichain, chain)):
             fresh_memos()
             for below in (first, second):
-                assert rf_equal(gamma_extension_sum(below, 3),
-                                _flat_gamma(3, below)), below
+                assert rf_equal(gamma_extension_sum(below),
+                                _flat_gamma(below)), below
             pairs = {key for key in fqsym._GAMMA_MEMO if key[0] == 0b11}
             assert pairs == {(0b11, (0, 0b01)), (0b11, (0, 0))}
             # only proper ideals are stored

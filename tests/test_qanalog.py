@@ -116,6 +116,18 @@ class TestSkewAlgebra:
                                divided_power(k + l))
                 assert skew_equal(lhs, rhs), (k, l)
 
+    def test_polynomial_and_constant_coefficients(self):
+        # every coefficient goes through one coercion, so a Polynomial is
+        # read as the rational function it is
+        expected = SkewElem({1: RatFunc(bracket(2)), 0: RatFunc.from_const(3)})
+        for got in (SkewElem({1: bracket(2), 0: 3}),
+                    skew_add(SkewElem.term(bracket(2), 1), SkewElem.term(3, 0))):
+            assert skew_equal(got, expected)
+            assert got.coeffs[1] == parse_ratfunc("x1+x2")
+        assert SkewElem({2: Polynomial.constant(0)}).is_zero()
+        with pytest.raises(TypeError):
+            SkewElem({1: "x1"})
+
     def test_add(self):
         a = SkewElem.term(RatFunc.from_const(1), 1)
         b = SkewElem.term(RatFunc.from_const(2), 1)
