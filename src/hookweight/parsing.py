@@ -1,19 +1,32 @@
 """Parser for the canonical rational-function grammar.
 
-Accepts variables ``x<k>``, integers, ``+ - * / ^ ( )``.  Juxtaposition
-multiplies (so ``x2x3^2`` and ``2x1`` parse the way the canonical printer
-writes them); ``*`` is also accepted.  ``/`` builds rational functions.
-Juxtaposition binds as ``*`` and ``/`` do, from the left, so ``1/2x1`` is
-x1/2.
+Accepts variables ``x<k>``, integers, ``+ - * / ^ ( )``, with ASCII digits
+and spaces only.  Juxtaposition multiplies (so ``x2x3^2`` and ``2x1``
+parse the way the canonical printer writes them); ``*`` is also accepted.
+``/`` builds rational functions.  Juxtaposition binds as ``*`` and ``/``
+do, from the left, so ``1/2x1`` is x1/2.
 
 Monomials and sums of monomials, which is all a printed numerator or
 denominator holds, are built without ``RatFunc`` arithmetic.  A monomial
-is a pair ``(coeff, {var: exp})``: integers, variables, ``^`` and products
-of them.  The tokenizer reads a whole juxtaposed monomial such as
-``3x2^3x5`` in one regular-expression match and builds its pair there, so
-the recursive descent runs once per monomial (see ``_TOKEN`` for how the
-grammar still binds as it would token by token).  A monomial's exponents
-and variable indices stay unpacked, so a lone ``x3000000`` costs nothing.
+is a pair ``(coeff, cell)`` of integers, variables, ``^`` and products of
+them: a cell is a list ``[{var: exp}, key]``, its exponents and its
+packed key, which is None until a sum packs it.  The tokenizer reads a
+whole juxtaposed monomial such as ``3x2^3x5`` in one regular-expression
+match and builds its pair there, so the recursive descent runs once per
+monomial (see ``_TOKEN`` for how the grammar still binds as it would
+token by token).
+
+Each distinct variable text, ``x2^3x5`` of ``3x2^3x5``, is read once per
+process: ``_MONOS`` keeps its cell, and the next token with that text gets
+the same cell.  Packing is lazy: the first sum that packs a monomial
+stores its key in the cell, next to the exponents, and a later sum reads
+it from there.  Products, powers and ``RatFunc`` atoms read only the
+exponents.  So a lone or multiplied ``x3000000`` is never packed and
+costs nothing.  A cell whose key would pass 64 kB, past x32000 or so, is
+never kept, so no one monomial takes the memo.  A shared cell's exponents
+dict is never changed: a product or a power of monomials builds a new
+cell.
+
 A sum of monomials is one packed dict ``{key: coeff}``, updated in place
 term by term, so parsing a sum takes time linear in its length.  A value
 becomes a ``RatFunc`` at ``)``, at ``/``, next to a ``RatFunc`` operand or
@@ -28,11 +41,11 @@ or a variable above ``ratfunc.MAX_PACKED_VAR``, which ends in a
 
 ``MAX_PACKED_VAR`` bounds one key, and ``MAX_SUM_KEY_BITS`` bounds them
 all: every term of every sum in the expression counts, before it joins
-the sum, the bits of its packed key, or when ``RatFunc`` arithmetic adds
-it, 16 bits per index of its largest variable, at least the bits of any
-key that the arithmetic packs for it.  A total above ``MAX_SUM_KEY_BITS``
-is a ``ParseError``.  Without it each term of a sum in large variables
-packs its own key of up to 8 MiB.
+the sum, the bits of its packed key, whether packed now or read from its
+cell, or when ``RatFunc`` arithmetic adds it, 16 bits per index of its
+largest variable, at least the bits of any key that the arithmetic packs
+for it.  A total above ``MAX_SUM_KEY_BITS`` is a ``ParseError``.  Without
+it each term of a sum in large variables packs its own key of up to 8 MiB.
 """
 
 from __future__ import annotations
@@ -41,6 +54,7 @@ import re
 from fractions import Fraction
 from typing import Union
 
+from .combinat import _Memo
 from .ratfunc import (_DP_ONE, _MASK, _SHIFT, MAX_PACKED_VAR,
                       ExponentOverflowError, Polynomial, RatFunc,
                       _atom_last_var, _dp_acc, _last_var, _mono_pack,
@@ -62,7 +76,7 @@ class ParseError(ValueError):
     pass
 
 
-# A monomial (coeff, {var: exp}), a packed sum {key: coeff} of two or more
+# A monomial (coeff, cell), a packed sum {key: coeff} of two or more
 # monomials, or a RatFunc.
 _Value = Union[tuple, dict, RatFunc]
 
@@ -72,16 +86,28 @@ _Value = Union[tuple, dict, RatFunc]
 # guard does what an atomic group would, which needs Python 3.11).  An atom
 # that a spaced or repeated ^ follows ends the monomial and is read alone,
 # so that the ^ takes just it: 2x1 ^2 is 2 times x1^2.  A ^ reads its
-# integer exponent with it, so (x1+x2)^5x3 is (x1+x2)^5 times x3.
+# integer exponent with it, so (x1+x2)^5x3 is (x1+x2)^5 times x3.  Digits
+# and spaces are ASCII only: int() would read any Unicode digit.
 _ATOM = r"(?:x\d+|\d+)(?!\d)(?:\^\d+(?!\d))?(?!\s*\^)"
 _TOKEN = re.compile(rf"\s*(?:((?:{_ATOM})+|x\d+|\d+)|\^\s*(\d*)"
-                    r"|([-+*/()])|(\S))")
-_FIRST_ATOM = re.compile(r"(?:x\d+|\d+)(?:\^\d+)?")
+                    r"|([-+*/()])|(\S))", re.ASCII)
+_FIRST_ATOM = re.compile(r"(?:x\d+|\d+)(?:\^\d+)?", re.ASCII)
+
+# The cell of each distinct variable text of a monomial token, x2^3x5 of
+# 3x2^3x5, so that each text is read once per process (see the module
+# docstring); a constant's text is "".  An entry's size is about the bytes
+# it pins: _CELL_BYTES for its objects, plus its text and its key's 2 bytes
+# per variable up to the last.  An entry above _CELL_MOST, a key past
+# x32000 or so, is never kept, so that no one monomial takes the memo.
+# The 1,751 texts of the benchmark's roundtrip set fill 737 kB of it.
+_CELL_BYTES = 400
+_MONOS = _Memo(1 << 20)
+_CELL_MOST = _MONOS.budget >> 4
 
 
 def _tokenize(text: str) -> list:
     """The tokens of ``text``, then None for the end of input: a monomial
-    (coeff, {var: exp}), "^" followed by its exponent, or an operator.
+    (coeff, cell), "^" followed by its exponent, or an operator.
     After / and its signs the first atom of a monomial is a token of its
     own, so that 1/2x1 is x1/2 as juxtaposition binds."""
     tokens: list = []
@@ -113,26 +139,43 @@ def _tokenize(text: str) -> list:
 
 
 def _monomial(text: str) -> tuple:
-    """(coeff, {var: exp}) of a monomial token such as 3x2^3x5."""
-    head, *factors = text.split("x")
+    """(coeff, cell) of a monomial token such as 3x2^3x5: its coefficient
+    and the cell of its variables x2^3x5, from ``_MONOS`` or stored there."""
+    head, x, rest = text.partition("x")
+    body = x + rest
     try:
         coeff = 1
         if head:
             digits, _, exp = head.partition("^")
             coeff = int(digits) ** _exponent(exp) if exp else int(digits)
-        exps: dict = {}
-        for factor in factors:
-            digits, _, exp = factor.partition("^")
-            var = int(digits)
-            if var < 1:
-                raise ParseError(f"variable index must be positive, got 'x{digits}'")
-            exps[var] = exps.get(var, 0) + (_exponent(exp) if exp else 1)
+        cell = _MONOS.get(body)
+        if cell is None:
+            exps: dict = {}
+            for factor in body.split("x")[1:]:
+                digits, _, exp = factor.partition("^")
+                var = int(digits)
+                if var < 1:
+                    raise ParseError(
+                        f"variable index must be positive, got 'x{digits}'")
+                exps[var] = exps.get(var, 0) + (_exponent(exp) if exp else 1)
+            cell = [exps, None]
+            size = _CELL_BYTES + len(body) + 2 * max(exps, default=0)
+            if size <= _CELL_MOST:
+                _MONOS.put(body, cell, size)
     except ParseError:
         raise
     except ValueError:  # more digits than int() converts
         longest = max(map(len, re.findall(r"\d+", text)))
         raise ParseError(f"integer with {longest} digits is too long") from None
-    return coeff, exps
+    return coeff, cell
+
+
+def _key(mono: tuple) -> int:
+    """The packed key of a monomial, stored in its cell the first time."""
+    cell = mono[1]
+    if cell[1] is None:
+        cell[1] = _mono_pack(cell[0])
+    return cell[1]
 
 
 def _exponent(digits: str) -> int:
@@ -150,7 +193,7 @@ def _ratfunc(value: _Value) -> RatFunc:
         return value
     if isinstance(value, dict):
         return RatFunc._normalized(Fraction(1), value, {})
-    c, exps = value
+    c, (exps, _) = value
     return RatFunc._from_atoms({("F", v - 1, 1): e for v, e in exps.items()}, c)
 
 
@@ -159,7 +202,7 @@ def _key_bits(term: Union[tuple, RatFunc]) -> int:
     term.  A variable beyond MAX_PACKED_VAR counts 0, because packing it
     raises at once."""
     if isinstance(term, tuple):
-        top = max(term[1], default=0)
+        top = max(term[1][0], default=0)
     else:
         top = max([_last_var(max(term._num, default=0)),
                    *map(_atom_last_var, term._fac)])
@@ -174,13 +217,15 @@ def _neg(value: _Value) -> _Value:
 
 def _times(value: _Value, rhs: _Value) -> _Value:
     if isinstance(value, tuple) and isinstance(rhs, tuple):
-        return value[0] * rhs[0], _dp_acc(dict(value[1]), rhs[1].items())
+        (c, (exps, _)), (d, (more, _)) = value, rhs
+        return c * d, [_dp_acc(dict(exps), more.items()), None]
     return _ratfunc(value) * _ratfunc(rhs)
 
 
 def _power(value: _Value, exp: int) -> _Value:
     if isinstance(value, tuple):
-        return value[0] ** exp, {v: e * exp for v, e in value[1].items()}
+        c, (exps, _) = value
+        return c ** exp, [{v: e * exp for v, e in exps.items()}, None]
     return _square_and_multiply(value, exp, RatFunc.from_const(1))
 
 
@@ -217,11 +262,11 @@ class _Parser:
         ``RatFunc`` first term in ``parse_expr``."""
         try:
             if isinstance(value, tuple) and isinstance(rhs, tuple):
-                key = _mono_pack(value[1])
+                key = _key(value)
                 self.count(key.bit_length())
                 value = {key: value[0]} if value[0] else {}
             if isinstance(value, dict) and isinstance(rhs, tuple):
-                key = _mono_pack(rhs[1])
+                key = _key(rhs)
                 self.count(key.bit_length())
                 return _dp_acc(value, ((key, rhs[0]),))
         except ExponentOverflowError:  # no packed key holds the monomial

@@ -20,9 +20,10 @@ fractions.Fraction only when a value is genuinely non-integral.
 One reader, ``_fields``, reads every key: it unpacks all 16-bit fields from
 the key's bytes at once, in time linear in the key's length, and exponent
 lists, degrees and the term order are built on it.  Printing reads each
-key once, sorts on those fields and formats from the nonzero ones.  The
-monomial content first ANDs the keys' nonzero-field masks and reads only
-the fields of the variables that every key holds.
+distinct key once per process: ``_ROWS`` keeps its degree, fields and
+text, and the terms sort on them.  The monomial content first ANDs the
+keys' nonzero-field masks and reads only the fields of the variables that
+every key holds.
 Packing a variable above MAX_PACKED_VAR, where a key would pass 8 MiB,
 raises ExponentOverflowError as well, and so does a shift that would move a
 variable of a key or an atom there.
@@ -104,6 +105,8 @@ from itertools import compress
 from math import comb, gcd, lcm
 from operator import itemgetter, or_
 from typing import Iterable, Mapping, Optional, Union
+
+from .combinat import _Memo
 
 __all__ = [
     "Monomial",
@@ -956,16 +959,44 @@ def _coeff_str(c: Coeff) -> str:
     return _int_str(int(c))
 
 
-def _sorted_terms(d: dict) -> list[tuple[int, tuple[int, ...], Coeff]]:
-    """(degree, fields, coeff) of each term of d in canonical order, each
-    key's fields read once.
+# Each printed key's row (degree, fields, text): its place in the term
+# order, then its monomial's text, built once per process.  An entry's size
+# is about the bytes it pins: _ROW_BYTES for its objects, its text, 10 per
+# field (8 in the fields tuple, 2 in the key) and 28 per exponent above
+# 256, which is an int object of its own.  An entry above _ROW_MOST, a key
+# past x6500 or so, is never kept, so that no one monomial takes the memo.
+# The 1,751 keys of the benchmark's roundtrip set fill 501 kB of it.
+_ROW_BYTES = 224
+_ROWS = _Memo(1 << 20)
+_ROW_MOST = _ROWS.budget >> 4
+
+
+def _row(key: int) -> tuple[int, tuple[int, ...], str]:
+    """The row of ``key``, stored in ``_ROWS`` if it fits."""
+    fields = _fields(key)
+    row = (sum(fields), fields, _mono_str(fields))
+    size = _ROW_BYTES + len(row[2]) + 10 * len(fields)
+    if size <= _ROW_MOST:  # only a key short enough to keep is read again
+        size += 28 * sum(e > 256 for e in fields)
+    if size <= _ROW_MOST:
+        _ROWS.put(key, row, size)
+    return row
+
+
+def _sorted_terms(d: dict) -> list[tuple[tuple, Coeff]]:
+    """(row, coeff) of each term of d in canonical order, each key's row
+    read from ``_ROWS`` or built once.
 
     Sorting by (degree, fields) descending is ``_term_order`` ascending: at
     equal degree no field tuple is a prefix of another, since a key's last
-    field is nonzero, so the tuples first differ at a shared position.
+    field is nonzero, so the tuples first differ at a shared position and
+    the texts are never compared.  The sort compares rows alone: a row
+    nested in a (row, coeff) pair would walk two long field tuples once
+    more to find that the rows differ.
     """
-    return sorted([(sum(f := _fields(k)), f, c) for k, c in d.items()],
-                  reverse=True)
+    get = _ROWS.get
+    return sorted([(get(k) or _row(k), c) for k, c in d.items()],
+                  key=itemgetter(0), reverse=True)
 
 
 def _leading_coeff(d: dict) -> Coeff:
@@ -979,8 +1010,7 @@ def _poly_str(terms: list, negate: bool = False) -> str:
     if not terms:
         return "0"
     pieces = []
-    for _, fields, c in terms:
-        mono = _mono_str(fields)
+    for (_, _, mono), c in terms:
         ac = abs(c)
         if not mono:
             body = _coeff_str(ac)
@@ -1354,11 +1384,15 @@ def rf_to_canonical_string(a: RatFunc) -> str:
     """Deterministic rendering, e.g. ``(x2x3+x3^2)/(x1^2+x1x2)``: the pair
     of ``RatFunc._expand``, whose sign the den's sorted terms give.  A side
     that may multiply out to more than ``MAX_SPEC_BITS`` bits raises
-    ``SizeBoundError`` before it is expanded (``_check_size``)."""
+    ``SizeBoundError`` before it is expanded (``_check_size``).  A factored
+    value whose expansion has an exponent above 65535, such as
+    ``parse_ratfunc("x1^65535*x1")``, raises ``ExponentOverflowError``:
+    no packed key holds it.  Each key's text is built once
+    (``_sorted_terms``)."""
     num, den = _as_rf(a)._expand_up_to_sign(bounded=True)
     den_terms = _sorted_terms(den)
-    negate = den_terms[0][2] < 0
+    negate = den_terms[0][1] < 0
     text = _poly_str(_sorted_terms(num), negate)
-    if den_terms == [(0, (), -1 if negate else 1)]:
+    if den == {0: -1 if negate else 1}:
         return text
     return f"({text})/({_poly_str(den_terms, negate)})"

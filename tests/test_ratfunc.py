@@ -347,6 +347,8 @@ class TestParser:
     def test_product_exponent_overflow(self):
         with pytest.raises(ExponentOverflowError):
             rf_equal(parse_ratfunc("x1^65535*x1"), parse_ratfunc("x2"))
+        with pytest.raises(ExponentOverflowError):  # x1^65536, kept factored
+            rf_to_canonical_string(parse_ratfunc("x1^65535*x1"))
         with pytest.raises(ParseError):
             parse_ratfunc("x1^65535*x1 - x2")
         value = parse_ratfunc("x1^65535*x2")
@@ -445,6 +447,8 @@ PARSE_EDGE_ERRORS = [
     "2^3^2", "x1^2^3", "x0", "x1^65536", "9" * 5000,
     (MAX_NESTING + 1) * "(" + "x1" + (MAX_NESTING + 1) * ")",
     "x1 $ x2", "x1^x2", "x1^-2", "2x1 ^", "(x1+x2)^x3",
+    # digits are ASCII only: int() reads these Arabic-Indic ones as 1, 3, 2
+    "x\u0661", "\u0663x1", "x1^\u0662",
 ]
 
 
@@ -461,6 +465,16 @@ class TestParserEdges:
         assert main(["specialize", "--map", "q", "--expr", text]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ")
+
+    @pytest.mark.parametrize("text, message", [
+        ("x\u0661", "bad character at position 0"),
+        ("\u0663x1", "bad character at position 0"),
+        ("x1^\u0662", "expected integer exponent at position 2"),
+        ("x1\u00a0+x2", "bad character at position 2"),  # no-break space
+    ])
+    def test_non_ascii_digits_and_spaces(self, text, message):
+        with pytest.raises(ParseError, match=message):
+            parse_ratfunc(text)
 
 
 _GAP = st.sampled_from(["", "", " ", "  "])

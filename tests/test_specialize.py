@@ -251,6 +251,60 @@ class TestSpecQT:
                 assert spec_q(value) == plain_q, p
 
 
+def _in_n_t(value: UniRatFunc) -> dict:
+    """The coefficients of ``value``, asserted to make a polynomial in t
+    with positive integer coefficients."""
+    coeffs = value.num.coeffs
+    assert value.is_polynomial(), value
+    assert all(isinstance(c, int) and c > 0 for c in coeffs.values()), value
+    return coeffs
+
+
+class TestQtPositivity:
+    """Observations, not a proven statement: under x_i -> t^{q^{i-1}} -
+    t^{q^i} the weights wt(w) and the hook products H(P) have landed in
+    N[t] on every case swept.  The coefficients of wt(w)'s image sum to
+    q^inv(w), since each form's image vanishes to first order at t = 1."""
+
+    @staticmethod
+    def _weights(ns, q):
+        for n in ns:
+            for w in permutations(range(1, n + 1)):
+                coeffs = _in_n_t(spec_qt(wt_perm_recursive(w), q))
+                assert sum(coeffs.values()) == q ** inv(w), w
+
+    @staticmethod
+    def _hooks(ns, q):
+        for n in ns:
+            for p in enumerate_rl_forests(n):
+                _in_n_t(spec_qt(H_of_forest(p), q))
+
+    def test_small_example(self):
+        # wt(321) at q = 2; UniPoly prints t as q
+        assert spec_qt(wt_perm_recursive((3, 2, 1)), 2).num.to_string() == \
+            "q^10+q^9+q^8+2q^7+q^6+q^5+q^4"
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_weights_up_to_6(self, q):
+        self._weights(range(7), q)
+
+    def test_hooks_up_to_5(self):
+        self._hooks(range(6), 2)
+
+    @pytest.mark.slow
+    def test_weights_7(self):
+        self._weights([7], 2)
+
+    @pytest.mark.slow
+    def test_weights_up_to_6_at_q_5(self):
+        self._weights(range(7), 5)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_hooks_up_to_6(self, q):
+        self._hooks(range(7), q)
+
+
 class TestSizeBound:
     def test_oversized_power_under_every_map(self):
         f = parse_ratfunc("x1^65535*x2")
