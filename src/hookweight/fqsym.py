@@ -191,36 +191,13 @@ def fqsym_mul(x: FQSymElem, y: FQSymElem) -> FQSymElem:
         for b, patterns, cb in right:
             ab = a + b
             words = [get(ab) for get in patterns]
-            terms = zip(words, repeat(ca * cb))
-            # the shuffles of one pair are distinct words; a word already
-            # in out comes from a pair of other lengths and may cancel
-            if out.keys().isdisjoint(words):
-                out.update(terms)
-            else:
-                _dp_acc(out, terms)
+            _dp_acc(out, zip(words, repeat(ca * cb)))
     return FQSymElem._raw(out)
 
 
 def f_of_poset(p: ForestPoset | DualForestPoset) -> FQSymElem:
     """Sum of F_w over the linear extensions of p."""
     return FQSymElem._raw(dict.fromkeys(map(tuple, _extension_words(p)), 1))
-
-
-# The extension words of each forest that a morphism check has multiplied,
-# keyed by kind, n and cover, so a sweep lists each factor once; 2^12 words
-# hold every factor of `verify --suite pbt` at its default --nmax (3,953).
-_FOREST_WORDS = _Memo(1 << 12)
-
-
-def _forest_element(p: ForestPoset | DualForestPoset) -> FQSymElem:
-    """``f_of_poset(p)``, listed once per forest while the cache has room.
-    The terms are shared with the cache: the caller must not change them."""
-    key = (type(p), p.n, p.cover)
-    terms = _FOREST_WORDS.get(key)
-    if terms is None:
-        terms = f_of_poset(p).terms
-        _FOREST_WORDS.put(key, terms, len(terms))
-    return FQSymElem._raw(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -261,10 +238,10 @@ def _morphism_holds(p, q, image) -> bool:
     """Whether the map with coefficient image(r) on F_r is multiplicative on
     F_p * F_q: the product law F_p * F_q = F_{p + q} must hold for the
     shifted union p + q, and then image(p + q) = image(p) * F^|p|(image(q)),
-    the twisted product of the two u-coefficients.  The union's extensions
-    are listed on every call; those of p and q come from ``_FOREST_WORDS``."""
+    the twisted product of the two u-coefficients.  The extensions of p, q
+    and the union are listed on every call."""
     union = concat_forests(p, q)
-    if fqsym_mul(_forest_element(p), _forest_element(q)) != f_of_poset(union):
+    if fqsym_mul(f_of_poset(p), f_of_poset(q)) != f_of_poset(union):
         return False
     return image(union) == image(p) * image(q).frobenius(p.n)
 

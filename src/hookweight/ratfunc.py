@@ -64,16 +64,16 @@ case, for the folds whose partial sums cancel.
 The expanded numerator and denominator exist only for printing and for the
 ``num``/``den`` properties.  Multiplied out, they have no joint content and
 no common monomial to remove (``RatFunc._expand``), so only the sign is
-fixed.  They are built on each request and never stored,
-so a value never changes once made and cached values are handed out as they
-are.  Printing bounds a side before it is multiplied out, and so do the
-specializations every product of theirs, by one rule, ``_check_size``: the
+fixed.  They are built on each request and never stored, so a value never
+changes once made and cached values are handed out as they are.  Each side
+is bounded before it is multiplied out, and so is every product of the
+specializations, by one rule, ``_check_size``: the
 product's terms, at most the product of its factors' term counts and at
 most the monomials its degrees allow, times the bits of a coefficient and
 of a term's packed exponents, above ``MAX_SPEC_BITS`` raise
 ``SizeBoundError``, and so does a coefficient with more digits than Python
 prints.  Each factor is sized from what it is: a bracket atom from its
-fields, without packing its dict.  ``num`` and ``den`` are not bounded.
+fields, without packing its dict.
 
 Sparse maps
 -----------
@@ -349,15 +349,6 @@ def _mono_unpack(key: int) -> tuple[tuple[int, int], ...]:
 
 def _mono_degree(key: int) -> int:
     return sum(_fields(key))
-
-
-def _term_order(key: int) -> tuple[int, list[int]]:
-    """Canonical order: total degree descending, then the exponents of x1,
-    x2, ... descending.  At equal degree this sorts the variable sequences
-    with multiplicity (x1*x3^2 -> 1, 3, 3) ascending: where two keys first
-    differ, the larger exponent puts the smaller variable first."""
-    fields = _fields(key)
-    return -sum(fields), [-e for e in fields]
 
 
 # ---------------------------------------------------------------------------
@@ -757,8 +748,11 @@ class Monomial:
         return hash(self._key)
 
     def __lt__(self, other: "Monomial") -> bool:
-        """Canonical term order: see rf_to_canonical_string."""
-        return _term_order(self._key) < _term_order(other._key)
+        """Canonical term order, the printer's: the larger row comes first
+        (``_sorted_terms``)."""
+        get = _ROWS.get
+        return ((get(self._key) or _row(self._key))
+                > (get(other._key) or _row(other._key)))
 
     def __str__(self) -> str:
         return _mono_str(_fields(self._key)) or "1"
@@ -987,21 +981,19 @@ def _sorted_terms(d: dict) -> list[tuple[tuple, Coeff]]:
     """(row, coeff) of each term of d in canonical order, each key's row
     read from ``_ROWS`` or built once.
 
-    Sorting by (degree, fields) descending is ``_term_order`` ascending: at
-    equal degree no field tuple is a prefix of another, since a key's last
-    field is nonzero, so the tuples first differ at a shared position and
-    the texts are never compared.  The sort compares rows alone: a row
-    nested in a (row, coeff) pair would walk two long field tuples once
-    more to find that the rows differ.
+    The canonical order is (degree, fields) descending: total degree, then
+    the exponents of x1, x2, ... descending.  At equal degree this sorts
+    the variable sequences with multiplicity (x1*x3^2 -> 1, 3, 3)
+    ascending: where two keys first differ, the larger exponent puts the
+    smaller variable first.  No field tuple of a degree is a prefix of
+    another, since a key's last field is nonzero, so the tuples first
+    differ at a shared position and the texts are never compared.  The
+    sort compares rows alone: a row nested in a (row, coeff) pair would
+    walk two long field tuples once more to find that the rows differ.
     """
     get = _ROWS.get
     return sorted([(get(k) or _row(k), c) for k, c in d.items()],
                   key=itemgetter(0), reverse=True)
-
-
-def _leading_coeff(d: dict) -> Coeff:
-    """The coefficient of d's first term in canonical order, in one pass."""
-    return max((sum(f := _fields(k)), f, c) for k, c in d.items())[2]
 
 
 def _poly_str(terms: list, negate: bool = False) -> str:
@@ -1179,13 +1171,13 @@ class RatFunc:
         ``_num``, all atoms but the variables are primitive and monomial-free
         (Gauss), each atom is on one side, and ``_c`` is a reduced Fraction."""
         num, den = self._expand_up_to_sign()
-        if _leading_coeff(den) < 0:
+        if _sorted_terms(den)[0][1] < 0:
             return _dp_neg(num), _dp_neg(den)
         return num, den
 
-    def _expand_up_to_sign(self, bounded: bool = False) -> tuple[dict, dict]:
-        """``_expand``'s pair up to a joint sign.  If ``bounded``, each side
-        is size-checked before it is multiplied out (``_check_size``)."""
+    def _expand_up_to_sign(self) -> tuple[dict, dict]:
+        """``_expand``'s pair up to a joint sign.  Each side is size-checked
+        before it is multiplied out (``_check_size``)."""
         if self._c == 0:
             return {}, dict(_DP_ONE)
         c, num, fac = self._c, self._num, self._fac
@@ -1195,12 +1187,10 @@ class RatFunc:
             if fac.get(atom, 0) < 0:
                 num, fac = _DP_ONE, dict(fac)
                 fac[atom] += 1
-        if bounded:
-            _check_size([(_dict_size(num), 1)] + [
-                (_atom_size(a), e) for a, e in fac.items() if e > 0],
-                c.numerator)
-            _check_size([(_atom_size(a), -e) for a, e in fac.items() if e < 0],
-                        c.denominator)
+        _check_size([(_dict_size(num), 1)] + [
+            (_atom_size(a), e) for a, e in fac.items() if e > 0], c.numerator)
+        _check_size([(_atom_size(a), -e) for a, e in fac.items() if e < 0],
+                    c.denominator)
         return (_times_atoms(_dp_scale(num, c.numerator), fac),
                 _times_atoms({0: c.denominator}, {}, fac))
 
@@ -1389,7 +1379,7 @@ def rf_to_canonical_string(a: RatFunc) -> str:
     ``parse_ratfunc("x1^65535*x1")``, raises ``ExponentOverflowError``:
     no packed key holds it.  Each key's text is built once
     (``_sorted_terms``)."""
-    num, den = _as_rf(a)._expand_up_to_sign(bounded=True)
+    num, den = _as_rf(a)._expand_up_to_sign()
     den_terms = _sorted_terms(den)
     negate = den_terms[0][1] < 0
     text = _poly_str(_sorted_terms(num), negate)

@@ -36,7 +36,6 @@ from hookweight.ratfunc import (
     _mono_degree,
     _mono_pack,
     _mono_unpack,
-    _term_order,
 )
 from hookweight.specialize import UniPoly, UniRatFunc, _int_gcd_dense
 
@@ -129,8 +128,10 @@ class TestPackedMonomials:
         keys = {_mono_pack(m) for m in monos}
         for a in keys:
             for b in keys:
-                assert (_term_order(a) < _term_order(b)) == \
+                assert (Monomial._from_key(a) < Monomial._from_key(b)) == \
                     (varseq_order(a) < varseq_order(b)), (a, b)
+        p = Polynomial._from_dict(dict.fromkeys(keys, 1))
+        assert ("+".join(map(str, sorted(p.terms))) or "0") == str(p)
 
     @given(st.lists(st.lists(monomials, min_size=1, max_size=5),
                     min_size=1, max_size=3))

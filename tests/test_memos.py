@@ -4,20 +4,19 @@ A memo that stores nothing changes no answer, and each budget holds what
 its comment says it holds.
 """
 
+import sys
 from itertools import permutations
 
 import pytest
 
 from hookweight import cli, fqsym, parsing, ratfunc, weights
 from hookweight.combinat import (
-    ForestPoset,
     _Memo,
     enumerate_dual_forests,
     enumerate_rl_forests,
 )
 from hookweight.fqsym import (
     FQSymElem,
-    check_pbt_morphism,
     dual_forest_prereqs,
     fqsym_mul,
     gamma_extension_sum,
@@ -31,12 +30,6 @@ from hookweight.weights import H_of_forest, L_of_forest, wt_perm_recursive
 def _perm_weights():
     return [rf_to_canonical_string(wt_perm_recursive(w))
             for n in range(7) for w in permutations(range(1, n + 1))]
-
-
-def _pbt_checks():
-    forests = [p for n in range(5) for p in enumerate_rl_forests(n)]
-    return [check_pbt_morphism(p, q)
-            for p in forests for q in forests if p.n + q.n <= 5]
 
 
 def _shuffle_products():
@@ -79,7 +72,6 @@ def _round_trips():
 
 
 MEMOS = [(weights, "_WT_MEMO", _perm_weights),
-         (fqsym, "_FOREST_WORDS", _pbt_checks),
          (fqsym, "_PATTERNS", _shuffle_products),
          (fqsym, "_GAMMA_MEMO", _gamma_sums),
          (ratfunc, "_ROWS", _round_trips),
@@ -101,6 +93,16 @@ def test_a_memo_that_stores_nothing_changes_no_answer(
     assert answers[0] == answers[1]
 
 
+def test_every_module_memo_is_checked():
+    # a memo added later gets the check above once it is listed in MEMOS;
+    # the package's __init__ loads every module, as fresh_memos relies on
+    found = {(name, attr) for name, module in list(sys.modules.items())
+             if name.startswith("hookweight.")
+             for attr, value in vars(module).items()
+             if isinstance(value, _Memo)}
+    assert found == {(module.__name__, name) for module, name, _ in MEMOS}
+
+
 def test_memo_never_replaces_an_entry():
     memo = _Memo(5)
     memo.put("a", 1, size=3)
@@ -115,11 +117,6 @@ def test_budgets_hold_every_factor_of_the_default_pbt_sweep(fresh_memos,
     default, _largest = cli._SUITE_NMAX["pbt"]
     cases = [payload for _label, payload in cli._suite_cases("pbt", default)]
     assert all(cli._run_case(payload) for payload in cases)
-    factors = {(ForestPoset, n, cover) for _kind, *sides in cases[:-1]
-               for n, cover in (sides[:2], sides[2:])}
-    words = fqsym._FOREST_WORDS
-    assert set(words) == factors and len(factors) == 344
-    assert sum(map(len, words.values())) == 3953 <= words.budget
     # the sweep's products have at most 6 letters; all the shapes of at
     # most 10 letters fill 18,435 of the 2^15 pattern letters
     assert len(fqsym._PATTERNS) == 15

@@ -8,6 +8,7 @@ random factor lists must get the same verdict from the one rule.
 
 import gc
 import random
+import signal
 import tracemalloc
 from math import comb
 
@@ -15,7 +16,8 @@ import pytest
 
 from hookweight import ratfunc
 from hookweight.combinat import ForestPoset
-from hookweight.parsing import parse_ratfunc
+from hookweight.parsing import parse_polynomial, parse_ratfunc
+from hookweight.qanalog import bracket_factorial
 from hookweight.ratfunc import (
     MAX_SPEC_BITS,
     SizeBoundError,
@@ -214,16 +216,48 @@ def test_bracket_atoms_are_sized_as_their_dicts():
 # ---------------------------------------------------------------------------
 
 
+def _long_chain_L():
+    n = 300
+    return L_of_forest(ForestPoset.from_covers(
+        n, [[i, i + 1] for i in range(1, n)]))
+
+
 def test_refusing_a_long_chain_packs_no_atom():
     # L of this chain holds 299 bracket forms; the refusal sizes them from
     # their fields
-    n = 300
-    value = L_of_forest(ForestPoset.from_covers(
-        n, [[i, i + 1] for i in range(1, n)]))
+    value = _long_chain_L()
     misses = _named_atom_dict.cache_info().misses
     with pytest.raises(SizeBoundError, match="bits of coefficients"):
         rf_to_canonical_string(value)
     assert _named_atom_dict.cache_info().misses == misses
+
+
+class _Timeout(Exception):
+    pass
+
+
+@pytest.mark.parametrize("expand", [
+    lambda: _long_chain_L().num,
+    lambda: _long_chain_L().den,
+    lambda: bracket_factorial(12),
+    lambda: parse_polynomial("(x1+x2+x3+x4+x5+x6+x7+x8)^40"),
+], ids=["num", "den", "bracket_factorial", "parse_polynomial"])
+def test_every_expansion_is_bounded_like_printing(expand):
+    # unsized, the chain's num and the others multiply out for far longer
+    # than the alarm; sized first, each is refused in about a millisecond
+    def alarm(_signum, _frame):
+        raise _Timeout
+
+    previous = signal.signal(signal.SIGALRM, alarm)
+    signal.alarm(5)
+    try:
+        with pytest.raises(SizeBoundError, match="bits of coefficients"):
+            expand()
+    except _Timeout:
+        pytest.fail("the expansion ran for more than 5 s")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_no_key_mask_outlives_a_product_in_large_variables():

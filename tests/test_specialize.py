@@ -292,8 +292,9 @@ class TestQtPositivity:
         self._hooks(range(6), 2)
 
     @pytest.mark.slow
-    def test_weights_7(self):
-        self._weights([7], 2)
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_weights_7(self, q):
+        self._weights([7], q)
 
     @pytest.mark.slow
     def test_weights_up_to_6_at_q_5(self):
