@@ -217,6 +217,8 @@ def cmd_specialize(args) -> int:
             raise InputError("--map qt requires --qval")
         if args.qval < 2:
             raise InputError(f"--qval must be an integer >= 2, got {args.qval}")
+    elif args.qval is not None:
+        raise InputError("--qval applies only to --map qt")
     if args.expr is not None:
         try:
             value = parse_ratfunc(args.expr)

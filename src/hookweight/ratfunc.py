@@ -64,8 +64,10 @@ case, for the folds whose partial sums cancel.
 The expanded numerator and denominator exist only for printing and for the
 ``num``/``den`` properties.  Multiplied out, they have no joint content and
 no common monomial to remove (``RatFunc._expand``), so only the sign is
-fixed.  They are built on each request and never stored, so a value never
-changes once made and cached values are handed out as they are.  Each side
+fixed.  They are built on each request, so a value never changes once
+made and cached values are handed out as they are; only the product of
+each side's atom powers is kept, in ``_PRODUCTS``, and the constant and
+num are multiplied into a new dict.  Each side
 is bounded before it is multiplied out, and so is every product of the
 specializations, by one rule, ``_check_size``: the
 product's terms, at most the product of its factors' term counts and at
@@ -1041,6 +1043,48 @@ def _times_atoms(d: dict, fac: dict, base: dict = {}) -> dict:
     return d
 
 
+# The product of each distinct side of atom powers that printing multiplies
+# out, keyed by the frozenset of its (atom, exponent) pairs, so that each is
+# multiplied out once per process.  A side with a P atom is multiplied out
+# each time: its key would pin the atom's terms as well, and storing such
+# sides too saved no time on the benchmark's roundtrip set, where they take
+# the room of other products.  An entry's size is about the bytes it
+# pins: _PRODUCT_BYTES for its dict and its key's set, _PAIR_BYTES per pair
+# of the key, and _TERM_BYTES per term plus the bytes of its packed key and
+# its coefficient.  An entry above _PRODUCT_MOST is never kept, so that no
+# one product takes the memo.  One pass of the benchmark's roundtrip set
+# fills it with about 270 of the 434 products that it may keep there.
+_PRODUCT_BYTES = 320
+_PAIR_BYTES = 120
+_TERM_BYTES = 64
+_PRODUCTS = _Memo(1 << 19)
+_PRODUCT_MOST = _PRODUCTS.budget >> 4
+
+
+def _atom_product(side: list) -> dict:
+    """prod a^e over the (atom, e) pairs of ``side``, e > 0, read from
+    ``_PRODUCTS`` or multiplied out and stored there if it fits; a lone
+    atom to the first power is its cached dict.  The caller never changes
+    the dict it gets."""
+    if not side:
+        return _DP_ONE
+    if len(side) == 1 and side[0][1] == 1:
+        return _atom_dict(side[0][0])
+    if any(a[0] == "P" for a, _ in side):
+        return _times_atoms(_DP_ONE, dict(side))
+    key = frozenset(side)
+    d = _PRODUCTS.get(key)
+    if d is None:
+        d = _times_atoms(_DP_ONE, dict(side))
+        size = _PRODUCT_BYTES + _PAIR_BYTES * len(side) + _TERM_BYTES * len(d)
+        if size <= min(_PRODUCTS.room, _PRODUCT_MOST):  # else it cannot fit
+            top = max(map(abs, d.values()))
+            size += len(d) * ((max(d).bit_length() + top.bit_length()) // 8)
+            if size <= _PRODUCT_MOST:
+                _PRODUCTS.put(key, d, size)
+    return d
+
+
 def _raw(c: Fraction, num: dict, fac: dict) -> "RatFunc":
     """A RatFunc from fields that are already normalized."""
     rf = object.__new__(RatFunc)
@@ -1069,7 +1113,9 @@ class RatFunc:
     A value is immutable: no method changes its fields or their dicts, so
     values may share dicts and a cached value is handed out as it is.  The
     public ``num``/``den`` are the expanded, normalized pair; like the
-    printed form they are built on each request and never stored.
+    printed form they are built on each request, from the product of each
+    side's atom powers, which ``_PRODUCTS`` keeps, times the constant and
+    num in a new dict.
     """
 
     __slots__ = ("_c", "_num", "_fac")
@@ -1187,12 +1233,18 @@ class RatFunc:
             if fac.get(atom, 0) < 0:
                 num, fac = _DP_ONE, dict(fac)
                 fac[atom] += 1
-        _check_size([(_dict_size(num), 1)] + [
-            (_atom_size(a), e) for a, e in fac.items() if e > 0], c.numerator)
-        _check_size([(_atom_size(a), -e) for a, e in fac.items() if e < 0],
-                    c.denominator)
-        return (_times_atoms(_dp_scale(num, c.numerator), fac),
-                _times_atoms({0: c.denominator}, {}, fac))
+        top = [(a, e) for a, e in fac.items() if e > 0]
+        bottom = [(a, -e) for a, e in fac.items() if e < 0]
+        _check_size([(_dict_size(num), 1)]
+                    + [(_atom_size(a), e) for a, e in top], c.numerator)
+        _check_size([(_atom_size(a), e) for a, e in bottom], c.denominator)
+        # each product may be stored: c and num go into new dicts
+        up, down = _atom_product(top), _atom_product(bottom)
+        if num != _DP_ONE:
+            up = _dp_mul(_dp_scale(num, c.numerator), up)
+        else:
+            up = _dp_scale(up, c.numerator)
+        return up, _dp_scale(down, c.denominator)
 
     @property
     def num(self) -> Polynomial:

@@ -14,7 +14,10 @@ compare the two on the same inputs:
   P-partition series that ``ppartition_series`` enumerates;
 - ``shuffles_by_insert`` and ``fqsym_mul_by_insert`` build each shuffle by
   inserting the left word's letters one at a time, where ``shuffles`` and
-  ``fqsym_mul`` apply precomputed position patterns.
+  ``fqsym_mul`` apply precomputed position patterns;
+- ``tokenize_whole`` runs the token regular expression over the whole
+  text, where ``parsing._tokenize`` runs it once per distinct chunk
+  between two operators.
 """
 
 from dataclasses import dataclass
@@ -22,6 +25,8 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from hookweight.combinat import SubsetK, dual_forest_stats, linear_extensions
+from hookweight.parsing import (_FIRST_ATOM, _TOKEN, ParseError, _exponent,
+                                _monomial)
 from hookweight.qanalog import _factorial_atoms, _shift_ratio
 from hookweight.ratfunc import Polynomial, RatFunc, _mono_degree, _mono_pack
 from hookweight.weights import _require_recursively_labelled, wt_perm_tree
@@ -167,3 +172,36 @@ def fqsym_mul_by_insert(x: dict, y: dict) -> dict:
             for w in shuffles_by_insert(a, [v + len(a) for v in b]):
                 out[w] = out.get(w, 0) + ca * cb
     return {w: c for w, c in out.items() if c}
+
+
+def tokenize_whole(text: str) -> list:
+    """The tokens of ``text``, then None for the end of input: a monomial
+    (coeff, cell), "^" followed by its exponent, or an operator.
+    After / and its signs the first atom of a monomial is a token of its
+    own, so that 1/2x1 is x1/2 as juxtaposition binds."""
+    tokens: list = []
+    divisor = False  # the next monomial follows / and its signs
+    for m in _TOKEN.finditer(text):
+        kind = m.lastindex  # the one group that matched
+        if kind == 1:
+            mono = m[1]
+            cut = _FIRST_ATOM.match(mono).end() if divisor else len(mono)
+            tokens.append(_monomial(mono[:cut]))
+            if cut < len(mono):
+                tokens.append(_monomial(mono[cut:]))
+            divisor = False
+        elif kind == 2:
+            if not m[2]:
+                raise ParseError(f"expected integer exponent at position "
+                                 f"{m.start()}: {text[m.start():]!r}")
+            tokens += ("^", _exponent(m[2]))
+            divisor = False
+        elif kind == 3:
+            op = m[3]
+            tokens.append(op)
+            divisor = op == "/" or divisor and op in "+-"
+        else:
+            pos = m.start()
+            raise ParseError(f"bad character at position {pos}: {text[pos:]!r}")
+    tokens.append(None)
+    return tokens

@@ -180,6 +180,12 @@ class TestSpecialize:
         code, _, err = run(capsys, "specialize", "--map", "qt", "--expr", "x1")
         assert code == 2
 
+    def test_qval_with_map_q_is_input_error(self, capsys):
+        code, out, err = run(capsys, "specialize", "--map", "q",
+                             "--qval", "1", "--expr", "x1")
+        assert code == 2 and out == ""
+        assert "error: --qval applies only to --map qt" in err
+
     def test_exponent_guard_exit_code(self, capsys):
         code, _, err = run(capsys, "specialize", "--map", "qt",
                            "--qval", "2", "--expr", "x30")

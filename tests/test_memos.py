@@ -5,6 +5,7 @@ its comment says it holds.
 """
 
 import sys
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -23,7 +24,8 @@ from hookweight.fqsym import (
     shuffles,
 )
 from hookweight.parsing import ParseError, parse_ratfunc
-from hookweight.ratfunc import _mono_pack, rf_to_canonical_string
+from hookweight.ratfunc import (_DP_ONE, SizeBoundError, _mono_pack,
+                                _times_atoms, rf_to_canonical_string)
 from hookweight.weights import H_of_forest, L_of_forest, wt_perm_recursive
 
 
@@ -75,7 +77,9 @@ MEMOS = [(weights, "_WT_MEMO", _perm_weights),
          (fqsym, "_PATTERNS", _shuffle_products),
          (fqsym, "_GAMMA_MEMO", _gamma_sums),
          (ratfunc, "_ROWS", _round_trips),
-         (parsing, "_MONOS", _round_trips)]
+         (ratfunc, "_PRODUCTS", _round_trips),
+         (parsing, "_MONOS", _round_trips),
+         (parsing, "_CHUNKS", _round_trips)]
 
 
 @pytest.mark.parametrize("module, name, run", MEMOS,
@@ -85,6 +89,8 @@ def test_a_memo_that_stores_nothing_changes_no_answer(
     budget = getattr(module, name).budget
     answers = []
     for room in (0, budget):
+        # every other memo cold too: a warm _CHUNKS never reads _MONOS
+        fresh_memos()
         monkeypatch.setattr(module, name, _Memo(room))
         answers.append(run())
         memo = getattr(module, name)
@@ -215,3 +221,35 @@ def test_a_key_from_the_memo_counts_its_bits(fresh_memos):
     value = parse_ratfunc("+".join(["x30000"] * 279))
     assert (value._c, value._num, value._fac) == (279, {0: 1},
                                                   {("F", 29999, 1): 1})
+
+
+def test_a_refusal_does_not_depend_on_the_stored_products(fresh_memos):
+    # the atom side (x1+x2)^18 (x3+x4)^18 has 361 terms and fits in
+    # _PRODUCTS; times a numerator of 1,000 terms in x5..x1004 it is refused
+    side = "(x1+x2)^18*(x3+x4)^18"
+    wide = "+".join(f"{i}x{i + 4}" for i in range(1, 1001))
+    refused = parse_ratfunc(f"({wide})*{side}")
+    with pytest.raises(SizeBoundError, match="bits of coefficients"):
+        rf_to_canonical_string(refused)
+    assert len(ratfunc._PRODUCTS) == 0
+    smaller = parse_ratfunc(side)
+    rf_to_canonical_string(smaller)
+    assert list(ratfunc._PRODUCTS) == [frozenset(smaller._fac.items())]
+    with pytest.raises(SizeBoundError, match="bits of coefficients"):
+        rf_to_canonical_string(refused)
+
+
+def test_printing_never_changes_a_stored_product(fresh_memos):
+    # c = 3/2 and a numerator that no atom holds are multiplied into new
+    # dicts, never into the stored products of the two sides
+    value = parse_ratfunc("3(x1+x5^2)(x1+x2)^2(x2+x3)/(2(x1+x2+x3)^2x4)")
+    assert value._c == Fraction(3, 2) and value._num != _DP_ONE
+    printed = rf_to_canonical_string(value)
+    assert len(ratfunc._PRODUCTS) == 2
+    for side, product in ratfunc._PRODUCTS.items():
+        assert product == _times_atoms(_DP_ONE, dict(side))
+    assert rf_to_canonical_string(value) == printed
+    assert printed == (
+        "(3x1^2x2x5^2+3x1^2x3x5^2+6x1x2^2x5^2+6x1x2x3x5^2+3x2^3x5^2"
+        "+3x2^2x3x5^2+3x1^3x2+3x1^3x3+6x1^2x2^2+6x1^2x2x3+3x1x2^3"
+        "+3x1x2^2x3)/(2x1^2x4+4x1x2x4+4x1x3x4+2x2^2x4+4x2x3x4+2x3^2x4)")

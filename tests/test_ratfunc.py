@@ -7,10 +7,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from helpers import run_python
+from oracles import tokenize_whole
 from hookweight.cli import main
 from hookweight.combinat import enumerate_rl_forests
-from hookweight.parsing import (MAX_NESTING, ParseError, parse_polynomial,
-                                parse_ratfunc)
+from hookweight.parsing import (MAX_NESTING, ParseError, _tokenize,
+                                parse_polynomial, parse_ratfunc)
 from hookweight.qanalog import bracket, bracket_factorial
 from hookweight.ratfunc import (
     MAX_PACKED_VAR,
@@ -475,6 +476,49 @@ class TestParserEdges:
     def test_non_ascii_digits_and_spaces(self, text, message):
         with pytest.raises(ParseError, match=message):
             parse_ratfunc(text)
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except ParseError as exc:
+        return str(exc)
+
+
+class TestTokenizer:
+    # _tokenize reads each chunk between two operators once per process;
+    # the whole-text oracle must give the same tokens or the same message,
+    # its position and the rest of the text included
+    def test_chunks_tokenize_as_the_whole_text(self, fresh_memos):
+        rng = random.Random(20261020)
+        alphabet = "0123456789xxxx^^  \u0661@"
+        # half the strings join chunks from a small pool with operators, so
+        # that one chunk recurs after / and elsewhere
+        pool = ["".join(rng.choices(alphabet, k=rng.randrange(5)))
+                for _ in range(40)]
+        for i in range(5000):
+            if i % 2:
+                text = "".join(rng.choice(pool) + "".join(
+                    rng.choices("+-*/()", k=rng.randrange(3)))
+                    for _ in range(rng.randrange(5)))
+            else:
+                text = "".join(rng.choices(alphabet + "+-*/()",
+                                           k=rng.randrange(13)))
+            want = _tokens_or_error(tokenize_whole, text)
+            # the first call reads the chunks, the second the chunk memo
+            assert _tokens_or_error(_tokenize, text) == want, text
+            assert _tokens_or_error(_tokenize, text) == want, text
+
+    @pytest.mark.parametrize("text, message", [
+        ("x2+x1x", "bad character at position 5: 'x'"),
+        ("x1^+x2", "expected integer exponent at position 2: '^+x2'"),
+    ])
+    def test_an_error_counts_from_the_start_of_the_text(self, fresh_memos,
+                                                         text, message):
+        for _ in range(2):
+            with pytest.raises(ParseError) as info:
+                parse_ratfunc(text)
+            assert str(info.value) == message
 
 
 _GAP = st.sampled_from(["", "", " ", "  "])

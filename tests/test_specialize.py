@@ -305,6 +305,11 @@ class TestQtPositivity:
     def test_hooks_up_to_6(self, q):
         self._hooks(range(7), q)
 
+    @pytest.mark.slow
+    def test_hooks_7(self):
+        # the 7,752 recursively labelled forests with n = 7
+        self._hooks([7], 2)
+
 
 class TestSizeBound:
     def test_oversized_power_under_every_map(self):
