@@ -219,6 +219,8 @@ def cmd_specialize(args) -> int:
             raise InputError(f"--qval must be an integer >= 2, got {args.qval}")
     elif args.qval is not None:
         raise InputError("--qval applies only to --map qt")
+    if args.side is not None and args.forest is None:
+        raise InputError("--side applies only to --forest")
     if args.expr is not None:
         try:
             value = parse_ratfunc(args.expr)
@@ -229,7 +231,7 @@ def cmd_specialize(args) -> int:
     elif args.forest is not None:
         p = _require_forest(_load_forest_file(args.forest))
         try:
-            value = H_of_forest(p) if args.side == "H" else L_of_forest(p)
+            value = L_of_forest(p) if args.side == "L" else H_of_forest(p)
         except NotRecursivelyLabelledError as exc:
             raise InputError(str(exc)) from None
     else:
@@ -402,7 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--expr", help="rational function, e.g. '(x2+x3)/(x1)'")
     src.add_argument("--perm", help="specialize the weight of this permutation")
     src.add_argument("--forest", help="specialize L or H of this forest file")
-    sp.add_argument("--side", choices=["L", "H"], default="H")
+    sp.add_argument("--side", choices=["L", "H"], default=None,
+                    help="side of --forest to specialize (default H)")
     sp.set_defaults(func=cmd_specialize)
 
     vf = sub.add_parser("verify", help="run an exhaustive verification suite")

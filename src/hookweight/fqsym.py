@@ -1,7 +1,8 @@
 """Free quasisymmetric functions and the two maps into the twisted algebra.
 
 ``FQSymElem`` is a finite rational combination of basis elements F_w indexed
-by permutations of every size; the product shuffles the left word with the
+by permutations of every size, a ``ratfunc._SparsePoly`` keyed by words with
+the empty word as its unit; the product shuffles the left word with the
 shifted right word, one shuffle per choice of the left word's positions, so
 words of any length multiply.  ``f_of_poset`` sends a labelled forest to the
 sum of F_w over its linear extensions, and products of such elements
@@ -43,8 +44,7 @@ from .combinat import (
     extension_stat_counts,
 )
 from .qanalog import SkewElem, _factorial_atoms
-from .ratfunc import (Polynomial, RatFunc, _dp_acc, _dp_add, _dp_scale,
-                      _mono_pack)
+from .ratfunc import Polynomial, RatFunc, _SparsePoly, _dp_acc, _mono_pack
 from .specialize import (
     UniRatFunc,
     _all_q_var,
@@ -72,59 +72,49 @@ __all__ = [
 ]
 
 
-class FQSymElem:
-    """Finite formal sum of F_w basis elements with rational coefficients."""
+class FQSymElem(_SparsePoly):
+    """Finite formal sum of F_w basis elements with rational coefficients:
+    {permutation tuple: nonzero coefficient}."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
+    _unit = ()
 
-    def __init__(self, terms: Mapping[Sequence[int], int | Fraction] | None = None):
-        items = terms.items() if terms else ()
-        self.terms: dict[tuple[int, ...], int | Fraction] = _dp_acc(
-            {}, ((tuple(Permutation(w)), c) for w, c in items))
+    @staticmethod
+    def _key(w: Sequence[int]) -> tuple[int, ...]:
+        return tuple(Permutation(w))
 
-    @classmethod
-    def _raw(cls, terms: dict[tuple[int, ...], int | Fraction]) -> "FQSymElem":
-        """Wrap ``terms`` unchecked: its keys must be permutation tuples and
-        its coefficients nonzero, as the public constructor leaves them."""
-        elem = object.__new__(cls)
-        elem.terms = terms
-        return elem
+    @staticmethod
+    def _dict_product(x: dict, y: dict) -> dict:
+        """Bilinear shuffle product: F_a F_b = sum over shuffles of a, b+|a|."""
+        out: dict[tuple[int, ...], int | Fraction] = {}
+        shifted: dict[int, list] = {}  # y's words shifted by k, per length k
+        for a, ca in x.items():
+            k = len(a)
+            right = shifted.get(k)
+            if right is None:
+                right = shifted[k] = [
+                    (tuple(v + k for v in b), _shuffle_patterns(k, len(b)), cb)
+                    for b, cb in y.items()]
+            for b, patterns, cb in right:
+                ab = a + b
+                words = [get(ab) for get in patterns]
+                _dp_acc(out, zip(words, repeat(ca * cb)))
+        return out
 
     @classmethod
     def basis(cls, w: Sequence[int]) -> "FQSymElem":
         return cls({tuple(w): 1})
 
-    @classmethod
-    def zero(cls) -> "FQSymElem":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "FQSymElem":
-        return cls({(): 1})
-
-    def __add__(self, other: "FQSymElem") -> "FQSymElem":
-        return FQSymElem._raw(_dp_add(self.terms, other.terms))
-
-    def scale(self, c) -> "FQSymElem":
-        return FQSymElem._raw(_dp_scale(self.terms, c))
-
-    def __mul__(self, other: "FQSymElem") -> "FQSymElem":
-        return fqsym_mul(self, other)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FQSymElem):
-            return NotImplemented
-        # no stored coefficient is 0, and an int equals a Fraction by value
-        return self.terms == other.terms
-
-    __hash__ = None
+    @property
+    def terms(self) -> dict[tuple[int, ...], int | Fraction]:
+        return dict(self._d)
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._d:
             return "0"
         parts = []
-        for w in sorted(self.terms, key=lambda w: (len(w), w)):
-            c = self.terms[w]
+        for w in sorted(self._d, key=lambda w: (len(w), w)):
+            c = self._d[w]
             basis = f"F[{','.join(map(str, w))}]"
             if c == 1:
                 parts.append(basis)
@@ -133,9 +123,6 @@ class FQSymElem:
             else:
                 parts.append(f"{c}*{basis}")
         return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"FQSymElem<{self}>"
 
 
 # The getters of _shuffle_patterns per (len(a), len(b)), made on first use.
@@ -178,26 +165,13 @@ def shuffles(a: Sequence[int], b: Sequence[int]) -> Iterator[tuple[int, ...]]:
 
 
 def fqsym_mul(x: FQSymElem, y: FQSymElem) -> FQSymElem:
-    """Bilinear shuffle product: F_a F_b = sum over shuffles of a and b+|a|."""
-    out: dict[tuple[int, ...], int | Fraction] = {}
-    shifted: dict[int, list] = {}  # y's words shifted by k, per length k
-    for a, ca in x.terms.items():
-        k = len(a)
-        right = shifted.get(k)
-        if right is None:
-            right = shifted[k] = [
-                (tuple(v + k for v in b), _shuffle_patterns(k, len(b)), cb)
-                for b, cb in y.terms.items()]
-        for b, patterns, cb in right:
-            ab = a + b
-            words = [get(ab) for get in patterns]
-            _dp_acc(out, zip(words, repeat(ca * cb)))
-    return FQSymElem._raw(out)
+    """The shuffle product x * y."""
+    return FQSymElem._coerce(x) * FQSymElem._coerce(y)
 
 
 def f_of_poset(p: ForestPoset | DualForestPoset) -> FQSymElem:
     """Sum of F_w over the linear extensions of p."""
-    return FQSymElem._raw(dict.fromkeys(map(tuple, _extension_words(p)), 1))
+    return FQSymElem._from_dict(dict.fromkeys(map(tuple, _extension_words(p)), 1))
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +184,7 @@ def phi_inv(elem: FQSymElem) -> SkewElem:
     The terms of each degree n are added by one ``RatFunc._sum``,
     trial-divided by the atoms of [n]! as ``weights._L_grouped`` is."""
     by_degree: dict[int, list[RatFunc]] = {}
-    for w, c in elem.terms.items():
+    for w, c in elem._d.items():
         term = wt_perm_tree(w)
         by_degree.setdefault(len(w), []).append(term if c == 1 else term * c)
     return SkewElem({
@@ -374,7 +348,7 @@ def phi_maj(elem: FQSymElem) -> SkewElem:
     The words of each degree n are folded over their prefix trie by one
     ``_gamma_weighted_sum``."""
     by_degree: dict[int, dict] = {}
-    for w, c in elem.terms.items():
+    for w, c in elem._d.items():
         by_degree.setdefault(len(w), {})[w] = c
     return SkewElem({n: _gamma_weighted_sum(words)
                      for n, words in by_degree.items()})

@@ -8,7 +8,9 @@ identities about it are checked through ``rf_equal``.
 
 ``SkewElem`` represents finite sums sum_n f_n(x) * u^n in the algebra whose
 multiplication twists the right coefficient by the Frobenius shift:
-f*u^k . g*u^l = (f * F^k(g)) u^{k+l}.  The divided powers
+f*u^k . g*u^l = (f * F^k(g)) u^{k+l}.  It is a ``ratfunc._SparsePoly`` with
+u-degree keys and ``RatFunc`` coefficients, so it has that class's ring
+operations and names only the twisted product.  The divided powers
 u^{(n)} = u^n / [n]! have the multivariate binomials as structure constants.
 """
 
@@ -16,8 +18,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .ratfunc import (Polynomial, RatFunc, _as_rf, _dp_acc, _named_atom_dict,
-                      rf_equal)
+from .ratfunc import (Polynomial, RatFunc, _SparsePoly, _as_rf, _dp_acc,
+                      _exponent_key, _named_atom_dict)
 
 __all__ = [
     "bracket",
@@ -103,56 +105,37 @@ def _proved_binomial(n: int, k: int) -> RatFunc:
 # skew semigroup algebra
 # ---------------------------------------------------------------------------
 
-class SkewElem:
-    """Finite sum of f_n(x) * u^n terms with rational-function coefficients."""
+class SkewElem(_SparsePoly):
+    """Finite sum of f_n(x) * u^n terms with rational-function coefficients:
+    {u-degree: nonzero RatFunc}."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
+    _coeff = staticmethod(_as_rf)
+    _key = staticmethod(_exponent_key)
 
-    def __init__(self, coeffs: dict[int, RatFunc] | None = None):
-        self.coeffs = {}
-        if coeffs:
-            for n, f in coeffs.items():
-                if n < 0:
-                    raise ValueError("u-degrees must be nonnegative")
-                f = _as_rf(f)
-                if not f.is_zero():
-                    self.coeffs[n] = f
+    @staticmethod
+    def _dict_product(a: dict, b: dict) -> dict:
+        """Bilinear extension of f u^k . g u^l = (f * F^k(g)) u^{k+l}."""
+        return _dp_acc({}, [(k + l, f * g.frobenius(k))
+                            for k, f in a.items() for l, g in b.items()])
 
     @classmethod
     def term(cls, f, n: int) -> "SkewElem":
         return cls({n: f})
 
-    @classmethod
-    def one(cls) -> "SkewElem":
-        return cls.term(1, 0)
-
-    @classmethod
-    def zero(cls) -> "SkewElem":
-        return cls()
+    @property
+    def coeffs(self) -> dict[int, RatFunc]:
+        return dict(self._d)
 
     def degrees(self) -> list[int]:
-        return sorted(self.coeffs)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __mul__(self, other: "SkewElem") -> "SkewElem":
-        return skew_mul(self, other)
-
-    def __add__(self, other: "SkewElem") -> "SkewElem":
-        return skew_add(self, other)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SkewElem) and skew_equal(self, other)
-
-    __hash__ = None
+        return sorted(self._d)
 
     def __str__(self) -> str:
-        if not self.coeffs:
+        if not self._d:
             return "0"
         parts = []
         for n in self.degrees():
-            f = self.coeffs[n]
+            f = self._d[n]
             u = "" if n == 0 else ("u" if n == 1 else f"u^{n}")
             s = str(f)
             if u and not (s.startswith("(") and s.endswith(")")):
@@ -160,32 +143,19 @@ class SkewElem:
             parts.append(s + ("*" + u if u else ""))
         return " + ".join(parts)
 
-    def __repr__(self) -> str:
-        return f"SkewElem<{self}>"
-
 
 def skew_mul(a: SkewElem, b: SkewElem) -> SkewElem:
-    """Bilinear extension of f u^k . g u^l = (f * F^k(g)) u^{k+l}."""
-    out: dict[int, RatFunc] = {}
-    for k, f in a.coeffs.items():
-        for l, g in b.coeffs.items():
-            term = f * g.frobenius(k)
-            n = k + l
-            out[n] = out[n] + term if n in out else term
-    return SkewElem(out)
+    """The twisted product a * b."""
+    return SkewElem._coerce(a) * SkewElem._coerce(b)
 
 
 def skew_add(a: SkewElem, b: SkewElem) -> SkewElem:
-    out = dict(a.coeffs)
-    for n, f in b.coeffs.items():
-        out[n] = out[n] + f if n in out else f
-    return SkewElem(out)
+    return SkewElem._coerce(a) + SkewElem._coerce(b)
 
 
 def skew_equal(a: SkewElem, b: SkewElem) -> bool:
-    if set(a.coeffs) != set(b.coeffs):
-        return False
-    return all(rf_equal(a.coeffs[n], b.coeffs[n]) for n in a.coeffs)
+    """Equal u-degrees, with equal coefficients by ``rf_equal``."""
+    return SkewElem._coerce(a) == SkewElem._coerce(b)
 
 
 def divided_power(n: int) -> SkewElem:

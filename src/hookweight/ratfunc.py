@@ -81,7 +81,8 @@ Sparse maps
 -----------
 Every {key: number} sum in the package is a sparse dict: packed key to
 coefficient here, t-exponent to coefficient in ``UniPoly``, atom to exponent
-in the factor tables, word to coefficient in ``FQSymElem``.  One accumulator,
+in the factor tables, word to coefficient in ``FQSymElem``, u-degree to
+rational function in ``SkewElem``.  One accumulator,
 ``_dp_acc``, adds (key, value) pairs into a dict in place and drops a key
 that reaches 0; ``_dp_add`` copies the larger map and adds the smaller into
 it.  ``_dp_acc`` is only handed a dict that its caller has just made, never
@@ -90,11 +91,16 @@ of two maps whose keys add: ``_dp_mul`` runs it on packed keys after the
 carry check, ``UniPoly`` on t-exponents, which are plain ints.
 
 Internals pass these plain dicts; a ``Polynomial`` or ``UniPoly`` is built
-only where a caller sees one.  The two share one class body,
-``_SparsePoly``, which holds the dict as ``_d`` and has every ring
-operation; each names only its dict product, its key validation, its
-printing and its hashability.  Every power, of these and of a ``RatFunc``
-in the parser, is one square-and-multiply, ``_power``.
+only where a caller sees one.  Every sum a caller sees has one class body,
+``_SparsePoly``, which holds the dict as ``_d`` and has the constructor,
+``zero``, ``one``, ``scale``, ``repr`` and every ring operation.  Its four
+subclasses, ``Polynomial``, ``UniPoly``, ``FQSymElem`` and ``SkewElem``,
+each name only their dict product, their key check, their printing and
+their extras; ``_unit`` is the key of a constant (``()`` for a word) and
+``_coeff`` reads a coefficient (``_as_rf`` in ``SkewElem``, ``_as_coeff``
+in the rest).  A zero ``RatFunc`` is falsy, so ``_dp_acc`` drops it as it
+drops 0.  Every power, of these and of a ``RatFunc`` in the parser, is one
+square-and-multiply, ``_power``.
 """
 
 from __future__ import annotations
@@ -776,35 +782,74 @@ def _power(x, n: int, one):
     return one if out is None else out
 
 
-class _SparsePoly:
-    """The ring operations of a sparse polynomial held as one dict ``_d``
-    from key to nonzero coefficient.
+def _as_coeff(c) -> Coeff:
+    if isinstance(c, int):
+        return c
+    if isinstance(c, Fraction):
+        return int(c) if c.denominator == 1 else c
+    raise TypeError(f"coefficient must be int or Fraction, got {type(c)}")
 
-    A subclass names its dict product, ``_dict_product``, whose keys add
-    (packed keys in ``Polynomial``, t-exponents in ``UniPoly``), and adds
-    its key validation, printing, hashability and extras.  An int or
-    Fraction operand is a constant; for any other the operators return
+
+def _exponent_key(e) -> int:
+    """e as a key of a sum over powers of one variable: an int >= 0."""
+    if not isinstance(e, int):
+        raise TypeError(f"exponent {e!r} is not an int")
+    if e < 0:
+        raise ValueError("negative exponent")
+    return e
+
+
+class _SparsePoly:
+    """A finite sum held as one dict ``_d`` from key to nonzero coefficient,
+    with a product under which keys add: ``Polynomial``, ``UniPoly``,
+    ``FQSymElem`` and ``SkewElem``.
+
+    Each names its dict product ``_dict_product``, its key check ``_key``,
+    its printing and its extras; ``_unit`` is the key of a constant and
+    ``_coeff`` reads a coefficient.  The constructor takes a mapping,
+    (key, coefficient) pairs or a sum of the class.  An int or Fraction
+    operand is a constant; for any other the operators return
     NotImplemented, so a rational-function operand takes over in either
     order.
     """
 
     __slots__ = ("_d",)
+    _unit = 0
+    _coeff = staticmethod(_as_coeff)
+
+    def __init__(self, terms=None):
+        if isinstance(terms, type(self)):
+            self._d = dict(terms._d)
+            return
+        items = terms.items() if isinstance(terms, Mapping) else terms or ()
+        key, coeff = self._key, self._coeff
+        self._d = _dp_acc({}, ((key(k), coeff(c)) for k, c in items))
 
     @classmethod
     def _from_dict(cls, d: dict):
+        """Wrap ``d`` unchecked: its keys must be valid and its coefficients
+        nonzero, as the constructor leaves them."""
         p = object.__new__(cls)
         p._d = d
         return p
 
     @classmethod
     def constant(cls, c):
-        c = _as_coeff(c)
-        return cls._from_dict({0: c} if c else {})
+        c = cls._coeff(c)
+        return cls._from_dict({cls._unit: c} if c else {})
+
+    @classmethod
+    def zero(cls):
+        return cls._from_dict({})
+
+    @classmethod
+    def one(cls):
+        return cls.constant(1)
 
     @classmethod
     def _operand(cls, v):
-        """v as a polynomial of this class: itself, or an int or Fraction as
-        a constant; None for any other operand."""
+        """v as a sum of this class: itself, or an int or Fraction as a
+        constant; None for any other operand."""
         if isinstance(v, cls):
             return v
         if isinstance(v, (int, Fraction)):
@@ -821,6 +866,10 @@ class _SparsePoly:
 
     def is_zero(self) -> bool:
         return not self._d
+
+    def scale(self, c):
+        """Every coefficient times the number c."""
+        return self._from_dict(_dp_scale(self._d, _as_coeff(c)))
 
     def __eq__(self, other) -> bool:
         other = self._operand(other)
@@ -847,7 +896,7 @@ class _SparsePoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self._from_dict(_dp_scale(self._d, _as_coeff(other)))
+            return self.scale(other)
         if not isinstance(other, type(self)):
             return NotImplemented
         return self._from_dict(self._dict_product(self._d, other._d))
@@ -857,7 +906,10 @@ class _SparsePoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError(f"negative power of a {type(self).__name__}")
-        return _power(self, n, self.constant(1))
+        return _power(self, n, self.one())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}<{self}>"
 
 
 class Polynomial(_SparsePoly):
@@ -866,23 +918,12 @@ class Polynomial(_SparsePoly):
     __slots__ = ()
     _dict_product = staticmethod(_dp_mul)
 
-    def __init__(self, terms: Mapping | Iterable[tuple] = ()):
-        if isinstance(terms, Polynomial):
-            self._d = dict(terms._d)
-            return
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        self._d = _dp_acc({}, (
-            (mono._key if isinstance(mono, Monomial) else
-             mono if isinstance(mono, int) else _mono_pack(dict(mono)),
-             _as_coeff(coeff)) for mono, coeff in items))
-
-    @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls._from_dict({})
-
-    @classmethod
-    def one(cls) -> "Polynomial":
-        return cls.constant(1)
+    @staticmethod
+    def _key(mono) -> int:
+        """A Monomial, a packed int key or exponents as a packed key."""
+        if isinstance(mono, Monomial):
+            return mono._key
+        return mono if isinstance(mono, int) else _mono_pack(dict(mono))
 
     @classmethod
     def variable(cls, i: int) -> "Polynomial":
@@ -911,17 +952,6 @@ class Polynomial(_SparsePoly):
 
     def __str__(self) -> str:
         return _poly_str(_sorted_terms(self._d))
-
-    def __repr__(self) -> str:
-        return f"Polynomial<{self}>"
-
-
-def _as_coeff(c) -> Coeff:
-    if isinstance(c, int):
-        return c
-    if isinstance(c, Fraction):
-        return int(c) if c.denominator == 1 else c
-    raise TypeError(f"coefficient must be int or Fraction, got {type(c)}")
 
 
 def poly_add(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -1210,6 +1240,10 @@ class RatFunc:
 
     def is_zero(self) -> bool:
         return self._c == 0
+
+    def __bool__(self) -> bool:
+        """False for zero only, like 0, so ``_dp_acc`` drops a zero."""
+        return self._c != 0
 
     def _expand(self) -> tuple[dict, dict]:
         """The expanded num/den pair, positive at den's leading term.  As

@@ -56,7 +56,7 @@ from .combinat import (ForestPoset, extension_stat_counts, inv_poset,
 from .ratfunc import (MAX_SPEC_BITS, SizeBoundError, SpecializationError,
                       _SparsePoly, _as_coeff, _as_rf, _check_size,
                       _coeff_clear, _dict_mul, _dp_acc, _dp_add, _dp_neg,
-                      _dp_scale, _int_str, _mono_unpack)
+                      _dp_scale, _exponent_key, _int_str, _mono_unpack)
 from .weights import L_of_forest
 
 __all__ = [
@@ -86,16 +86,7 @@ class UniPoly(_SparsePoly):
 
     __slots__ = ()
     _dict_product = staticmethod(_dict_mul)
-    __hash__ = None
-
-    def __init__(self, coeffs: dict | None = None):
-        coeffs = coeffs or {}
-        for e in coeffs:
-            if not isinstance(e, int):
-                raise TypeError(f"exponent {e!r} is not an int")
-            if e < 0:
-                raise ValueError("negative exponent")
-        self._d = _dp_acc({}, ((e, _as_coeff(v)) for e, v in coeffs.items()))
+    _key = staticmethod(_exponent_key)
 
     @classmethod
     def monomial(cls, e: int, v=1) -> "UniPoly":
@@ -111,9 +102,6 @@ class UniPoly(_SparsePoly):
 
     def leading_coefficient(self):
         return self._d[self.degree()] if self._d else 0
-
-    def scale(self, v) -> "UniPoly":
-        return UniPoly._from_dict(_dp_scale(self._d, _as_coeff(v)))
 
     def __call__(self, value):
         return sum((Fraction(v) * Fraction(value) ** e for e, v in self._d.items()),
@@ -137,9 +125,6 @@ class UniPoly(_SparsePoly):
 
     def __str__(self) -> str:
         return self.to_string()
-
-    def __repr__(self) -> str:
-        return f"UniPoly<{self}>"
 
 
 def _uni_coeff_str(v) -> str:

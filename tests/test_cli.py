@@ -186,6 +186,21 @@ class TestSpecialize:
         assert code == 2 and out == ""
         assert "error: --qval applies only to --map qt" in err
 
+    @pytest.mark.parametrize("source", [["--perm", "2,1"], ["--expr", "x1"]])
+    def test_side_without_forest_is_input_error(self, capsys, source):
+        code, out, err = run(capsys, "specialize", "--map", "q", *source,
+                             "--side", "L")
+        assert code == 2 and out == ""
+        assert "error: --side applies only to --forest" in err
+
+    def test_forest_side_defaults_to_h(self, capsys, forest_file):
+        path = forest_file(VEE)
+        code, out, _ = run(capsys, "specialize", "--map", "q", "--forest", path)
+        assert code == 0 and out == "q^2+q\n"
+        code, out, _ = run(capsys, "specialize", "--map", "q", "--forest", path,
+                           "--side", "L")
+        assert code == 0 and out == "q^2+q\n"
+
     def test_exponent_guard_exit_code(self, capsys):
         code, _, err = run(capsys, "specialize", "--map", "qt",
                            "--qval", "2", "--expr", "x30")

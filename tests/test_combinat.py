@@ -4,6 +4,7 @@ import hashlib
 import random
 from collections import Counter
 from itertools import permutations, product
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -341,10 +342,11 @@ def all_forests(n):
 
 
 class TestEnumerateRlForests:
-    def test_tiny_counts(self):
-        assert sum(1 for _ in enumerate_rl_forests(0)) == 1
-        assert sum(1 for _ in enumerate_rl_forests(1)) == 1
-        assert sum(1 for _ in enumerate_rl_forests(2)) == 3
+    def test_counts_are_ternary_tree_numbers(self):
+        # C(3n, n)/(2n + 1), a closed form independent of the enumerator
+        counts = [sum(1 for _ in enumerate_rl_forests(n)) for n in range(8)]
+        assert counts == [1, 1, 3, 12, 55, 273, 1428, 7752]
+        assert counts == [comb(3 * n, n) // (2 * n + 1) for n in range(8)]
 
     def test_matches_filter_oracle(self):
         for n in range(0, 6):

@@ -53,6 +53,13 @@ VEE = ForestPoset.from_covers(3, [[1, 2], [3, 2]])
 JOIN = DualForestPoset.from_covered_by(3, [[1, 3], [2, 3]])
 
 
+def sigma_and_lambda(nmax):
+    """The sums of F_{12...n} and of (-1)^n F_{n...1} over 0 <= n <= nmax."""
+    return (sum((F(range(1, n + 1)) for n in range(nmax + 1)), FQSymElem.zero()),
+            sum(((-1) ** n * F(range(n, 0, -1)) for n in range(nmax + 1)),
+                FQSymElem.zero()))
+
+
 def small_perm_words(max_n=3):
     return st.integers(0, max_n).flatmap(
         lambda n: st.permutations(list(range(1, n + 1)))).map(tuple)
@@ -149,6 +156,20 @@ class TestShuffleProduct:
             with pytest.raises(ValueError):
                 FQSymElem({word: 1})
 
+    def test_constructor_rejects_non_rational_coefficients(self):
+        with pytest.raises(TypeError):
+            FQSymElem({(1, 2): 0.5})
+        with pytest.raises(TypeError):
+            F([1]).scale(0.5)
+
+    def test_increasing_times_signed_decreasing_is_one(self):
+        # NSym's sigma * lambda_{-1} = 1: below the truncation degree 7,
+        # only the unit is left
+        sigma, lam = sigma_and_lambda(6)
+        prod = (sigma * lam).terms
+        assert FQSymElem({w: c for w, c in prod.items() if len(w) <= 6}) == 1
+        assert any(len(w) == 7 for w in prod)
+
     def test_product_is_a_valid_element(self):
         # the product skips validation; rebuilding it through the validating
         # constructor, which drops zero coefficients, must change nothing
@@ -201,6 +222,15 @@ class TestPhiInv:
         lhs = phi_inv(fqsym_mul(F([1]), F([2, 1, 3])))
         rhs = skew_mul(phi_inv(F([1])), phi_inv(F([2, 1, 3])))
         assert not skew_equal(lhs, rhs)
+
+    def test_exponential_times_logarithm_is_one(self):
+        # chains are forests, so phi_inv multiplies sigma * lambda_{-1} = 1:
+        # (sum u^{(n)}) * (sum (-1)^n u^n / prod_{i<=n} [i]) = 1 below u^6
+        sigma, lam = sigma_and_lambda(5)
+        exp = phi_inv(sigma)
+        assert exp == sum((divided_power(n) for n in range(6)), SkewElem.zero())
+        prod = (exp * phi_inv(lam)).coeffs
+        assert SkewElem({n: f for n, f in prod.items() if n <= 5}) == 1
 
     def test_mixed_degrees_and_coefficients(self):
         elem = F([1]).scale(Fraction(1, 2)) + F([2, 1]).scale(-3)
@@ -268,7 +298,7 @@ class TestMorphismCheck:
         def drop_one_word(x, y):
             terms = dict(real(x, y).terms)
             del terms[max(terms)]
-            return FQSymElem._raw(terms)
+            return FQSymElem._from_dict(terms)
 
         monkeypatch.setattr(fqsym, "fqsym_mul", drop_one_word)
         single = ForestPoset.from_covers(1, [])

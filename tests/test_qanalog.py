@@ -128,6 +128,12 @@ class TestSkewAlgebra:
         with pytest.raises(TypeError):
             SkewElem({1: "x1"})
 
+    def test_u_degrees_are_ints_at_least_zero(self):
+        with pytest.raises(TypeError):
+            SkewElem({0.5: 1})
+        with pytest.raises(ValueError):
+            SkewElem({-1: 1})
+
     def test_add(self):
         a = SkewElem.term(RatFunc.from_const(1), 1)
         b = SkewElem.term(RatFunc.from_const(2), 1)

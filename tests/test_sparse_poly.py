@@ -1,18 +1,25 @@
-"""The sparse-polynomial ring operations that Polynomial and UniPoly share.
+"""The ring operations that every sparse sum shares (``ratfunc._SparsePoly``).
 
-A polynomial in x1 alone has packed keys equal to x1's exponents, so a
-Polynomial in x1 and a UniPoly made from the same dict must come out of
-every shared operation with equal dicts.  Mixed with a rational function
-of its own kind, either polynomial gives what its lift to that class gives.
+Four classes share them: Polynomial, UniPoly, FQSymElem and SkewElem.
+Each obeys the ring laws and prints as before.  A polynomial in x1 alone
+has packed keys equal to x1's exponents, so a Polynomial in x1 and a
+UniPoly made from the same dict must come out of every shared operation
+with equal dicts.  Mixed with a rational function of its own kind, either
+polynomial gives what its lift to that class gives.
 """
 
 import operator
 import random
+import sys
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
-from hookweight.ratfunc import Polynomial, RatFunc, poly_add, poly_mul
+from hookweight.fqsym import FQSymElem
+from hookweight.qanalog import SkewElem
+from hookweight.ratfunc import (Monomial, Polynomial, RatFunc, _SparsePoly,
+                                poly_add, poly_mul)
 from hookweight.specialize import UniPoly, UniRatFunc
 
 
@@ -89,3 +96,65 @@ def test_polynomial_and_unipoly_do_not_mix():
     for f in (poly_add, poly_mul):  # the named ring operations stay typed
         with pytest.raises(TypeError):
             f(x1, r)
+
+
+def coefficient(rng):
+    return rng.choice([rng.randint(-3, 3),
+                       Fraction(rng.randint(-3, 3), rng.randint(1, 3))])
+
+
+X = [Polynomial.variable(i) for i in range(1, 4)]
+WORDS = [w for n in range(3) for w in permutations(range(1, n + 1))]
+
+# Each class with a maker of seeded random sums of a few terms, and one
+# value pinned with its repr.
+SPARSE_SUMS = {
+    Polynomial: (
+        lambda rng: Polynomial([(Monomial({rng.randint(1, 3): rng.randint(0, 2)}),
+                                 coefficient(rng)) for _ in range(3)]),
+        Polynomial({Monomial({1: 2, 3: 1}): 3, Monomial({}): Fraction(-1, 2)}),
+        "Polynomial<3x1^2x3-1/2>"),
+    UniPoly: (
+        lambda rng: UniPoly({rng.randint(0, 4): coefficient(rng)
+                             for _ in range(3)}),
+        UniPoly({0: 1, 3: Fraction(-2, 3)}),
+        "UniPoly<-(2/3)q^3+1>"),
+    FQSymElem: (
+        lambda rng: FQSymElem([(rng.choice(WORDS), coefficient(rng))
+                               for _ in range(3)]),
+        FQSymElem({(2, 1): -1, (1,): Fraction(1, 2), (): 3}),
+        "FQSymElem<3*F[] + 1/2*F[1] + -F[2,1]>"),
+    SkewElem: (
+        lambda rng: SkewElem([(rng.randint(0, 2), RatFunc(
+            rng.choice(X) + coefficient(rng), rng.choice(X))) for _ in range(2)]),
+        SkewElem({0: 3, 2: RatFunc(X[0] + X[1], X[0]), 1: RatFunc(X[1])}),
+        "SkewElem<3 + (x2)*u + (x1+x2)/(x1)*u^2>"),
+}
+
+
+@pytest.mark.parametrize("cls", list(SPARSE_SUMS),
+                         ids=[cls.__name__ for cls in SPARSE_SUMS])
+def test_ring_laws_and_printing(cls):
+    make, pinned, text = SPARSE_SUMS[cls]
+    assert repr(pinned) == text and repr(cls.zero()) == f"{cls.__name__}<0>"
+    rng = random.Random(31)
+    one = cls.one()
+    for _ in range(12):
+        x, y, z = make(rng), make(rng), make(rng)
+        assert (x - x).is_zero() and x - x == cls.zero() and -x + x == 0
+        assert x * one == x == one * x
+        assert (x + y) * z == x * z + y * z and z * (x + y) == z * x + z * y
+        assert x ** 3 == x * x * x
+        assert 2 * x == x + x == x.scale(2) and x * Fraction(1, 2) * 2 == x
+        assert repr(x) == f"{cls.__name__}<{x}>"
+
+
+def test_every_sparse_sum_class_is_checked():
+    # a subclass added later gets the laws above once it is listed in
+    # SPARSE_SUMS; the package's __init__ loads every module
+    found = {value for name, module in list(sys.modules.items())
+             if name.startswith("hookweight.")
+             for value in vars(module).values()
+             if isinstance(value, type) and issubclass(value, _SparsePoly)
+             and value is not _SparsePoly}
+    assert found == set(SPARSE_SUMS)
