@@ -13,13 +13,16 @@ maps use it:
 
 Under all three maps a bracket atom goes to c t^a (1 - t^k), so the image
 stays factored: a ``UniRatFunc`` is c t^a prod f^e with a table of factors
-f, keyed by k for the binomial 1 - t^k.  Products and quotients add tables,
-and equality cancels the shared factors and cross-multiplies the rest.  The
-reduced numerator and denominator are built only for ``num``, ``den`` and
-printing.  There 1 - t^k splits into cyclotomic factors, which cancel by
-counting; a factor that is no binomial gives up its cyclotomic factors by
-exact division, and a dense GCD is taken only between such factors on both
-sides.
+f, keyed by k for the binomial 1 - t^k.  Products and quotients add tables.
+Equality compares only the constants when the tables and the powers of t
+agree, as they do for wt(w) and q^inv(w) and did for L(P) and H(P) on every
+forest swept (n <= 7); otherwise it cancels the shared factors and
+cross-multiplies the rest.  The reduced numerator and denominator are built
+only for ``num``, ``den`` and printing.  There 1 - t^k splits into
+cyclotomic factors, which cancel by counting; a factor that is no binomial
+gives up its cyclotomic factors by exact division, and a dense GCD is taken
+only between such factors on both sides.  A numerator that is 1, as in
+every H(P) and wt(w) and in L(P) on every forest swept, gets no image.
 
 Before multiplying, each product is bounded by the bits of coefficients it
 may hold: its term count (at most its degree span + 1, and at most the
@@ -54,7 +57,7 @@ from typing import Iterable
 from .combinat import (ForestPoset, extension_stat_counts, inv_poset,
                        subtree_data)
 from .ratfunc import (MAX_SPEC_BITS, SizeBoundError, SpecializationError,
-                      _SparsePoly, _as_coeff, _as_rf, _check_size,
+                      _DP_ONE, _SparsePoly, _as_coeff, _as_rf, _check_size,
                       _coeff_clear, _dict_mul, _dp_acc, _dp_add, _dp_neg,
                       _dp_scale, _exponent_key, _int_str, _mono_unpack)
 from .weights import L_of_forest
@@ -451,25 +454,37 @@ def _split(p: dict) -> tuple:
 
 
 def _fold(parts, c=1) -> tuple[Fraction, int, dict]:
-    """c, a and the factor table of c * prod (c_i t^a_i f_i)^e_i.
+    """c, a and the factor table of c * prod (c_i t^a_i f_i)^e_i, in one pass.
 
-    ``parts`` are ((c_i, a_i, key_i), e_i) pairs as ``_split`` gives them.
+    ``parts`` are ((c_i, a_i, key_i), e_i) pairs as ``_split`` gives them.  A
+    zero part makes the value 0, but the rest are still read, so that a zero
+    denominator after it raises all the same.
     """
-    parts = list(parts)
-    if any(not pc and e < 0 for (pc, _, _), e in parts):
-        raise SpecializationError("zero denominator after specialization")
-    num, den, a = 1, 1, 0
-    for (pc, pa, _), e in parts:
+    num, den, a, fac = 1, 1, 0, {}
+    zero = False
+    for (pc, pa, key), e in parts:
         if not pc:
-            return Fraction(0), 0, {}
+            if e < 0:
+                raise SpecializationError("zero denominator after "
+                                          "specialization")
+            zero = True
+        if zero:
+            continue
         if pc != 1:
             top, bottom = (pc.numerator, pc.denominator) if e > 0 else \
                 (pc.denominator, pc.numerator)
             num *= top ** abs(e)
             den *= bottom ** abs(e)
         a += pa * e
-    fac = _dp_acc({}, [(key, e) for (_, _, key), e in parts if key is not None])
-    return Fraction(c) * Fraction(num, den), a, fac
+        if key is not None:
+            n = fac.get(key, 0) + e
+            if n:
+                fac[key] = n
+            else:
+                del fac[key]
+    if zero:
+        return Fraction(0), 0, {}
+    return Fraction(c.numerator * num, c.denominator * den), a, fac
 
 
 def _side(fac: dict, sign: int) -> list:
@@ -484,9 +499,10 @@ class UniRatFunc:
     Each factor f is a primitive integer polynomial with a positive constant
     term.  The table ``_f`` keys it by k when f is the binomial 1 - t^k and
     by its sorted (exponent, coefficient) items otherwise, with an exponent
-    e of either sign.  Products and quotients add tables; equality cancels
-    the factors both sides share and cross-multiplies the rest, so it is
-    exact and multiplies out nothing when the tables agree.
+    e of either sign.  Products and quotients add tables.  Equality is
+    exact: when both tables and both powers of t agree it compares the
+    constants alone, and otherwise it cancels the factors both sides share
+    and cross-multiplies the rest.
 
     ``num`` and ``den`` are the reduced form, gcd(num, den) = 1 with a monic
     denominator, built on first use (``_reduce``) and cached.
@@ -503,10 +519,11 @@ class UniRatFunc:
 
     @classmethod
     def _factored(cls, c, a: int, fac: dict) -> "UniRatFunc":
-        """c t^a prod f^e for a factor table ``fac`` keyed as ``_f`` is."""
+        """c t^a prod f^e for a factor table ``fac`` keyed as ``_f`` is, with
+        no zero exponent.  The value keeps ``fac``, which no one may change."""
         r = object.__new__(cls)
-        r._c = Fraction(c)
-        r._a, r._f = (a, {k: e for k, e in fac.items() if e}) if c else (0, {})
+        r._c = c if type(c) is Fraction else Fraction(c)
+        r._a, r._f = (a, fac) if c else (0, {})
         r._nd = None
         return r
 
@@ -576,6 +593,8 @@ class UniRatFunc:
         if self._a != other._a:
             # both sides' leftover products have a nonzero constant term
             return False
+        if self._f == other._f:
+            return self._c == other._c
         rest = _dp_add(self._f, _dp_neg(other._f))
         c = self._c / other._c
         return (_product(_side(rest, 1), c.numerator)
@@ -777,7 +796,8 @@ def _substitute(f, var) -> UniRatFunc:
     f = _as_rf(f)
     if f.is_zero():
         return UniRatFunc._factored(0, 0, {})
-    parts = [(_split(_poly_image(f._num.items(), var)), 1)]
+    parts = [] if f._num == _DP_ONE else \
+        [(_split(_poly_image(f._num.items(), var)), 1)]
     for atom, e in f._fac.items():
         parts.append((_split(_poly_image(atom[1], var)) if atom[0] == "P"
                       else _atom_image(atom, var), e))
@@ -814,9 +834,8 @@ def _q_hook_sides(counts: dict[int, int], stat_p: int, n: int,
     over prod_i (1 - q^{h_i}), the n factors 1 - q of the brackets
     cancelling.
     """
-    fac = Counter(range(1, n + 1))
-    fac.subtract(hooks)
-    return (UniRatFunc(UniPoly(counts)),
+    fac = _dp_acc(dict.fromkeys(range(1, n + 1), 1), ((h, -1) for h in hooks))
+    return (UniRatFunc(UniPoly._from_dict(counts)),
             UniRatFunc._factored(1, stat_p, fac))
 
 

@@ -17,14 +17,20 @@ compare the two on the same inputs:
   ``fqsym_mul`` apply precomputed position patterns;
 - ``tokenize_whole`` runs the token regular expression over the whole
   text, where ``parsing._tokenize`` runs it once per distinct chunk
-  between two operators.
+  between two operators;
+- ``spec_qt_tree_product`` multiplies out, in plain int dicts, the image
+  under x_i -> t^{q^{i-1}} - t^{q^i} of each tree-pair factor of wt(w),
+  where ``spec_qt`` substitutes into the factored value;
+- ``carlitz_factorial_mod`` multiplies the monic polynomials of degree n
+  over F_p, which by Carlitz (1935) is (-1)^n spec_qt([n]!, p) mod p.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from typing import Optional, Sequence
 
-from hookweight.combinat import SubsetK, dual_forest_stats, linear_extensions
+from hookweight.combinat import (SubsetK, dual_forest_stats,
+                                 linear_extensions, tree_pair_stats)
 from hookweight.parsing import (_FIRST_ATOM, _TOKEN, ParseError, _exponent,
                                 _monomial)
 from hookweight.qanalog import _factorial_atoms, _shift_ratio
@@ -205,3 +211,43 @@ def tokenize_whole(text: str) -> list:
             raise ParseError(f"bad character at position {pos}: {text[pos:]!r}")
     tokens.append(None)
     return tokens
+
+
+def _int_poly_mul(a: dict, b: dict, p: int = 0) -> dict:
+    """The product of two {exponent: int} polynomials, mod p unless p = 0."""
+    out: dict = {}
+    for ea, va in a.items():
+        for eb, vb in b.items():
+            out[ea + eb] = out.get(ea + eb, 0) + va * vb
+    if p:
+        out = {e: v % p for e, v in out.items()}
+    return {e: v for e, v in out.items() if v}
+
+
+def spec_qt_tree_product(w: Sequence[int], q: int) -> dict:
+    """spec_qt(wt(w), q) as {exponent: coefficient}.
+
+    A tree pair of w with statistics (w(beta), ell, r) is the factor
+    F^{o+r+1}[ell] / F^o[ell], o = w(beta) - ell - 1.  Under the (q,t) map
+    [m] telescopes to t - t^{q^m} and F^a dilates t to t^{q^a}, so the
+    factor goes to t^{q^o(q^{r+1}-1)} (1 + v + ... + v^{q^{r+1}-1}) with
+    v = t^{q^o(q^ell-1)}.
+    """
+    out = {0: 1}
+    for _, _, w_beta, ell, r in tree_pair_stats(w):
+        dilation = q ** (w_beta - ell - 1)
+        shift, step = dilation * (q ** (r + 1) - 1), dilation * (q ** ell - 1)
+        out = _int_poly_mul(out, {shift + j * step: 1
+                                  for j in range(q ** (r + 1))})
+    return out
+
+
+def carlitz_factorial_mod(p: int, n: int) -> dict:
+    """The product of all monic polynomials of degree n in F_p[t], p prime,
+    as {exponent: coefficient in 1..p-1}."""
+    out = {0: 1}
+    for low in product(range(p), repeat=n):
+        monic = {e: c for e, c in enumerate(low) if c}
+        monic[n] = 1
+        out = _int_poly_mul(out, monic, p)
+    return out

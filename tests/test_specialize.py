@@ -5,6 +5,7 @@ from itertools import combinations, permutations
 from math import isqrt, prod
 
 import pytest
+from hypothesis import given, strategies as st
 
 from hookweight.combinat import (
     ForestPoset,
@@ -13,7 +14,7 @@ from hookweight.combinat import (
     subtree_data,
 )
 from hookweight.parsing import parse_ratfunc
-from hookweight.qanalog import bracket, bracket_factorial
+from hookweight.qanalog import binomial, bracket, bracket_factorial
 from hookweight.ratfunc import Polynomial, RatFunc, _mono_unpack, rf_add, rf_mul
 from hookweight.specialize import (
     DEFAULT_QT_BOUND,
@@ -33,6 +34,8 @@ from hookweight.specialize import (
     _substitute,
 )
 from hookweight.weights import H_of_forest, L_of_forest, wt_perm_recursive, wt_subset
+
+from oracles import carlitz_factorial_mod, spec_qt_tree_product
 
 VEE = ForestPoset.from_covers(3, [[1, 2], [3, 2]])
 
@@ -250,6 +253,17 @@ class TestSpecQT:
                 assert spec_qt(value, 2) == plain_qt, p
                 assert spec_q(value) == plain_q, p
 
+    @pytest.mark.parametrize("q, n", [(2, n) for n in range(5)]
+                             + [(3, 0), (3, 1), (3, 2), (5, 1)])
+    def test_carlitz_factorial(self, q, n):
+        # mod a prime q, (-1)^n [n]! maps to the product of all monic
+        # polynomials of degree n in F_q[t] (Carlitz's factorial)
+        got = spec_qt(bracket_factorial(n), q)
+        assert got.is_polynomial()
+        reduced = {e: (-1) ** n * v % q for e, v in got.num.coeffs.items()}
+        assert {e: v for e, v in reduced.items() if v} == \
+            carlitz_factorial_mod(q, n)
+
 
 def _in_n_t(value: UniRatFunc) -> dict:
     """The coefficients of ``value``, asserted to make a polynomial in t
@@ -261,10 +275,20 @@ def _in_n_t(value: UniRatFunc) -> dict:
 
 
 class TestQtPositivity:
-    """Observations, not a proven statement: under x_i -> t^{q^{i-1}} -
-    t^{q^i} the weights wt(w) and the hook products H(P) have landed in
-    N[t] on every case swept.  The coefficients of wt(w)'s image sum to
-    q^inv(w), since each form's image vanishes to first order at t = 1."""
+    """Under x_i -> t^{q^{i-1}} - t^{q^i}, for every integer q >= 2, the
+    image of every weight wt(w) and of every hook product H(P) lies in N[t].
+
+    Proof.  [m] telescopes to t - t^{q^m}, and F^a acts as the dilation
+    t -> t^{q^a}.  So a tree-pair factor F^{o+r+1}[ell] / F^o[ell] of wt(w),
+    o = w(beta) - ell - 1 (the product in the ``weights`` module docstring),
+    maps to t^{q^o(q^{r+1}-1)} (1 + v + ... + v^{q^{r+1}-1}) with
+    v = t^{q^o(q^ell-1)}: a polynomial in N[t] whose coefficients sum to
+    q^{r+1}.  The image of wt(w) is the product of these, so it lies in
+    N[t], and its coefficients sum to q^{sum(r+1)} = q^inv(w).  H(P) = L(P)
+    is the sum of wt(w) over the linear extensions of P, so its image lies
+    in N[t] too.  ``test_tree_pair_factor_formula`` checks the product
+    against ``spec_qt``; the sweeps check the consequence directly.
+    """
 
     @staticmethod
     def _weights(ns, q):
@@ -283,6 +307,27 @@ class TestQtPositivity:
         # wt(321) at q = 2; UniPoly prints t as q
         assert spec_qt(wt_perm_recursive((3, 2, 1)), 2).num.to_string() == \
             "q^10+q^9+q^8+2q^7+q^6+q^5+q^4"
+
+    @pytest.mark.parametrize("q, nmax", [(2, 6), (3, 5)])
+    def test_tree_pair_factor_formula(self, q, nmax):
+        for n in range(nmax + 1):
+            for w in permutations(range(1, n + 1)):
+                coeffs = _in_n_t(spec_qt(wt_perm_recursive(w), q))
+                assert coeffs == spec_qt_tree_product(w, q), w
+                assert sum(coeffs.values()) == q ** inv(w), w
+
+    @pytest.mark.parametrize("q, nmax", [(2, 6), (3, 5)])
+    def test_reiner_stanton_binomials(self, q, nmax):
+        # binomial(n, k) maps to the (q,t)-binomial of Reiner and Stanton,
+        # prod_{i<k} (1 - t^{q^n-q^i}) / (1 - t^{q^k-q^i})
+        def binomials(top, k):
+            return prod((UniPoly({0: 1, q ** top - q ** i: -1})
+                         for i in range(k)), start=UniPoly.constant(1))
+
+        for n in range(nmax + 1):
+            for k in range(n + 1):
+                closed = UniRatFunc(binomials(n, k), binomials(k, k))
+                assert spec_qt(binomial(n, k), q) == closed, (n, k)
 
     @pytest.mark.parametrize("q", [2, 3])
     def test_weights_up_to_6(self, q):
@@ -309,6 +354,71 @@ class TestQtPositivity:
     def test_hooks_7(self):
         # the 7,752 recursively labelled forests with n = 7
         self._hooks([7], 2)
+
+
+_CUBIC = ((0, 1), (1, 1), (2, 1))  # 1 + t + t^2, a key that is no binomial
+_KEYS = (1, 2, 3, 6, ((0, 1), (1, 1)), _CUBIC, ((0, 2), (1, 1)))
+# values equal to 1 whose tables are not empty: 1 - t^2 = (1 - t)(1 + t) and
+# 1 - t^3 = (1 - t)(1 + t + t^2)
+_UNITS = (UniRatFunc._factored(1, 0, {}),
+          UniRatFunc._factored(1, 0, {2: 1, 1: -1, ((0, 1), (1, 1)): -1}),
+          UniRatFunc._factored(1, 0, {3: -1, 1: 1, _CUBIC: 1}))
+
+_values = st.builds(
+    UniRatFunc._factored, st.fractions(-3, 3, max_denominator=3),
+    st.integers(-2, 2), st.dictionaries(st.sampled_from(_KEYS),
+                                        st.sampled_from((-2, -1, 1, 2)),
+                                        max_size=4))
+
+
+@st.composite
+def _pairs(draw):
+    """Two factored values, the second often equal to the first up to its
+    constant, with a table that may differ."""
+    a = draw(_values)
+    if draw(st.booleans()):
+        return a, draw(_values)
+    return a, a * draw(st.sampled_from(_UNITS)) * draw(st.sampled_from(
+        (1, 1, 1, -1, Fraction(1, 2))))
+
+
+class TestZeroRules:
+    """Which values specialize to 0 and which raise, and how == reads the
+    constants of equal tables."""
+
+    @pytest.mark.parametrize("text", [
+        "(x1-x2)/(x1-x3)",
+        "(x1-x2)*(x1+x2)/((x1-x3)*(x2+x3))",  # the zero numerator comes first
+        "(x1-x2)^2/(x3-x4)",
+    ])
+    def test_zero_denominator_raises(self, text):
+        with pytest.raises(SpecializationError):
+            _substitute(parse_ratfunc(text), _all_q_var)
+
+    def test_zero_over_zero_raises(self):
+        with pytest.raises(SpecializationError):
+            UniRatFunc(UniPoly(), UniPoly())
+
+    def test_zero_numerator_maps_to_zero(self):
+        assert _substitute(parse_ratfunc("x1-x2"), _all_q_var).is_zero()
+
+    def test_equal_tables_compare_constants(self):
+        table = {1: 1, 3: -1, _CUBIC: 2}
+        a = UniRatFunc._factored(Fraction(2), 1, table)
+        assert a == UniRatFunc._factored(Fraction(2), 1, dict(table))
+        assert a != UniRatFunc._factored(Fraction(3), 1, dict(table))
+        assert a != -a
+
+    def test_zero_equals_zero(self):
+        zero = UniRatFunc._factored(0, 0, {})
+        assert zero == UniRatFunc(UniPoly()) and zero == 0
+        assert zero == spec_q(parse_ratfunc("x1-x1"))
+        assert zero != UniRatFunc._factored(Fraction(2), 1, {1: 1})
+
+    @given(_pairs())
+    def test_equality_is_cross_multiplication(self, pair):
+        a, b = pair
+        assert (a == b) == (a.num * b.den == b.num * a.den)
 
 
 class TestSizeBound:
