@@ -48,7 +48,7 @@ from .ratfunc import (
     rf_to_canonical_string,
 )
 from .specialize import (
-    UniPoly,
+    UniRatFunc,
     spec_q,
     spec_qt,
     verify_bw_inv,
@@ -259,15 +259,16 @@ def _suite_cases(suite: str, nmax: int) -> list[tuple[str, tuple]]:
         for n in range(0, nmax + 1):
             for p in forests(n):
                 label = f"{suite} n={n} {_covers_label(p.covers())}"
-                cases.append((label, (suite, n, p.cover)))
+                cases.append((label, (suite, p)))
     elif suite == "pbt":
+        forests = [list(enumerate_rl_forests(n)) for n in range(nmax)]
         for n1 in range(1, nmax):
             for n2 in range(1, nmax - n1 + 1):
-                for p in enumerate_rl_forests(n1):
-                    for q in enumerate_rl_forests(n2):
+                for p in forests[n1]:
+                    for q in forests[n2]:
                         label = (f"pbt |P|={n1} {_covers_label(p.covers())} "
                                  f"|Q|={n2} {_covers_label(q.covers())}")
-                        cases.append((label, ("pbt", n1, p.cover, n2, q.cover)))
+                        cases.append((label, ("pbt", p, q)))
         cases.append(("pbt counterexample F[1]*F[2,1,3] expected-UNEQUAL",
                       ("pbt-counterexample",)))
     elif suite == "weights":
@@ -290,19 +291,13 @@ def _suite_cases(suite: str, nmax: int) -> list[tuple[str, tuple]]:
 def _run_case(payload: tuple) -> bool:
     kind = payload[0]
     if kind == "hook":
-        _, n, cover = payload
-        p = ForestPoset(n, cover)
-        return rf_equal(L_of_forest(p), H_of_forest(p))
+        return rf_equal(L_of_forest(payload[1]), H_of_forest(payload[1]))
     if kind == "bw-inv":
-        _, n, cover = payload
-        return verify_bw_inv(ForestPoset(n, cover))
+        return verify_bw_inv(payload[1])
     if kind == "bw-maj":
-        _, n, cover = payload
-        return verify_bw_maj(DualForestPoset(n, cover))
+        return verify_bw_maj(payload[1])
     if kind == "pbt":
-        _, n1, cover1, n2, cover2 = payload
-        return check_pbt_morphism(ForestPoset(n1, cover1),
-                                  ForestPoset(n2, cover2))
+        return check_pbt_morphism(*payload[1:])
     if kind == "pbt-counterexample":
         lhs = phi_inv(fqsym_mul(FQSymElem.basis([1]), FQSymElem.basis([2, 1, 3])))
         rhs = skew_mul(phi_inv(FQSymElem.basis([1])),
@@ -318,13 +313,13 @@ def _run_case(payload: tuple) -> bool:
         n_inv = inv(w)
         if sum(stat.r + 1 for stat in stats) != n_inv:
             return False
-        return spec_q(rec) == UniPoly.monomial(n_inv)
+        return spec_q(rec) == UniRatFunc._factored(1, n_inv, {})
     if kind == "pascal":
         _, n, k = payload
         return _pascal_holds(n, k)
     if kind == "binom-sum":
         _, n, k = payload
-        total = RatFunc._sum(wt_subset(tuple(reversed(s)))
+        total = RatFunc._sum(wt_subset(s)
                              for s in combinations(range(1, n + 1), k))
         return rf_equal(total, binomial(n, k))
     raise InputError(f"unknown case kind {kind!r}")

@@ -21,11 +21,14 @@ Both maps group an element's terms by degree: ``phi_inv`` adds a degree's
 weights in one ``RatFunc._sum``, and ``phi_maj`` folds a degree's words
 over their prefix trie one prefix length at a time.  A forest of the wrong
 kind raises ``TypeError``.
+
+One builder, ``_gamma_product``, makes every P-partition factor
+x^{descent prefixes} / prod (1 - x^{prefix}): both closed forms and each
+step of both prefix folds (``gamma_extension_sum``, ``phi_maj``).
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from itertools import combinations, repeat
 from operator import itemgetter
@@ -44,7 +47,8 @@ from .combinat import (
     extension_stat_counts,
 )
 from .qanalog import SkewElem, _factorial_atoms
-from .ratfunc import Polynomial, RatFunc, _SparsePoly, _dp_acc, _mono_pack
+from .ratfunc import (Polynomial, RatFunc, _DP_ONE, _SparsePoly, _dp_acc,
+                      _mono_pack, _raw)
 from .specialize import (
     UniRatFunc,
     _all_q_var,
@@ -238,18 +242,6 @@ def _prefix_atom(elements: Iterable[int]):
     return ("B", tuple((v, 1) for v in sorted(elements)))
 
 
-def _monomial_atoms(elements: Iterable[int]) -> dict:
-    return _dp_acc({}, [(("F", v - 1, 1), 1) for v in elements])
-
-
-def _prefix_step(ideal: Iterable[int], placed: Iterable[int]) -> RatFunc:
-    """One step of the prefix DP: 1/(1 - x_ideal) times x_placed, where
-    ``placed`` is empty unless the step follows a descent."""
-    atoms = {_prefix_atom(ideal): -1}
-    atoms.update(_monomial_atoms(placed))
-    return RatFunc._from_atoms(atoms)
-
-
 def gamma_perm(w: Sequence[int]) -> RatFunc:
     """Generating function of weakly decreasing maps along the word w.
 
@@ -271,10 +263,13 @@ def gamma_dual_forest(p: DualForestPoset) -> RatFunc:
 
 def _gamma_product(prefixes, descent_prefixes) -> RatFunc:
     """The product of x_prefix over ``descent_prefixes`` divided by the
-    product of 1 - x_prefix over ``prefixes``."""
-    items = [(("F", v - 1, 1), 1) for pre in descent_prefixes for v in pre]
-    items += [(_prefix_atom(pre), -1) for pre in prefixes]
-    return RatFunc._from_atoms(_dp_acc({}, items))
+    product of 1 - x_prefix over ``prefixes``, which are distinct and
+    nonempty for every caller, so each prefix atom is set, not added."""
+    atoms = _dp_acc({}, ((("F", v - 1, 1), 1)
+                         for pre in descent_prefixes for v in pre))
+    for pre in prefixes:
+        atoms[_prefix_atom(pre)] = -1
+    return _raw(Fraction(1), _DP_ONE, atoms)
 
 
 # The ends dicts of the proper ideals that the gamma fold has met, keyed by
@@ -289,10 +284,10 @@ def _gamma_step(mask: int, m: int, ends: dict) -> RatFunc:
     1/(1 - x_{I+m}) times the sum of the ends at an ascent into m and of
     x_I times the ends at a descent."""
     placed = [v + 1 for v in range(mask.bit_length()) if mask >> v & 1]
-    x_placed = RatFunc._from_atoms(_monomial_atoms(placed))
+    x_placed = _gamma_product([], [placed])
     terms = [value._mul(x_placed) if last > m else value
              for last, value in ends.items()]
-    return RatFunc._sum(terms)._mul(_prefix_step(placed + [m], ()))
+    return RatFunc._sum(terms)._mul(_gamma_product([placed + [m]], []))
 
 
 def gamma_extension_sum(prereqs: Sequence[frozenset[int]]) -> RatFunc:
@@ -374,7 +369,8 @@ def _gamma_weighted_sum(terms: Mapping[tuple[int, ...], int | Fraction]) -> RatF
         # level is sorted, so each prefix's children come in ascending order
         for w, value in level.items():
             placed, m = w[:-1], w[-1]
-            step = _prefix_step(w, placed if placed and placed[-1] > m else ())
+            descent = placed and placed[-1] > m
+            step = _gamma_product([w], [placed] if descent else [])
             # _mul looks up the atoms of the smaller factor table, so
             # either side may receive the call
             term = value._mul(step)
@@ -401,8 +397,7 @@ def verify_bw_maj(p: DualForestPoset) -> bool:
     stats = dual_forest_stats(p)
     hooks = [len(stats.lower_subtrees[i]) for i in range(1, p.n + 1)]
     substituted = _substitute(gamma_dual_forest(p), _all_q_var)
-    den = Counter()
-    den.subtract(hooks)
+    den = _dp_acc({}, ((h, -1) for h in hooks))
     if substituted != UniRatFunc._factored(1, stats.maj, den):
         return False
     gen, closed = _q_hook_sides(extension_stat_counts(p, "maj"),

@@ -943,6 +943,9 @@ class Polynomial(_SparsePoly):
         return len(self._d)
 
     def __hash__(self) -> int:
+        # a constant equals the number it holds, so it hashes as that number
+        if self._d.keys() <= {0}:
+            return hash(self._d.get(0, 0))
         return hash(frozenset(self._d.items()))
 
     def frobenius(self, k: int) -> "Polynomial":

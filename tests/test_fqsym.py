@@ -547,13 +547,14 @@ class TestPhiMaj:
                         rhs = skew_mul(phi_maj(fp), phi_maj(fq))
                         assert skew_equal(lhs, rhs), (p, q)
 
-    def test_morphism_via_extension_sums(self, rng):
-        pools = {n: list(enumerate_dual_forests(n)) for n in range(1, 4)}
-        for _ in range(25):
-            n1 = rng.randint(1, 3)
-            n2 = rng.randint(1, min(3, 5 - n1))
-            p, q = rng.choice(pools[n1]), rng.choice(pools[n2])
-            assert check_phimaj_morphism(p, q)
+    def test_morphism_via_extension_sums(self):
+        # every pair of dual forests with n1 + n2 <= 5: 394 pairs
+        pools = {n: list(enumerate_dual_forests(n)) for n in range(1, 5)}
+        pairs = [(p, q) for n1 in range(1, 5) for n2 in range(1, 6 - n1)
+                 for p in pools[n1] for q in pools[n2]]
+        assert len(pairs) == 394
+        for p, q in pairs:
+            assert check_phimaj_morphism(p, q), (p, q)
 
     def test_long_words(self):
         # longer than the recursion limit: the trie fold must not recurse

@@ -109,6 +109,34 @@ def test_every_module_memo_is_checked():
     assert found == {(module.__name__, name) for module, name, _ in MEMOS}
 
 
+# The unbounded functools.lru_caches, which README's memo bullet lists
+# with their keys.
+LRU_CACHES = {
+    "hookweight.combinat": {"_rl_forests", "_rl_trees"},
+    "hookweight.qanalog": {"_pascal_holds"},
+    "hookweight.ratfunc": {"_unpacker", "_named_atom_dict"},
+    "hookweight.specialize": {"_factorization", "_divisors", "_psi_binomials",
+                              "_binomial", "_qt_map", "_atom_image"},
+    "hookweight.weights": {"_subset_sum"},
+}
+
+
+def test_every_lru_cache_is_listed():
+    # a cache added or removed later fails here until LRU_CACHES and the
+    # README bullet name it; a cache imported into another module counts
+    # only where it is defined
+    found = {(name, attr) for name, module in list(sys.modules.items())
+             if name.startswith("hookweight.")
+             for attr, value in vars(module).items()
+             if hasattr(value, "cache_info")
+             and getattr(value, "__module__", None) == name}
+    assert found == {(name, attr) for name, attrs in LRU_CACHES.items()
+                     for attr in attrs}
+    for name, attr in found:
+        cache = getattr(sys.modules[name], attr)
+        assert cache.cache_parameters()["maxsize"] is None
+
+
 def test_memo_never_replaces_an_entry():
     memo = _Memo(5)
     memo.put("a", 1, size=3)

@@ -60,6 +60,14 @@ def test_hashability_and_negative_powers():
             cls({0: 1, 1: -1}) ** -1
 
 
+@pytest.mark.parametrize("c", [0, 3, -2, Fraction(1, 2)], ids=str)
+def test_a_constant_polynomial_hashes_as_its_number(c):
+    # equal values hash equal, so a dict or a set finds one by the other
+    p = Polynomial.constant(c)
+    assert p == c and hash(p) == hash(c)
+    assert {c: "a"}.get(p) == "a" and len({c, p}) == 1
+
+
 def mixed_cases() -> list:
     """(a, a lifted to b's class, b) for a polynomial or a number a."""
     x1, x2 = Polynomial.variable(1), Polynomial.variable(2)

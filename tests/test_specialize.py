@@ -264,6 +264,21 @@ class TestSpecQT:
         assert {e: v for e, v in reduced.items() if v} == \
             carlitz_factorial_mod(q, n)
 
+    @pytest.mark.parametrize("q, n", [(2, n) for n in range(1, 7)]
+                             + [(q, n) for q in (3, 5) for n in range(1, 5)])
+    def test_carlitz_recursion(self, q, n):
+        # [n]! = [n] F([n-1]!) maps to Carlitz's recursion: with
+        # D_n = (-1)^n spec_qt([n]!, q), D_0 = 1 and
+        # D_n = (t^{q^n} - t) D_{n-1}(t^q)
+        def carlitz(m):
+            value = spec_qt(bracket_factorial(m), q)
+            assert value.is_polynomial()
+            return value.num * (-1) ** m
+        before = carlitz(n - 1)
+        assert n > 1 or before == 1
+        dilated = UniPoly({e * q: c for e, c in before.coeffs.items()})
+        assert carlitz(n) == UniPoly({q ** n: 1, 1: -1}) * dilated
+
 
 def _in_n_t(value: UniRatFunc) -> dict:
     """The coefficients of ``value``, asserted to make a polynomial in t

@@ -108,6 +108,15 @@ class TestPermWeight:
             w = tuple(range(1, n + 1))
             assert rf_equal(wt_perm_recursive(w), RatFunc.from_const(1))
 
+    def test_decreasing_word(self):
+        # wt(n...21) = [n]! / prod_{i<=n} [i]
+        for n in range(8):
+            expected = RatFunc(bracket_factorial(n))
+            for i in range(1, n + 1):
+                expected = expected / RatFunc(bracket(i))
+            assert rf_equal(wt_perm_recursive(tuple(range(n, 0, -1))),
+                            expected), n
+
     def test_worked_nine_element(self):
         expected = parse_ratfunc(W9_CLOSED_FORM)
         assert rf_equal(wt_perm_recursive(W9), expected)
