@@ -52,7 +52,7 @@ from .ratfunc import (Polynomial, RatFunc, _DP_ONE, _SparsePoly, _dp_acc,
 from .specialize import (
     UniRatFunc,
     _all_q_var,
-    _q_hook_sides,
+    _q_hook_closed_form,
     _substitute,
 )
 from .weights import _L_grouped, _require_recursively_labelled, wt_perm_tree
@@ -391,8 +391,9 @@ def verify_bw_maj(p: DualForestPoset) -> bool:
     q^{maj(P)} / prod_i (1 - q^{h_i}), and the extension generating function
     sum_w q^{maj(w)} must equal q^{maj(P)} [n]!_q / prod_i [h_i]_q.  That
     sum is folded over the order ideals of P (``extension_stat_counts``)
-    without listing the extensions; the closed form alone uses maj(P) and
-    the hook lengths.
+    without listing the extensions, and compared with the closed form on
+    int lists (``_q_hook_closed_form``); the closed form alone uses maj(P)
+    and the hook lengths.
     """
     stats = dual_forest_stats(p)
     hooks = [len(stats.lower_subtrees[i]) for i in range(1, p.n + 1)]
@@ -400,9 +401,8 @@ def verify_bw_maj(p: DualForestPoset) -> bool:
     den = _dp_acc({}, ((h, -1) for h in hooks))
     if substituted != UniRatFunc._factored(1, stats.maj, den):
         return False
-    gen, closed = _q_hook_sides(extension_stat_counts(p, "maj"),
-                                stats.maj, p.n, hooks)
-    return gen == closed
+    return _q_hook_closed_form(extension_stat_counts(p, "maj"), stats.maj,
+                               p.n, hooks) is not None
 
 
 # ---------------------------------------------------------------------------

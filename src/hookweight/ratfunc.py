@@ -1140,8 +1140,9 @@ class RatFunc:
     binomial factors that ``num`` and ``den`` share cancel; an opaque factor
     that is all that is left of ``num`` cancels against the same factor of
     ``den`` when the value is expanded.  No polynomial
-    GCD is ever taken: equality (``==``, ``rf_equal``) is semantic, by cross
-    multiplication.
+    GCD is ever taken: equality (``==``, ``rf_equal``) is semantic.  Two
+    nonzero values with equal ``_fac`` and ``_num`` are equal exactly when
+    their constants are; any other pair is compared by cross multiplication.
 
     A value is immutable: no method changes its fields or their dicts, so
     values may share dicts and a cached value is handed out as it is.  The
@@ -1375,6 +1376,9 @@ class RatFunc:
     def _equals(self, other: "RatFunc") -> bool:
         if self._c == 0 or other._c == 0:
             return self._c == other._c
+        if self._fac == other._fac and self._num == other._num:
+            # c X == c' X for a nonzero X exactly when c == c'
+            return self._c == other._c
         lhs, rhs = self._cross(other)
         s1 = self._c.numerator * other._c.denominator
         s2 = other._c.numerator * self._c.denominator
@@ -1455,7 +1459,8 @@ def rf_frobenius(a: RatFunc, k: int) -> RatFunc:
 
 
 def rf_equal(a: RatFunc, b: RatFunc) -> bool:
-    """True iff a.num * b.den == b.num * a.den exactly."""
+    """True iff a.num * b.den == b.num * a.den exactly.  Equal factor
+    tables compare their constants alone."""
     return _as_rf(a)._equals(_as_rf(b))
 
 

@@ -41,8 +41,9 @@ polynomial is in ``ratfunc``: the variable maps, the images, the split
 factors, the products and the reduction take and return dicts.  A
 ``UniPoly``, which shares ``Polynomial``'s ring operations
 (``ratfunc._SparsePoly``), is built only for ``num``, ``den``,
-``q_bracket``, ``q_factorial`` and the q-hook sides, and read only by
-``UniRatFunc(num, den)``.
+``q_bracket`` and ``q_factorial``, and read only by
+``UniRatFunc(num, den)``.  The q-hook check compares the extension counts
+with the closed form on dense int lists (``_q_hook_closed_form``).
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import count
 from math import gcd
+from operator import sub
 from typing import Iterable
 
 from .combinat import (ForestPoset, extension_stat_counts, inv_poset,
@@ -825,30 +827,44 @@ def spec_qt(f, q: int, bound: int = DEFAULT_QT_BOUND) -> UniRatFunc:
 # the q-hook formula check
 # ---------------------------------------------------------------------------
 
-def _q_hook_sides(counts: dict[int, int], stat_p: int, n: int,
-                  hooks: Iterable[int]) -> tuple[UniRatFunc, UniRatFunc]:
-    """sum_w q^stat(w) over the extensions, and q^stat(P) [n]!_q / prod [h]_q.
+def _q_hook_closed_form(counts: dict[int, int], stat_p: int, n: int,
+                        hooks: Iterable[int]) -> UniRatFunc | None:
+    """q^stat(P) [n]!_q / prod [h]_q if it equals sum_w q^stat(w), else None.
 
     ``counts[s]`` is the number of linear extensions w with stat(w) = s.
     The closed form is kept factored as q^stat(P) prod_{m <= n} (1 - q^m)
-    over prod_i (1 - q^{h_i}), the n factors 1 - q of the brackets
-    cancelling.
+    over prod_i (1 - q^{h_i}), the n factors 1 - q of the brackets and the
+    hooks shared with {1..n} cancelling.  The check is exact and builds no
+    rational function: on dense int lists, the counts times the leftover
+    factors 1 - q^h must equal q^stat(P) times the leftover 1 - q^m.  The
+    right side's top coefficient is +-1 and the left side's top count is
+    nonzero, so equal lists are equal polynomials and unequal lists are not.
     """
     fac = _dp_acc(dict.fromkeys(range(1, n + 1), 1), ((h, -1) for h in hooks))
-    return (UniRatFunc(UniPoly._from_dict(counts)),
-            UniRatFunc._factored(1, stat_p, fac))
+    top = max((s for s, c in counts.items() if c), default=-1)
+    lhs = [counts.get(s, 0) for s in range(top + 1)]
+    rhs = [0] * stat_p + [1]
+    for k, e in fac.items():
+        side = lhs if e < 0 else rhs
+        for _ in range(abs(e)):  # side *= 1 - q^k, in place
+            side.extend([0] * k)
+            side[k:] = map(sub, side[k:], side[:-k])
+    return UniRatFunc._factored(1, stat_p, fac) if lhs == rhs else None
 
 
 def verify_bw_inv(p: ForestPoset) -> bool:
     """Inversion-statistic hook formula on a recursively labelled forest.
 
-    Checks that spec_q(L(P)) equals both sum_w q^inv(w) and
-    q^inv(P) [n]!_q / prod [h_i]_q.  The extension sum is folded over the
-    order ideals of P (``extension_stat_counts``) without listing the
-    extensions; the closed form alone uses inv(P) and the hook lengths.
+    Checks that sum_w q^inv(w) equals q^inv(P) [n]!_q / prod [h_i]_q
+    (``_q_hook_closed_form``, on int lists) and that spec_q(L(P)) equals
+    that closed form, which reads the constants alone when the two factor
+    tables agree, as they did on every forest swept.  By transitivity
+    spec_q(L(P)) equals the extension sum too.  The extension sum is folded
+    over the order ideals of P (``extension_stat_counts``) without listing
+    the extensions; the closed form alone uses inv(P) and the hook lengths.
     """
     lhs = spec_q(L_of_forest(p))
-    gen, closed = _q_hook_sides(
+    closed = _q_hook_closed_form(
         extension_stat_counts(p, "inv"), inv_poset(p), p.n,
         (subtree_data(p, i)[2] for i in range(1, p.n + 1)))
-    return lhs == gen and lhs == closed
+    return closed is not None and lhs == closed

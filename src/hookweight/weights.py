@@ -137,13 +137,15 @@ def wt_perm_recursive(w: Sequence[int]) -> RatFunc:
 
 def _wt_of_pairs(stats: Iterable[TreePairStat]) -> RatFunc:
     """The product of N/D over the rows of ``tree_pair_stats(w)``: wt(w)."""
-    items: list = []
+    fac: dict = {}
     for alpha, beta, w_beta, ell, r in stats:
         off = w_beta - ell - 1
         if off < 0:
             raise AssertionError(f"negative form offset for pair ({alpha},{beta})")
-        items += ((("F", off + r + 1, ell), 1), (("F", off, ell), -1))
-    return RatFunc._from_atoms(_dp_acc({}, items))
+        up, down = ("F", off + r + 1, ell), ("F", off, ell)
+        fac[up] = fac.get(up, 0) + 1
+        fac[down] = fac.get(down, 0) - 1
+    return RatFunc._from_atoms(fac)
 
 
 def wt_perm_tree(w: Sequence[int]) -> RatFunc:

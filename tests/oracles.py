@@ -22,7 +22,13 @@ compare the two on the same inputs:
   under x_i -> t^{q^{i-1}} - t^{q^i} of each tree-pair factor of wt(w),
   where ``spec_qt`` substitutes into the factored value;
 - ``carlitz_factorial_mod`` multiplies the monic polynomials of degree n
-  over F_p, which by Carlitz (1935) is (-1)^n spec_qt([n]!, p) mod p.
+  over F_p, which by Carlitz (1935) is (-1)^n spec_qt([n]!, p) mod p;
+- ``carlitz_lcm_mod`` takes the lcm of those polynomials by Euclid's
+  algorithm in F_p[t], which by Carlitz (1935) is
+  (-1)^n spec_qt([1][2]...[n], p) mod p;
+- ``q_hook_sides`` builds both sides of the Björner–Wachs q-hook formula
+  as ``UniRatFunc`` values, which ``==`` cross-multiplies, where
+  ``specialize._q_hook_closed_form`` compares them on int lists.
 """
 
 from dataclasses import dataclass
@@ -35,6 +41,7 @@ from hookweight.parsing import (_FIRST_ATOM, _TOKEN, ParseError, _exponent,
                                 _monomial)
 from hookweight.qanalog import _factorial_atoms, _shift_ratio
 from hookweight.ratfunc import Polynomial, RatFunc, _mono_degree, _mono_pack
+from hookweight.specialize import UniPoly, UniRatFunc
 from hookweight.weights import _require_recursively_labelled, wt_perm_tree
 
 
@@ -242,12 +249,60 @@ def spec_qt_tree_product(w: Sequence[int], q: int) -> dict:
     return out
 
 
+def _monics(p: int, n: int):
+    """Every monic polynomial of degree n in F_p[t], as {exponent: coeff}."""
+    for low in product(range(p), repeat=n):
+        monic = {e: c for e, c in enumerate(low) if c}
+        monic[n] = 1
+        yield monic
+
+
 def carlitz_factorial_mod(p: int, n: int) -> dict:
     """The product of all monic polynomials of degree n in F_p[t], p prime,
     as {exponent: coefficient in 1..p-1}."""
     out = {0: 1}
-    for low in product(range(p), repeat=n):
-        monic = {e: c for e, c in enumerate(low) if c}
-        monic[n] = 1
+    for monic in _monics(p, n):
         out = _int_poly_mul(out, monic, p)
     return out
+
+
+def _fp_divmod(a: dict, b: dict, p: int) -> tuple[dict, dict]:
+    """Quotient and remainder of a by a nonzero b in F_p[t], p prime."""
+    quot, rem = {}, dict(a)
+    top = max(b)
+    inv = pow(b[top], -1, p)
+    while rem and max(rem) >= top:
+        lead = max(rem)
+        e, f = lead - top, rem[lead] * inv % p
+        quot[e] = f
+        for k, v in _int_poly_mul({e: p - f}, b, p).items():
+            rem[k] = (rem.get(k, 0) + v) % p
+        rem = {k: v for k, v in rem.items() if v}
+    return quot, rem
+
+
+def carlitz_lcm_mod(p: int, n: int) -> dict:
+    """The lcm of all monic polynomials of degree n in F_p[t], p prime, as
+    {exponent: coefficient in 1..p-1}: each step divides the product of
+    the lcm so far and the next polynomial by their monic gcd."""
+    out = {0: 1}
+    for monic in _monics(p, n):
+        g, r = out, monic
+        while r:
+            g, r = r, _fp_divmod(g, r, p)[1]
+        g = _fp_divmod(g, {0: g[max(g)]}, p)[0]  # made monic
+        out = _fp_divmod(_int_poly_mul(out, monic, p), g, p)[0]
+    return out
+
+
+def q_hook_sides(counts: dict, stat_p: int, n: int,
+                 hooks) -> tuple[UniRatFunc, UniRatFunc]:
+    """sum_w q^stat(w) over the extensions, and q^stat(P) [n]!_q / prod
+    [h]_q kept factored as q^stat(P) prod_{m <= n} (1 - q^m) over
+    prod_i (1 - q^{h_i}), the n factors 1 - q of the brackets cancelling.
+    ``counts[s]`` is the number of linear extensions w with stat(w) = s."""
+    fac: dict = dict.fromkeys(range(1, n + 1), 1)
+    for h in hooks:
+        fac[h] = fac.get(h, 0) - 1
+    return (UniRatFunc(UniPoly(counts)),
+            UniRatFunc._factored(1, stat_p, {k: e for k, e in fac.items() if e}))

@@ -267,6 +267,35 @@ class TestVerify:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("suite, digest", [
+        ("hook", "01e15cd694d3bcac3d79f4343d3890cfba0e94bbba2ddb06ca2db828a4f9f636"),
+        ("bw-inv", "1c87c596eb1a69fe3ab89121710090d65d05712eae3332f5be80a9965461a94a"),
+        ("bw-maj", "64daa7c974b3e8bb661c9e3460f4a39b0674636a1127aef2c4f10def741fbc8f"),
+        ("weights", "4762ba28e24b1091022546001dc1d6ac3a2f50a3db9267b070662394857017a5"),
+    ])
+    def test_default_sweep_output_is_pinned(self, capsys, monkeypatch, suite,
+                                            digest):
+        # sha256 of stdout at the default --nmax, as the benchmark records it
+        monkeypatch.setenv("HOOKWEIGHT_THREADS", "1")
+        code, out, _ = run(capsys, "verify", "--suite", suite)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("suite, nmax, digest", [
+        ("bw-inv", "7", "0266786ae5df6372d42c3893491ff60504385a17464e5104440154beaf62ce5b"),
+        ("bw-maj", "6", "69b8917dc8e85815730143f5f782d2423f6e0b44ff13c9b2bf31abd0aeb66576"),
+    ])
+    def test_bw_sweep_output_one_size_up_is_pinned(self, monkeypatch, suite,
+                                                   nmax, digest):
+        # sha256 of stdout while the extension counts were compared as
+        # cross-multiplied rational functions
+        monkeypatch.setenv("HOOKWEIGHT_THREADS", "1")
+        code, out, _ = run_process("verify", "--suite", suite, "--nmax", nmax,
+                                   timeout=120)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     @pytest.mark.slow
     def test_pbt_output_one_size_up_is_pinned(self, monkeypatch):
         # sha256 of stdout while the product law shuffled by list.insert

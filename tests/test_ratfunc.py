@@ -1,6 +1,7 @@
 """Polynomial and rational-function arithmetic, normalization, printing."""
 
 import random
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -229,6 +230,50 @@ class TestRatFunc:
             return
         r = RatFunc(a, b)
         assert rf_equal(r, r)
+
+
+_ATOMS = (("F", 0, 1), ("F", 0, 2), ("F", 1, 2), ("F", 0, 3),
+          ("B", ((1, 1),)), ("B", ((1, 1), (2, 1))))
+
+_factored = st.builds(
+    lambda text, atoms, c: parse_ratfunc(text) * RatFunc._from_atoms(atoms, c),
+    st.sampled_from(("0", "1", "x1+2x2", "x1^2-x3",
+                     "(x2x3+x1^2+1)/(x1+x3^2)")),
+    st.dictionaries(st.sampled_from(_ATOMS), st.sampled_from((-2, -1, 1, 2)),
+                    max_size=3),
+    st.fractions(-3, 3, max_denominator=3))
+
+
+@st.composite
+def _rf_pairs(draw):
+    """Two factored values and how the second was made: drawn on its own,
+    the first times a constant other than 1 (an equal table and another
+    constant), or the first rebuilt from its expanded num and den."""
+    a = draw(_factored)
+    kind = draw(st.sampled_from(("other", "rescaled", "rebuilt")))
+    if kind == "other":
+        return a, draw(_factored), kind
+    if kind == "rescaled":
+        return a, a * draw(st.sampled_from((2, -1, Fraction(1, 3)))), kind
+    return a, RatFunc(a.num, a.den), kind
+
+
+class TestEqualTables:
+    """How ``rf_equal`` reads the constants of equal factor tables."""
+
+    def test_equal_tables_compare_constants(self):
+        a = RatFunc(x1 + x2 ** 2, (x1 + x2) * x3)
+        assert rf_equal(a, RatFunc(x1 + x2 ** 2, (x1 + x2) * x3))
+        assert not rf_equal(a, a * 2) and not rf_equal(a, -a)
+        assert rf_equal(a * 2, a * Fraction(4, 2))
+
+    @given(_rf_pairs())
+    def test_equality_is_cross_multiplication(self, pair):
+        a, b, kind = pair
+        assert rf_equal(a, b) == (a.num * b.den == b.num * a.den)
+        if kind == "rescaled" and not a.is_zero():
+            assert (a._fac, a._num) == (b._fac, b._num)
+            assert not rf_equal(a, b)
 
 
 class TestCanonicalString:

@@ -9,8 +9,12 @@ from hypothesis import given, strategies as st
 
 from hookweight.combinat import (
     ForestPoset,
+    dual_forest_stats,
+    enumerate_dual_forests,
     enumerate_rl_forests,
+    extension_stat_counts,
     inv,
+    inv_poset,
     subtree_data,
 )
 from hookweight.parsing import parse_ratfunc
@@ -30,12 +34,14 @@ from hookweight.specialize import (
     spec_qt,
     verify_bw_inv,
     _all_q_var,
+    _q_hook_closed_form,
     _split,
     _substitute,
 )
 from hookweight.weights import H_of_forest, L_of_forest, wt_perm_recursive, wt_subset
 
-from oracles import carlitz_factorial_mod, spec_qt_tree_product
+from oracles import (carlitz_factorial_mod, carlitz_lcm_mod, q_hook_sides,
+                     spec_qt_tree_product)
 
 VEE = ForestPoset.from_covers(3, [[1, 2], [3, 2]])
 
@@ -263,6 +269,18 @@ class TestSpecQT:
         reduced = {e: (-1) ** n * v % q for e, v in got.num.coeffs.items()}
         assert {e: v for e, v in reduced.items() if v} == \
             carlitz_factorial_mod(q, n)
+
+    @pytest.mark.parametrize("q, n", [(2, n) for n in range(5)]
+                             + [(3, n) for n in range(4)])
+    def test_carlitz_lcm(self, q, n):
+        # mod a prime q, (-1)^n [1][2]...[n] maps to the lcm of all monic
+        # polynomials of degree n in F_q[t] (Carlitz's L_n)
+        got = spec_qt(prod((bracket(i) for i in range(1, n + 1)),
+                           start=Polynomial.constant(1)), q)
+        assert got.is_polynomial()
+        reduced = {e: (-1) ** n * v % q for e, v in got.num.coeffs.items()}
+        assert {e: v for e, v in reduced.items() if v} == \
+            carlitz_lcm_mod(q, n)
 
     @pytest.mark.parametrize("q, n", [(2, n) for n in range(1, 7)]
                              + [(q, n) for q in (3, 5) for n in range(1, 5)])
@@ -492,6 +510,57 @@ def _at_two(p):
         return total(lo, mid) + (total(mid, hi) << shift)
 
     return total(0, len(items)) << items[0][0]
+
+
+def _q_hook_cases():
+    """(counts, stat(P), n, hooks) of the inv formula on every recursively
+    labelled forest with n <= 6 and of the maj formula on every dual forest
+    with n <= 5."""
+    for n in range(7):
+        for p in enumerate_rl_forests(n):
+            yield (extension_stat_counts(p, "inv"), inv_poset(p), n,
+                   [subtree_data(p, i)[2] for i in range(1, n + 1)])
+    for n in range(6):
+        for p in enumerate_dual_forests(n):
+            stats = dual_forest_stats(p)
+            yield (extension_stat_counts(p, "maj"), stats.maj, n,
+                   [len(stats.lower_subtrees[i]) for i in range(1, n + 1)])
+
+
+class TestQHookClosedForm:
+    """``_q_hook_closed_form`` compares the extension counts with the
+    Björner–Wachs closed form on int lists; ``oracles.q_hook_sides`` builds
+    both sides as ``UniRatFunc`` values, which ``==`` cross-multiplies."""
+
+    def test_agrees_with_the_rational_function_route(self):
+        for counts, a, n, hooks in _q_hook_cases():
+            gen, closed = q_hook_sides(counts, a, n, hooks)
+            assert gen == closed
+            got = _q_hook_closed_form(counts, a, n, hooks)
+            assert got is not None and got._f == closed._f and got == closed
+
+    def test_rejects_every_unit_change(self):
+        # one count moved by +-1, at every exponent up to one past the top
+        # one, or the power of q off by one: each is another polynomial
+        rejected = 0
+        for counts, a, n, hooks in _q_hook_cases():
+            for s in range(max(counts) + 2):
+                for d in (1, -1):
+                    changed = dict(counts)
+                    changed[s] = changed.get(s, 0) + d
+                    assert _q_hook_closed_form(changed, a, n, hooks) is None
+                    rejected += 1
+            for b in (a - 1, a + 1):
+                if b >= 0:
+                    assert _q_hook_closed_form(counts, b, n, hooks) is None
+                    rejected += 1
+        assert rejected == 75_097
+
+    def test_zero_counts(self):
+        assert _q_hook_closed_form({0: 1}, 0, 0, []) == 1
+        assert _q_hook_closed_form({0: 1, 1: 0}, 0, 0, []) == 1
+        assert _q_hook_closed_form({}, 0, 0, []) is None
+        assert _q_hook_closed_form({0: 0}, 0, 0, []) is None
 
 
 class TestBWInvFormula:
