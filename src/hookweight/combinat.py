@@ -40,6 +40,7 @@ from bisect import bisect_left, insort
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import permutations
 from math import comb, factorial
 from typing import Iterator, NamedTuple, Optional, Sequence
 
@@ -411,13 +412,17 @@ def inv_poset(p: ForestPoset) -> int:
                if p.less(j, i))
 
 
-def _extension_words(p: _ParentArray) -> Iterator[list[int]]:
-    """Every linear extension of p in ascending lex order, as one shared word.
+def _extension_words(p: _ParentArray) -> Iterator[tuple[int, ...]]:
+    """Every linear extension of p in ascending lex order, as a tuple.
 
     ``ready`` is the sorted list of elements whose immediate prerequisites
     are placed; ``pending[j]`` counts j's unplaced ones.  ``choice[d]`` is the
     index in ``ready`` that position d's element came from.  An undo restores
     ``ready`` exactly, so the state is O(n) and no recursion limits a chain.
+    Once every unplaced element is ready, any order of them completes the
+    word: the tails are listed in bulk as the permutations of ``ready``,
+    which come in lex order because ``ready`` is sorted, and the walk backs
+    up.  A full word is the case of an empty ``ready``.
     """
     n = p.n
     unlocks: list[list[int]] = [[] for _ in range(n + 1)]
@@ -430,7 +435,11 @@ def _extension_words(p: _ParentArray) -> Iterator[list[int]]:
     choice: list[int] = []
     k = 0
     while True:
-        if k < len(ready):  # place the candidate ready[k]
+        if len(word) + len(ready) == n:  # free tails, then back up
+            head = tuple(word)
+            for tail in permutations(ready):
+                yield head + tail
+        elif k < len(ready):  # place the candidate ready[k]
             i = ready.pop(k)
             word.append(i)
             choice.append(k)
@@ -440,8 +449,6 @@ def _extension_words(p: _ParentArray) -> Iterator[list[int]]:
                     insort(ready, j)
             k = 0
             continue
-        if len(word) == n:
-            yield word
         if not choice:
             return
         k = choice.pop()  # no candidate left here: undo the last placement

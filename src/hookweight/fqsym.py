@@ -36,6 +36,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .combinat import (
     DualForestPoset,
+    DualForestStats,
     ForestPoset,
     Permutation,
     _Memo,
@@ -175,7 +176,7 @@ def fqsym_mul(x: FQSymElem, y: FQSymElem) -> FQSymElem:
 
 def f_of_poset(p: ForestPoset | DualForestPoset) -> FQSymElem:
     """Sum of F_w over the linear extensions of p."""
-    return FQSymElem._from_dict(dict.fromkeys(map(tuple, _extension_words(p)), 1))
+    return FQSymElem._from_dict(dict.fromkeys(_extension_words(p), 1))
 
 
 # ---------------------------------------------------------------------------
@@ -255,10 +256,14 @@ def gamma_perm(w: Sequence[int]) -> RatFunc:
 
 def gamma_dual_forest(p: DualForestPoset) -> RatFunc:
     """Product formula for the P-partition series of a dual forest."""
-    stats = dual_forest_stats(p)
+    return _gamma_of_stats(dual_forest_stats(p))
+
+
+def _gamma_of_stats(stats: DualForestStats) -> RatFunc:
+    """The product formula from a dual forest's ``dual_forest_stats``: its
+    lower subtrees are keyed 1..n in order."""
     below = stats.lower_subtrees
-    return _gamma_product([below[i] for i in range(1, p.n + 1)],
-                          [below[i] for i in stats.des])
+    return _gamma_product(below.values(), [below[i] for i in stats.des])
 
 
 def _gamma_product(prefixes, descent_prefixes) -> RatFunc:
@@ -397,7 +402,7 @@ def verify_bw_maj(p: DualForestPoset) -> bool:
     """
     stats = dual_forest_stats(p)
     hooks = [len(stats.lower_subtrees[i]) for i in range(1, p.n + 1)]
-    substituted = _substitute(gamma_dual_forest(p), _all_q_var)
+    substituted = _substitute(_gamma_of_stats(stats), _all_q_var)
     den = _dp_acc({}, ((h, -1) for h in hooks))
     if substituted != UniRatFunc._factored(1, stats.maj, den):
         return False

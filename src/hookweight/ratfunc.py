@@ -59,7 +59,10 @@ first variable of u from the bottom up.
 
 One routine, ``RatFunc._sum``, adds any number of values over the atoms
 they all share and normalizes the result once; ``_add`` is its two-term
-case, for the folds whose partial sums cancel.
+case, for the folds whose partial sums cancel.  ``RatFunc._product``
+multiplies any number of shifted values F^k(v) into one atom table, with
+no intermediate value; ``_mul``, the product of two unshifted values, keeps
+its own few lines, which the P-partition fold runs faster.
 
 The expanded numerator and denominator exist only for printing and for the
 ``num``/``den`` properties.  Multiplied out, they have no joint content and
@@ -644,9 +647,8 @@ def _atom_last_var(atom: Atom) -> int:
 
 
 def _atom_shift(atom: Atom, k: int) -> Atom:
-    if k == 0:
-        return atom
-    _check_shift(_atom_last_var(atom), k)
+    """``atom`` with every variable index raised by k, a shift that the
+    caller has checked (``_check_shift``)."""
     if atom[0] == "F":
         return ("F", atom[1] + k, atom[2])
     if atom[0] == "P":
@@ -1316,13 +1318,50 @@ class RatFunc:
                 fac[atom] = e
         return _raw(1 / self._c, _DP_ONE, fac)
 
+    @staticmethod
+    def _product(factors: Iterable[tuple["RatFunc", int]]) -> "RatFunc":
+        """The product of F^k(v) over the pairs (v, k) of ``factors``, in
+        one pass.  The atom tables are added into one dict, a shifted one
+        after a single ``_check_shift``.  Only the constants other than 1
+        are multiplied, and only the nums other than 1: where two or more
+        are, their product is normalized, as ``_mul`` normalizes one."""
+        c = None
+        nums = []
+        fac: dict = {}
+        for v, k in factors:
+            if v._c != 1:
+                if not v._c:
+                    return _ZERO
+                c = v._c if c is None else c * v._c
+            num, table = v._shifted(k) if k else (v._num, v._fac)
+            if num != _DP_ONE:
+                nums.append(num)
+            if fac:
+                _dp_acc(fac, table.items())
+            else:  # a table holds no zero exponent
+                fac.update(table)
+        c = _C_ONE if c is None else c
+        if len(nums) > 1:
+            return RatFunc._normalized(c, reduce(_dp_mul, nums), fac)
+        return _raw(c, nums[0] if nums else _DP_ONE, fac)
+
+    def _shifted(self, k: int) -> tuple[dict, dict]:
+        """F^k of the nonzero value's num and atom table, k > 0, after one
+        ``_check_shift`` of the largest variable in them."""
+        num, fac = self._num, self._fac
+        _check_shift(max(_last_var(max(num)),
+                         max(map(_atom_last_var, fac), default=0)), k)
+        if num != _DP_ONE:
+            shift = _SHIFT * k
+            num = {key << shift: v for key, v in num.items()}
+        return num, {_atom_shift(a, k): e for a, e in fac.items()}
+
     def frobenius(self, k: int) -> "RatFunc":
         if k < 0:
             raise ValueError("frobenius shift must be nonnegative")
         if k == 0 or self._c == 0:
             return self
-        return _raw(self._c, _dp_frobenius(self._num, k),
-                    {_atom_shift(a, k): e for a, e in self._fac.items()})
+        return _raw(self._c, *self._shifted(k))
 
     def _cross(self, other: "RatFunc") -> tuple[dict, dict]:
         """Each side's num times the atom powers it holds beyond the other."""
@@ -1426,6 +1465,7 @@ class RatFunc:
 
 
 _ZERO = _raw(Fraction(0), {}, {})
+_C_ONE = Fraction(1)
 
 
 def _as_rf(v) -> RatFunc:

@@ -201,6 +201,15 @@ def _root_splits(n: int, cover: tuple[int, ...]):
 _L_MEMO: dict = {(0, ()): RatFunc.from_const(1)}
 
 
+def _split_term(m: int, rho: int, left: tuple, right: tuple) -> RatFunc:
+    """The group of first letter rho in L(P) of a forest on m elements,
+    subset-sum(m, rho-1) * L(left part) * F^rho(L(right part)), as one
+    ``RatFunc._product`` of the three values, both parts read from
+    ``_L_MEMO``."""
+    return RatFunc._product(((_subset_sum(m, rho - 1), 0),
+                             (_L_MEMO[left], 0), (_L_MEMO[right], rho)))
+
+
 def _L_grouped(n: int, cover: tuple[int, ...]) -> RatFunc:
     """Exact sum of wt over extensions, grouped by the first letter.
 
@@ -213,6 +222,8 @@ def _L_grouped(n: int, cover: tuple[int, ...]) -> RatFunc:
 
     A stack collects the subforests missing from ``_L_MEMO``; they are then
     summed smallest first, so both parts of each split are already stored.
+    Each group is one ``_split_term``: the three atom tables are added into
+    one, the right one shifted on the way, with no intermediate value.
     Each subforest's groups are added by one ``RatFunc._sum``, which
     normalizes and trial-divides the total once.
     """
@@ -230,9 +241,8 @@ def _L_grouped(n: int, cover: tuple[int, ...]) -> RatFunc:
         # the hints matter only where two or more groups are added
         hooks = tuple(_factorial_atoms(m)) if len(splits) > 1 else ()
         _L_MEMO[m, c] = RatFunc._sum(
-            (_subset_sum(m, rho - 1) * _L_MEMO[left]
-             * _L_MEMO[right].frobenius(rho)
-             for rho, left, right in splits), hooks)
+            (_split_term(m, rho, left, right) for rho, left, right in splits),
+            hooks)
     return _L_MEMO[n, cover]
 
 

@@ -10,6 +10,9 @@ compare the two on the same inputs:
   ``qanalog._proved_binomial`` rests its induction step on;
 - ``L_direct`` adds the weights of the linear extensions one by one,
   where ``L_of_forest`` groups them by their first letter;
+- ``L_split_term_by_products`` builds one first-letter group of L(P) by
+  two products and a shift, where ``weights._split_term`` adds the three
+  atom tables in one pass;
 - ``gamma_dual_forest_series`` truncates the product formula for the
   P-partition series that ``ppartition_series`` enumerates;
 - ``shuffles_by_insert`` and ``fqsym_mul_by_insert`` build each shuffle by
@@ -42,7 +45,8 @@ from hookweight.parsing import (_FIRST_ATOM, _TOKEN, ParseError, _exponent,
 from hookweight.qanalog import _factorial_atoms, _shift_ratio
 from hookweight.ratfunc import Polynomial, RatFunc, _mono_degree, _mono_pack
 from hookweight.specialize import UniPoly, UniRatFunc
-from hookweight.weights import _require_recursively_labelled, wt_perm_tree
+from hookweight.weights import (_L_grouped, _require_recursively_labelled,
+                                _subset_sum, wt_perm_tree)
 
 
 @dataclass(frozen=True)
@@ -130,6 +134,14 @@ def L_direct(p) -> RatFunc:
     for w in linear_extensions(p):
         total = RatFunc._sum((total, wt_perm_tree(w)), hooks)
     return total
+
+
+def L_split_term_by_products(m: int, rho: int, left: tuple,
+                             right: tuple) -> RatFunc:
+    """subset-sum(m, rho-1) * L(left) * F^rho(L(right)), the group of first
+    letter rho in L(P), as two ``RatFunc`` products of a shifted value."""
+    return (_subset_sum(m, rho - 1) * _L_grouped(*left)
+            * _L_grouped(*right).frobenius(rho))
 
 
 def gamma_dual_forest_series(p, max_degree: int) -> Polynomial:

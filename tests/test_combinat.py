@@ -280,12 +280,13 @@ class TestForestPoset:
 
 
 def brute_extensions(p: ForestPoset):
+    """The permutations that respect p, filtered in lex order."""
+    pairs = [(i, j) for i in range(1, p.n + 1) for j in range(1, p.n + 1)
+             if i != j and p.less(i, j)]
     out = []
     for w in permutations(range(1, p.n + 1)):
         pos = {v: i for i, v in enumerate(w)}
-        if all(pos[i] < pos[j]
-               for i in range(1, p.n + 1) for j in range(1, p.n + 1)
-               if i != j and p.less(i, j)):
+        if all(pos[i] < pos[j] for i, j in pairs):
             out.append(w)
     return out
 
@@ -310,6 +311,18 @@ class TestLinearExtensions:
             for p in enumerate_rl_forests(n):
                 assert sorted(tuple(w) for w in linear_extensions(p)) == \
                     brute_extensions(p)
+
+    def test_listing_order_is_the_lex_filter(self):
+        # in the listing's own order, under every labelling
+        for n in range(0, 6):
+            for p in all_forests(n):
+                assert [tuple(w) for w in linear_extensions(p)] == \
+                    brute_extensions(p), p.cover
+
+    def test_antichain_lists_every_permutation(self):
+        p = ForestPoset(8, (0,) * 8)
+        assert [tuple(w) for w in linear_extensions(p)] == \
+            list(permutations(range(1, 9)))
 
     def test_knuth_count_small(self):
         import math

@@ -193,6 +193,11 @@ class TestFOfPoset:
     def test_vee(self):
         assert f_of_poset(VEE) == F([2, 1, 3]) + F([2, 3, 1])
 
+    def test_keys_are_plain_tuples(self):
+        dual = DualForestPoset.from_covered_by(3, [[1, 3], [2, 3]])
+        for p in (VEE, dual, ForestPoset(4, (0,) * 4)):
+            assert {type(w) for w in f_of_poset(p)._d} == {tuple}, p
+
     def test_product_law_exhaustive(self):
         for k in range(1, 6):
             for l in range(1, 7 - k):
@@ -586,6 +591,17 @@ class TestBWMaj:
         for n in range(0, 5):
             for p in enumerate_dual_forests(n):
                 assert verify_bw_maj(p), p
+
+    def test_reads_the_stats_once(self, monkeypatch):
+        calls = []
+
+        def counted(p):
+            calls.append(p)
+            return dual_forest_stats(p)
+
+        monkeypatch.setattr(fqsym, "dual_forest_stats", counted)
+        p = DualForestPoset.from_covered_by(3, [[1, 3], [2, 3]])
+        assert verify_bw_maj(p) and calls == [p]
 
 
 class TestPPartitionOracle:

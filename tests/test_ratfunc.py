@@ -276,6 +276,43 @@ class TestEqualTables:
             assert not rf_equal(a, b)
 
 
+class TestProduct:
+    """``RatFunc._product``, the one-pass product of shifted values."""
+
+    @given(_factored, _factored, _factored, st.integers(0, 3),
+           st.integers(0, 3), st.integers(0, 3))
+    def test_agrees_with_the_products_of_shifts(self, a, b, c, i, j, k):
+        got = RatFunc._product(((a, i), (b, j), (c, k)))
+        want = a.frobenius(i) * b.frobenius(j) * c.frobenius(k)
+        assert rf_equal(got, want)
+        if sum(v._num not in ({0: 1}, {}) for v in (a, b, c)) < 2:
+            # no nums to normalize: the fields of the pairwise products
+            assert (got._c, got._num, got._fac) == \
+                (want._c, want._num, want._fac)
+
+    def test_multiplies_every_num_and_constant(self):
+        a = RatFunc(2 * x1 + x2, 3 * x3)  # both have a num and a constant
+        b = RatFunc(x1 ** 2 - x3, 5 * (x1 + x2))
+        assert a._num != {0: 1} and b._num != {0: 1}
+        assert a._c != 1 and b._c != 1
+        got = RatFunc._product(((a, 1), (a, 0), (b, 2)))
+        assert rf_equal(got, a.frobenius(1) * a * b.frobenius(2))
+        assert rf_equal(RatFunc._product(((a, 0), (RatFunc.from_const(0), 2))), 0)
+
+    def test_shifts_stop_at_the_variable_cap(self):
+        # the one check of a shifted factor covers num and a B, F and P atom
+        top, one = MAX_PACKED_VAR - 1, Polynomial.one()
+        x = RatFunc(x1 + 2 * x2)
+        assert RatFunc._product(((x, 0), (RatFunc(1, x1 + x2), top - 1)))._fac \
+            == {("F", MAX_PACKED_VAR - 2, 2): -1}
+        for value, k in ((RatFunc(one + x1), top + 1),
+                         (RatFunc(1, one - x1), top + 1),
+                         (RatFunc(1, x1 + x2), top),
+                         (RatFunc(1, x1 + x2 ** 2), top)):
+            with pytest.raises(ExponentOverflowError):
+                RatFunc._product(((x, 0), (value, k)))
+
+
 class TestCanonicalString:
     def test_one(self):
         assert rf_to_canonical_string(RatFunc.from_const(1)) == "1"

@@ -6,7 +6,7 @@ from itertools import combinations, permutations
 import pytest
 
 from helpers import run_python
-from oracles import L_direct, wt_subset_recursive
+from oracles import L_direct, L_split_term_by_products, wt_subset_recursive
 from hookweight import qanalog, weights
 
 from hookweight.combinat import (
@@ -213,6 +213,17 @@ class TestHookSides:
                  ForestPoset.from_covers(6, [[2, 3], [1, 3], [4, 3], [6, 5]])]
         for p in spots:
             assert rf_equal(L_direct(p), L_of_forest(p))
+
+    def test_split_terms_match_the_product_route(self):
+        # every split of every forest with n <= 7, field by field
+        for n in range(8):
+            for p in enumerate_rl_forests(n):
+                L_of_forest(p)  # every part is then in the memo
+                for rho, left, right in weights._root_splits(p.n, p.cover):
+                    new = weights._split_term(p.n, rho, left, right)
+                    old = L_split_term_by_products(p.n, rho, left, right)
+                    assert (new._c, new._num, new._fac) == \
+                        (old._c, old._num, old._fac), (p, rho)
 
     def test_hook_identity_n_le_5(self):
         for n in range(0, 6):
